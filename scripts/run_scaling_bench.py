@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Per-stage timing as the hop bound sweeps 1..9 on fixed chain-like graphs.
 
-Prints a table of preprocess / kernel-build / forward / backward times and
+Prints a table of preprocess / power-table / forward / backward times and
 the worst ratio of forward-time growth to hop-pair growth. The scan's cost
 is linear in the number of hop pairs; values near or below 1 confirm it.
 """
@@ -24,7 +24,7 @@ def main():
         ks=list(range(1, 10)), num_graphs=args.graphs, nodes=args.nodes,
         repeats=args.repeats,
     )
-    print(f"{'k':>3} {'pairs':>8} {'pre(s)':>8} {'kernel(s)':>10} {'fwd(s)':>8} {'bwd(s)':>8}")
+    print(f"{'k':>3} {'pairs':>8} {'pre(s)':>8} {'powers(s)':>10} {'fwd(s)':>8} {'bwd(s)':>8}")
     for r in records:
         print(f"{r.k:>3} {r.total_pairs:>8} {r.preprocess_s:>8.3f} "
               f"{r.kernel_s:>10.4f} {r.forward_s:>8.3f} {r.backward_s:>8.3f}")

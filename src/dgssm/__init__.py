@@ -1,7 +1,7 @@
 """Directed-graph state space modeling toolkit.
 
 Graph containers and algorithms, a diagonal SSM kernel with a hop-indexed
-table, a minimal reverse-mode tensor engine, the attention-selective
+power table, a minimal reverse-mode tensor engine, the attention-selective
 message-passing scan model, and a training harness with oracle-equivalence
 suites.
 """
@@ -45,7 +45,7 @@ from .model import (
 )
 from .optim import AdamW, grad_check, grad_check_params
 from .rng import RngStream
-from .ssm import SSMKernelTable, SSMParams, discretize, init_s4d, kernel_table, ssm_scan_reference
+from .ssm import SSMParams, discretize, hop_powers, init_s4d, kernel_table, ssm_scan_reference
 from .stats import StatsReport, compute_stats
 from .synth import SyntheticTaskSpec, gen_synthetic
 from .train import RunConfig, evaluate, evaluate_checkpoint, train

@@ -1,17 +1,18 @@
 """Minimal dense-tensor engine with reverse-mode differentiation.
 
-Tensors wrap row-major numpy arrays (float64 by default; float32 behind
-:func:`set_default_dtype`). Each operation records its parents and a closure
-that maps the incoming gradient to per-parent gradients; ``backward()`` on a
-scalar replays the graph in reverse topological order and accumulates
-gradients onto leaf tensors with ``requires_grad``.
+Tensors wrap row-major float64 numpy arrays. Each operation records its
+parents and a closure that maps the incoming gradient to per-parent
+gradients; ``backward()`` on a scalar replays the graph in reverse
+topological order and accumulates gradients onto leaf tensors with
+``requires_grad``.
 
 Graph sparsity is handled by index-based segment operations (sum / mean /
 max / softmax keyed by an index vector) rather than sparse matrices.
 Elementwise ops broadcast by numpy trailing-axis rules; gradients of
 broadcast inputs are reduced back to the input shape. The model only relies
-on the patterns (n,d)+(d,), (E,h,dh)*(E,h,1), (C,n,dh)*(1,n,dh),
-(dh,n,C)*(1,n,C), (n,dh,C)*(n,1,1) and scalar ops, all covered by that rule.
+on the patterns (n,d)+(d,), (E,1,D)*(E,h,1), (n,h,1,D)*(1,h,dh,D),
+(C,n,dh)*(1,n,dh), (dh,n,C)*(1,n,C), (n,dh,C)*(n,1,1) and scalar ops, all
+covered by that rule.
 """
 
 from __future__ import annotations
@@ -19,20 +20,6 @@ from __future__ import annotations
 import numpy as np
 
 from .rng import RngStream
-
-_DEFAULT_DTYPE = np.float64
-
-
-def set_default_dtype(name: str) -> None:
-    """Switch the engine between 'float64' (default) and 'float32'."""
-    global _DEFAULT_DTYPE
-    if name not in ("float64", "float32"):
-        raise ValueError(f"unsupported dtype {name!r}")
-    _DEFAULT_DTYPE = np.dtype(name).type
-
-
-def default_dtype():
-    return _DEFAULT_DTYPE
 
 
 class ShapeError(ValueError):
@@ -45,7 +32,7 @@ class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
 
     def __init__(self, data, requires_grad: bool = False):
-        self.data = np.asarray(data, dtype=_DEFAULT_DTYPE)
+        self.data = np.asarray(data, dtype=np.float64)
         self.grad: np.ndarray | None = None
         self.requires_grad = bool(requires_grad)
         self._parents: tuple[Tensor, ...] = ()
@@ -289,23 +276,6 @@ def transpose(a, axes: tuple[int, ...]) -> Tensor:
     return _node(
         np.transpose(a.data, axes), (a,), lambda g: (np.transpose(g, inv),)
     )
-
-
-def move_axis_front(a, axis: int) -> Tensor:
-    """The permutation P that brings ``axis`` to position 0."""
-    order = (axis,) + tuple(i for i in range(as_tensor(a).ndim) if i != axis)
-    return transpose(a, order)
-
-
-def move_front_back(a, axis: int) -> Tensor:
-    """Inverse of :func:`move_axis_front` for the same ``axis``."""
-    a = as_tensor(a)
-    rest = [i for i in range(a.ndim) if i != axis]
-    inv = [0] * a.ndim
-    inv[axis] = 0
-    for pos, i in enumerate(rest, start=1):
-        inv[i] = pos
-    return transpose(a, tuple(inv))
 
 
 def concat(tensors: list[Tensor], axis: int = 0) -> Tensor:

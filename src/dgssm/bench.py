@@ -1,6 +1,7 @@
 """Per-stage timing across hop bounds.
 
-Times preprocessing, kernel-table construction, forward, and backward on a
+Times preprocessing, the ZOH power table (discretization plus the (K+1) x D
+table of a_bar powers the scan gathers from), forward, and backward on a
 fixed set of graphs while the hop bound K sweeps a range. The scan's work is
 proportional to the total number of hop pairs, so forward time should grow
 at most linearly in that count (plus a K-independent floor from the encoder,
@@ -16,10 +17,9 @@ import numpy as np
 
 from .algos import compute_artifacts
 from .graphs import DiGraph
-from .model import ModelConfig, init_weights, model_forward, model_loss
+from .model import ModelConfig, _ssm_view, init_weights, model_forward, model_loss
 from .rng import RngStream
-from .ssm import kernel_table
-from .model import _ssm_view
+from .ssm import discretize, hop_powers
 from .train import Prepared, collate
 
 
@@ -96,7 +96,7 @@ def run_bench(
         t_pre = time.perf_counter() - t0
         batch, fwd, rev = collate(prepared)
         ssm = _ssm_view(params, "layers.0.fwd.ssm")
-        t_kernel = _time(lambda: kernel_table(ssm, k), repeats)
+        t_kernel = _time(lambda: hop_powers(discretize(ssm)[0], k), repeats)
 
         def fwd_once():
             return model_forward(batch, fwd, rev, cfg, params, train=False)

@@ -187,7 +187,7 @@ def _cmd_bench(args) -> int:
     if args.json:
         print(json.dumps(summary))
     else:
-        print(f"{'k':>3} {'pairs':>8} {'pre(s)':>8} {'kernel(s)':>10} {'fwd(s)':>8} {'bwd(s)':>8}")
+        print(f"{'k':>3} {'pairs':>8} {'pre(s)':>8} {'powers(s)':>10} {'fwd(s)':>8} {'bwd(s)':>8}")
         for r in records:
             print(
                 f"{r.k:>3} {r.total_pairs:>8} {r.preprocess_s:>8.3f} "

@@ -62,6 +62,8 @@ class DiGraph:
             raise GraphFormatError(
                 f"node_features must be (num_nodes, f); got {x.shape} for n={n}"
             )
+        if not np.all(np.isfinite(x)):
+            raise GraphFormatError("node_features must be finite (found NaN or inf)")
         y = self.y
         if isinstance(y, (list, np.ndarray)):
             y = np.asarray(y)
@@ -215,14 +217,12 @@ def load_graphs(path: str | Path) -> list[DiGraph]:
                 rec = json.loads(line)
             except json.JSONDecodeError as e:
                 raise GraphFormatError(f"line {lineno}: invalid JSON ({e})") from e
-            out.append(_graph_from_record(rec, lineno))
-    if out:
-        f = out[0].feature_dim
-        for lineno, g in enumerate(out, start=1):
-            if g.feature_dim != f:
+            g = _graph_from_record(rec, lineno)
+            if out and g.feature_dim != out[0].feature_dim:
                 raise GraphFormatError(
-                    f"line {lineno}: feature dimension {g.feature_dim} != {f}"
+                    f"line {lineno}: feature dimension {g.feature_dim} != {out[0].feature_dim}"
                 )
+            out.append(g)
     return out
 
 

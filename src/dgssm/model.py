@@ -3,10 +3,11 @@
 Data flow per layer: node features are encoded once (input projection +
 depth positional encoding + gated directional GCN layers), then each layer
 runs the hop-structured scan: multi-head attention weights over every node's
-bounded-hop predecessor set select messages that are first transformed by
-the hop-distance-indexed kernel matrix, summed per center, recalibrated by
-fusion attention across (node, feature, head) axes, flattened, projected,
-and passed through residual / layer-norm / feed-forward blocks. A
+bounded-hop predecessor set select messages that are carried into the
+diagonal SSM state, decayed by a_bar^s for their hop distance s, summed per
+center and read out through C; the result is recalibrated by fusion
+attention across (node, feature, head) axes, flattened, projected, and
+passed through residual / layer-norm / feed-forward blocks. A
 bidirectional layer runs an independent second scan on the edge-reversed
 graph (its own weights, preprocessing, and PageRank) and merges by
 concatenation + projection.
@@ -25,7 +26,7 @@ from .autodiff import ParameterSet, Tensor
 from .checkpoint import load_arrays, save_arrays
 from .graphs import GraphBatch
 from .rng import RngStream
-from .ssm import SSMKernelTable, SSMParams, kernel_table
+from .ssm import SSMParams, discretize, hop_powers
 
 TASKS = ("node-classify", "node-regress", "graph-classify", "graph-regress")
 
@@ -238,7 +239,7 @@ def encode_inputs(
 def digraph_ssm_scan(
     fx: Tensor,
     artifacts: PreprocessArtifacts,
-    table: SSMKernelTable,
+    ssm: SSMParams,
     wq: Tensor,
     wk: Tensor,
     wv: Tensor,
@@ -252,49 +253,37 @@ def digraph_ssm_scan(
 
         alpha(u, v) ~ exp(<fx_v Wq, fx_u Wk>_c / sqrt(d_head))
 
-    Each message fx_u Wv is transformed by the kernel matrix for its hop
-    distance before the weighted sum. Returns the head-stacked tensor
-    (n, d_head, heads) plus the flattened n x d form after Wo.
+    A message fx_u Wv that travels s hops is transformed by the diagonal SSM
+    C diag(a_bar)^s B_bar. The scan applies it in the D-dimensional state:
+    each node's message is projected once into the state, each pair scales
+    it by a_bar^s, the alpha-weighted pairs are summed per center and head,
+    and head c is read out through its rows of C. Returns the head-stacked
+    tensor (n, d_head, heads) plus the flattened n x d form after Wo.
     """
     n, d = fx.shape
     if d % num_heads:
         raise ad.ShapeError(f"scan: width {d} not divisible by {num_heads} heads")
     dh = d // num_heads
+    state = ssm.state_dim
     pairs, spd = artifacts.k_hop_edge_index, artifacts.k_hop_spd
-    if artifacts.k > table.k:
-        raise ValueError(f"artifacts built with k={artifacts.k} > table k={table.k}")
     e = pairs.shape[0]
     u_idx, v_idx = pairs[:, 0], pairs[:, 1]
 
     q = ad.matmul(fx, wq)
     k = ad.matmul(fx, wk)
-    v = ad.matmul(fx, wv)
     q_c = ad.gather_rows(q, v_idx).reshape(e, num_heads, dh)
     k_p = ad.gather_rows(k, u_idx).reshape(e, num_heads, dh)
     scores = ad.mul(ad.sum_(ad.mul(q_c, k_p), axis=2), 1.0 / np.sqrt(dh))  # (E, heads)
     alpha = ad.segment_softmax(scores, v_idx, n)
 
-    # Hop-indexed message transform: group pairs by hop distance, apply that
-    # hop's d x d matrix, and restore the original pair order.
-    v_p = ad.gather_rows(v, u_idx)  # (E, d)
-    order = np.argsort(spd, kind="stable")
-    inverse = np.empty_like(order)
-    inverse[order] = np.arange(e)
-    counts = np.bincount(spd, minlength=table.k + 1)
-    v_sorted = ad.gather_rows(v_p, order)
-    chunks = []
-    start = 0
-    for hop in range(table.k + 1):
-        c = int(counts[hop])
-        if c == 0:
-            continue
-        rows = ad.gather_rows(v_sorted, np.arange(start, start + c))
-        chunks.append(ad.matmul(rows, ad.transpose(table.hop(hop), (1, 0))))
-        start += c
-    msgs = ad.gather_rows(ad.concat(chunks, axis=0), inverse)  # (E, d)
-
-    weighted = ad.mul(msgs.reshape(e, num_heads, dh), alpha.reshape(e, num_heads, 1))
-    y = ad.segment_sum(weighted, v_idx, n)  # (n, heads, dh)
+    a_bar, b_bar = discretize(ssm)
+    bv = ad.matmul(ad.matmul(fx, wv), ad.transpose(b_bar, (1, 0)))  # (n, D)
+    decay = ad.gather_rows(hop_powers(a_bar, artifacts.k), spd)  # (E, D)
+    msgs = ad.mul(ad.gather_rows(bv, u_idx), decay)
+    weighted = ad.mul(msgs.reshape(e, 1, state), alpha.reshape(e, num_heads, 1))
+    z = ad.segment_sum(weighted, v_idx, n)  # (n, heads, D)
+    c_heads = ssm.C.reshape(1, num_heads, dh, state)
+    y = ad.sum_(ad.mul(z.reshape(n, num_heads, 1, state), c_heads), axis=3)  # (n, heads, dh)
     heads = ad.transpose(y, (0, 2, 1))  # (n, dh, heads)
     flat = ad.matmul(y.reshape(n, d), wo)
     return heads, flat
@@ -406,9 +395,8 @@ def dirgraphssm_layer(
 
     def scan_branch(tag: str, arts: PreprocessArtifacts) -> Tensor:
         pre = f"layers.{layer_index}.{tag}"
-        table = kernel_table(_ssm_view(params, f"{pre}.ssm"), cfg.k_hops)
         heads, flat = digraph_ssm_scan(
-            h, arts, table,
+            h, arts, _ssm_view(params, f"{pre}.ssm"),
             params[f"{pre}.wq"], params[f"{pre}.wk"],
             params[f"{pre}.wv"], params[f"{pre}.wo"],
             cfg.heads,
@@ -454,6 +442,9 @@ def model_forward(
         raise ValueError(
             f"feature dim {batch.node_features.shape[1]} != config in_dim {cfg.in_dim}"
         )
+    for arts in (arts_fwd, arts_rev):
+        if arts is not None and arts.k > cfg.k_hops:
+            raise ValueError(f"artifacts built with k={arts.k} > config k_hops={cfg.k_hops}")
     x = ad.constant(batch.node_features)
     h = encode_inputs(x, arts_fwd.depth, batch.edges, cfg, params)
     for li in range(cfg.num_layers):

@@ -106,14 +106,6 @@ def test_shape_errors_name_the_op():
         ad.conv1d(Tensor(np.zeros((2, 3, 4))), Tensor(np.zeros((1, 2, 3))), Tensor(np.zeros(1)), 1)
 
 
-def test_permute_then_inverse_is_identity():
-    stream = RngStream(20)
-    x = Tensor(stream.normal(size=(3, 4, 5)))
-    for axis in range(3):
-        back = ad.move_front_back(ad.move_axis_front(x, axis), axis)
-        assert np.array_equal(back.data, x.data)
-
-
 def test_softmax_single_element_segment_is_one():
     y = ad.segment_softmax(Tensor(np.array([3.7])), np.array([0]), 1)
     assert y.data[0] == 1.0
@@ -243,12 +235,3 @@ def test_parameter_set_unique_names_and_order():
     with pytest.raises(ValueError, match="duplicate"):
         p.add("a", Tensor(np.zeros(1)))
 
-
-def test_float32_mode_round_trip():
-    ad.set_default_dtype("float32")
-    try:
-        x = Tensor(np.ones(3))
-        assert x.data.dtype == np.float32
-    finally:
-        ad.set_default_dtype("float64")
-    assert Tensor(np.ones(3)).data.dtype == np.float64

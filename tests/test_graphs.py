@@ -42,12 +42,24 @@ def test_parse_error_names_line(tmp_path):
 
 
 def test_inconsistent_feature_dim_rejected(tmp_path):
+    # The error names the file line of the mismatched record, blank lines
+    # included, not its index among the graphs.
     path = tmp_path / "bad.jsonl"
     path.write_text(
         '{"n": 1, "edges": [], "x": [[0.0]]}\n'
+        "\n\n"
         '{"n": 1, "edges": [], "x": [[0.0, 1.0]]}\n'
     )
-    with pytest.raises(GraphFormatError, match="feature dimension"):
+    with pytest.raises(GraphFormatError, match="line 4: feature dimension 2 != 1"):
+        load_graphs(path)
+
+
+def test_non_finite_features_rejected(tmp_path):
+    with pytest.raises(GraphFormatError, match="finite"):
+        DiGraph(2, [[0, 1]], [[np.nan], [np.inf]])
+    path = tmp_path / "bad.jsonl"
+    path.write_text('{"n": 1, "edges": [], "x": [[0.0]]}\n{"n": 1, "edges": [], "x": [[NaN]]}\n')
+    with pytest.raises(GraphFormatError, match="line 2: .*finite"):
         load_graphs(path)
 
 

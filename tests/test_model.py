@@ -20,6 +20,7 @@ from dgssm.model import (
     model_loss,
     save_model,
 )
+from dgssm.oracle import sequence_scan_oracle
 from dgssm.rng import RngStream
 from dgssm.ssm import init_s4d, kernel_table
 from dgssm.train import collate, prepare_graphs
@@ -159,16 +160,16 @@ def _scan_setup(g, k, d=8, heads=2, seed=4):
         k_hop_spd=spd,
         k=k,
     )
-    table = kernel_table(init_s4d(4, d, 1e-3, 1e-1, stream.child()), k)
+    ssm = init_s4d(4, d, 1e-3, 1e-1, stream.child())
     ws = [Tensor(stream.normal(size=(d, d))) for _ in range(4)]
-    return fx, arts, table, ws
+    return fx, arts, ssm, ws
 
 
 def test_scan_isolated_node_is_hop_zero_message():
     g = DiGraph(1, np.zeros((0, 2), np.int64), np.zeros((1, 3)))
-    fx, arts, table, (wq, wk, wv, wo) = _scan_setup(g, 2)
-    heads, flat = digraph_ssm_scan(fx, arts, table, wq, wk, wv, wo, 2)
-    want = table.mats.data[0] @ (fx.data[0] @ wv.data)
+    fx, arts, ssm, (wq, wk, wv, wo) = _scan_setup(g, 2)
+    heads, flat = digraph_ssm_scan(fx, arts, ssm, wq, wk, wv, wo, 2)
+    want = kernel_table(ssm, 2).data[0] @ (fx.data[0] @ wv.data)
     got = flatten_heads(heads).data[0]
     assert np.allclose(got, want, atol=1e-12)
     assert np.allclose(flat.data, flatten_heads(heads).data @ wo.data)
@@ -177,7 +178,7 @@ def test_scan_isolated_node_is_hop_zero_message():
 def test_scan_attention_normalizes_per_center_and_head():
     g = make_random_digraph(6, max_nodes=15)
     k = 3
-    fx, arts, table, (wq, wk, wv, wo) = _scan_setup(g, k)
+    fx, arts, _, (wq, wk, wv, wo) = _scan_setup(g, k)
     n, d = fx.shape
     heads = 2
     q = (fx.data @ wq.data)
@@ -195,8 +196,8 @@ def test_scan_attention_normalizes_per_center_and_head():
 
 def test_scan_head_slicing_layout():
     g = make_random_digraph(8, max_nodes=10)
-    fx, arts, table, (wq, wk, wv, wo) = _scan_setup(g, 2)
-    heads, _ = digraph_ssm_scan(fx, arts, table, wq, wk, wv, wo, 2)
+    fx, arts, ssm, (wq, wk, wv, wo) = _scan_setup(g, 2)
+    heads, _ = digraph_ssm_scan(fx, arts, ssm, wq, wk, wv, wo, 2)
     flat = flatten_heads(heads)
     d_h = heads.shape[1]
     for c in range(heads.shape[2]):
@@ -205,12 +206,28 @@ def test_scan_head_slicing_layout():
         )
 
 
+def test_scan_matches_sequence_oracle_at_long_hops():
+    # The scan-equivalence suite samples hops (1, 2, 4); on a 20-node chain
+    # at k=16 most pairs sit at hops it never reaches.
+    g = DiGraph(20, [(i, i + 1) for i in range(19)], RngStream(3).normal(size=(20, 3)))
+    k = 16
+    fx, arts, ssm, (wq, wk, wv, wo) = _scan_setup(g, k)
+    heads, _ = digraph_ssm_scan(fx, arts, ssm, wq, wk, wv, wo, 2)
+    want = sequence_scan_oracle(g, fx.data, wq.data, wk.data, wv.data, ssm, k, 2)
+    assert np.abs(heads.data - want).max() <= 1e-8
+
+
 def test_scan_rejects_artifact_table_mismatch():
+    cfg = ModelConfig(in_dim=3, task="node-regress", hidden=8, heads=2, num_layers=1,
+                      se_layers=0, ssm_state=4, k_hops=1, dropout=0.0, bidirectional=True)
+    params = init_weights(cfg, RngStream(9))
     g = make_random_digraph(9, max_nodes=8)
-    fx, arts, table, (wq, wk, wv, wo) = _scan_setup(g, 3)
-    short_table = kernel_table(init_s4d(4, 8, 1e-3, 1e-1, seed=0), 1)
-    with pytest.raises(ValueError, match="table"):
-        digraph_ssm_scan(fx, arts, short_table, wq, wk, wv, wo, 2)
+    batch, fwd, rev = _prepared_batch([g], cfg)
+    _, deep_fwd, deep_rev = _prepared_batch([g], ModelConfig(**{**cfg.to_dict(), "k_hops": 3}))
+    model_forward(batch, fwd, rev, cfg, params)
+    for arts in ((deep_fwd, rev), (fwd, deep_rev)):
+        with pytest.raises(ValueError, match="k=3 > config k_hops=1"):
+            model_forward(batch, *arts, cfg, params)
 
 
 # -- fusion attention ---------------------------------------------------------------
@@ -299,11 +316,11 @@ def test_edgeless_bidirectional_scans_match_with_tied_weights():
     from dgssm.model import _ssm_view
 
     h = encode_inputs(Tensor(batch.node_features), fwd.depth, batch.edges, cfg, params)
-    table_f = kernel_table(_ssm_view(params, "layers.0.fwd.ssm"), cfg.k_hops)
-    table_r = kernel_table(_ssm_view(params, "layers.0.rev.ssm"), cfg.k_hops)
-    out_f, _ = scan(h, fwd, table_f, params["layers.0.fwd.wq"], params["layers.0.fwd.wk"],
+    ssm_f = _ssm_view(params, "layers.0.fwd.ssm")
+    ssm_r = _ssm_view(params, "layers.0.rev.ssm")
+    out_f, _ = scan(h, fwd, ssm_f, params["layers.0.fwd.wq"], params["layers.0.fwd.wk"],
                     params["layers.0.fwd.wv"], params["layers.0.fwd.wo"], cfg.heads)
-    out_r, _ = scan(h, rev, table_r, params["layers.0.rev.wq"], params["layers.0.rev.wk"],
+    out_r, _ = scan(h, rev, ssm_r, params["layers.0.rev.wq"], params["layers.0.rev.wk"],
                     params["layers.0.rev.wv"], params["layers.0.rev.wo"], cfg.heads)
     assert np.array_equal(out_f.data, out_r.data)
 

@@ -5,6 +5,12 @@ arbitrary digraphs via the condensation DAG, PageRank power iteration with
 dangling-mass redistribution, bounded-hop predecessor extraction by reverse
 BFS, and the layered ego sequentializer. All functions are pure and safe to
 parallelize across graphs.
+
+Preprocessing is computed once per graph list, over the disjoint union of
+its graphs (:func:`compute_batch_artifacts`), and split back per graph.
+Every algorithm gives each graph of a union the result it gives that graph
+alone: SCCs, depth and hop pairs never cross graphs, and PageRank takes the
+graph ordinal per node.
 """
 
 from __future__ import annotations
@@ -16,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .graphs import DiGraph, GraphBatch
+from .graphs import DiGraph, GraphBatch, _csr, reverse_graph
 
 INF_HOPS = math.inf  # accepted wherever a hop bound is "unbounded"
 
@@ -26,11 +32,16 @@ class SccPartition:
     """Partition of nodes into strongly connected components."""
 
     component_id: np.ndarray  # (n,) component index per node
-    components: list[np.ndarray]  # member node arrays, each sorted
+    num_components: int
 
     @property
-    def num_components(self) -> int:
-        return len(self.components)
+    def components(self) -> list[np.ndarray]:
+        """Member node arrays, each sorted, in component-id order."""
+        if not self.num_components:
+            return []
+        members = np.argsort(self.component_id, kind="stable")
+        cuts = np.cumsum(np.bincount(self.component_id, minlength=self.num_components))
+        return np.split(members, cuts[:-1])
 
 
 @dataclass(frozen=True)
@@ -41,97 +52,113 @@ class CondensationDag:
     edges: np.ndarray  # (k, 2) int64, no duplicates, no self-loops
 
 
+def _expand(indptr: np.ndarray, indices: np.ndarray, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(row in ``nodes``, neighbour) for every CSR neighbour of every node."""
+    starts = indptr[nodes]
+    deg = indptr[nodes + 1] - starts
+    rows = np.repeat(np.arange(len(nodes)), deg)
+    firsts = np.cumsum(deg) - deg  # position of each row's first neighbour
+    return rows, indices[starts[rows] + np.arange(len(rows)) - firsts[rows]]
+
+
+def _unique(a: np.ndarray) -> np.ndarray:
+    """Sorted distinct values (``np.unique`` is many times slower on small arrays)."""
+    a = np.sort(a)
+    return a[np.concatenate([[True], a[1:] != a[:-1]])] if len(a) else a
+
+
 def tarjan_scc(g: DiGraph) -> SccPartition:
     """Tarjan's strongly-connected-components algorithm, iteratively.
 
     Runs in O(n + m); two nodes share a component iff mutually reachable.
+    Components are numbered in the order Tarjan completes them. Works on
+    Python lists over a CSR out-adjacency.
     """
     n = g.num_nodes
-    adj = g.out_adjacency()
-    index = np.full(n, -1, dtype=np.int64)
-    lowlink = np.zeros(n, dtype=np.int64)
-    on_stack = np.zeros(n, dtype=bool)
-    comp_id = np.full(n, -1, dtype=np.int64)
+    indptr, indices = _csr(g.edges[:, 0], g.edges[:, 1], n)
+    indptr, indices = indptr.tolist(), indices.tolist()
+    index = [-1] * n
+    lowlink = [0] * n
+    on_stack = [False] * n
+    comp_id = [-1] * n
     stack: list[int] = []
-    components: list[np.ndarray] = []
-    counter = 0
+    counter = count = 0
 
     for root in range(n):
         if index[root] != -1:
             continue
-        # Explicit work stack of (node, iterator position) frames.
-        work = [(root, 0)]
+        # Explicit work stack of (node, next CSR position) frames; a position
+        # of -1 marks a node not yet visited.
+        work = [(root, -1)]
         while work:
-            v, pi = work.pop()
-            if pi == 0:
+            v, pos = work[-1]
+            if pos < 0:
                 index[v] = lowlink[v] = counter
                 counter += 1
                 stack.append(v)
                 on_stack[v] = True
-            recurse = False
-            neighbors = adj[v]
-            for j in range(pi, len(neighbors)):
-                w = int(neighbors[j])
+                pos = indptr[v]
+            end = indptr[v + 1]
+            while pos < end:
+                w = indices[pos]
+                pos += 1
                 if index[w] == -1:
-                    work.append((v, j + 1))
-                    work.append((w, 0))
-                    recurse = True
                     break
-                if on_stack[w]:
-                    lowlink[v] = min(lowlink[v], index[w])
-            if recurse:
+                if on_stack[w] and index[w] < lowlink[v]:
+                    lowlink[v] = index[w]
+            else:
+                work.pop()
+                if lowlink[v] == index[v]:
+                    while True:
+                        w = stack.pop()
+                        on_stack[w] = False
+                        comp_id[w] = count
+                        if w == v:
+                            break
+                    count += 1
+                if work:
+                    parent = work[-1][0]
+                    if lowlink[v] < lowlink[parent]:
+                        lowlink[parent] = lowlink[v]
                 continue
-            if lowlink[v] == index[v]:
-                members = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp_id[w] = len(components)
-                    members.append(w)
-                    if w == v:
-                        break
-                components.append(np.array(sorted(members), dtype=np.int64))
-            if work:
-                parent = work[-1][0]
-                lowlink[parent] = min(lowlink[parent], lowlink[v])
-    return SccPartition(component_id=comp_id, components=components)
+            work[-1] = (v, pos)
+            work.append((w, -1))
+    return SccPartition(component_id=np.array(comp_id, dtype=np.int64), num_components=count)
 
 
 def condense(g: DiGraph, p: SccPartition) -> CondensationDag:
     """Contract each SCC to a supernode; intra-component edges are dropped."""
-    cid = p.component_id
+    cid, count = p.component_id, p.num_components
     if g.num_edges:
         src = cid[g.edges[:, 0]]
         dst = cid[g.edges[:, 1]]
         keep = src != dst
-        pairs = np.unique(np.stack([src[keep], dst[keep]], axis=1), axis=0)
+        pairs = np.stack(np.divmod(_unique(src[keep] * count + dst[keep]), count), axis=1)
     else:
         pairs = np.zeros((0, 2), dtype=np.int64)
-    return CondensationDag(num_supernodes=p.num_components, edges=pairs)
+    return CondensationDag(num_supernodes=count, edges=pairs)
 
 
 def dag_depth(dag: CondensationDag) -> np.ndarray:
     """Depth on a DAG: 0 for sources, else 1 + max over predecessors.
 
-    Computed by Kahn's topological order; raises on a cycle.
+    Level-synchronous Kahn: a node's depth is the sweep on which its last
+    in-edge is removed. Raises on a cycle.
     """
     k = dag.num_supernodes
-    indeg = np.zeros(k, dtype=np.int64)
-    out: list[list[int]] = [[] for _ in range(k)]
-    for u, v in dag.edges:
-        out[int(u)].append(int(v))
-        indeg[int(v)] += 1
+    src, dst = dag.edges[:, 0], dag.edges[:, 1]
+    indptr, indices = _csr(src, dst, k)
+    indeg = np.bincount(dst, minlength=k)
     depth = np.zeros(k, dtype=np.int64)
-    frontier = [i for i in range(k) if indeg[i] == 0]
-    seen = 0
-    while frontier:
-        u = frontier.pop()
-        seen += 1
-        for v in out[u]:
-            depth[v] = max(depth[v], depth[u] + 1)
-            indeg[v] -= 1
-            if indeg[v] == 0:
-                frontier.append(v)
+    frontier = np.flatnonzero(indeg == 0)
+    seen, level = 0, 0
+    while len(frontier):
+        depth[frontier] = level
+        seen += len(frontier)
+        level += 1
+        targets = _expand(indptr, indices, frontier)[1]
+        np.subtract.at(indeg, targets, 1)
+        frontier = _unique(targets[indeg[targets] == 0])
     if seen != k:
         raise ValueError("dag_depth: input graph contains a cycle")
     return depth
@@ -142,11 +169,11 @@ def depth_plus(g: DiGraph) -> np.ndarray:
 
     Contract SCCs, take DAG depth on the condensation, and broadcast each
     supernode's depth to its members; every member of an SCC gets the same
-    depth, and a DAG reduces to the plain depth recurrence.
+    depth, and a DAG reduces to the plain depth recurrence. SCCs never span
+    the graphs of a disjoint union, so on a union this is per-graph depth.
     """
     part = tarjan_scc(g)
-    dag = condense(g, part)
-    return dag_depth(dag)[part.component_id]
+    return dag_depth(condense(g, part))[part.component_id]
 
 
 def pagerank(
@@ -154,6 +181,7 @@ def pagerank(
     damping: float = 0.85,
     tol: float = 1e-10,
     max_iters: int = 100,
+    batch_index: np.ndarray | None = None,
 ) -> np.ndarray:
     """Power-iteration PageRank with uniform dangling-mass redistribution.
 
@@ -161,33 +189,43 @@ def pagerank(
     with the rank mass of out-degree-0 nodes spread uniformly each sweep so
     scores always sum to 1. Iteration stops when the L1 change drops below
     ``tol`` or after ``max_iters`` sweeps.
+
+    ``batch_index`` (graph ordinal per node) treats ``g`` as a disjoint
+    union: n, the base term and the dangling spill are per graph, and each
+    graph stops on its own sweep, so its scores do not depend on the others.
     """
     if not (0.0 < damping < 1.0):
         raise ValueError(f"pagerank: damping must be in (0, 1), got {damping}")
     n = g.num_nodes
-    if n == 0:
-        return np.zeros(0)
+    if batch_index is None:
+        batch_index = np.zeros(n, dtype=np.int64)
+    num_graphs = int(batch_index.max()) + 1 if n else 0
+    sizes = np.bincount(batch_index, minlength=num_graphs)[batch_index].astype(np.float64)
     src, dst = g.edges[:, 0], g.edges[:, 1]
     outdeg = np.bincount(src, minlength=n).astype(np.float64)
-    dangling = outdeg == 0
-    x = np.full(n, 1.0 / n)
-    base = (1.0 - damping) / n
+    src_outdeg = outdeg[src]
+    dangling = np.flatnonzero(outdeg == 0)
+    dangling_graph = batch_index[dangling]
+    x = 1.0 / sizes
+    base = (1.0 - damping) / sizes
+    active = np.ones(num_graphs, dtype=bool)
     for _ in range(max_iters):
-        contrib = np.zeros(n)
-        if len(src):
-            per_edge = x[src] / outdeg[src]
-            contrib = np.bincount(dst, weights=per_edge, minlength=n)
-        spill = x[dangling].sum() / n
-        x_new = base + damping * (contrib + spill)
-        if np.abs(x_new - x).sum() < tol:
-            x = x_new
+        contrib = np.bincount(dst, weights=x[src] / src_outdeg, minlength=n)
+        mass = np.bincount(dangling_graph, weights=x[dangling], minlength=num_graphs)
+        x_new = base + damping * (contrib + mass[batch_index] / sizes)
+        change = np.bincount(batch_index, weights=np.abs(x_new - x), minlength=num_graphs)
+        x = np.where(active[batch_index], x_new, x)
+        active &= change >= tol
+        if not active.any():
             break
-        x = x_new
     return x
 
 
 def _reverse_bfs(preds: list[np.ndarray], center: int, max_hops: float) -> dict[int, int]:
-    """Hop distances over in-edges from ``center``; includes center at 0."""
+    """Hop distances over in-edges from ``center``; includes center at 0.
+
+    The per-center reference for :func:`k_hop_predecessors`.
+    """
     dist = {center: 0}
     frontier = [center]
     hops = 0
@@ -209,26 +247,41 @@ def k_hop_predecessors(
 ) -> tuple[np.ndarray, np.ndarray]:
     """All (predecessor, center) pairs within ``k`` directed hops.
 
-    For each center v, a reverse BFS over in-edges emits (u, v) with the
-    shortest-path distance SPD(u, v) for every u at distance <= k, including
-    the self pair (v, v) at distance 0. Pass ``math.inf`` to exhaust
-    reachability. Pair order is fixed: center ascending, then distance
-    ascending, then predecessor ascending, so artifacts are reproducible.
+    For each center v, emits (u, v) with the shortest-path distance
+    SPD(u, v) for every u at distance <= k, including the self pair (v, v)
+    at distance 0. Pass ``math.inf`` to exhaust reachability. Pair order is
+    fixed: center ascending, then distance ascending, then predecessor
+    ascending, so artifacts are reproducible.
+
+    One level-synchronous BFS from every center at once: the frontier is
+    (center, node) pairs, expanded through a CSR in-adjacency, and each
+    level's candidates are deduped on the key ``center * n + u`` against a
+    set of the keys already found, at a cost proportional to the level.
     """
     if not (k == INF_HOPS or (isinstance(k, (int, np.integer)) and k >= 0)):
         raise ValueError(f"k_hop_predecessors: bad hop bound {k!r}")
-    preds = g.in_adjacency()
-    pairs: list[tuple[int, int]] = []
-    spds: list[int] = []
-    for v in range(g.num_nodes):
-        dist = _reverse_bfs(preds, v, k)
-        for u, s in sorted(dist.items(), key=lambda it: (it[1], it[0])):
-            pairs.append((u, v))
-            spds.append(s)
-    return (
-        np.asarray(pairs, dtype=np.int64).reshape(-1, 2),
-        np.asarray(spds, dtype=np.int64),
-    )
+    n = g.num_nodes
+    indptr, indices = _csr(g.edges[:, 1], g.edges[:, 0], n)
+    centers = nodes = np.arange(n, dtype=np.int64)
+    found = [(centers, nodes)]
+    seen = set(range(0, n * n, n + 1))  # the self pairs' keys
+    hops = 0
+    while len(centers) and hops < k:
+        hops += 1
+        rows, preds = _expand(indptr, indices, nodes)
+        keys = set((centers[rows] * n + preds).tolist())
+        keys.difference_update(seen)
+        seen.update(keys)
+        new = np.sort(np.fromiter(keys, dtype=np.int64, count=len(keys)))
+        centers, nodes = np.divmod(new, n)
+        found.append((centers, nodes))
+    # Levels come out ordered by (distance, center, predecessor); a stable
+    # sort on the center alone gives (center, distance, predecessor).
+    all_centers = np.concatenate([c for c, _ in found])
+    order = np.argsort(all_centers, kind="stable")
+    spd = np.repeat(np.arange(len(found), dtype=np.int64), [len(c) for c, _ in found])
+    preds = np.concatenate([u for _, u in found])
+    return np.stack([preds[order], all_centers[order]], axis=1), spd[order]
 
 
 def dir_ego2token(g: DiGraph, v: int, k: int) -> list[list[int]]:
@@ -269,16 +322,32 @@ class PreprocessArtifacts:
         return int(self.k_hop_spd.shape[0])
 
 
-def compute_artifacts(g: DiGraph, k: int, damping: float = 0.85) -> PreprocessArtifacts:
-    """Depth, PageRank, and bounded-hop predecessor pairs for one graph."""
+def compute_artifacts(
+    g: DiGraph, k: int, damping: float = 0.85, batch_index: np.ndarray | None = None
+) -> PreprocessArtifacts:
+    """Depth, PageRank, and bounded-hop predecessor pairs for one graph.
+
+    With ``batch_index``, ``g`` is a disjoint union and PageRank is per graph.
+    """
     pairs, spd = k_hop_predecessors(g, k)
     return PreprocessArtifacts(
         depth=depth_plus(g),
-        pagerank=pagerank(g, damping=damping),
+        pagerank=pagerank(g, damping=damping, batch_index=batch_index),
         k_hop_edge_index=pairs,
         k_hop_spd=spd,
         k=int(k),
     )
+
+
+def compute_batch_artifacts(
+    batch: GraphBatch, k: int, reverse: bool = False
+) -> list[PreprocessArtifacts]:
+    """Per-graph artifacts for every graph of ``batch`` (edge-reversed if
+    ``reverse``), computed in one pass over the disjoint union."""
+    union = DiGraph(batch.num_nodes, batch.edges, np.empty((batch.num_nodes, 0)))
+    if reverse:
+        union = reverse_graph(union)
+    return unbatch_artifacts(compute_artifacts(union, k, batch_index=batch.batch_index), batch)
 
 
 def batch_artifacts(arts: list[PreprocessArtifacts], batch: GraphBatch) -> PreprocessArtifacts:
@@ -296,6 +365,27 @@ def batch_artifacts(arts: list[PreprocessArtifacts], batch: GraphBatch) -> Prepr
         k_hop_spd=np.concatenate([a.k_hop_spd for a in arts]),
         k=ks.pop(),
     )
+
+
+def unbatch_artifacts(arts: PreprocessArtifacts, batch: GraphBatch) -> list[PreprocessArtifacts]:
+    """Invert :func:`batch_artifacts`: split by graph, back to local indices.
+
+    Pairs are ordered by center, so each graph's pairs form one run.
+    """
+    cuts = np.searchsorted(arts.k_hop_edge_index[:, 1], batch.offsets)
+    ends = np.append(cuts[1:], arts.num_pairs)
+    out = []
+    for off, size, lo, hi in zip(batch.offsets, batch.node_counts, cuts, ends):
+        out.append(
+            PreprocessArtifacts(
+                depth=arts.depth[off : off + size],
+                pagerank=arts.pagerank[off : off + size],
+                k_hop_edge_index=arts.k_hop_edge_index[lo:hi] - off,
+                k_hop_spd=arts.k_hop_spd[lo:hi],
+                k=arts.k,
+            )
+        )
+    return out
 
 
 ARTIFACT_MAGIC = "DGSSM-PRE"

@@ -15,12 +15,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algos import compute_artifacts
 from .graphs import DiGraph
 from .model import ModelConfig, _ssm_view, init_weights, model_forward, model_loss
 from .rng import RngStream
 from .ssm import discretize, hop_powers
-from .train import Prepared, collate
+from .train import collate, prepare_graphs
 
 
 @dataclass
@@ -92,7 +91,7 @@ def run_bench(
         )
         params = init_weights(cfg, RngStream(seed + 1))
         t0 = time.perf_counter()
-        prepared = [Prepared(g, compute_artifacts(g, k), None) for g in graphs]
+        prepared = prepare_graphs(graphs, cfg)
         t_pre = time.perf_counter() - t0
         batch, fwd, rev = collate(prepared)
         ssm = _ssm_view(params, "layers.0.fwd.ssm")

@@ -17,9 +17,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .algos import compute_artifacts, save_artifacts
+from .algos import compute_batch_artifacts, save_artifacts
 from .bench import run_bench, scaling_summary
-from .graphs import load_graphs, reverse_graph
+from .graphs import batch_graphs, load_graphs
 from .model import ModelConfig
 from .oracle import SUITES, oracle_check
 from .stats import compute_stats
@@ -75,11 +75,12 @@ def _cmd_gen(args) -> int:
 
 def _cmd_preprocess(args) -> int:
     graphs = load_graphs(args.data)
-    arts = {}
-    for i, g in enumerate(graphs):
-        gid = g.graph_id or f"g{i:05d}"
-        src = reverse_graph(g) if args.reverse else g
-        arts[gid] = compute_artifacts(src, args.k)
+    per_graph = (
+        compute_batch_artifacts(batch_graphs(graphs), args.k, reverse=args.reverse)
+        if graphs
+        else []
+    )
+    arts = {g.graph_id or f"g{i:05d}": a for i, (g, a) in enumerate(zip(graphs, per_graph))}
     out = args.out or (args.data + (".rev.pre" if args.reverse else ".pre"))
     save_artifacts(arts, out)
     if args.json:

@@ -56,7 +56,8 @@ class DiGraph:
             raise GraphFormatError("num_nodes must be non-negative")
         if edges.size and (edges.min() < 0 or edges.max() >= n):
             raise GraphFormatError(f"edge endpoint out of range [0, {n})")
-        if edges.shape[0] != len({(int(u), int(v)) for u, v in edges}):
+        keys = np.sort(edges[:, 0] * n + edges[:, 1])
+        if np.any(keys[1:] == keys[:-1]):
             raise GraphFormatError("duplicate (src, dst) edge pairs")
         if x.ndim != 2 or x.shape[0] != n:
             raise GraphFormatError(
@@ -90,11 +91,16 @@ class DiGraph:
         return _adjacency(self.edges[:, 1], self.edges[:, 0], self.num_nodes)
 
 
+def _csr(keys: np.ndarray, values: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Compressed rows: ``values[indptr[i]:indptr[i + 1]]`` are the values keyed i."""
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(keys, minlength=n), out=indptr[1:])
+    return indptr, values[np.argsort(keys, kind="stable")]
+
+
 def _adjacency(keys: np.ndarray, values: np.ndarray, n: int) -> list[np.ndarray]:
-    order = np.argsort(keys, kind="stable")
-    keys, values = keys[order], values[order]
-    starts = np.searchsorted(keys, np.arange(n + 1))
-    return [values[starts[i] : starts[i + 1]] for i in range(n)]
+    indptr, values = _csr(keys, values, n)
+    return [values[indptr[i] : indptr[i + 1]] for i in range(n)]
 
 
 def reverse_graph(g: DiGraph) -> DiGraph:

@@ -8,7 +8,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .algos import _reverse_bfs, tarjan_scc
+from .algos import k_hop_predecessors, tarjan_scc
 from .graphs import DiGraph
 
 
@@ -61,11 +61,8 @@ class StatsReport:
 
 def predecessor_counts(g: DiGraph, k: int | float) -> np.ndarray:
     """p_k per node: strict predecessors within hop distance <= k."""
-    preds = g.in_adjacency()
-    return np.array(
-        [len(_reverse_bfs(preds, v, k)) - 1 for v in range(g.num_nodes)],
-        dtype=np.int64,
-    )
+    pairs, _ = k_hop_predecessors(g, k)
+    return np.bincount(pairs[:, 1], minlength=g.num_nodes) - 1
 
 
 def _cyclic_components(g: DiGraph) -> list[np.ndarray]:

@@ -3,7 +3,8 @@
 Runs are bit-reproducible under (seed, config, dataset): parameter init,
 batch order, and dropout all draw from one splittable stream. Preprocessing
 (depth, PageRank, hop pairs, and the same for the edge-reversed graph when
-bidirectional) is computed once per graph and concatenated per batch.
+bidirectional) is computed once per graph list, over the disjoint union of
+its graphs, split back per graph, and concatenated per batch.
 """
 
 from __future__ import annotations
@@ -17,9 +18,9 @@ from pathlib import Path
 import numpy as np
 
 from . import metrics as M
-from .algos import PreprocessArtifacts, batch_artifacts, compute_artifacts
+from .algos import PreprocessArtifacts, batch_artifacts, compute_batch_artifacts
 from .autodiff import ParameterSet
-from .graphs import DiGraph, GraphBatch, batch_graphs, reverse_graph
+from .graphs import DiGraph, GraphBatch, batch_graphs
 from .model import (
     ModelConfig,
     init_weights,
@@ -68,12 +69,17 @@ class Prepared:
 
 
 def prepare_graphs(graphs: list[DiGraph], cfg: ModelConfig) -> list[Prepared]:
-    out = []
-    for g in graphs:
-        fwd = compute_artifacts(g, cfg.k_hops)
-        rev = compute_artifacts(reverse_graph(g), cfg.k_hops) if cfg.bidirectional else None
-        out.append(Prepared(g, fwd, rev))
-    return out
+    """Preprocess a graph list in one pass over its disjoint union per direction."""
+    if not graphs:
+        return []
+    batch = batch_graphs(graphs)
+    fwd = compute_batch_artifacts(batch, cfg.k_hops)
+    rev = (
+        compute_batch_artifacts(batch, cfg.k_hops, reverse=True)
+        if cfg.bidirectional
+        else [None] * len(graphs)
+    )
+    return [Prepared(*item) for item in zip(graphs, fwd, rev)]
 
 
 def collate(items: list[Prepared]) -> tuple[GraphBatch, PreprocessArtifacts, PreprocessArtifacts | None]:

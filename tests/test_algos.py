@@ -6,7 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dgssm.algos import (
+    CondensationDag,
     PreprocessArtifacts,
+    _reverse_bfs,
     batch_artifacts,
     compute_artifacts,
     condense,
@@ -20,6 +22,7 @@ from dgssm.algos import (
     tarjan_scc,
 )
 from dgssm.graphs import DiGraph, batch_graphs
+from dgssm.rng import RngStream
 from dgssm.oracle import (
     brute_force_scc,
     dag_longest_path_depth,
@@ -115,11 +118,13 @@ def test_dag_depth_two_sources_one_sink():
 
 
 def test_dag_depth_rejects_cycle():
-    from dgssm.algos import CondensationDag
-
-    dag = CondensationDag(2, np.array([[0, 1], [1, 0]]))
-    with pytest.raises(ValueError, match="cycle"):
-        dag_depth(dag)
+    for n, edges in [
+        (2, [[0, 1], [1, 0]]),
+        (4, [[0, 1], [1, 2], [2, 1], [2, 3]]),  # a cycle below a source
+        (3, [[0, 1], [2, 2]]),  # a self-loop
+    ]:
+        with pytest.raises(ValueError, match="cycle"):
+            dag_depth(CondensationDag(n, np.array(edges)))
 
 
 @settings(max_examples=40, deadline=None)
@@ -183,7 +188,83 @@ def test_pagerank_matches_dense_solve(seed):
     assert np.all(got >= (1 - 0.85) / g.num_nodes - 1e-12)
 
 
+def _graph_list(seed: int) -> list[DiGraph]:
+    """Random digraphs plus the degenerate cases: n=1, no edges, self-loops."""
+    gs = [make_random_digraph(seed + i, max_nodes=15) for i in range(4)]
+    return gs + [
+        DiGraph(1, np.zeros((0, 2), np.int64), np.zeros((1, 3))),
+        DiGraph(4, np.zeros((0, 2), np.int64), np.zeros((4, 3))),
+        DiGraph(3, np.array([[0, 0], [1, 1], [0, 1]]), np.zeros((3, 3))),
+    ]
+
+
+@settings(max_examples=15, deadline=None)
+@given(seed=st.integers(0, 10_000))
+def test_pagerank_per_graph_inside_a_union(seed):
+    gs = _graph_list(seed)
+    RngStream(seed).shuffle(gs)
+    batch = batch_graphs(gs)
+    union = DiGraph(batch.num_nodes, batch.edges, batch.node_features)
+    got = pagerank(union, tol=1e-14, max_iters=1000, batch_index=batch.batch_index)
+    for g, off in zip(gs, batch.offsets):
+        part = got[off : off + g.num_nodes]
+        assert np.abs(part - dense_pagerank(g)).max() <= 1e-8
+        # A graph stops on its own sweep, so the union changes no bit of it.
+        assert np.array_equal(part, pagerank(g, tol=1e-14, max_iters=1000))
+
+
 # -- bounded-hop predecessors -------------------------------------------------------
+
+
+def _reference_k_hop(g: DiGraph, k) -> tuple[np.ndarray, np.ndarray]:
+    """Per-center reverse BFS, sorted by (center, distance, predecessor)."""
+    preds = g.in_adjacency()
+    rows = [
+        (v, s, u)
+        for v in range(g.num_nodes)
+        for u, s in _reverse_bfs(preds, v, k).items()
+    ]
+    rows.sort()
+    pairs = np.array([(u, v) for v, _, u in rows], dtype=np.int64).reshape(-1, 2)
+    return pairs, np.array([s for _, s, _ in rows], dtype=np.int64)
+
+
+@pytest.mark.parametrize("k", [0, 1, 4, math.inf])
+@pytest.mark.parametrize(
+    "n, edges",
+    [
+        (1, []),
+        (1, [[0, 0]]),
+        (5, []),  # every node dangling
+        (3, [[0, 0], [1, 1], [2, 2]]),
+        (4, [[0, 0], [0, 1], [1, 2], [2, 0], [3, 3], [2, 3]]),
+    ],
+)
+def test_k_hop_matches_reverse_bfs_reference_edge_cases(n, edges, k):
+    g = DiGraph(n, np.array(edges, dtype=np.int64).reshape(-1, 2), np.zeros((n, 1)))
+    pairs, spd = k_hop_predecessors(g, k)
+    want_pairs, want_spd = _reference_k_hop(g, k)
+    assert pairs.dtype == spd.dtype == np.int64
+    assert np.array_equal(pairs, want_pairs) and np.array_equal(spd, want_spd)
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 10_000), k=st.sampled_from([0, 1, 4, math.inf]))
+def test_k_hop_matches_reverse_bfs_reference(seed, k):
+    g = make_random_digraph(seed, max_nodes=30)
+    pairs, spd = k_hop_predecessors(g, k)
+    want_pairs, want_spd = _reference_k_hop(g, k)
+    assert np.array_equal(pairs, want_pairs) and np.array_equal(spd, want_spd)
+
+
+def test_k_hop_long_chain_exhausts_reachability():
+    n = 300
+    g = DiGraph(n, np.stack([np.arange(n - 1), np.arange(1, n)], axis=1), np.zeros((n, 1)))
+    pairs, spd = k_hop_predecessors(g, math.inf)
+    assert len(spd) == n * (n + 1) // 2
+    assert np.array_equal(spd, pairs[:, 1] - pairs[:, 0])
+    assert np.all(np.diff(pairs[:, 1]) >= 0)
+
 
 
 def test_k_hop_chain_center():

@@ -3,14 +3,19 @@ import json
 import numpy as np
 import pytest
 
+from dgssm.algos import compute_artifacts
+from dgssm.graphs import DiGraph, reverse_graph
 from dgssm.model import ModelConfig
 from dgssm.synth import SyntheticTaskSpec, gen_synthetic
 from dgssm.train import (
     RunConfig,
     evaluate,
     evaluate_checkpoint,
+    prepare_graphs,
     train,
 )
+
+from conftest import make_random_digraph
 
 
 def _tiny_run(task="depth-regress", num_graphs=24, epochs=3, lr=3e-3, seed=0, **model_kw):
@@ -115,3 +120,34 @@ def test_runconfig_round_trip():
     run, _ = _tiny_run()
     back = RunConfig.from_dict(json.loads(json.dumps(run.to_dict())))
     assert back.to_dict() == run.to_dict()
+
+
+@pytest.mark.parametrize("k", [0, 2, 4])
+@pytest.mark.parametrize("bidirectional", [False, True])
+def test_prepare_graphs_matches_per_graph_artifacts(k, bidirectional):
+    gs = [make_random_digraph(seed) for seed in range(6)] + [
+        DiGraph(1, np.zeros((0, 2), np.int64), np.zeros((1, 3))),
+        DiGraph(3, np.zeros((0, 2), np.int64), np.zeros((3, 3))),
+        DiGraph(3, np.array([[0, 0], [1, 1], [1, 2]]), np.zeros((3, 3))),
+    ]
+    cfg = ModelConfig(in_dim=3, task="node-regress", k_hops=k, bidirectional=bidirectional)
+    prepared = prepare_graphs(gs, cfg)
+    assert len(prepared) == len(gs)
+    for g, p in zip(gs, prepared):
+        assert p.graph is g
+        cases = [(p.fwd, g)]
+        if bidirectional:
+            cases.append((p.rev, reverse_graph(g)))
+        else:
+            assert p.rev is None
+        for got, h in cases:
+            want = compute_artifacts(h, k)
+            assert got.k == want.k
+            assert np.array_equal(got.k_hop_edge_index, want.k_hop_edge_index)
+            assert np.array_equal(got.k_hop_spd, want.k_hop_spd)
+            assert np.array_equal(got.depth, want.depth)
+            assert np.abs(got.pagerank - want.pagerank).max() <= 1e-15
+
+
+def test_prepare_graphs_empty_list():
+    assert prepare_graphs([], ModelConfig(in_dim=3, task="node-regress")) == []

@@ -15,10 +15,8 @@ graph ordinal per node.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -385,46 +383,4 @@ def unbatch_artifacts(arts: PreprocessArtifacts, batch: GraphBatch) -> list[Prep
                 k=arts.k,
             )
         )
-    return out
-
-
-ARTIFACT_MAGIC = "DGSSM-PRE"
-ARTIFACT_VERSION = 1
-
-
-def save_artifacts(arts: dict[str, PreprocessArtifacts], path: str | Path) -> None:
-    """Write artifacts keyed by graph id, as JSON lines behind a magic header."""
-    with open(path, "w") as fh:
-        header = {"magic": ARTIFACT_MAGIC, "version": ARTIFACT_VERSION}
-        fh.write(json.dumps(header) + "\n")
-        for gid, a in arts.items():
-            rec = {
-                "id": gid,
-                "k": a.k,
-                "depth": a.depth.tolist(),
-                "pagerank": a.pagerank.tolist(),
-                "pairs": a.k_hop_edge_index.tolist(),
-                "spd": a.k_hop_spd.tolist(),
-            }
-            fh.write(json.dumps(rec) + "\n")
-
-
-def load_artifacts(path: str | Path) -> dict[str, PreprocessArtifacts]:
-    """Read a sidecar written by :func:`save_artifacts`."""
-    out: dict[str, PreprocessArtifacts] = {}
-    with open(path) as fh:
-        header = json.loads(fh.readline())
-        if header.get("magic") != ARTIFACT_MAGIC:
-            raise ValueError(f"{path}: not an artifact sidecar file")
-        if header.get("version") != ARTIFACT_VERSION:
-            raise ValueError(f"{path}: unsupported version {header.get('version')}")
-        for line in fh:
-            rec = json.loads(line)
-            out[rec["id"]] = PreprocessArtifacts(
-                depth=np.asarray(rec["depth"], dtype=np.int64),
-                pagerank=np.asarray(rec["pagerank"], dtype=np.float64),
-                k_hop_edge_index=np.asarray(rec["pairs"], dtype=np.int64).reshape(-1, 2),
-                k_hop_spd=np.asarray(rec["spd"], dtype=np.int64),
-                k=int(rec["k"]),
-            )
     return out

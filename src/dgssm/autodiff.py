@@ -294,7 +294,7 @@ def gather_rows(a, idx) -> Tensor:
     a = as_tensor(a)
     idx = np.asarray(idx, dtype=np.int64)
     return _node(
-        a.data[idx], (a,), lambda g: (scatter_add_rows(a.shape, idx, g),)
+        a.data[idx], (a,), lambda g: (_seg_reduce(g, idx, a.shape[0], np.add),)
     )
 
 
@@ -381,15 +381,6 @@ def _seg_reduce(x: np.ndarray, seg: np.ndarray, num: int, ufunc) -> np.ndarray:
     return out
 
 
-def _segment_sum_data(x: np.ndarray, seg: np.ndarray, num: int) -> np.ndarray:
-    return _seg_reduce(x, seg, num, np.add)
-
-
-def scatter_add_rows(shape: tuple[int, ...], idx: np.ndarray, vals: np.ndarray) -> np.ndarray:
-    """Accumulate ``vals`` rows into a zero array of ``shape`` at rows ``idx``."""
-    return _seg_reduce(vals, idx, shape[0], np.add).astype(vals.dtype)
-
-
 def _check_segments(a: Tensor, seg: np.ndarray) -> np.ndarray:
     seg = np.asarray(seg, dtype=np.int64)
     if seg.ndim != 1 or seg.shape[0] != a.shape[0]:
@@ -403,7 +394,7 @@ def segment_sum(a, seg, num_segments: int) -> Tensor:
     a = as_tensor(a)
     seg = _check_segments(a, seg)
     return _node(
-        _segment_sum_data(a.data, seg, num_segments),
+        _seg_reduce(a.data, seg, num_segments, np.add),
         (a,),
         lambda g: (g[seg],),
     )
@@ -415,7 +406,7 @@ def segment_mean(a, seg, num_segments: int) -> Tensor:
     counts = np.bincount(seg, minlength=num_segments).astype(a.data.dtype)
     counts = np.maximum(counts, 1.0).reshape((num_segments,) + (1,) * (a.ndim - 1))
     return _node(
-        _segment_sum_data(a.data, seg, num_segments) / counts,
+        _seg_reduce(a.data, seg, num_segments, np.add) / counts,
         (a,),
         lambda g: ((g / counts)[seg],),
     )
@@ -424,36 +415,18 @@ def segment_mean(a, seg, num_segments: int) -> Tensor:
 def segment_max(a, seg, num_segments: int) -> Tensor:
     """Per-segment elementwise max over rows; empty segments yield 0.
 
-    Ties route the gradient to the earliest row attaining the max.
+    Ties route the gradient to the earliest row attaining the max: a second
+    max-reduction over negated row numbers, with -inf for every row below
+    its segment's max, finds that row per segment and feature.
     """
     a = as_tensor(a)
     seg = _check_segments(a, seg)
-    feat_shape = a.shape[1:]
-    out = np.zeros((num_segments,) + feat_shape, dtype=a.data.dtype)
-    winners = np.full((num_segments,) + feat_shape, -1, dtype=np.int64)
-    perm, _, starts, ids = _group(seg)
-    if a.shape[0]:
-        ends = np.append(starts[1:], seg.shape[0])
-        xs = a.data if perm is None else a.data[perm]
-        rows = np.arange(seg.shape[0]) if perm is None else perm
-        for st, en, sid in zip(starts, ends, ids):
-            local = np.argmax(xs[st:en], axis=0)
-            out[sid] = np.take_along_axis(xs[st:en], local[None], axis=0)[0]
-            winners[sid] = rows[st:en][local]
-
-    def bwd(g):
-        grad = np.zeros_like(a.data)
-        live = winners >= 0
-        flat_feat = int(np.prod(feat_shape)) if feat_shape else 1
-        w = winners.reshape(num_segments, flat_feat)
-        gg = g.reshape(num_segments, flat_feat)
-        gflat = grad.reshape(a.shape[0], flat_feat)
-        lv = live.reshape(num_segments, flat_feat)
-        cols = np.broadcast_to(np.arange(flat_feat), w.shape)
-        np.add.at(gflat, (w[lv], cols[lv]), gg[lv])
-        return (grad,)
-
-    return _node(out, (a,), bwd)
+    out = _seg_reduce(a.data, seg, num_segments, np.maximum)
+    rows = np.arange(a.shape[0], dtype=np.float64).reshape((-1,) + (1,) * (a.ndim - 1))
+    neg_rows = np.where(a.data == out[seg], -rows, -np.inf)
+    first = -rows == _seg_reduce(neg_rows, seg, num_segments, np.maximum)[seg]
+    out[np.bincount(seg, minlength=num_segments) == 0] = 0.0
+    return _node(out, (a,), lambda g: (np.where(first, g[seg], 0.0),))
 
 
 def segment_softmax(a, seg, num_segments: int) -> Tensor:
@@ -463,11 +436,11 @@ def segment_softmax(a, seg, num_segments: int) -> Tensor:
     mx = _seg_reduce(a.data, seg, num_segments, np.maximum)
     mx = np.where(np.isinf(mx), 0.0, mx)
     e = np.exp(a.data - mx[seg])
-    denom = _segment_sum_data(e, seg, num_segments)
+    denom = _seg_reduce(e, seg, num_segments, np.add)
     s = e / denom[seg]
 
     def bwd(g):
-        dot = _segment_sum_data(g * s, seg, num_segments)
+        dot = _seg_reduce(g * s, seg, num_segments, np.add)
         return (s * (g - dot[seg]),)
 
     return _node(s, (a,), bwd)

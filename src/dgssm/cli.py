@@ -1,9 +1,9 @@
 """Command-line interface.
 
-Subcommands: gen, preprocess, stats, train, eval, oracle-check, bench.
-Global flags ``--seed``, ``--config``, ``--out``, ``--json`` apply where
-meaningful; the environment variable ``DGSSM_SEED`` overrides any other
-seed source.
+Subcommands: gen, stats, train, eval, oracle-check, bench. The shared flags
+``--seed``, ``--config``, ``--out`` and ``--json`` are registered only on the
+subcommands that read them, so argparse rejects the rest; the environment
+variable ``DGSSM_SEED`` overrides any other seed source.
 """
 
 from __future__ import annotations
@@ -17,9 +17,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .algos import compute_batch_artifacts, save_artifacts
 from .bench import run_bench, scaling_summary
-from .graphs import batch_graphs, load_graphs
+from .graphs import load_graphs
 from .model import ModelConfig
 from .oracle import SUITES, oracle_check
 from .stats import compute_stats
@@ -44,11 +43,17 @@ def _load_config(args) -> dict:
     return {}
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, default=None, help="random seed")
-    p.add_argument("--config", type=str, default=None, help="JSON config file")
-    p.add_argument("--out", type=str, default=None, help="output directory or file")
-    p.add_argument("--json", action="store_true", help="machine-readable output")
+_COMMON_FLAGS = {
+    "seed": dict(type=int, default=None, help="random seed"),
+    "config": dict(type=str, default=None, help="JSON config file"),
+    "out": dict(type=str, default=None, help="output directory or file"),
+    "json": dict(action="store_true", help="machine-readable output"),
+}
+
+
+def _add_common(p: argparse.ArgumentParser, *names: str) -> None:
+    for name in names:
+        p.add_argument(f"--{name}", **_COMMON_FLAGS[name])
 
 
 def _cmd_gen(args) -> int:
@@ -70,23 +75,6 @@ def _cmd_gen(args) -> int:
         print(json.dumps({"out": out, **info}))
     else:
         print(f"wrote {info} graphs to {out}/")
-    return 0
-
-
-def _cmd_preprocess(args) -> int:
-    graphs = load_graphs(args.data)
-    per_graph = (
-        compute_batch_artifacts(batch_graphs(graphs), args.k, reverse=args.reverse)
-        if graphs
-        else []
-    )
-    arts = {g.graph_id or f"g{i:05d}": a for i, (g, a) in enumerate(zip(graphs, per_graph))}
-    out = args.out or (args.data + (".rev.pre" if args.reverse else ".pre"))
-    save_artifacts(arts, out)
-    if args.json:
-        print(json.dumps({"out": out, "graphs": len(arts), "k": args.k}))
-    else:
-        print(f"wrote artifacts for {len(arts)} graphs (k={args.k}) to {out}")
     return 0
 
 
@@ -214,41 +202,34 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--density", type=float, default=0.3)
     p.add_argument("--cycle-rate", type=float, default=0.2)
     p.add_argument("--k-true", type=int, default=4)
-    _add_common(p)
+    _add_common(p, "seed", "config", "out", "json")
     p.set_defaults(fn=_cmd_gen)
-
-    p = sub.add_parser("preprocess", help="write preprocessing artifacts for a graph file")
-    p.add_argument("--data", required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--reverse", action="store_true", help="preprocess the edge-reversed graphs")
-    _add_common(p)
-    p.set_defaults(fn=_cmd_preprocess)
 
     p = sub.add_parser("stats", help="dataset statistics report")
     p.add_argument("--data", nargs="+", required=True)
     p.add_argument("--k", default="inf", help="hop bound for predecessor counts (int or 'inf')")
-    _add_common(p)
+    _add_common(p, "json")
     p.set_defaults(fn=_cmd_stats)
 
     p = sub.add_parser("train", help="train on a generated dataset directory")
     p.add_argument("--data", required=True, help="directory with train/val/test.jsonl + task_meta.json")
-    _add_common(p)
+    _add_common(p, "seed", "config", "out", "json")
     p.set_defaults(fn=_cmd_train)
 
     p = sub.add_parser("eval", help="evaluate a checkpoint on a graph file")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--data", required=True)
-    _add_common(p)
+    _add_common(p, "json")
     p.set_defaults(fn=_cmd_eval)
 
     p = sub.add_parser("oracle-check", help="run an equivalence suite")
     p.add_argument("suite", choices=list(SUITES) + ["all"])
-    _add_common(p)
+    _add_common(p, "json")
     p.set_defaults(fn=_cmd_oracle_check)
 
     p = sub.add_parser("bench", help="per-stage timing across hop bounds")
     p.add_argument("--ks", default=None, help="comma-separated hop bounds (default 1..9)")
-    _add_common(p)
+    _add_common(p, "seed", "out", "json")
     p.set_defaults(fn=_cmd_bench)
     return parser
 

@@ -26,7 +26,7 @@ from .autodiff import ParameterSet, Tensor
 from .checkpoint import load_arrays, save_arrays
 from .graphs import GraphBatch
 from .rng import RngStream
-from .ssm import SSMParams, discretize, hop_powers
+from .ssm import SSMParams, discretize, hop_powers, init_s4d
 
 TASKS = ("node-classify", "node-regress", "graph-classify", "graph-regress")
 
@@ -128,14 +128,9 @@ def init_weights(cfg: ModelConfig, stream: RngStream) -> ParameterSet:
             pre = f"layers.{li}.{tag}"
             for name in ("wq", "wk", "wv", "wo"):
                 add(f"{pre}.{name}", _lin(stream, d, d))
-            add(f"{pre}.ssm.a_log", np.log(np.arange(1, cfg.ssm_state + 1, dtype=np.float64)))
-            add(
-                f"{pre}.ssm.log_dt",
-                stream.uniform(np.log(cfg.dt_min), np.log(cfg.dt_max), size=cfg.ssm_state),
-            )
-            scale = 1.0 / np.sqrt(cfg.ssm_state)
-            add(f"{pre}.ssm.b", stream.normal(0.0, scale, size=(cfg.ssm_state, d)))
-            add(f"{pre}.ssm.c", stream.normal(0.0, scale, size=(d, cfg.ssm_state)))
+            ssm = init_s4d(cfg.ssm_state, d, cfg.dt_min, cfg.dt_max, stream)
+            for name, t in ssm.tensors().items():
+                p.add(f"{pre}.ssm.{name}", t)
             add(f"{pre}.fusion.nd.w", stream.normal(0.0, 1.0 / np.sqrt(14), size=(1, 2, 7)))
             add(f"{pre}.fusion.nd.b", np.zeros(1))
             k2 = _branch2_kernel(h)
@@ -243,9 +238,8 @@ def digraph_ssm_scan(
     wq: Tensor,
     wk: Tensor,
     wv: Tensor,
-    wo: Tensor,
     num_heads: int,
-) -> tuple[Tensor, Tensor]:
+) -> Tensor:
     """Attention-selective scan over bounded-hop predecessor sets.
 
     Per head c, attention weights are a segment softmax over each center's
@@ -258,7 +252,7 @@ def digraph_ssm_scan(
     each node's message is projected once into the state, each pair scales
     it by a_bar^s, the alpha-weighted pairs are summed per center and head,
     and head c is read out through its rows of C. Returns the head-stacked
-    tensor (n, d_head, heads) plus the flattened n x d form after Wo.
+    tensor (n, d_head, heads).
     """
     n, d = fx.shape
     if d % num_heads:
@@ -284,9 +278,7 @@ def digraph_ssm_scan(
     z = ad.segment_sum(weighted, v_idx, n)  # (n, heads, D)
     c_heads = ssm.C.reshape(1, num_heads, dh, state)
     y = ad.sum_(ad.mul(z.reshape(n, num_heads, 1, state), c_heads), axis=3)  # (n, heads, dh)
-    heads = ad.transpose(y, (0, 2, 1))  # (n, dh, heads)
-    flat = ad.matmul(y.reshape(n, d), wo)
-    return heads, flat
+    return ad.transpose(y, (0, 2, 1))  # (n, dh, heads)
 
 
 def flatten_heads(heads: Tensor) -> Tensor:
@@ -395,19 +387,17 @@ def dirgraphssm_layer(
 
     def scan_branch(tag: str, arts: PreprocessArtifacts) -> Tensor:
         pre = f"layers.{layer_index}.{tag}"
-        heads, flat = digraph_ssm_scan(
+        heads = digraph_ssm_scan(
             h, arts, _ssm_view(params, f"{pre}.ssm"),
-            params[f"{pre}.wq"], params[f"{pre}.wk"],
-            params[f"{pre}.wv"], params[f"{pre}.wo"],
+            params[f"{pre}.wq"], params[f"{pre}.wk"], params[f"{pre}.wv"],
             cfg.heads,
         )
-        if not cfg.use_fusion:
-            return flat
-        fused = digraph_fusion_attention(
-            heads, arts.pagerank, batch_index, num_graphs,
-            FusionWeights.view(params, f"{pre}.fusion"),
-        )
-        return ad.matmul(flatten_heads(fused), params[f"{pre}.wo"])
+        if cfg.use_fusion:
+            heads = digraph_fusion_attention(
+                heads, arts.pagerank, batch_index, num_graphs,
+                FusionWeights.view(params, f"{pre}.fusion"),
+            )
+        return ad.matmul(flatten_heads(heads), params[f"{pre}.wo"])
 
     y = scan_branch("fwd", arts_fwd)
     if cfg.bidirectional:

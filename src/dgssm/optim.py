@@ -91,17 +91,17 @@ def _relative_error(analytic: np.ndarray, numeric: np.ndarray) -> np.ndarray:
 
 
 def _central_diff(f: Callable[[], Tensor], arr: np.ndarray, eps: float) -> np.ndarray:
-    num = np.zeros_like(arr)
-    flat = arr.ravel()
-    out = num.ravel()
-    for i in range(flat.size):
-        orig = flat[i]
-        flat[i] = orig + eps
+    # Perturb ``arr`` itself by index: for a strided array ``ravel()`` is a
+    # copy, and perturbing a copy leaves f unchanged.
+    num = np.zeros(arr.shape)
+    for i in np.ndindex(arr.shape):
+        orig = arr[i]
+        arr[i] = orig + eps
         fp = float(f().data)
-        flat[i] = orig - eps
+        arr[i] = orig - eps
         fm = float(f().data)
-        flat[i] = orig
-        out[i] = (fp - fm) / (2.0 * eps)
+        arr[i] = orig
+        num[i] = (fp - fm) / (2.0 * eps)
     return num
 
 

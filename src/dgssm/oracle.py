@@ -263,9 +263,8 @@ def suite_scan_equivalence(
             k_hop_spd=spd,
             k=k,
         )
-        heads, _ = digraph_ssm_scan(
-            Tensor(fx), arts, p,
-            Tensor(wq), Tensor(wk), Tensor(wv), Tensor(np.eye(d)), num_heads,
+        heads = digraph_ssm_scan(
+            Tensor(fx), arts, p, Tensor(wq), Tensor(wk), Tensor(wv), num_heads
         )
         want = sequence_scan_oracle(g, fx, wq, wk, wv, p, k, num_heads)
         worst = max(worst, float(np.abs(heads.data - want).max()))

@@ -16,9 +16,7 @@ from dgssm.algos import (
     depth_plus,
     dir_ego2token,
     k_hop_predecessors,
-    load_artifacts,
     pagerank,
-    save_artifacts,
     tarjan_scc,
 )
 from dgssm.graphs import DiGraph, batch_graphs
@@ -358,29 +356,6 @@ def test_algos_are_permutation_equivariant(seed):
 
 
 # -- artifacts ------------------------------------------------------------------------
-
-
-def test_artifact_sidecar_round_trip(tmp_path):
-    gs = {f"g{i}": make_random_digraph(i) for i in range(4)}
-    arts = {gid: compute_artifacts(g, 3) for gid, g in gs.items()}
-    path = tmp_path / "pre.sidecar"
-    save_artifacts(arts, path)
-    back = load_artifacts(path)
-    assert set(back) == set(arts)
-    for gid in arts:
-        a, b = arts[gid], back[gid]
-        assert a.k == b.k
-        assert np.array_equal(a.depth, b.depth)
-        assert np.allclose(a.pagerank, b.pagerank)
-        assert np.array_equal(a.k_hop_edge_index, b.k_hop_edge_index)
-        assert np.array_equal(a.k_hop_spd, b.k_hop_spd)
-
-
-def test_artifact_magic_check(tmp_path):
-    path = tmp_path / "bad"
-    path.write_text('{"magic": "nope", "version": 1}\n')
-    with pytest.raises(ValueError, match="sidecar"):
-        load_artifacts(path)
 
 
 def test_batch_artifacts_shifts_pairs():

@@ -47,6 +47,8 @@ SEG = np.array([0, 0, 1, 2, 2, 2])
         ("layer_norm", lambda x: ad.sum_(ad.mul(ad.layer_norm(x, Tensor(np.ones(5)), Tensor(np.zeros(5))), ad.constant(np.random.default_rng(11).normal(size=(4, 5))))), (4, 5), False),
         ("mse", lambda x: ad.mse_loss(x, ad.constant(np.random.default_rng(12).normal(size=(4, 3)))), (4, 3), False),
         ("cross_entropy", lambda x: ad.cross_entropy(x, np.array([0, 2, 1])), (3, 3), False),
+        # A transposed leaf gives the op a strided (6, 2, 3) input.
+        ("segment_max_strided", lambda x: ad.sum_(ad.mul(ad.segment_max(ad.transpose(x, (2, 1, 0)), SEG, 4), ad.constant(np.random.default_rng(18).normal(size=(4, 2, 3))))), (3, 2, 6), False),
     ],
 )
 def test_op_gradients_match_finite_differences(name, fn, shape, positive):
@@ -121,6 +123,18 @@ def test_segment_ops_single_segment_match_whole_axis():
     sm = ad.segment_softmax(Tensor(x), seg, 1).data
     want = np.exp(x - x.max(axis=0)) / np.exp(x - x.max(axis=0)).sum(axis=0)
     assert np.allclose(sm, want)
+
+
+def test_segment_max_ties_and_empty_segments():
+    # Unsorted keys; segment 1 is empty; column 0 ties within both segments.
+    x = Tensor(np.array([[1.0, 0.0], [2.0, 5.0], [1.0, 3.0], [2.0, 4.0]]), requires_grad=True)
+    seg = np.array([2, 0, 2, 0])
+    y = ad.segment_max(x, seg, 3)
+    assert np.array_equal(y.data, [[2.0, 5.0], [0.0, 0.0], [1.0, 3.0]])
+    g = np.arange(1.0, 7.0).reshape(3, 2)
+    ad.sum_(ad.mul(y, ad.constant(g))).backward()
+    # Each tie goes to the earliest row; the empty segment's gradient goes nowhere.
+    assert np.array_equal(x.grad, [[5.0, 0.0], [1.0, 2.0], [0.0, 6.0], [0.0, 0.0]])
 
 
 def test_segment_ops_handle_unsorted_keys():

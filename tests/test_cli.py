@@ -3,7 +3,6 @@ import json
 import numpy as np
 import pytest
 
-from dgssm.algos import load_artifacts
 from dgssm.cli import main
 from dgssm.graphs import load_graphs
 
@@ -41,33 +40,6 @@ def test_stats_text_output(dataset, capsys):
     assert "Avg p_inf per node" in capsys.readouterr().out
 
 
-def test_preprocess_writes_sidecar(dataset, tmp_path):
-    side = tmp_path / "train.pre"
-    rc = main([
-        "preprocess", "--data", str(dataset / "train.jsonl"), "--k", "3",
-        "--out", str(side),
-    ])
-    assert rc == 0
-    arts = load_artifacts(side)
-    graphs = load_graphs(dataset / "train.jsonl")
-    assert len(arts) == len(graphs)
-    first = arts[graphs[0].graph_id]
-    assert first.k == 3 and first.depth.shape[0] == graphs[0].num_nodes
-
-
-def test_preprocess_reverse_flag(dataset, tmp_path):
-    fwd = tmp_path / "f.pre"
-    rev = tmp_path / "r.pre"
-    main(["preprocess", "--data", str(dataset / "train.jsonl"), "--k", "2", "--out", str(fwd)])
-    main(["preprocess", "--data", str(dataset / "train.jsonl"), "--k", "2", "--reverse", "--out", str(rev)])
-    graphs = load_graphs(dataset / "train.jsonl")
-    gid = graphs[0].graph_id
-    a, b = load_artifacts(fwd)[gid], load_artifacts(rev)[gid]
-    want = {(v, u) for (u, v), s in zip(a.k_hop_edge_index, a.k_hop_spd) if s == 1}
-    got = {(u, v) for (u, v), s in zip(b.k_hop_edge_index, b.k_hop_spd) if s == 1}
-    assert want == got
-
-
 def test_train_and_eval_round_trip(dataset, tmp_path, capsys):
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps({
@@ -100,6 +72,13 @@ def test_oracle_check_subcommand(capsys):
 def test_oracle_check_unknown_suite_rejected():
     with pytest.raises(SystemExit):
         main(["oracle-check", "bogus"])
+
+
+def test_flag_rejected_where_not_read(dataset, tmp_path):
+    # eval writes nothing, so it has no --out.
+    with pytest.raises(SystemExit):
+        main(["eval", "--checkpoint", str(tmp_path / "none.ckpt"),
+              "--data", str(dataset / "test.jsonl"), "--out", str(tmp_path / "x")])
 
 
 def test_env_seed_overrides_flag(tmp_path, monkeypatch):

@@ -161,24 +161,23 @@ def _scan_setup(g, k, d=8, heads=2, seed=4):
         k=k,
     )
     ssm = init_s4d(4, d, 1e-3, 1e-1, stream.child())
-    ws = [Tensor(stream.normal(size=(d, d))) for _ in range(4)]
+    ws = [Tensor(stream.normal(size=(d, d))) for _ in range(3)]
     return fx, arts, ssm, ws
 
 
 def test_scan_isolated_node_is_hop_zero_message():
     g = DiGraph(1, np.zeros((0, 2), np.int64), np.zeros((1, 3)))
-    fx, arts, ssm, (wq, wk, wv, wo) = _scan_setup(g, 2)
-    heads, flat = digraph_ssm_scan(fx, arts, ssm, wq, wk, wv, wo, 2)
+    fx, arts, ssm, (wq, wk, wv) = _scan_setup(g, 2)
+    heads = digraph_ssm_scan(fx, arts, ssm, wq, wk, wv, 2)
     want = kernel_table(ssm, 2).data[0] @ (fx.data[0] @ wv.data)
     got = flatten_heads(heads).data[0]
     assert np.allclose(got, want, atol=1e-12)
-    assert np.allclose(flat.data, flatten_heads(heads).data @ wo.data)
 
 
 def test_scan_attention_normalizes_per_center_and_head():
     g = make_random_digraph(6, max_nodes=15)
     k = 3
-    fx, arts, _, (wq, wk, wv, wo) = _scan_setup(g, k)
+    fx, arts, _, (wq, wk, wv) = _scan_setup(g, k)
     n, d = fx.shape
     heads = 2
     q = (fx.data @ wq.data)
@@ -196,8 +195,8 @@ def test_scan_attention_normalizes_per_center_and_head():
 
 def test_scan_head_slicing_layout():
     g = make_random_digraph(8, max_nodes=10)
-    fx, arts, ssm, (wq, wk, wv, wo) = _scan_setup(g, 2)
-    heads, _ = digraph_ssm_scan(fx, arts, ssm, wq, wk, wv, wo, 2)
+    fx, arts, ssm, (wq, wk, wv) = _scan_setup(g, 2)
+    heads = digraph_ssm_scan(fx, arts, ssm, wq, wk, wv, 2)
     flat = flatten_heads(heads)
     d_h = heads.shape[1]
     for c in range(heads.shape[2]):
@@ -211,8 +210,8 @@ def test_scan_matches_sequence_oracle_at_long_hops():
     # at k=16 most pairs sit at hops it never reaches.
     g = DiGraph(20, [(i, i + 1) for i in range(19)], RngStream(3).normal(size=(20, 3)))
     k = 16
-    fx, arts, ssm, (wq, wk, wv, wo) = _scan_setup(g, k)
-    heads, _ = digraph_ssm_scan(fx, arts, ssm, wq, wk, wv, wo, 2)
+    fx, arts, ssm, (wq, wk, wv) = _scan_setup(g, k)
+    heads = digraph_ssm_scan(fx, arts, ssm, wq, wk, wv, 2)
     want = sequence_scan_oracle(g, fx.data, wq.data, wk.data, wv.data, ssm, k, 2)
     assert np.abs(heads.data - want).max() <= 1e-8
 
@@ -318,10 +317,10 @@ def test_edgeless_bidirectional_scans_match_with_tied_weights():
     h = encode_inputs(Tensor(batch.node_features), fwd.depth, batch.edges, cfg, params)
     ssm_f = _ssm_view(params, "layers.0.fwd.ssm")
     ssm_r = _ssm_view(params, "layers.0.rev.ssm")
-    out_f, _ = scan(h, fwd, ssm_f, params["layers.0.fwd.wq"], params["layers.0.fwd.wk"],
-                    params["layers.0.fwd.wv"], params["layers.0.fwd.wo"], cfg.heads)
-    out_r, _ = scan(h, rev, ssm_r, params["layers.0.rev.wq"], params["layers.0.rev.wk"],
-                    params["layers.0.rev.wv"], params["layers.0.rev.wo"], cfg.heads)
+    out_f = scan(h, fwd, ssm_f, params["layers.0.fwd.wq"], params["layers.0.fwd.wk"],
+                 params["layers.0.fwd.wv"], cfg.heads)
+    out_r = scan(h, rev, ssm_r, params["layers.0.rev.wq"], params["layers.0.rev.wk"],
+                 params["layers.0.rev.wv"], cfg.heads)
     assert np.array_equal(out_f.data, out_r.data)
 
 

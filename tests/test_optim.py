@@ -79,6 +79,10 @@ def test_moment_state_round_trip():
 def test_grad_check_passes_on_simple_function():
     report = grad_check(lambda x: ad.sum_(ad.mul(x, x)), Tensor(np.arange(3.0)))
     assert report.passed and report.max_rel_err < 1e-6
+    # A strided (transposed) leaf is perturbed in place, not through a copy.
+    strided = Tensor(np.arange(6.0).reshape(2, 3).T)
+    report = grad_check(lambda x: ad.sum_(ad.mul(x, x)), strided)
+    assert report.passed and report.max_rel_err < 1e-6
 
 
 def test_grad_check_catches_wrong_gradient():

@@ -10,9 +10,15 @@ Graph sparsity is handled by index-based segment operations (sum / mean /
 max / softmax keyed by an index vector) rather than sparse matrices.
 Elementwise ops broadcast by numpy trailing-axis rules; gradients of
 broadcast inputs are reduced back to the input shape. The model only relies
-on the patterns (n,d)+(d,), (E,1,D)*(E,h,1), (n,h,1,D)*(1,h,dh,D),
+on the patterns (n,d)+(d,), (n,1)*(1,), (D,1)*(D,d), (K+1,1)*(1,D),
 (C,n,dh)*(1,n,dh), (dh,n,C)*(1,n,C), (n,dh,C)*(n,1,1) and scalar ops, all
 covered by that rule.
+
+The model's hop scan is one op, ``hop_attention_scan``: per-head attention
+over each center's (predecessor, hop) pairs, hop-decayed messages summed in
+the diagonal SSM state and read out through C. It records a single tape
+node whose backward is written out in closed form, instead of the gathers,
+broadcasts and segment ops it would otherwise be composed from.
 """
 
 from __future__ import annotations
@@ -370,15 +376,24 @@ def _group(seg: np.ndarray):
     return perm, s, starts, s[starts]
 
 
-def _seg_reduce(x: np.ndarray, seg: np.ndarray, num: int, ufunc) -> np.ndarray:
+def _reduce_groups(x: np.ndarray, groups, num: int, ufunc, axis: int = 0) -> np.ndarray:
+    """Reduce ``x`` along ``axis`` over the groups of a ``_group`` result."""
     fill = 0.0 if ufunc is np.add else -np.inf
-    out = np.full((num,) + x.shape[1:], fill, dtype=x.dtype)
-    if x.shape[0] == 0:
+    shape = list(x.shape)
+    shape[axis] = num
+    out = np.full(shape, fill, dtype=x.dtype)
+    if x.shape[axis] == 0:
         return out
-    perm, _, starts, ids = _group(seg)
-    xs = x if perm is None else x[perm]
-    out[ids] = ufunc.reduceat(xs, starts, axis=0)
+    perm, _, starts, ids = groups
+    xs = x if perm is None else np.take(x, perm, axis=axis)
+    where = [slice(None)] * x.ndim
+    where[axis] = ids
+    out[tuple(where)] = ufunc.reduceat(xs, starts, axis=axis)
     return out
+
+
+def _seg_reduce(x: np.ndarray, seg: np.ndarray, num: int, ufunc) -> np.ndarray:
+    return _reduce_groups(x, _group(seg), num, ufunc)
 
 
 def _check_segments(a: Tensor, seg: np.ndarray) -> np.ndarray:
@@ -444,6 +459,85 @@ def segment_softmax(a, seg, num_segments: int) -> Tensor:
         return (s * (g - dot[seg]),)
 
     return _node(s, (a,), bwd)
+
+
+def hop_attention_scan(q, k, bv, powers, c, pairs, spd, heads: int) -> Tensor:
+    """Attention-weighted hop scan in a diagonal state, as one tape node.
+
+    For a pair e = (u, v) of predecessor u and center v at hop distance
+    s = spd[e], and head h of width dh = d / heads:
+
+        alpha[h, e] = softmax over the pairs of v of <q_v, k_u>_h / sqrt(dh)
+        z[h, :, v]  = sum over the pairs of v of alpha[h, e] * bv_u * powers[s]
+        y[v, j, h]  = sum_i c[h*dh + j, i] * z[h, i, v]
+
+    with q, k (n, d), bv (n, D), powers (K+1, D) and c (d, D); returns y,
+    shape (n, dh, heads). Per-pair arrays are kept feature-major, (F, E),
+    so every segment reduction runs along a contiguous last axis; the
+    backward is written out in closed form rather than taped op by op.
+    """
+    q, k, bv, powers, c = (as_tensor(t) for t in (q, k, bv, powers, c))
+    pairs = np.asarray(pairs, dtype=np.int64)
+    spd = np.asarray(spd, dtype=np.int64)
+    n, d = q.shape
+    state = bv.shape[-1]
+    if (
+        k.shape != (n, d) or bv.shape != (n, state) or c.shape != (d, state)
+        or powers.ndim != 2 or powers.shape[1] != state or d % heads
+        or pairs.ndim != 2 or pairs.shape[1] != 2 or spd.shape != (pairs.shape[0],)
+    ):
+        raise ShapeError(
+            f"hop_attention_scan: q {q.shape}, k {k.shape}, bv {bv.shape}, "
+            f"powers {powers.shape}, c {c.shape}, pairs {pairs.shape}, "
+            f"spd {spd.shape}, heads {heads}"
+        )
+    dh = d // heads
+    e = pairs.shape[0]
+    scale = 1.0 / np.sqrt(dh)
+    u, v = np.ascontiguousarray(pairs.T)
+    by_center = _group(v)
+
+    # Gather along the last axis of a contiguous feature-major table. take()
+    # keeps the pair axis contiguous; fancy indexing ``t[:, idx]`` would
+    # return a transposed layout with the pair axis strided.
+    def at(table, idx):
+        return np.ascontiguousarray(table).take(idx, axis=-1)
+
+    qg, kg = at(q.data.T, v), at(k.data.T, u)  # (d, E)
+    scores = (qg * kg).reshape(heads, dh, e).sum(axis=1) * scale  # (heads, E)
+    ex = np.exp(scores - at(_reduce_groups(scores, by_center, n, np.maximum, axis=1), v))
+    alpha = ex / at(_reduce_groups(ex, by_center, n, np.add, axis=1), v)
+    bvg, pg = at(bv.data.T, u), at(powers.data.T, spd)  # (D, E)
+    m = bvg * pg
+    z = _reduce_groups(alpha[:, None, :] * m, by_center, n, np.add, axis=2)  # (heads, D, n)
+    c_heads = c.data.reshape(heads, dh, state)
+    y = np.einsum("hsn,hjs->nhj", z, c_heads)
+
+    def bwd(g):
+        gy = g.transpose(0, 2, 1)  # (n, heads, dh)
+        gz = np.einsum("nhj,hjs->hsn", gy, c_heads)
+        gc = np.einsum("nhj,hsn->hjs", gy, z).reshape(d, state)
+        gzv = at(gz, v)  # (heads, D, E)
+        galpha = np.einsum("hse,se->he", gzv, m)
+        gm = np.einsum("he,hse->se", alpha, gzv)
+        dot = _reduce_groups(galpha * alpha, by_center, n, np.add, axis=1)
+        gscores = (alpha * (galpha - at(dot, v)) * scale)[:, None, :]  # (heads, 1, E)
+        gq = _reduce_groups(
+            (gscores * kg.reshape(heads, dh, e)).reshape(d, e), by_center, n, np.add, axis=1
+        )
+
+        # Keyed by predecessor and by hop, the keys are unsorted: bincount
+        # each feature row rather than argsort and permute the pairs.
+        def keyed_sum(key, num, rows):
+            return np.stack([np.bincount(key, weights=r, minlength=num) for r in rows])
+
+        by_pred = keyed_sum(u, n, np.concatenate([
+            (gscores * qg.reshape(heads, dh, e)).reshape(d, e), gm * pg,
+        ]))  # (d + D, n)
+        gpowers = keyed_sum(spd, powers.shape[0], gm * bvg)
+        return gq.T, by_pred[:d].T, by_pred[d:].T, gpowers.T, gc
+
+    return _node(y.transpose(0, 2, 1), (q, k, bv, powers, c), bwd)
 
 
 # -- normalization, convolution, dropout ----------------------------------------

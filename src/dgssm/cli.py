@@ -142,6 +142,8 @@ def _cmd_train(args) -> int:
 
 def _cmd_eval(args) -> int:
     graphs = load_graphs(args.data)
+    if not graphs:
+        raise ValueError(f"{args.data}: no graphs to evaluate")
     metrics = evaluate_checkpoint(args.checkpoint, graphs)
     if args.json:
         print(json.dumps(metrics))

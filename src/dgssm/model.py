@@ -251,34 +251,17 @@ def digraph_ssm_scan(
     C diag(a_bar)^s B_bar. The scan applies it in the D-dimensional state:
     each node's message is projected once into the state, each pair scales
     it by a_bar^s, the alpha-weighted pairs are summed per center and head,
-    and head c is read out through its rows of C. Returns the head-stacked
-    tensor (n, d_head, heads).
+    and head c is read out through its rows of C. Everything after the
+    projections and the power table is one op with a closed-form backward,
+    :func:`autodiff.hop_attention_scan`. Returns the head-stacked tensor
+    (n, d_head, heads).
     """
-    n, d = fx.shape
-    if d % num_heads:
-        raise ad.ShapeError(f"scan: width {d} not divisible by {num_heads} heads")
-    dh = d // num_heads
-    state = ssm.state_dim
-    pairs, spd = artifacts.k_hop_edge_index, artifacts.k_hop_spd
-    e = pairs.shape[0]
-    u_idx, v_idx = pairs[:, 0], pairs[:, 1]
-
-    q = ad.matmul(fx, wq)
-    k = ad.matmul(fx, wk)
-    q_c = ad.gather_rows(q, v_idx).reshape(e, num_heads, dh)
-    k_p = ad.gather_rows(k, u_idx).reshape(e, num_heads, dh)
-    scores = ad.mul(ad.sum_(ad.mul(q_c, k_p), axis=2), 1.0 / np.sqrt(dh))  # (E, heads)
-    alpha = ad.segment_softmax(scores, v_idx, n)
-
     a_bar, b_bar = discretize(ssm)
     bv = ad.matmul(ad.matmul(fx, wv), ad.transpose(b_bar, (1, 0)))  # (n, D)
-    decay = ad.gather_rows(hop_powers(a_bar, artifacts.k), spd)  # (E, D)
-    msgs = ad.mul(ad.gather_rows(bv, u_idx), decay)
-    weighted = ad.mul(msgs.reshape(e, 1, state), alpha.reshape(e, num_heads, 1))
-    z = ad.segment_sum(weighted, v_idx, n)  # (n, heads, D)
-    c_heads = ssm.C.reshape(1, num_heads, dh, state)
-    y = ad.sum_(ad.mul(z.reshape(n, num_heads, 1, state), c_heads), axis=3)  # (n, heads, dh)
-    return ad.transpose(y, (0, 2, 1))  # (n, dh, heads)
+    return ad.hop_attention_scan(
+        ad.matmul(fx, wq), ad.matmul(fx, wk), bv, hop_powers(a_bar, artifacts.k), ssm.C,
+        artifacts.k_hop_edge_index, artifacts.k_hop_spd, num_heads,
+    )
 
 
 def flatten_heads(heads: Tensor) -> Tensor:

@@ -251,6 +251,8 @@ def evaluate(
     batch_size: int = 64,
 ) -> dict:
     """Metric family on a dataset, eval mode (no dropout)."""
+    if not graphs:
+        raise ValueError("evaluate: empty graph list")
     prepared = prepare_graphs(graphs, cfg)
     preds, labels = predict_dataset(prepared, cfg, params, batch_size=batch_size)
     return compute_metrics(cfg, preds, labels)

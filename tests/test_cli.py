@@ -81,6 +81,13 @@ def test_flag_rejected_where_not_read(dataset, tmp_path):
               "--data", str(dataset / "test.jsonl"), "--out", str(tmp_path / "x")])
 
 
+def test_eval_rejects_empty_data_file(tmp_path):
+    empty = tmp_path / "empty.jsonl"
+    empty.write_text("")
+    with pytest.raises(ValueError, match="empty.jsonl: no graphs"):
+        main(["eval", "--checkpoint", str(tmp_path / "none.ckpt"), "--data", str(empty)])
+
+
 def test_env_seed_overrides_flag(tmp_path, monkeypatch):
     monkeypatch.setenv("DGSSM_SEED", "77")
     out_a, out_b = tmp_path / "a", tmp_path / "b"
@@ -97,3 +104,4 @@ def test_bench_smoke(capsys):
     summary = json.loads(capsys.readouterr().out)
     assert [r["k"] for r in summary["records"]] == [1, 2]
     assert summary["records"][1]["total_pairs"] > summary["records"][0]["total_pairs"]
+    assert all(r["backward_s"] > 0 for r in summary["records"])

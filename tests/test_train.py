@@ -5,7 +5,8 @@ import pytest
 
 from dgssm.algos import compute_artifacts
 from dgssm.graphs import DiGraph, reverse_graph
-from dgssm.model import ModelConfig
+from dgssm.model import ModelConfig, init_weights
+from dgssm.rng import RngStream
 from dgssm.synth import SyntheticTaskSpec, gen_synthetic
 from dgssm.train import (
     RunConfig,
@@ -147,6 +148,12 @@ def test_prepare_graphs_matches_per_graph_artifacts(k, bidirectional):
             assert np.array_equal(got.k_hop_spd, want.k_hop_spd)
             assert np.array_equal(got.depth, want.depth)
             assert np.abs(got.pagerank - want.pagerank).max() <= 1e-15
+
+
+def test_evaluate_rejects_empty_graph_list():
+    cfg = ModelConfig(in_dim=3, task="node-regress", hidden=8, heads=2)
+    with pytest.raises(ValueError, match="empty graph list"):
+        evaluate(cfg, init_weights(cfg, RngStream(0)), [])
 
 
 def test_prepare_graphs_empty_list():

@@ -10,9 +10,9 @@ Graph sparsity is handled by index-based segment operations (sum / mean /
 max / softmax keyed by an index vector) rather than sparse matrices.
 Elementwise ops broadcast by numpy trailing-axis rules; gradients of
 broadcast inputs are reduced back to the input shape. The model only relies
-on the patterns (n,d)+(d,), (n,1)*(1,), (D,1)*(D,d), (K+1,1)*(1,D),
-(C,n,dh)*(1,n,dh), (dh,n,C)*(1,n,C), (n,dh,C)*(n,1,1) and scalar ops, all
-covered by that rule.
+on the patterns (n,d)+(d,), (n,d)*(n,1), (n,1)*(1,), (D,1)*(D,d),
+(K+1,1)*(1,D), the fusion's (n,dh,1)+(n,1,C) and (n,dh,C)*(n,1,1), and
+scalar ops, all covered by that rule.
 
 The model's hop scan is one op, ``hop_attention_scan``: per-head attention
 over each center's (predecessor, hop) pairs, hop-decayed messages summed in
@@ -557,70 +557,48 @@ def layer_norm(a, gain, bias, eps: float = 1e-5) -> Tensor:
     return add(mul(mul(centered, inv), gain), bias)
 
 
-def conv1d(x, w, b, padding: int) -> Tensor:
-    """1D convolution: x (B, C_in, L) * w (C_out, C_in, k) + b (C_out,).
+def conv_same(x, w, b) -> Tensor:
+    """Zero-padded "same" convolution over any number of spatial axes.
 
-    Symmetric zero padding; output length L + 2*padding - k + 1.
+    x (B, C_in, *S) * w (C_out, C_in, *K) + b (C_out,) -> (B, C_out, *S),
+    every K odd. The kernel is laid out as the banded (C_in |S|, C_out |S|)
+    matrix it spans, so the forward is one matmul and the backward two,
+    plus one bincount per (C_out, C_in) pair to sum the matrix gradient
+    back onto the taps.
     """
     x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
-    if x.ndim != 3 or w.ndim != 3 or x.shape[1] != w.shape[1]:
-        raise ShapeError(f"conv1d: x {x.shape} vs w {w.shape}")
-    B, Cin, L = x.shape
-    Cout, _, k = w.shape
-    xp = np.pad(x.data, ((0, 0), (0, 0), (padding, padding)))
-    Lout = L + 2 * padding - k + 1
-    if Lout < 1:
-        raise ShapeError(f"conv1d: kernel {k} too large for length {L} (pad {padding})")
-    out = np.tile(b.data.reshape(1, Cout, 1), (B, 1, Lout)).astype(x.data.dtype)
-    for t in range(k):
-        out += np.einsum("bcl,oc->bol", xp[:, :, t : t + Lout], w.data[:, :, t])
+    spatial, kernel = x.shape[2:], w.shape[2:]
+    if (
+        x.ndim < 3 or w.ndim != x.ndim or x.shape[1] != w.shape[1]
+        or b.shape != w.shape[:1] or any(k % 2 == 0 for k in kernel)
+    ):
+        raise ShapeError(f"conv_same: x {x.shape}, w {w.shape}, b {b.shape}")
+    batch, c_in = x.shape[:2]
+    c_out = w.shape[0]
+    size, taps = int(np.prod(spatial)), int(np.prod(kernel))
+    # tap[i, o]: the flat kernel tap joining input position i to output
+    # position o, or ``taps`` (a zero weight) where the kernel misses i.
+    k = np.array(kernel).reshape(-1, 1, 1)
+    pos = np.indices(spatial).reshape(len(spatial), size)
+    off = pos[:, :, None] - pos[:, None, :] + k // 2  # (axes, |S|, |S|)
+    inside = ((off >= 0) & (off < k)).all(axis=0)
+    tap = np.where(inside, np.ravel_multi_index(off, kernel, mode="clip"), taps)
+    w_taps = np.pad(w.data.reshape(c_out, c_in, taps), ((0, 0), (0, 0), (0, 1)))
+    band = w_taps[:, :, tap].transpose(1, 2, 0, 3).reshape(c_in * size, c_out * size)
+    x2 = x.data.reshape(batch, c_in * size)
+    out = (x2 @ band).reshape(batch, c_out, size) + b.data[:, None]
 
     def bwd(g):
-        gx_p = np.zeros_like(xp)
-        gw = np.zeros_like(w.data)
-        for t in range(k):
-            gx_p[:, :, t : t + Lout] += np.einsum("bol,oc->bcl", g, w.data[:, :, t])
-            gw[:, :, t] = np.einsum("bol,bcl->oc", g, xp[:, :, t : t + Lout])
-        gx = gx_p[:, :, padding : padding + L] if padding else gx_p
-        return (gx, gw, g.sum(axis=(0, 2)))
+        g2 = g.reshape(batch, c_out * size)
+        g_band = (x2.T @ g2).reshape(c_in, size, c_out, size).transpose(2, 0, 1, 3)
+        gw = np.stack([
+            np.bincount(tap.ravel(), weights=row.ravel(), minlength=taps + 1)[:taps]
+            for row in g_band.reshape(c_out * c_in, size, size)
+        ])
+        gb = g.reshape(batch, c_out, size).sum(axis=(0, 2))
+        return (g2 @ band.T).reshape(x.shape), gw.reshape(w.shape), gb
 
-    return _node(out, (x, w, b), bwd)
-
-
-def conv2d(x, w, b, padding: int) -> Tensor:
-    """2D convolution: x (B, C_in, H, W) * w (C_out, C_in, kh, kw) + b."""
-    x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
-    if x.ndim != 4 or w.ndim != 4 or x.shape[1] != w.shape[1]:
-        raise ShapeError(f"conv2d: x {x.shape} vs w {w.shape}")
-    B, Cin, H, W = x.shape
-    Cout, _, kh, kw = w.shape
-    xp = np.pad(x.data, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    Hout = H + 2 * padding - kh + 1
-    Wout = W + 2 * padding - kw + 1
-    if Hout < 1 or Wout < 1:
-        raise ShapeError(f"conv2d: kernel {(kh, kw)} too large for {(H, W)}")
-    out = np.tile(b.data.reshape(1, Cout, 1, 1), (B, 1, Hout, Wout)).astype(x.data.dtype)
-    for i in range(kh):
-        for j in range(kw):
-            out += np.einsum(
-                "bchw,oc->bohw", xp[:, :, i : i + Hout, j : j + Wout], w.data[:, :, i, j]
-            )
-
-    def bwd(g):
-        gx_p = np.zeros_like(xp)
-        gw = np.zeros_like(w.data)
-        for i in range(kh):
-            for j in range(kw):
-                gx_p[:, :, i : i + Hout, j : j + Wout] += np.einsum(
-                    "bohw,oc->bchw", g, w.data[:, :, i, j]
-                )
-                gw[:, :, i, j] = np.einsum(
-                    "bohw,bchw->oc", g, xp[:, :, i : i + Hout, j : j + Wout]
-                )
-        gx = gx_p[:, :, padding : padding + H, padding : padding + W] if padding else gx_p
-        return (gx, gw, g.sum(axis=(0, 2, 3)))
-
-    return _node(out, (x, w, b), bwd)
+    return _node(out.reshape((batch, c_out) + spatial), (x, w, b), bwd)
 
 
 def dropout(a, p: float, train: bool, stream: RngStream | None = None) -> Tensor:

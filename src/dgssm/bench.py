@@ -100,17 +100,18 @@ def run_bench(
         def fwd_once():
             return model_forward(batch, fwd, rev, cfg, params, train=False)
 
-        t_forward = _time(fwd_once, repeats)
-
         def bwd_once() -> float:
             params.zero_grad()
-            loss = model_loss(
-                model_forward(batch, fwd, rev, cfg, params, train=False), batch, cfg
-            )
+            loss = model_loss(fwd_once(), batch, cfg)
             t0 = time.perf_counter()
             loss.backward()
             return time.perf_counter() - t0
 
+        if not records:
+            # Untimed warm-up: the first calls in a process run cold and
+            # would inflate the K=min reference that scaling_summary uses.
+            bwd_once()
+        t_forward = _time(fwd_once, repeats)
         t_backward = min(bwd_once() for _ in range(repeats))
         records.append(
             BenchRecord(

@@ -295,12 +295,13 @@ class FusionWeights:
         )
 
 
-def _zpool_first(t: Tensor) -> Tensor:
-    """Concatenate max and mean over the leading axis as two channels."""
-    first, rows, cols = t.shape
-    mx = ad.max_(t, axis=0).reshape(rows, 1, cols)
-    av = ad.mean(t, axis=0).reshape(rows, 1, cols)
-    return ad.concat([mx, av], axis=1)  # (rows, 2, cols)
+def _zpool(t: Tensor, axis: int) -> Tensor:
+    """Max and mean of (n, a, b) over ``axis`` (1 or 2), stacked as two
+    channels: (n, 2, the other axis)."""
+    shape = (t.shape[0], 1, t.shape[3 - axis])
+    mx = ad.max_(t, axis=axis).reshape(shape)
+    av = ad.mean(t, axis=axis).reshape(shape)
+    return ad.concat([mx, av], axis=1)
 
 
 def digraph_fusion_attention(
@@ -312,44 +313,31 @@ def digraph_fusion_attention(
 ) -> Tensor:
     """Cross-axis recalibration of the head-stacked tensor (N, D_h, C).
 
-    Three branches: (1) compress the head axis, convolve along features to
-    gate node-feature interactions; (2) compress the feature axis, convolve
-    along heads; (3) weight nodes by a per-graph softmax over a learned
-    scalar map of PageRank, pool max+mean per graph, convolve 3x3 over
-    (feature, head), and broadcast the gate back to that graph's nodes.
-    The output is the mean of the three gated branches; pooling is keyed by
-    batch index so graphs in a batch never mix.
+    Three sigmoid gates: (1) compress the head axis, convolve along
+    features, one gate per node and feature; (2) compress the feature axis,
+    convolve along heads, one gate per node and head; (3) weight nodes by a
+    per-graph softmax over a learned scalar map of PageRank, pool max+mean
+    per graph, convolve 3x3 over (feature, head), and broadcast the gate
+    back to that graph's nodes. The output is x times the mean of the three
+    gates; pooling is keyed by batch index so graphs in a batch never mix.
     """
     n, dh, c = x.shape
     if pagerank.shape[0] != n or batch_index.shape[0] != n:
         raise ad.ShapeError("fusion: pagerank/batch_index must align with nodes")
 
-    # Branch 1: N-D interaction (head axis compressed, conv along features).
-    x_c = ad.transpose(x, (2, 0, 1))  # (C, n, dh)
-    gate_nd = ad.sigmoid(ad.conv1d(_zpool_first(x_c), w.nd_w, w.nd_b, padding=3))
-    branch1 = ad.transpose(
-        ad.mul(x_c, ad.transpose(gate_nd, (1, 0, 2))), (1, 2, 0)
-    )
+    gate_nd = ad.sigmoid(ad.conv_same(_zpool(x, 2), w.nd_w, w.nd_b)).reshape(n, dh, 1)
+    gate_nc = ad.sigmoid(ad.conv_same(_zpool(x, 1), w.nc_w, w.nc_b))  # (n, 1, C)
 
-    # Branch 2: N-C interaction (feature axis compressed, conv along heads).
-    x_d = ad.transpose(x, (1, 0, 2))  # (dh, n, C)
-    k2 = w.nc_w.shape[2]
-    gate_nc = ad.sigmoid(ad.conv1d(_zpool_first(x_d), w.nc_w, w.nc_b, padding=(k2 - 1) // 2))
-    branch2 = ad.transpose(ad.mul(x_d, ad.transpose(gate_nc, (1, 0, 2))), (1, 0, 2))
-
-    # Branch 3: D-C interaction guided by PageRank, pooled per graph.
     logits = ad.add(ad.mul(ad.constant(pagerank.reshape(-1, 1)), w.pr_w), w.pr_b)
     w_p = ad.segment_softmax(logits, batch_index, num_graphs)  # (n, 1)
     xw = ad.mul(x, w_p.reshape(n, 1, 1))
     gmax = ad.segment_max(xw, batch_index, num_graphs).reshape(num_graphs, 1, dh, c)
     gavg = ad.segment_mean(xw, batch_index, num_graphs).reshape(num_graphs, 1, dh, c)
     pooled = ad.concat([gmax, gavg], axis=1)  # (G, 2, dh, C)
-    gate_dc = ad.sigmoid(ad.conv2d(pooled, w.dc_w, w.dc_b, padding=1)).reshape(
-        num_graphs, dh, c
-    )
-    branch3 = ad.mul(x, ad.gather_rows(gate_dc, batch_index))
+    gate_dc = ad.sigmoid(ad.conv_same(pooled, w.dc_w, w.dc_b)).reshape(num_graphs, dh, c)
 
-    return ad.mul(ad.add(ad.add(branch1, branch2), branch3), 1.0 / 3.0)
+    gates = ad.add(ad.add(gate_nd, gate_nc), ad.gather_rows(gate_dc, batch_index))
+    return ad.mul(ad.mul(x, gates), 1.0 / 3.0)
 
 
 def dirgraphssm_layer(
@@ -434,6 +422,8 @@ def model_forward(
 
 def model_loss(predictions: Tensor, batch: GraphBatch, cfg: ModelConfig) -> Tensor:
     """Task loss: cross-entropy for classification, MSE for regression."""
+    if cfg.task.startswith("node") and batch.num_nodes == 0:
+        raise ValueError(f"model_loss: task {cfg.task!r} has no loss on a batch with no nodes")
     if cfg.task == "node-classify":
         return ad.cross_entropy(predictions, batch.node_labels())
     if cfg.task == "node-regress":

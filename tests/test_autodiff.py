@@ -6,6 +6,8 @@ from dgssm.autodiff import ParameterSet, ShapeError, Tensor
 from dgssm.optim import grad_check
 from dgssm.rng import RngStream
 
+from conftest import conv_same_reference
+
 
 def check(fn, shape, seed=0, tol=1e-4, positive=False):
     """Gradient-check a scalar-valued tensor function on a random input."""
@@ -60,33 +62,30 @@ def test_gradients_on_size_one_edge_dimensions(shape):
     check(lambda x: ad.sum_(ad.mul(ad.sigmoid(x), x)), shape)
 
 
-def test_conv1d_gradients():
+@pytest.mark.parametrize("c_out", [1, 2])
+@pytest.mark.parametrize(
+    "spatial,kernel",
+    [((6,), (1,)), ((6,), (3,)), ((4,), (7,)), ((4, 5), (3, 3)), ((3, 2), (1, 7)), ((2, 3), (7, 3))],
+    ids=["L6-k1", "L6-k3", "L4-k7", "4x5-k3x3", "3x2-k1x7", "2x3-k7x3"],
+)
+def test_conv_same_matches_per_tap_reference(spatial, kernel, c_out):
     stream = RngStream(13)
-    w = Tensor(stream.normal(size=(2, 3, 3)), requires_grad=True)
-    b = Tensor(stream.normal(size=(2,)), requires_grad=True)
-    probe = ad.constant(stream.normal(size=(2, 2, 5)))
-    check(lambda x: ad.sum_(ad.mul(ad.conv1d(x, w, b, padding=1), probe)), (2, 3, 5))
+    x = Tensor(stream.normal(size=(3, 2) + spatial))
+    w = Tensor(stream.normal(size=(c_out, 2) + kernel))
+    b = Tensor(stream.normal(size=(c_out,)))
+    out = ad.conv_same(x, w, b)
+    want = conv_same_reference(x.data, w.data, b.data)
+    assert out.shape == want.shape
+    assert np.abs(out.data - want).max() <= 1e-12 * np.abs(want).max()
+    probe = ad.constant(stream.normal(size=want.shape))
+    operands = {"x": x, "w": w, "b": b}
+    for name, leaf in operands.items():
+        def fn(t, name=name):
+            args = {**operands, name: t}
+            return ad.sum_(ad.mul(ad.conv_same(args["x"], args["w"], args["b"]), probe))
 
-
-def test_conv2d_gradients():
-    stream = RngStream(14)
-    w = Tensor(stream.normal(size=(1, 2, 3, 3)), requires_grad=True)
-    b = Tensor(stream.normal(size=(1,)), requires_grad=True)
-    probe = ad.constant(stream.normal(size=(2, 1, 4, 5)))
-    check(lambda x: ad.sum_(ad.mul(ad.conv2d(x, w, b, padding=1), probe)), (2, 2, 4, 5))
-
-
-def test_conv_weight_and_bias_gradients():
-    stream = RngStream(15)
-    x = ad.constant(stream.normal(size=(3, 2, 6)))
-    probe = ad.constant(stream.normal(size=(3, 1, 6)))
-    b = Tensor(np.zeros(1), requires_grad=True)
-
-    def fn(w):
-        return ad.sum_(ad.mul(ad.conv1d(x, w, b, padding=2), probe))
-
-    report = grad_check(fn, Tensor(stream.normal(size=(1, 2, 5))), tol=1e-4)
-    assert report.passed, str(report)
+        report = grad_check(fn, Tensor(leaf.data.copy()), eps=1e-5, tol=1e-6)
+        assert report.passed, f"{name}: {report}"
 
 
 def test_broadcast_mul_3d_patterns():
@@ -104,8 +103,10 @@ def test_shape_errors_name_the_op():
         ad.mse_loss(Tensor(np.zeros(3)), Tensor(np.zeros(4)))
     with pytest.raises(ShapeError, match="segment"):
         ad.segment_sum(Tensor(np.zeros((3, 2))), np.array([0, 1]), 2)
-    with pytest.raises(ShapeError, match="conv1d"):
-        ad.conv1d(Tensor(np.zeros((2, 3, 4))), Tensor(np.zeros((1, 2, 3))), Tensor(np.zeros(1)), 1)
+    with pytest.raises(ShapeError, match="conv_same"):
+        ad.conv_same(Tensor(np.zeros((2, 3, 4))), Tensor(np.zeros((1, 2, 3))), Tensor(np.zeros(1)))
+    with pytest.raises(ShapeError, match="conv_same"):
+        ad.conv_same(Tensor(np.zeros((2, 2, 4))), Tensor(np.zeros((1, 2, 2))), Tensor(np.zeros(1)))
 
 
 def test_softmax_single_element_segment_is_one():

@@ -28,7 +28,7 @@ from dgssm.rng import RngStream
 from dgssm.ssm import init_s4d, kernel_table
 from dgssm.train import collate, prepare_graphs
 
-from conftest import make_random_digraph
+from conftest import conv_same_reference, make_random_digraph
 
 
 # -- depth positional encoding ------------------------------------------------------
@@ -196,6 +196,26 @@ def test_scan_attention_normalizes_per_center_and_head():
     assert np.abs(sums - 1.0).max() <= 1e-12
 
 
+@pytest.mark.parametrize("heads", [1, 2, 4])
+def test_hop_attention_scan_weights_sum_to_one(heads):
+    # With every message and hop power 1, center v's state in head h is the
+    # sum of its attention weights; rows of c that sum to 1 read that sum out
+    # unchanged, so every entry is 1 exactly when attention normalizes per
+    # center and head.
+    g = DiGraph(7, np.array([[0, 1], [1, 2], [2, 0], [2, 3], [3, 4], [4, 5], [5, 3]]),
+                np.zeros((7, 3)))
+    k, d, state = 3, 8, 3
+    pairs, spd = k_hop_predecessors(g, k)
+    stream = RngStream(22)
+    q, kk = (Tensor(3.0 * stream.normal(size=(g.num_nodes, d))) for _ in range(2))
+    c = stream.uniform(0.1, 1.0, size=(d, state))
+    c /= c.sum(axis=1, keepdims=True)
+    y = ad.hop_attention_scan(q, kk, np.ones((g.num_nodes, state)), np.ones((k + 1, state)),
+                              c, pairs, spd, heads)
+    assert y.shape == (g.num_nodes, d // heads, heads)
+    assert np.abs(y.data - 1.0).max() <= 1e-12
+
+
 def test_scan_head_slicing_layout():
     g = make_random_digraph(8, max_nodes=10)
     fx, arts, ssm, (wq, wk, wv) = _scan_setup(g, 2)
@@ -273,6 +293,33 @@ def test_fusion_preserves_shape(n, dh, c):
     assert out.shape == (n, dh, c)
 
 
+def _fusion_reference(x, pagerank, batch_index, num_graphs, w):
+    """The fusion in the layout of the paper: each branch rotates x so that
+    the axis it compresses leads, Z-pools that axis, convolves, gates the
+    rotated x and rotates the branch back; the output is the branch mean."""
+    sig = lambda t: 1.0 / (1.0 + np.exp(-t))
+    conv = lambda t, wt, bt: sig(conv_same_reference(t, wt.data, bt.data))
+
+    def zpool_first(t):  # (first, rows, cols) -> (rows, 2, cols)
+        return np.stack([t.max(axis=0), t.mean(axis=0)], axis=1)
+
+    x_c = x.transpose(2, 0, 1)  # (C, n, dh)
+    branch1 = (x_c * conv(zpool_first(x_c), w.nd_w, w.nd_b).transpose(1, 0, 2)).transpose(1, 2, 0)
+    x_d = x.transpose(1, 0, 2)  # (dh, n, C)
+    branch2 = (x_d * conv(zpool_first(x_d), w.nc_w, w.nc_b).transpose(1, 0, 2)).transpose(1, 0, 2)
+    branch3 = np.zeros_like(x)
+    logits = pagerank * w.pr_w.data[0] + w.pr_b.data[0]
+    for gi in range(num_graphs):
+        rows = batch_index == gi
+        if not rows.any():
+            continue
+        e = np.exp(logits[rows] - logits[rows].max())
+        xw = x[rows] * (e / e.sum())[:, None, None]
+        pooled = np.stack([xw.max(axis=0), xw.mean(axis=0)])[None]  # (1, 2, dh, C)
+        branch3[rows] = x[rows] * conv(pooled, w.dc_w, w.dc_b)[0, 0]
+    return (branch1 + branch2 + branch3) / 3.0
+
+
 def test_fusion_single_node_pools_duplicate():
     stream = RngStream(11)
     x = Tensor(stream.normal(size=(1, 4, 2)))
@@ -281,19 +328,52 @@ def test_fusion_single_node_pools_duplicate():
     batch_index = np.zeros(1, np.int64)
     out = digraph_fusion_attention(x, pr, batch_index, 1, w)
     # w_p for a single node is 1, so the pooled max and mean channels both
-    # equal x itself; recompute branch 3 under that duplication.
-    pooled = np.concatenate([x.data[None], x.data[None]], axis=1)[None][0]  # (1,2,4,2)
-    gate = ad.sigmoid(ad.conv2d(Tensor(pooled), w.dc_w, w.dc_b, padding=1)).data[0, 0]
-    b3 = x.data * gate
-    x_c = np.transpose(x.data, (2, 0, 1))
-    z1 = np.concatenate([x_c.max(axis=0, keepdims=True), x_c.mean(axis=0, keepdims=True)])
-    g1 = ad.sigmoid(ad.conv1d(Tensor(np.transpose(z1, (1, 0, 2))), w.nd_w, w.nd_b, padding=3)).data
-    b1 = np.transpose(x_c * np.transpose(g1, (1, 0, 2)), (1, 2, 0))
-    x_d = np.transpose(x.data, (1, 0, 2))
-    z2 = np.concatenate([x_d.max(axis=0, keepdims=True), x_d.mean(axis=0, keepdims=True)])
-    g2 = ad.sigmoid(ad.conv1d(Tensor(np.transpose(z2, (1, 0, 2))), w.nc_w, w.nc_b, padding=0)).data
-    b2 = np.transpose(x_d * np.transpose(g2, (1, 0, 2)), (1, 0, 2))
-    assert np.allclose(out.data, (b1 + b2 + b3) / 3.0, atol=1e-12)
+    # equal x itself.
+    assert np.allclose(out.data, _fusion_reference(x.data, pr, batch_index, 1, w), atol=1e-12)
+
+
+def _tied_fusion_batch(stream, dh, c):
+    """Graphs of 3, 0, 1, 1 and 4 nodes. In the tied copy, nodes 0-5 reach
+    their max over heads or over features twice, and the last graph holds
+    two equal nodes of equal PageRank."""
+    sizes = [3, 0, 1, 1, 4]
+    batch_index = np.repeat(np.arange(len(sizes)), sizes)
+    n = len(batch_index)
+    x = stream.normal(size=(n, dh, c))
+    pagerank = stream.uniform(0.1, 1.0, size=n)
+    tied = x.copy()
+    if c > 1:
+        tied[:4, :, :2] = tied[:4].max(axis=2, keepdims=True)
+    if dh > 1:
+        tied[2:6, :2, :] = tied[2:6].max(axis=1, keepdims=True)
+    tied[-1], pagerank[-1] = tied[-2], pagerank[-2]
+    return x, tied, pagerank, batch_index, len(sizes)
+
+
+@pytest.mark.parametrize("heads,dh", [(1, 8), (2, 4), (4, 2), (8, 1)])
+def test_fusion_matches_numpy_reference(heads, dh):
+    stream = RngStream(19)
+    x, tied, pr, batch_index, num_graphs = _tied_fusion_batch(stream, dh, heads)
+    w = _fusion_weights(stream, heads)
+    for data in (x, tied):
+        out = digraph_fusion_attention(Tensor(data), pr, batch_index, num_graphs, w).data
+        want = _fusion_reference(data, pr, batch_index, num_graphs, w)
+        assert np.abs(out - want).max() <= 1e-12 * np.abs(want).max()
+
+    # Finite differences step across a tie, so the gradients are checked on
+    # the untied batch.
+    params = ParameterSet()
+    params.add("x", Tensor(x))
+    for name, t in vars(w).items():
+        params.add(name, t)
+    probe = ad.constant(stream.normal(size=x.shape))
+
+    def loss():
+        out = digraph_fusion_attention(params["x"], pr, batch_index, num_graphs, w)
+        return ad.sum_(ad.mul(out, probe))
+
+    report = grad_check_params(loss, params, eps=1e-5, tol=1e-6)
+    assert report.passed, str(report)
 
 
 def test_fusion_batch_isolation_bit_identical():
@@ -425,6 +505,18 @@ def test_checkpoint_round_trip_preserves_predictions(tmp_path):
     assert params2.names() == params.names()
     got = model_forward(batch, fwd, rev, cfg2, params2).data
     assert np.array_equal(want, got)
+
+
+@pytest.mark.parametrize("task", ["node-regress", "node-classify"])
+def test_node_loss_rejects_batch_without_nodes(task):
+    graphs = [DiGraph(0, np.zeros((0, 2), np.int64), np.zeros((0, 3)), y=np.zeros(0))] * 2
+    cfg = ModelConfig(in_dim=3, task=task, num_classes=2, hidden=4, heads=2, num_layers=1,
+                      ssm_state=2, k_hops=1, dropout=0.0)
+    params = init_weights(cfg, RngStream(20))
+    batch, fwd, rev = _prepared_batch(graphs, cfg)
+    out = model_forward(batch, fwd, rev, cfg, params)
+    with pytest.raises(ValueError, match=f"{task}.*no nodes"):
+        model_loss(out, batch, cfg)
 
 
 @st.composite

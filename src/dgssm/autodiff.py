@@ -238,10 +238,6 @@ def power(a, p: float) -> Tensor:
     )
 
 
-def sqrt(a) -> Tensor:
-    return power(a, 0.5)
-
-
 def sigmoid(a) -> Tensor:
     a = as_tensor(a)
     s = 1.0 / (1.0 + np.exp(-a.data))
@@ -331,11 +327,10 @@ def max_(a, axis: int, keepdims: bool = False) -> Tensor:
     """Max along one axis; ties route the gradient to the first maximum."""
     a = as_tensor(a)
     out = a.data.max(axis=axis, keepdims=True)
-    arg = a.data.argmax(axis=axis)
-    onehot = np.zeros_like(a.data)
-    np.put_along_axis(onehot, np.expand_dims(arg, axis), 1.0, axis=axis)
 
     def bwd(g):
+        onehot = np.zeros_like(a.data)
+        np.put_along_axis(onehot, np.expand_dims(a.data.argmax(axis=axis), axis), 1.0, axis=axis)
         gg = g if keepdims else np.expand_dims(g, axis)
         return (onehot * gg,)
 
@@ -432,16 +427,22 @@ def segment_max(a, seg, num_segments: int) -> Tensor:
 
     Ties route the gradient to the earliest row attaining the max: a second
     max-reduction over negated row numbers, with -inf for every row below
-    its segment's max, finds that row per segment and feature.
+    its segment's max, finds that row per segment and feature. The backward
+    builds that mask, so a forward-only call never pays for it; zeroing the
+    empty segments does not disturb it, since no row belongs to one.
     """
     a = as_tensor(a)
     seg = _check_segments(a, seg)
     out = _seg_reduce(a.data, seg, num_segments, np.maximum)
-    rows = np.arange(a.shape[0], dtype=np.float64).reshape((-1,) + (1,) * (a.ndim - 1))
-    neg_rows = np.where(a.data == out[seg], -rows, -np.inf)
-    first = -rows == _seg_reduce(neg_rows, seg, num_segments, np.maximum)[seg]
     out[np.bincount(seg, minlength=num_segments) == 0] = 0.0
-    return _node(out, (a,), lambda g: (np.where(first, g[seg], 0.0),))
+
+    def bwd(g):
+        rows = np.arange(a.shape[0], dtype=np.float64).reshape((-1,) + (1,) * (a.ndim - 1))
+        neg_rows = np.where(a.data == out[seg], -rows, -np.inf)
+        first = -rows == _seg_reduce(neg_rows, seg, num_segments, np.maximum)[seg]
+        return (np.where(first, g[seg], 0.0),)
+
+    return _node(out, (a,), bwd)
 
 
 def segment_softmax(a, seg, num_segments: int) -> Tensor:

@@ -11,7 +11,7 @@ fusion, and feed-forward blocks).
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -20,6 +20,13 @@ from .model import ModelConfig, _ssm_view, init_weights, model_forward, model_lo
 from .rng import RngStream
 from .ssm import discretize, hop_powers
 from .train import collate, prepare_graphs
+
+# The sweep's fixed workload: 8 chains of 120 nodes, a one-layer model of
+# width 32, each timing the best of 3 calls.
+NUM_GRAPHS = 8
+NODES = 120
+HIDDEN = 32
+REPEATS = 3
 
 
 @dataclass
@@ -31,62 +38,43 @@ class BenchRecord:
     forward_s: float
     backward_s: float
 
-    def to_dict(self) -> dict:
-        return {
-            "k": self.k,
-            "total_pairs": self.total_pairs,
-            "preprocess_s": self.preprocess_s,
-            "kernel_s": self.kernel_s,
-            "forward_s": self.forward_s,
-            "backward_s": self.backward_s,
-        }
 
-
-def chain_like_graphs(
-    num_graphs: int = 8, nodes: int = 120, seed: int = 0
-) -> list[DiGraph]:
+def chain_like_graphs(seed: int = 0) -> list[DiGraph]:
     """Long chains with sparse skip edges: hop-pair counts grow with K."""
     stream = RngStream(seed)
     gs = []
-    for i in range(num_graphs):
-        edges = [(j, j + 1) for j in range(nodes - 1)]
-        for j in range(0, nodes - 3, 7):
+    for i in range(NUM_GRAPHS):
+        edges = [(j, j + 1) for j in range(NODES - 1)]
+        for j in range(0, NODES - 3, 7):
             edges.append((j, j + 3))
         gs.append(
             DiGraph(
-                nodes,
+                NODES,
                 np.array(edges),
-                stream.normal(size=(nodes, 3)),
-                y=stream.normal(size=nodes),  # labels so backward can be timed
+                stream.normal(size=(NODES, 3)),
+                y=stream.normal(size=NODES),  # labels so backward can be timed
                 graph_id=f"b{i}",
             )
         )
     return gs
 
 
-def _time(fn, repeats: int = 3) -> float:
+def _time(fn) -> float:
     best = np.inf
-    for _ in range(repeats):
+    for _ in range(REPEATS):
         t0 = time.perf_counter()
         fn()
         best = min(best, time.perf_counter() - t0)
     return float(best)
 
 
-def run_bench(
-    ks: list[int] | None = None,
-    num_graphs: int = 8,
-    nodes: int = 120,
-    hidden: int = 32,
-    repeats: int = 3,
-    seed: int = 0,
-) -> list[BenchRecord]:
+def run_bench(ks: list[int] | None = None, seed: int = 0) -> list[BenchRecord]:
     ks = list(ks) if ks else list(range(1, 10))
-    graphs = chain_like_graphs(num_graphs, nodes, seed)
+    graphs = chain_like_graphs(seed)
     records = []
     for k in ks:
         cfg = ModelConfig(
-            in_dim=3, task="node-regress", hidden=hidden, heads=4, num_layers=1,
+            in_dim=3, task="node-regress", hidden=HIDDEN, heads=4, num_layers=1,
             se_layers=1, ssm_state=8, k_hops=k, dropout=0.0, bidirectional=False,
         )
         params = init_weights(cfg, RngStream(seed + 1))
@@ -95,7 +83,7 @@ def run_bench(
         t_pre = time.perf_counter() - t0
         batch, fwd, rev = collate(prepared)
         ssm = _ssm_view(params, "layers.0.fwd.ssm")
-        t_kernel = _time(lambda: hop_powers(discretize(ssm)[0], k), repeats)
+        t_kernel = _time(lambda: hop_powers(discretize(ssm)[0], k))
 
         def fwd_once():
             return model_forward(batch, fwd, rev, cfg, params, train=False)
@@ -111,8 +99,8 @@ def run_bench(
             # Untimed warm-up: the first calls in a process run cold and
             # would inflate the K=min reference that scaling_summary uses.
             bwd_once()
-        t_forward = _time(fwd_once, repeats)
-        t_backward = min(bwd_once() for _ in range(repeats))
+        t_forward = _time(fwd_once)
+        t_backward = min(bwd_once() for _ in range(REPEATS))
         records.append(
             BenchRecord(
                 k=k,
@@ -142,5 +130,5 @@ def scaling_summary(records: list[BenchRecord]) -> dict:
     return {
         "reference_k": base.k,
         "max_superlinearity": worst,
-        "records": [r.to_dict() for r in records],
+        "records": [asdict(r) for r in records],
     }

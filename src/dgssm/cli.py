@@ -9,6 +9,7 @@ variable ``DGSSM_SEED`` overrides any other seed source.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -22,11 +23,12 @@ from .graphs import load_graphs
 from .model import ModelConfig
 from .oracle import SUITES, oracle_check
 from .stats import compute_stats
-from .synth import SyntheticTaskSpec, gen_synthetic
+from .synth import TASK_KINDS, SyntheticTaskSpec, gen_synthetic
 from .train import RunConfig, evaluate_checkpoint, train
 
 
-def _resolve_seed(args, config: dict | None = None, default: int = 0) -> int:
+def _resolve_seed(args, config: dict | None = None) -> int | None:
+    """DGSSM_SEED, then --seed, then the config's "seed"; None if none is set."""
     env = os.environ.get("DGSSM_SEED")
     if env is not None:
         return int(env)
@@ -34,13 +36,27 @@ def _resolve_seed(args, config: dict | None = None, default: int = 0) -> int:
         return int(args.seed)
     if config and "seed" in config:
         return int(config["seed"])
-    return default
+    return None
+
+
+def _given(**values) -> dict:
+    """The values that were set, so the library's defaults fill the rest."""
+    return {k: v for k, v in values.items() if v is not None}
 
 
 def _load_config(args) -> dict:
     if getattr(args, "config", None):
         return json.loads(Path(args.config).read_text())
     return {}
+
+
+def _reject_unknown_keys(path: str, section: dict, cls, where: str) -> None:
+    known = {f.name for f in dataclasses.fields(cls)}
+    for key in section:
+        if key not in known:
+            raise ValueError(
+                f"{path}: unknown {where} key {key!r}; expected one of {sorted(known)}"
+            )
 
 
 _COMMON_FLAGS = {
@@ -60,13 +76,15 @@ def _cmd_gen(args) -> int:
     cfg = _load_config(args)
     spec = SyntheticTaskSpec(
         task=args.task,
-        num_graphs=args.num_graphs,
-        min_nodes=args.min_nodes,
-        max_nodes=args.max_nodes,
-        edge_density=args.density,
-        cycle_rate=args.cycle_rate,
-        seed=_resolve_seed(args, cfg),
-        k_true=args.k_true,
+        **_given(
+            num_graphs=args.num_graphs,
+            min_nodes=args.min_nodes,
+            max_nodes=args.max_nodes,
+            edge_density=args.density,
+            cycle_rate=args.cycle_rate,
+            seed=_resolve_seed(args, cfg),
+            k_true=args.k_true,
+        ),
     )
     out = args.out or f"data-{args.task}"
     splits = gen_synthetic(spec, out)
@@ -88,40 +106,29 @@ def _cmd_stats(args) -> int:
     return 0
 
 
-def _infer_model_config(data_dir: Path, overrides: dict) -> tuple[ModelConfig, dict]:
-    meta = json.loads((data_dir / "task_meta.json").read_text())
-    train_graphs = load_graphs(data_dir / "train.jsonl")
-    task = meta["model_task"]
+def _infer_model_fields(data_dir: Path, train_graphs: list) -> dict:
+    """The model fields the dataset fixes: feature width, task, class count."""
+    task = json.loads((data_dir / "task_meta.json").read_text())["model_task"]
     num_classes = 0
     if task.endswith("classify"):
         labels = np.concatenate([np.atleast_1d(np.asarray(g.y)) for g in train_graphs])
         num_classes = int(labels.max()) + 1
-    fields = dict(
-        in_dim=train_graphs[0].feature_dim,
-        task=task,
-        num_classes=num_classes,
-    )
-    fields.update(overrides)
-    return ModelConfig(**fields), meta
+    return dict(in_dim=train_graphs[0].feature_dim, task=task, num_classes=num_classes)
 
 
 def _cmd_train(args) -> int:
     cfg_file = _load_config(args)
+    _reject_unknown_keys(args.config, cfg_file, RunConfig, "run config")
+    _reject_unknown_keys(args.config, cfg_file.get("model", {}), ModelConfig, "model")
     data_dir = Path(args.data)
-    model_cfg, _ = _infer_model_config(data_dir, cfg_file.get("model", {}))
-    run = RunConfig(
-        model=model_cfg,
-        lr=cfg_file.get("lr", 1e-3),
-        weight_decay=cfg_file.get("weight_decay", 1e-6),
-        betas=tuple(cfg_file.get("betas", (0.9, 0.999))),
-        epochs=cfg_file.get("epochs", 100),
-        batch_size=cfg_file.get("batch_size", 32),
-        seed=_resolve_seed(args, cfg_file),
-        out_dir=args.out or cfg_file.get("out_dir", "run-out"),
-        patience=cfg_file.get("patience", 20),
-    )
     train_graphs = load_graphs(data_dir / "train.jsonl")
     val_graphs = load_graphs(data_dir / "val.jsonl")
+    run = RunConfig.from_dict({
+        **cfg_file,
+        "model": {**_infer_model_fields(data_dir, train_graphs), **cfg_file.get("model", {})},
+        "out_dir": args.out or cfg_file.get("out_dir", "run-out"),
+        **_given(seed=_resolve_seed(args, cfg_file)),
+    })
 
     def log(rec):
         if not args.json:
@@ -173,7 +180,7 @@ def _cmd_oracle_check(args) -> int:
 
 def _cmd_bench(args) -> int:
     ks = [int(x) for x in args.ks.split(",")] if args.ks else None
-    records = run_bench(ks=ks, seed=_resolve_seed(args))
+    records = run_bench(ks, **_given(seed=_resolve_seed(args)))
     summary = scaling_summary(records)
     if args.json:
         print(json.dumps(summary))
@@ -197,13 +204,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="generate a synthetic dataset")
-    p.add_argument("--task", required=True, choices=("depth-regress", "ancestor-count-regress", "reachability-classify"))
-    p.add_argument("--num-graphs", type=int, default=500)
-    p.add_argument("--min-nodes", type=int, default=12)
-    p.add_argument("--max-nodes", type=int, default=30)
-    p.add_argument("--density", type=float, default=0.3)
-    p.add_argument("--cycle-rate", type=float, default=0.2)
-    p.add_argument("--k-true", type=int, default=4)
+    p.add_argument("--task", required=True, choices=TASK_KINDS)
+    # Unset flags take the SyntheticTaskSpec defaults.
+    p.add_argument("--num-graphs", type=int)
+    p.add_argument("--min-nodes", type=int)
+    p.add_argument("--max-nodes", type=int)
+    p.add_argument("--density", type=float, help="edge density")
+    p.add_argument("--cycle-rate", type=float)
+    p.add_argument("--k-true", type=int, help="reachability horizon")
     _add_common(p, "seed", "config", "out", "json")
     p.set_defaults(fn=_cmd_gen)
 

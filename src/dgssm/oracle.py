@@ -402,7 +402,3 @@ def oracle_check(name: str) -> SuiteResult:
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; known: {', '.join(SUITES)}")
     return SUITES[name]()
-
-
-def run_all() -> list[SuiteResult]:
-    return [fn() for fn in SUITES.values()]

@@ -55,7 +55,8 @@ class RunConfig:
     def from_dict(cls, d: dict) -> "RunConfig":
         d = dict(d)
         d["model"] = ModelConfig.from_dict(d["model"])
-        d["betas"] = tuple(d.get("betas", (0.9, 0.999)))
+        if "betas" in d:
+            d["betas"] = tuple(d["betas"])
         return cls(**d)
 
 

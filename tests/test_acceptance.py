@@ -5,6 +5,7 @@ and take a few minutes of single-worker CPU; everything else is fast. All
 seeds are fixed, so results are bit-reproducible run to run.
 """
 
+import json
 import time
 
 import numpy as np
@@ -128,6 +129,8 @@ def _learning_run(task, k, se_layers, epochs, patience, node_range, seed=0):
     result = train(run, splits["train"], splits["val"])
     elapsed = time.perf_counter() - t0
     metrics = evaluate(cfg, result.params, splits["test"])
+    print("LEARNING " + json.dumps({"task": task, "k": k, "seconds": round(elapsed, 1),
+                                    "epochs": len(result.history), **metrics}))
     return metrics, elapsed
 
 
@@ -157,7 +160,7 @@ def test_criterion_7_desk_scale_learning():
 
 @pytest.mark.slow
 def test_criterion_8_forward_time_scaling():
-    records = run_bench(ks=list(range(1, 10)), num_graphs=8, nodes=120, repeats=3, seed=0)
+    records = run_bench(ks=list(range(1, 10)), seed=0)
     summary = scaling_summary(records)
     _report(
         8, "forward-time scaling",

@@ -31,7 +31,7 @@ SEG = np.array([0, 0, 1, 2, 2, 2])
         ("exp", lambda x: ad.sum_(ad.exp(ad.mul(x, 0.3))), (4, 2), False),
         ("log", lambda x: ad.sum_(ad.log(x)), (5,), True),
         ("power", lambda x: ad.sum_(ad.power(x, 1.5)), (4,), True),
-        ("sqrt", lambda x: ad.sum_(ad.sqrt(x)), (6,), True),
+        ("power_half", lambda x: ad.sum_(ad.power(x, 0.5)), (6,), True),
         ("sigmoid", lambda x: ad.sum_(ad.sigmoid(x)), (3, 3), False),
         ("relu", lambda x: ad.sum_(ad.relu(ad.add(x, 0.05))), (40,), True),
         ("matmul", lambda x: ad.sum_(ad.matmul(x, ad.constant(np.random.default_rng(1).normal(size=(4, 3))))), (2, 4), False),
@@ -136,6 +136,16 @@ def test_segment_max_ties_and_empty_segments():
     ad.sum_(ad.mul(y, ad.constant(g))).backward()
     # Each tie goes to the earliest row; the empty segment's gradient goes nowhere.
     assert np.array_equal(x.grad, [[5.0, 0.0], [1.0, 2.0], [0.0, 6.0], [0.0, 0.0]])
+
+
+@pytest.mark.parametrize("keepdims", [False, True])
+def test_max_ties_route_gradient_to_first_maximum(keepdims):
+    # Row 0 ties at positions 1 and 3, row 1 at all three of 0, 2 and 3.
+    x = Tensor(np.array([[1.0, 4.0, 2.0, 4.0], [3.0, 1.0, 3.0, 3.0]]), requires_grad=True)
+    y = ad.max_(x, axis=1, keepdims=keepdims)
+    assert np.array_equal(y.data.reshape(-1), [4.0, 3.0])
+    ad.sum_(ad.mul(y, ad.constant(np.array([2.0, 5.0]).reshape(y.shape)))).backward()
+    assert np.array_equal(x.grad, [[0.0, 2.0, 0.0, 0.0], [5.0, 0.0, 0.0, 0.0]])
 
 
 def test_segment_ops_handle_unsorted_keys():

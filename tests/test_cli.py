@@ -5,6 +5,15 @@ import pytest
 
 from dgssm.cli import main
 from dgssm.graphs import load_graphs
+from dgssm.synth import SyntheticTaskSpec, gen_synthetic
+from dgssm.train import RunConfig, evaluate, train
+
+
+TINY_RUN = {
+    "model": {"hidden": 8, "heads": 2, "num_layers": 1, "se_layers": 1,
+              "ssm_state": 4, "k_hops": 2, "dropout": 0.0},
+    "lr": 3e-3, "epochs": 2, "batch_size": 8,
+}
 
 
 @pytest.fixture
@@ -42,11 +51,7 @@ def test_stats_text_output(dataset, capsys):
 
 def test_train_and_eval_round_trip(dataset, tmp_path, capsys):
     cfg = tmp_path / "run.json"
-    cfg.write_text(json.dumps({
-        "model": {"hidden": 8, "heads": 2, "num_layers": 1, "se_layers": 1,
-                  "ssm_state": 4, "k_hops": 2, "dropout": 0.0},
-        "lr": 3e-3, "epochs": 2, "batch_size": 8,
-    }))
+    cfg.write_text(json.dumps(TINY_RUN))
     out = tmp_path / "run-out"
     rc = main([
         "train", "--data", str(dataset), "--config", str(cfg),
@@ -60,6 +65,54 @@ def test_train_and_eval_round_trip(dataset, tmp_path, capsys):
     assert rc == 0
     metrics = json.loads(capsys.readouterr().out)
     assert "rmse" in metrics
+
+
+@pytest.mark.parametrize(
+    "task,model_fields",
+    [
+        ("depth-regress", {"task": "node-regress", "num_classes": 0}),
+        ("reachability-classify", {"task": "node-classify", "num_classes": 2}),
+    ],
+    ids=["depth-regress", "reachability-classify"],
+)
+def test_gen_train_eval_matches_library(task, model_fields, tmp_path, capsys, monkeypatch):
+    # The README recipe, with every gen flag but the task, size and seed left
+    # at its default, must reproduce the in-memory library path exactly.
+    monkeypatch.delenv("DGSSM_SEED", raising=False)
+    data = tmp_path / "data"
+    assert main(["gen", "--task", task, "--num-graphs", "20", "--seed", "4",
+                 "--out", str(data)]) == 0
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(TINY_RUN))
+    assert main(["train", "--data", str(data), "--config", str(cfg),
+                 "--out", str(tmp_path / "run-out"), "--json"]) == 0
+    summary = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert main(["eval", "--checkpoint", summary["checkpoint"],
+                 "--data", str(data / "test.jsonl"), "--json"]) == 0
+    cli_metrics = json.loads(capsys.readouterr().out)
+
+    splits = gen_synthetic(SyntheticTaskSpec(task, num_graphs=20, seed=4))
+    run = RunConfig.from_dict(
+        {**TINY_RUN, "model": {**TINY_RUN["model"], "in_dim": 3, **model_fields}}
+    )
+    result = train(run, splits["train"], splits["val"])
+    assert cli_metrics == evaluate(run.model, result.params, splits["test"])
+
+
+@pytest.mark.parametrize(
+    "run_json,match",
+    [
+        ({"learning_rate": 0.1}, "run.json: unknown run config key 'learning_rate'"),
+        ({"model": {"hiden": 8}}, "run.json: unknown model key 'hiden'"),
+    ],
+    ids=["top-level", "model"],
+)
+def test_train_rejects_unknown_config_key(dataset, tmp_path, run_json, match):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(run_json))
+    with pytest.raises(ValueError, match=match):
+        main(["train", "--data", str(dataset), "--config", str(cfg),
+              "--out", str(tmp_path / "run-out")])
 
 
 def test_oracle_check_subcommand(capsys):

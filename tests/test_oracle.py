@@ -7,7 +7,6 @@ from dgssm.oracle import (
     convolve_with_table,
     floyd_warshall_spd,
     oracle_check,
-    run_all,
     sequence_scan_oracle,
     suite_gradcheck,
 )

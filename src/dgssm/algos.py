@@ -16,7 +16,7 @@ graph ordinal per node.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -174,11 +174,14 @@ def depth_plus(g: DiGraph) -> np.ndarray:
     return dag_depth(condense(g, part))[part.component_id]
 
 
+class ConvergenceError(RuntimeError):
+    """Raised when an iteration is still above its tolerance at its cap."""
+
+
 def pagerank(
     g: DiGraph,
     damping: float = 0.85,
     tol: float = 1e-10,
-    max_iters: int = 100,
     batch_index: np.ndarray | None = None,
 ) -> np.ndarray:
     """Power-iteration PageRank with uniform dangling-mass redistribution.
@@ -186,7 +189,9 @@ def pagerank(
     Fixed point of  PR(u) = (1-a)/n + a * sum_{v -> u} PR(v) / outdeg(v),
     with the rank mass of out-degree-0 nodes spread uniformly each sweep so
     scores always sum to 1. Iteration stops when the L1 change drops below
-    ``tol`` or after ``max_iters`` sweeps.
+    ``tol``. That change is at most 2 a^(t-1) after sweep t, so the cap of
+    max(ceil(log(tol/2) / log(a)), 0) + 1 sweeps is enough in exact arithmetic; a
+    graph still above ``tol`` there raises :class:`ConvergenceError`.
 
     ``batch_index`` (graph ordinal per node) treats ``g`` as a disjoint
     union: n, the base term and the dangling spill are per graph, and each
@@ -194,6 +199,8 @@ def pagerank(
     """
     if not (0.0 < damping < 1.0):
         raise ValueError(f"pagerank: damping must be in (0, 1), got {damping}")
+    if not (0.0 < tol < math.inf):
+        raise ValueError(f"pagerank: tol must be positive and finite, got {tol}")
     n = g.num_nodes
     if batch_index is None:
         batch_index = np.zeros(n, dtype=np.int64)
@@ -207,7 +214,8 @@ def pagerank(
     x = 1.0 / sizes
     base = (1.0 - damping) / sizes
     active = np.ones(num_graphs, dtype=bool)
-    for _ in range(max_iters):
+    sweeps = max(math.ceil(math.log(tol / 2) / math.log(damping)), 0) + 1
+    for _ in range(sweeps):
         contrib = np.bincount(dst, weights=x[src] / src_outdeg, minlength=n)
         mass = np.bincount(dangling_graph, weights=x[dangling], minlength=num_graphs)
         x_new = base + damping * (contrib + mass[batch_index] / sizes)
@@ -215,8 +223,11 @@ def pagerank(
         x = np.where(active[batch_index], x_new, x)
         active &= change >= tol
         if not active.any():
-            break
-    return x
+            return x
+    i = int(np.flatnonzero(active)[0])
+    raise ConvergenceError(
+        f"pagerank: graph {i} still changes by {change[i]:.3g} (tol {tol:g}) after {sweeps} sweeps"
+    )
 
 
 def _reverse_bfs(preds: list[np.ndarray], center: int, max_hops: float) -> dict[int, int]:
@@ -338,14 +349,25 @@ def compute_artifacts(
 
 
 def compute_batch_artifacts(
-    batch: GraphBatch, k: int, reverse: bool = False
-) -> list[PreprocessArtifacts]:
-    """Per-graph artifacts for every graph of ``batch`` (edge-reversed if
-    ``reverse``), computed in one pass over the disjoint union."""
+    batch: GraphBatch, k: int, bidirectional: bool
+) -> tuple[list[PreprocessArtifacts], list[PreprocessArtifacts | None]]:
+    """Forward and reverse per-graph artifacts for every graph of ``batch``,
+    computed in one pass over the disjoint union per direction; every reverse
+    entry is None unless ``bidirectional``.
+
+    Depth is a property of the graph that only the input encoding reads, so
+    it is computed once, forward, and the reverse artifacts carry it too.
+    """
     union = DiGraph(batch.num_nodes, batch.edges, np.empty((batch.num_nodes, 0)))
-    if reverse:
-        union = reverse_graph(union)
-    return unbatch_artifacts(compute_artifacts(union, k, batch_index=batch.batch_index), batch)
+    fwd = compute_artifacts(union, k, batch_index=batch.batch_index)
+    if not bidirectional:
+        return unbatch_artifacts(fwd, batch), [None] * batch.num_graphs
+    union = reverse_graph(union)
+    pairs, spd = k_hop_predecessors(union, k)
+    rev = replace(
+        fwd, pagerank=pagerank(union, batch_index=batch.batch_index), k_hop_edge_index=pairs, k_hop_spd=spd
+    )
+    return unbatch_artifacts(fwd, batch), unbatch_artifacts(rev, batch)
 
 
 def batch_artifacts(arts: list[PreprocessArtifacts], batch: GraphBatch) -> PreprocessArtifacts:

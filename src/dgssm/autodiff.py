@@ -2,15 +2,17 @@
 
 Tensors wrap row-major float64 numpy arrays. Each operation records its
 parents and a closure that maps the incoming gradient to per-parent
-gradients; ``backward()`` on a scalar replays the graph in reverse
-topological order and accumulates gradients onto leaf tensors with
-``requires_grad``.
+gradients; ``backward()`` on a scalar accumulates gradients onto leaf
+tensors with ``requires_grad``. Every tensor is numbered as it is created,
+and an op's output is always newer than its inputs, so the tape is a
+Wengert list: ``backward()`` replays the nodes that carry a gradient
+newest first, and each node runs once all of its consumers have.
 
 Graph sparsity is handled by index-based segment operations (sum / mean /
 max / softmax keyed by an index vector) rather than sparse matrices.
 Elementwise ops broadcast by numpy trailing-axis rules; gradients of
 broadcast inputs are reduced back to the input shape. The model only relies
-on the patterns (n,d)+(d,), (n,d)*(n,1), (n,1)*(1,), (D,1)*(D,d),
+on the patterns (n,d)+(d,), (n,1)*(1,) and (n,1)+(1,), (D,1)*(D,d),
 (K+1,1)*(1,D), the fusion's (n,dh,1)+(n,1,C) and (n,dh,C)*(n,1,1), and
 scalar ops, all covered by that rule.
 
@@ -23,9 +25,15 @@ broadcasts and segment ops it would otherwise be composed from.
 
 from __future__ import annotations
 
+import heapq
+import itertools
+
 import numpy as np
 
 from .rng import RngStream
+
+
+_created = itertools.count()
 
 
 class ShapeError(ValueError):
@@ -35,7 +43,7 @@ class ShapeError(ValueError):
 class Tensor:
     """A dense array node in a reverse-mode gradient graph."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "_seq")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
@@ -43,6 +51,7 @@ class Tensor:
         self.requires_grad = bool(requires_grad)
         self._parents: tuple[Tensor, ...] = ()
         self._backward = None
+        self._seq = next(_created)  # creation order: parents precede children
 
     # -- basic introspection -------------------------------------------------
     @property
@@ -72,75 +81,27 @@ class Tensor:
         """Backpropagate from a scalar; leaf grads accumulate until zeroed."""
         if self.size != 1:
             raise ShapeError(f"backward: loss must be scalar, got shape {self.shape}")
-        topo: list[Tensor] = []
-        seen: set[int] = set()
-        stack: list[tuple[Tensor, bool]] = [(self, False)]
-        while stack:
-            node, expanded = stack.pop()
-            if expanded:
-                topo.append(node)
-                continue
-            if id(node) in seen:
-                continue
-            seen.add(id(node))
-            stack.append((node, True))
-            for p in node._parents:
-                if p.requires_grad and id(p) not in seen:
-                    stack.append((p, False))
-        grads: dict[int, np.ndarray] = {id(self): np.ones_like(self.data)}
-        for node in reversed(topo):
-            g = grads.pop(id(node), None)
-            if g is None:
-                continue
+        if not self.requires_grad:
+            return
+        grads = {self: np.ones_like(self.data)}
+        pending = [(-self._seq, self)]
+        while pending:
+            node = heapq.heappop(pending)[1]
+            g = grads.pop(node)
             if node._backward is None:
-                if node.requires_grad:
-                    node.grad = g if node.grad is None else node.grad + g
+                node.grad = g if node.grad is None else node.grad + g
                 continue
             for p, pg in zip(node._parents, node._backward(g)):
                 if pg is None or not p.requires_grad:
                     continue
-                key = id(p)
-                grads[key] = pg if key not in grads else grads[key] + pg
-
-    # -- operator sugar --------------------------------------------------------
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(other, self)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(other, self)
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(other, self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __neg__(self):
-        return mul(self, -1.0)
+                if p in grads:
+                    grads[p] = grads[p] + pg
+                else:
+                    grads[p] = pg
+                    heapq.heappush(pending, (-p._seq, p))
 
     def reshape(self, *shape):
         return reshape(self, shape if len(shape) > 1 else shape[0])
-
-    def sum(self, axis=None, keepdims=False):
-        return sum_(self, axis=axis, keepdims=keepdims)
-
-    def mean(self, axis=None, keepdims=False):
-        return mean(self, axis=axis, keepdims=keepdims)
 
 
 def as_tensor(x) -> Tensor:
@@ -228,14 +189,6 @@ def exp(a) -> Tensor:
 def log(a) -> Tensor:
     a = as_tensor(a)
     return _node(np.log(a.data), (a,), lambda g: (g / a.data,))
-
-
-def power(a, p: float) -> Tensor:
-    """Elementwise a**p for a constant exponent."""
-    a = as_tensor(a)
-    return _node(
-        a.data**p, (a,), lambda g: (g * p * a.data ** (p - 1),)
-    )
 
 
 def sigmoid(a) -> Tensor:
@@ -545,17 +498,29 @@ def hop_attention_scan(q, k, bv, powers, c, pairs, spd, heads: int) -> Tensor:
 
 
 def layer_norm(a, gain, bias, eps: float = 1e-5) -> Tensor:
-    """Normalize over the last axis, then scale and shift."""
+    """Normalize over the last axis, then scale and shift, as one tape node.
+
+    With xhat = (a - mean) / sqrt(var + eps) per row of width d, the input
+    gradient is the closed form  (gx - mean(gx) - xhat * mean(gx * xhat)) /
+    sqrt(var + eps)  for gx = g * gain (Ba et al., arXiv 1607.06450).
+    """
     a, gain, bias = as_tensor(a), as_tensor(gain), as_tensor(bias)
     if gain.shape != a.shape[-1:] or bias.shape != a.shape[-1:]:
         raise ShapeError(
             f"layer_norm: gain/bias {gain.shape}/{bias.shape} vs features {a.shape}"
         )
-    mu = mean(a, axis=-1, keepdims=True)
-    centered = sub(a, mu)
-    var = mean(mul(centered, centered), axis=-1, keepdims=True)
-    inv = power(add(var, eps), -0.5)
-    return add(mul(mul(centered, inv), gain), bias)
+    scale = 1.0 / a.shape[-1]
+    centered = a.data - a.data.sum(axis=-1, keepdims=True) * scale
+    inv = ((centered * centered).sum(axis=-1, keepdims=True) * scale + eps) ** -0.5
+    xhat = centered * inv
+
+    def bwd(g):
+        gx = g * gain.data
+        dot = (gx * xhat).sum(axis=-1, keepdims=True) * scale
+        ga = inv * (gx - gx.sum(axis=-1, keepdims=True) * scale - xhat * dot)
+        return ga, _unbroadcast(g * xhat, gain.shape), _unbroadcast(g, bias.shape)
+
+    return _node(xhat * gain.data + bias.data, (a, gain, bias), bwd)
 
 
 def conv_same(x, w, b) -> Tensor:
@@ -665,20 +630,11 @@ class ParameterSet:
     def __getitem__(self, name: str) -> Tensor:
         return self._params[name]
 
-    def __contains__(self, name: str) -> bool:
-        return name in self._params
-
-    def __len__(self) -> int:
-        return len(self._params)
-
     def names(self) -> list[str]:
         return list(self._params)
 
     def items(self):
         return self._params.items()
-
-    def tensors(self) -> list[Tensor]:
-        return list(self._params.values())
 
     def zero_grad(self) -> None:
         for t in self._params.values():

@@ -44,19 +44,32 @@ def _given(**values) -> dict:
     return {k: v for k, v in values.items() if v is not None}
 
 
-def _load_config(args) -> dict:
-    if getattr(args, "config", None):
-        return json.loads(Path(args.config).read_text())
-    return {}
+# The JSON types a config field of each annotation accepts; a JSON true or
+# false is not a number here.
+_JSON_TYPES = {
+    "int": int,
+    "float": (int, float),
+    "bool": bool,
+    "str": str,
+    "str | None": (str, type(None)),
+    "tuple[float, float]": list,
+    "ModelConfig": dict,
+}
 
 
-def _reject_unknown_keys(path: str, section: dict, cls, where: str) -> None:
-    known = {f.name for f in dataclasses.fields(cls)}
-    for key in section:
-        if key not in known:
+def _check_config(path: str, section: dict, cls, where: str) -> None:
+    """Reject a key ``cls`` lacks, or a value of the wrong JSON type."""
+    if not isinstance(section, dict):
+        raise ValueError(f"{path}: a {where} must be a JSON object, got {section!r}")
+    fields = {f.name: f.type for f in dataclasses.fields(cls)}
+    for key, value in section.items():
+        if key not in fields:
             raise ValueError(
-                f"{path}: unknown {where} key {key!r}; expected one of {sorted(known)}"
+                f"{path}: unknown {where} key {key!r}; expected one of {sorted(fields)}"
             )
+        want = _JSON_TYPES[fields[key]]
+        if not isinstance(value, want) or (isinstance(value, bool) and want is not bool):
+            raise ValueError(f"{path}: {where} key {key!r} must be {fields[key]}, got {value!r}")
 
 
 _COMMON_FLAGS = {
@@ -73,7 +86,6 @@ def _add_common(p: argparse.ArgumentParser, *names: str) -> None:
 
 
 def _cmd_gen(args) -> int:
-    cfg = _load_config(args)
     spec = SyntheticTaskSpec(
         task=args.task,
         **_given(
@@ -82,7 +94,7 @@ def _cmd_gen(args) -> int:
             max_nodes=args.max_nodes,
             edge_density=args.density,
             cycle_rate=args.cycle_rate,
-            seed=_resolve_seed(args, cfg),
+            seed=_resolve_seed(args),
             k_true=args.k_true,
         ),
     )
@@ -117,9 +129,9 @@ def _infer_model_fields(data_dir: Path, train_graphs: list) -> dict:
 
 
 def _cmd_train(args) -> int:
-    cfg_file = _load_config(args)
-    _reject_unknown_keys(args.config, cfg_file, RunConfig, "run config")
-    _reject_unknown_keys(args.config, cfg_file.get("model", {}), ModelConfig, "model")
+    cfg_file = json.loads(Path(args.config).read_text()) if args.config else {}
+    _check_config(args.config, cfg_file, RunConfig, "run config")
+    _check_config(args.config, cfg_file.get("model", {}), ModelConfig, "model")
     data_dir = Path(args.data)
     train_graphs = load_graphs(data_dir / "train.jsonl")
     val_graphs = load_graphs(data_dir / "val.jsonl")
@@ -212,7 +224,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--density", type=float, help="edge density")
     p.add_argument("--cycle-rate", type=float)
     p.add_argument("--k-true", type=int, help="reachability horizon")
-    _add_common(p, "seed", "config", "out", "json")
+    _add_common(p, "seed", "out", "json")
     p.set_defaults(fn=_cmd_gen)
 
     p = sub.add_parser("stats", help="dataset statistics report")

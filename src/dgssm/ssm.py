@@ -45,7 +45,7 @@ class SSMParams:
         return self.B.shape[1]
 
     def a_diag(self) -> Tensor:
-        return -ad.exp(self.a_log)
+        return ad.mul(ad.exp(self.a_log), -1.0)
 
     def dt(self) -> Tensor:
         return ad.exp(self.log_dt)

@@ -74,12 +74,7 @@ def prepare_graphs(graphs: list[DiGraph], cfg: ModelConfig) -> list[Prepared]:
     if not graphs:
         return []
     batch = batch_graphs(graphs)
-    fwd = compute_batch_artifacts(batch, cfg.k_hops)
-    rev = (
-        compute_batch_artifacts(batch, cfg.k_hops, reverse=True)
-        if cfg.bidirectional
-        else [None] * len(graphs)
-    )
+    fwd, rev = compute_batch_artifacts(batch, cfg.k_hops, cfg.bidirectional)
     return [Prepared(*item) for item in zip(graphs, fwd, rev)]
 
 

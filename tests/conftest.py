@@ -26,6 +26,15 @@ def conv_same_reference(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarr
     return out
 
 
+def layer_norm_reference(x: np.ndarray, gain: np.ndarray, bias: np.ndarray, eps: float = 1e-5) -> np.ndarray:
+    """Layer norm over the last axis, composed step by step: mean, center,
+    variance, scale by (var + eps)^-1/2, then gain and bias."""
+    mu = x.mean(axis=-1, keepdims=True)
+    centered = x - mu
+    var = (centered * centered).mean(axis=-1, keepdims=True)
+    return centered * (var + eps) ** -0.5 * gain + bias
+
+
 @pytest.fixture
 def chain3() -> DiGraph:
     return DiGraph(3, np.array([[0, 1], [1, 2]]), np.arange(6, dtype=float).reshape(3, 2))

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from dgssm.algos import (
     CondensationDag,
+    ConvergenceError,
     PreprocessArtifacts,
     _reverse_bfs,
     batch_artifacts,
@@ -176,11 +177,33 @@ def test_pagerank_damping_validation():
         pagerank(g, damping=1.5)
 
 
+@pytest.mark.parametrize("tol", [0.0, -1e-10, math.inf, math.nan])
+def test_pagerank_tol_validation(tol):
+    g = DiGraph(2, np.array([[0, 1]]), np.zeros((2, 1)))
+    with pytest.raises(ValueError, match="tol"):
+        pagerank(g, tol=tol)
+
+
+def test_pagerank_converges_on_a_long_chain_with_skip_edges():
+    # Rank takes more than 100 sweeps to settle along a 120-node chain.
+    edges = [(j, j + 1) for j in range(119)] + [(j, j + 3) for j in range(0, 117, 7)]
+    g = DiGraph(120, np.array(edges), np.zeros((120, 1)))
+    assert np.abs(pagerank(g) - dense_pagerank(g)).max() <= 1e-10
+
+
+def test_pagerank_raises_when_a_graph_does_not_converge():
+    # No change in float64 falls below 1e-300 unless the sweep lands on an
+    # exact fixed point, which this graph's iterates never do.
+    g = DiGraph(4, np.array([[0, 1], [1, 2], [2, 3], [3, 0], [0, 2], [1, 3]]), np.zeros((4, 1)))
+    with pytest.raises(ConvergenceError, match=r"graph 0 still changes by .* after \d+ sweeps"):
+        pagerank(g, tol=1e-300)
+
+
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 10_000))
 def test_pagerank_matches_dense_solve(seed):
     g = make_random_digraph(seed, max_nodes=15)
-    got = pagerank(g, tol=1e-14, max_iters=1000)
+    got = pagerank(g, tol=1e-14)
     assert np.abs(got - dense_pagerank(g)).max() <= 1e-8
     assert abs(got.sum() - 1.0) <= 1e-8
     assert np.all(got >= (1 - 0.85) / g.num_nodes - 1e-12)
@@ -203,12 +226,12 @@ def test_pagerank_per_graph_inside_a_union(seed):
     RngStream(seed).shuffle(gs)
     batch = batch_graphs(gs)
     union = DiGraph(batch.num_nodes, batch.edges, batch.node_features)
-    got = pagerank(union, tol=1e-14, max_iters=1000, batch_index=batch.batch_index)
+    got = pagerank(union, tol=1e-14, batch_index=batch.batch_index)
     for g, off in zip(gs, batch.offsets):
         part = got[off : off + g.num_nodes]
         assert np.abs(part - dense_pagerank(g)).max() <= 1e-8
         # A graph stops on its own sweep, so the union changes no bit of it.
-        assert np.array_equal(part, pagerank(g, tol=1e-14, max_iters=1000))
+        assert np.array_equal(part, pagerank(g, tol=1e-14))
 
 
 # -- bounded-hop predecessors -------------------------------------------------------

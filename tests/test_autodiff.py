@@ -6,7 +6,7 @@ from dgssm.autodiff import ParameterSet, ShapeError, Tensor
 from dgssm.optim import grad_check
 from dgssm.rng import RngStream
 
-from conftest import conv_same_reference
+from conftest import conv_same_reference, layer_norm_reference
 
 
 def check(fn, shape, seed=0, tol=1e-4, positive=False):
@@ -30,8 +30,8 @@ SEG = np.array([0, 0, 1, 2, 2, 2])
         ("div", lambda x: ad.sum_(ad.div(1.0, ad.add(ad.mul(x, x), 1.0))), (2, 5), False),
         ("exp", lambda x: ad.sum_(ad.exp(ad.mul(x, 0.3))), (4, 2), False),
         ("log", lambda x: ad.sum_(ad.log(x)), (5,), True),
-        ("power", lambda x: ad.sum_(ad.power(x, 1.5)), (4,), True),
-        ("power_half", lambda x: ad.sum_(ad.power(x, 0.5)), (6,), True),
+        ("layer_norm_gain", lambda x: ad.sum_(ad.mul(ad.layer_norm(ad.constant(np.random.default_rng(19).normal(size=(4, 5))), x, Tensor(np.linspace(-1.0, 2.0, 5))), ad.constant(np.random.default_rng(20).normal(size=(4, 5))))), (5,), False),
+        ("layer_norm_bias", lambda x: ad.sum_(ad.mul(ad.exp(ad.layer_norm(ad.constant(np.random.default_rng(21).normal(size=(4, 5))), Tensor(np.linspace(0.5, -1.5, 5)), x)), ad.constant(np.random.default_rng(22).normal(size=(4, 5))))), (5,), False),
         ("sigmoid", lambda x: ad.sum_(ad.sigmoid(x)), (3, 3), False),
         ("relu", lambda x: ad.sum_(ad.relu(ad.add(x, 0.05))), (40,), True),
         ("matmul", lambda x: ad.sum_(ad.matmul(x, ad.constant(np.random.default_rng(1).normal(size=(4, 3))))), (2, 4), False),
@@ -51,6 +51,7 @@ SEG = np.array([0, 0, 1, 2, 2, 2])
         ("cross_entropy", lambda x: ad.cross_entropy(x, np.array([0, 2, 1])), (3, 3), False),
         # A transposed leaf gives the op a strided (6, 2, 3) input.
         ("segment_max_strided", lambda x: ad.sum_(ad.mul(ad.segment_max(ad.transpose(x, (2, 1, 0)), SEG, 4), ad.constant(np.random.default_rng(18).normal(size=(4, 2, 3))))), (3, 2, 6), False),
+        ("layer_norm_scaled", lambda x: ad.sum_(ad.mul(ad.layer_norm(x, Tensor(np.linspace(-1.0, 2.0, 5)), Tensor(np.linspace(0.5, -1.5, 5))), ad.constant(np.random.default_rng(23).normal(size=(4, 5))))), (4, 5), False),
     ],
 )
 def test_op_gradients_match_finite_differences(name, fn, shape, positive):
@@ -86,6 +87,16 @@ def test_conv_same_matches_per_tap_reference(spatial, kernel, c_out):
 
         report = grad_check(fn, Tensor(leaf.data.copy()), eps=1e-5, tol=1e-6)
         assert report.passed, f"{name}: {report}"
+
+
+@pytest.mark.parametrize("shape", [(4, 5), (3, 1), (2, 3, 6)], ids=["rows", "d1", "3d"])
+def test_layer_norm_matches_reference(shape):
+    stream = RngStream(26)
+    x = stream.normal(size=shape)
+    x[0] = 1.7  # a constant row: zero variance, only eps in the denominator
+    gain, bias = stream.normal(size=shape[-1:]), stream.normal(size=shape[-1:])
+    got = ad.layer_norm(Tensor(x), Tensor(gain), Tensor(bias))
+    assert np.abs(got.data - layer_norm_reference(x, gain, bias)).max() <= 1e-12
 
 
 def test_broadcast_mul_3d_patterns():
@@ -161,6 +172,27 @@ def test_segment_ops_handle_unsorted_keys():
 def test_backward_requires_scalar():
     with pytest.raises(ShapeError, match="scalar"):
         Tensor(np.zeros(3), requires_grad=True).backward()
+
+
+def test_backward_from_root_without_grad_is_a_no_op():
+    x = Tensor(np.ones(3))
+    h = ad.mul(x, 2.0)
+    loss = ad.sum_(h)
+    loss.backward()
+    assert x.grad is None and h.grad is None and loss.grad is None
+
+
+def test_replay_sums_consumers_created_at_different_times():
+    # x feeds a sigmoid, a product created after it and a scaled exp created
+    # last, and the sigmoid feeds two ops of its own: x's gradient is complete
+    # only once all three consumers have been replayed.
+    def fn(x):
+        s = ad.sigmoid(x)
+        p = ad.mul(s, x)
+        e = ad.exp(ad.mul(x, 0.5))
+        return ad.sum_(ad.mul(ad.add(p, e), s))
+
+    check(fn, (3, 4))
 
 
 def test_grad_accumulates_until_zeroed():

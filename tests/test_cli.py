@@ -104,8 +104,11 @@ def test_gen_train_eval_matches_library(task, model_fields, tmp_path, capsys, mo
     [
         ({"learning_rate": 0.1}, "run.json: unknown run config key 'learning_rate'"),
         ({"model": {"hiden": 8}}, "run.json: unknown model key 'hiden'"),
+        ({"epochs": "2"}, "run.json: run config key 'epochs' must be int, got '2'"),
+        ({"model": {"dropout": "0.1"}}, "run.json: model key 'dropout' must be float, got '0.1'"),
+        ([1, 2], r"run.json: a run config must be a JSON object, got \[1, 2\]"),
     ],
-    ids=["top-level", "model"],
+    ids=["top-level", "model", "top-level-type", "model-type", "not-an-object"],
 )
 def test_train_rejects_unknown_config_key(dataset, tmp_path, run_json, match):
     cfg = tmp_path / "run.json"
@@ -132,6 +135,10 @@ def test_flag_rejected_where_not_read(dataset, tmp_path):
     with pytest.raises(SystemExit):
         main(["eval", "--checkpoint", str(tmp_path / "none.ckpt"),
               "--data", str(dataset / "test.jsonl"), "--out", str(tmp_path / "x")])
+    # gen takes its seed from --seed or DGSSM_SEED, so it has no --config.
+    with pytest.raises(SystemExit):
+        main(["gen", "--task", "depth-regress", "--config", str(tmp_path / "run.json"),
+              "--out", str(tmp_path / "data")])
 
 
 def test_eval_rejects_empty_data_file(tmp_path):

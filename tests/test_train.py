@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from dgssm.algos import compute_artifacts
+from dgssm.algos import compute_artifacts, depth_plus
 from dgssm.graphs import DiGraph, reverse_graph
 from dgssm.model import ModelConfig, init_weights
 from dgssm.rng import RngStream
@@ -146,7 +146,8 @@ def test_prepare_graphs_matches_per_graph_artifacts(k, bidirectional):
             assert got.k == want.k
             assert np.array_equal(got.k_hop_edge_index, want.k_hop_edge_index)
             assert np.array_equal(got.k_hop_spd, want.k_hop_spd)
-            assert np.array_equal(got.depth, want.depth)
+            # Depth is the graph's own, forward, in both directions.
+            assert np.array_equal(got.depth, depth_plus(g))
             assert np.abs(got.pagerank - want.pagerank).max() <= 1e-15
 
 

@@ -127,13 +127,10 @@ def tarjan_scc(g: DiGraph) -> SccPartition:
 def condense(g: DiGraph, p: SccPartition) -> CondensationDag:
     """Contract each SCC to a supernode; intra-component edges are dropped."""
     cid, count = p.component_id, p.num_components
-    if g.num_edges:
-        src = cid[g.edges[:, 0]]
-        dst = cid[g.edges[:, 1]]
-        keep = src != dst
-        pairs = np.stack(np.divmod(_unique(src[keep] * count + dst[keep]), count), axis=1)
-    else:
-        pairs = np.zeros((0, 2), dtype=np.int64)
+    src = cid[g.edges[:, 0]]
+    dst = cid[g.edges[:, 1]]
+    keep = src != dst
+    pairs = np.stack(np.divmod(_unique(src[keep] * count + dst[keep]), count), axis=1)
     return CondensationDag(num_supernodes=count, edges=pairs)
 
 
@@ -331,9 +328,7 @@ class PreprocessArtifacts:
         return int(self.k_hop_spd.shape[0])
 
 
-def compute_artifacts(
-    g: DiGraph, k: int, damping: float = 0.85, batch_index: np.ndarray | None = None
-) -> PreprocessArtifacts:
+def compute_artifacts(g: DiGraph, k: int, batch_index: np.ndarray | None = None) -> PreprocessArtifacts:
     """Depth, PageRank, and bounded-hop predecessor pairs for one graph.
 
     With ``batch_index``, ``g`` is a disjoint union and PageRank is per graph.
@@ -341,7 +336,7 @@ def compute_artifacts(
     pairs, spd = k_hop_predecessors(g, k)
     return PreprocessArtifacts(
         depth=depth_plus(g),
-        pagerank=pagerank(g, damping=damping, batch_index=batch_index),
+        pagerank=pagerank(g, batch_index=batch_index),
         k_hop_edge_index=pairs,
         k_hop_spd=spd,
         k=int(k),

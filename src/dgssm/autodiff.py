@@ -265,14 +265,9 @@ def sum_(a, axis=None, keepdims: bool = False) -> Tensor:
     return _node(a.data.sum(axis=axis, keepdims=keepdims), (a,), bwd)
 
 
-def mean(a, axis=None, keepdims: bool = False) -> Tensor:
+def mean(a, axis: int | None = None, keepdims: bool = False) -> Tensor:
     a = as_tensor(a)
-    if axis is None:
-        count = a.size
-    elif isinstance(axis, tuple):
-        count = int(np.prod([a.shape[i] for i in axis]))
-    else:
-        count = a.shape[axis]
+    count = a.size if axis is None else a.shape[axis]
     return mul(sum_(a, axis=axis, keepdims=keepdims), 1.0 / count)
 
 
@@ -497,12 +492,13 @@ def hop_attention_scan(q, k, bv, powers, c, pairs, spd, heads: int) -> Tensor:
 # -- normalization, convolution, dropout ----------------------------------------
 
 
-def layer_norm(a, gain, bias, eps: float = 1e-5) -> Tensor:
+def layer_norm(a, gain, bias) -> Tensor:
     """Normalize over the last axis, then scale and shift, as one tape node.
 
-    With xhat = (a - mean) / sqrt(var + eps) per row of width d, the input
-    gradient is the closed form  (gx - mean(gx) - xhat * mean(gx * xhat)) /
-    sqrt(var + eps)  for gx = g * gain (Ba et al., arXiv 1607.06450).
+    With xhat = (a - mean) / sqrt(var + eps) per row of width d, eps = 1e-5,
+    the input gradient is the closed form  (gx - mean(gx) - xhat *
+    mean(gx * xhat)) / sqrt(var + eps)  for gx = g * gain (Ba et al., arXiv
+    1607.06450).
     """
     a, gain, bias = as_tensor(a), as_tensor(gain), as_tensor(bias)
     if gain.shape != a.shape[-1:] or bias.shape != a.shape[-1:]:
@@ -511,7 +507,7 @@ def layer_norm(a, gain, bias, eps: float = 1e-5) -> Tensor:
         )
     scale = 1.0 / a.shape[-1]
     centered = a.data - a.data.sum(axis=-1, keepdims=True) * scale
-    inv = ((centered * centered).sum(axis=-1, keepdims=True) * scale + eps) ** -0.5
+    inv = ((centered * centered).sum(axis=-1, keepdims=True) * scale + 1e-5) ** -0.5
     xhat = centered * inv
 
     def bwd(g):

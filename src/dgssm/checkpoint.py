@@ -18,8 +18,9 @@ short, carries bytes after the payload, or (version 2) fails its checksum
 raises :class:`CheckpointError`.
 
 The meta block carries the model configuration and anything else the caller
-wants to round-trip (task, feature dimension, dtype tag). Optimizer state is
-stored as ordinary arrays under an ``opt.`` name prefix.
+wants to round-trip (task, feature dimension, dtype tag). A
+``model.save_model`` caller that passes ``opt_arrays`` gets them stored as
+ordinary arrays under an ``opt.`` name prefix; ``train`` passes none.
 """
 
 from __future__ import annotations

@@ -31,7 +31,10 @@ def _resolve_seed(args, config: dict | None = None) -> int | None:
     """DGSSM_SEED, then --seed, then the config's "seed"; None if none is set."""
     env = os.environ.get("DGSSM_SEED")
     if env is not None:
-        return int(env)
+        try:
+            return int(env)
+        except ValueError:
+            raise ValueError(f"DGSSM_SEED must be an integer, got {env!r}") from None
     if getattr(args, "seed", None) is not None:
         return int(args.seed)
     if config and "seed" in config:
@@ -135,12 +138,18 @@ def _cmd_train(args) -> int:
     data_dir = Path(args.data)
     train_graphs = load_graphs(data_dir / "train.jsonl")
     val_graphs = load_graphs(data_dir / "val.jsonl")
-    run = RunConfig.from_dict({
+    fields = {
         **cfg_file,
         "model": {**_infer_model_fields(data_dir, train_graphs), **cfg_file.get("model", {})},
         "out_dir": args.out or cfg_file.get("out_dir", "run-out"),
         **_given(seed=_resolve_seed(args, cfg_file)),
-    })
+    }
+    try:
+        run = RunConfig.from_dict(fields)
+    except ValueError as e:
+        if not args.config:
+            raise
+        raise ValueError(f"{args.config}: {e}") from e
 
     def log(rec):
         if not args.json:

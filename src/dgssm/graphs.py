@@ -127,7 +127,6 @@ class GraphBatch:
     offsets: np.ndarray  # (num_graphs,) node-index offset per graph
     node_counts: np.ndarray  # (num_graphs,)
     ys: tuple = ()
-    graph_ids: tuple = ()
 
     def __post_init__(self):
         for name in ("edges", "node_features", "batch_index", "offsets", "node_counts"):
@@ -157,37 +156,16 @@ def batch_graphs(gs: list[DiGraph]) -> GraphBatch:
         raise GraphFormatError("batch_graphs: non-uniform feature dimension")
     counts = np.array([g.num_nodes for g in gs], dtype=np.int64)
     offsets = np.concatenate([[0], np.cumsum(counts)[:-1]])
-    edges = [g.edges + off for g, off in zip(gs, offsets) if g.num_edges]
     return GraphBatch(
         num_graphs=len(gs),
         num_nodes=int(counts.sum()),
-        edges=np.concatenate(edges) if edges else np.zeros((0, 2), dtype=np.int64),
+        edges=np.concatenate([g.edges + off for g, off in zip(gs, offsets)]),
         node_features=np.concatenate([g.node_features for g in gs]),
         batch_index=np.repeat(np.arange(len(gs)), counts),
         offsets=offsets,
         node_counts=counts,
         ys=tuple(g.y for g in gs),
-        graph_ids=tuple(g.graph_id for g in gs),
     )
-
-
-def unbatch_graphs(b: GraphBatch) -> list[DiGraph]:
-    """Invert :func:`batch_graphs`."""
-    out = []
-    for i in range(b.num_graphs):
-        lo = b.offsets[i]
-        hi = lo + b.node_counts[i]
-        mask = (b.edges[:, 0] >= lo) & (b.edges[:, 0] < hi) if b.edges.size else np.zeros(0, bool)
-        out.append(
-            DiGraph(
-                num_nodes=int(b.node_counts[i]),
-                edges=(b.edges[mask] - lo) if b.edges.size else np.zeros((0, 2), np.int64),
-                node_features=b.node_features[lo:hi].copy(),
-                y=b.ys[i] if b.ys else None,
-                graph_id=b.graph_ids[i] if b.graph_ids else None,
-            )
-        )
-    return out
 
 
 def _graph_from_record(rec: dict, lineno: int) -> DiGraph:

@@ -193,8 +193,6 @@ def dir_gated_gcn(
     def one_direction(tag: str, centers: np.ndarray, neighbors: np.ndarray) -> Tensor:
         w = {j: params[f"{prefix}.{tag}.w{j}"] for j in range(1, 5)}
         self_term = ad.matmul(h, w[1])
-        if centers.size == 0:
-            return self_term
         gate = ad.sigmoid(
             ad.add(
                 ad.gather_rows(ad.matmul(h, w[3]), centers),
@@ -204,8 +202,7 @@ def dir_gated_gcn(
         msg = ad.mul(gate, ad.gather_rows(ad.matmul(h, w[2]), neighbors))
         return ad.add(self_term, ad.segment_sum(msg, centers, n))
 
-    src = edges[:, 0] if edges.size else np.zeros(0, np.int64)
-    dst = edges[:, 1] if edges.size else np.zeros(0, np.int64)
+    src, dst = edges[:, 0], edges[:, 1]
     res_in = one_direction("in", dst, src)  # messages along edge direction
     res_out = one_direction("out", src, dst)  # messages against edge direction
     combined = ad.mul(ad.add(res_in, res_out), 0.5)

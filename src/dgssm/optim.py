@@ -62,12 +62,6 @@ class AdamW:
             out[f"v.{name}"] = self._v[name]
         return out
 
-    def load_state_arrays(self, arrays: dict[str, np.ndarray]) -> None:
-        self.step_count = int(arrays["step"][0])
-        for name in self.params.names():
-            self._m[name] = np.array(arrays[f"m.{name}"])
-            self._v[name] = np.array(arrays[f"v.{name}"])
-
 
 @dataclass
 class GradCheckReport:

@@ -44,9 +44,9 @@ class SuiteResult:
         return f"[{tag}] {self.name}: max err {self.max_err:.3e} ({self.detail})"
 
 
-def random_digraph(stream: RngStream, max_nodes: int = 25, p_edge: float | None = None) -> DiGraph:
+def random_digraph(stream: RngStream, max_nodes: int = 25) -> DiGraph:
     n = int(stream.integers(2, max_nodes + 1))
-    p = p_edge if p_edge is not None else float(stream.uniform(0.05, 0.25))
+    p = float(stream.uniform(0.05, 0.25))
     mask = stream.uniform(size=(n, n)) < p
     np.fill_diagonal(mask, False)
     edges = np.argwhere(mask)

@@ -45,6 +45,19 @@ class RunConfig:
     out_dir: str | None = None
     patience: int = 20
 
+    def __post_init__(self):
+        real = [isinstance(x, (int, float)) and not isinstance(x, bool) for x in self.betas]
+        if len(real) != 2 or not all(real) or not all(0.0 <= x < 1.0 for x in self.betas):
+            raise ValueError(f"betas must be two real numbers in [0, 1), got {list(self.betas)!r}")
+        if not (math.isfinite(self.lr) and self.lr >= 0.0):
+            raise ValueError(f"lr must be finite and >= 0, got {self.lr}")
+        if not self.weight_decay >= 0.0:
+            raise ValueError(f"weight_decay must be >= 0, got {self.weight_decay}")
+        if self.batch_size < 1:
+            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
+        if self.epochs < 0 or self.patience < 0:
+            raise ValueError(f"epochs and patience must be >= 0, got {self.epochs} and {self.patience}")
+
     def to_dict(self) -> dict:
         d = asdict(self)
         d["model"] = self.model.to_dict()
@@ -95,15 +108,12 @@ def _batches(n: int, batch_size: int, order: np.ndarray):
 
 
 def predict_dataset(
-    prepared: list[Prepared],
-    cfg: ModelConfig,
-    params: ParameterSet,
-    batch_size: int = 64,
+    prepared: list[Prepared], cfg: ModelConfig, params: ParameterSet
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Stacked (predictions, labels) over a dataset, eval mode."""
+    """Stacked (predictions, labels) over a dataset, eval mode, in batches of 64."""
     preds, labels = [], []
     order = np.arange(len(prepared))
-    for idx in _batches(len(prepared), batch_size, order):
+    for idx in _batches(len(prepared), 64, order):
         batch, fwd, rev = collate([prepared[i] for i in idx])
         out = model_forward(batch, fwd, rev, cfg, params, train=False)
         preds.append(out.data)
@@ -232,25 +242,19 @@ def train(
     if out_dir:
         ckpt = out_dir / "best.ckpt"
         save_model(
-            ckpt, cfg, params, opt_arrays=opt.state_arrays(),
-            extra_meta={"run": run.to_dict(), "best_epoch": result.best_epoch},
+            ckpt, cfg, params, extra_meta={"run": run.to_dict(), "best_epoch": result.best_epoch}
         )
         (out_dir / "history.json").write_text(json.dumps(result.history, indent=2))
         result.checkpoint_path = str(ckpt)
     return result
 
 
-def evaluate(
-    cfg: ModelConfig,
-    params: ParameterSet,
-    graphs: list[DiGraph],
-    batch_size: int = 64,
-) -> dict:
+def evaluate(cfg: ModelConfig, params: ParameterSet, graphs: list[DiGraph]) -> dict:
     """Metric family on a dataset, eval mode (no dropout)."""
     if not graphs:
         raise ValueError("evaluate: empty graph list")
     prepared = prepare_graphs(graphs, cfg)
-    preds, labels = predict_dataset(prepared, cfg, params, batch_size=batch_size)
+    preds, labels = predict_dataset(prepared, cfg, params)
     return compute_metrics(cfg, preds, labels)
 
 

@@ -107,8 +107,12 @@ def test_gen_train_eval_matches_library(task, model_fields, tmp_path, capsys, mo
         ({"epochs": "2"}, "run.json: run config key 'epochs' must be int, got '2'"),
         ({"model": {"dropout": "0.1"}}, "run.json: model key 'dropout' must be float, got '0.1'"),
         ([1, 2], r"run.json: a run config must be a JSON object, got \[1, 2\]"),
+        ({"betas": ["a", 1]}, r"run.json: betas must be two real numbers in \[0, 1\), got \['a', 1\]"),
+        ({"betas": [0.9]}, r"run.json: betas must be two real numbers in \[0, 1\), got \[0.9\]"),
+        ({"batch_size": 0}, "run.json: batch_size must be >= 1, got 0"),
     ],
-    ids=["top-level", "model", "top-level-type", "model-type", "not-an-object"],
+    ids=["top-level", "model", "top-level-type", "model-type", "not-an-object",
+         "betas-type", "betas-length", "batch-size"],
 )
 def test_train_rejects_unknown_config_key(dataset, tmp_path, run_json, match):
     cfg = tmp_path / "run.json"
@@ -156,6 +160,12 @@ def test_env_seed_overrides_flag(tmp_path, monkeypatch):
     main(["gen", "--task", "depth-regress", "--num-graphs", "6",
           "--min-nodes", "6", "--max-nodes", "9", "--seed", "2", "--out", str(out_b)])
     assert (out_a / "train.jsonl").read_bytes() == (out_b / "train.jsonl").read_bytes()
+
+
+def test_env_seed_must_be_an_integer(tmp_path, monkeypatch):
+    monkeypatch.setenv("DGSSM_SEED", "abc")
+    with pytest.raises(ValueError, match="DGSSM_SEED must be an integer, got 'abc'"):
+        main(["gen", "--task", "depth-regress", "--num-graphs", "6", "--out", str(tmp_path / "d")])
 
 
 def test_bench_smoke(capsys):

@@ -13,7 +13,6 @@ from dgssm.graphs import (
     load_graphs,
     reverse_graph,
     save_graphs,
-    unbatch_graphs,
 )
 
 from conftest import make_random_digraph
@@ -148,10 +147,14 @@ def test_cross_graph_edge_rejected():
 
 @settings(max_examples=25, deadline=None)
 @given(seeds=st.lists(st.integers(0, 10_000), min_size=1, max_size=6))
-def test_batch_unbatch_round_trip(seeds):
+def test_batch_places_each_graph_in_its_rows(seeds):
     gs = [make_random_digraph(s) for s in seeds]
-    back = unbatch_graphs(batch_graphs(gs))
-    for a, b in zip(gs, back):
-        assert a.num_nodes == b.num_nodes
-        assert sorted(map(tuple, a.edges.tolist())) == sorted(map(tuple, b.edges.tolist()))
-        assert np.array_equal(a.node_features, b.node_features)
+    b = batch_graphs(gs)
+    assert b.edges.shape == (sum(g.num_edges for g in gs), 2)
+    for i, g in enumerate(gs):
+        rows = slice(b.offsets[i], b.offsets[i] + g.num_nodes)
+        assert b.node_counts[i] == g.num_nodes
+        assert np.all(b.batch_index[rows] == i)
+        assert np.array_equal(b.node_features[rows], g.node_features)
+        own = b.edges[b.batch_index[b.edges[:, 0]] == i]
+        assert np.array_equal(own - b.offsets[i], g.edges)

@@ -551,7 +551,7 @@ def test_degenerate_inputs_forward_backward(data, graph_level, k, heads):
     assert np.all(np.isfinite(out.data))
     model_loss(out, batch, cfg).backward()
     for name, t in params.items():
-        assert t.grad is None or (t.grad.shape == t.shape and np.all(np.isfinite(t.grad))), name
+        assert t.grad is not None and t.grad.shape == t.shape and np.all(np.isfinite(t.grad)), name
     # Batch isolation: each graph alone gives its rows of the batched output.
     for i, g in enumerate(graphs):
         alone = model_forward(*_prepared_batch([g], cfg), cfg, params).data

@@ -1,9 +1,11 @@
 import json
+import types
 
 import numpy as np
 import pytest
 
 from dgssm.algos import compute_artifacts, depth_plus
+from dgssm.checkpoint import load_arrays
 from dgssm.graphs import DiGraph, reverse_graph
 from dgssm.model import ModelConfig, init_weights
 from dgssm.rng import RngStream
@@ -96,6 +98,23 @@ def test_checkpoint_saved_and_evaluable(tmp_path):
     assert metrics == direct
     history = json.loads((tmp_path / "out" / "history.json").read_text())
     assert len(history) == len(result.history)
+
+
+def test_train_checkpoint_holds_only_parameters(tmp_path):
+    # The last epoch's optimizer moments do not belong to the best epoch's
+    # weights, so a training checkpoint carries the weights and meta alone.
+    run, splits = _tiny_run(epochs=1)
+    run.out_dir = str(tmp_path / "out")
+    result = train(run, splits["train"], splits["val"])
+    arrays, meta = load_arrays(result.checkpoint_path)
+    assert sorted(arrays) == sorted(f"param.{name}" for name in result.params.names())
+    assert meta["best_epoch"] == 0
+
+
+def test_train_submodule_is_not_shadowed():
+    import dgssm.train
+
+    assert isinstance(dgssm.train, types.ModuleType)
 
 
 def test_checkpoint_task_mismatch_detected(tmp_path):

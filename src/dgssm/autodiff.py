@@ -12,21 +12,27 @@ Graph sparsity is handled by index-based segment operations (sum / mean /
 max / softmax keyed by an index vector) rather than sparse matrices.
 Elementwise ops broadcast by numpy trailing-axis rules; gradients of
 broadcast inputs are reduced back to the input shape. The model only relies
-on the patterns (n,d)+(d,), (n,1)*(1,) and (n,1)+(1,), (D,1)*(D,d),
-(K+1,1)*(1,D), the fusion's (n,dh,1)+(n,1,C) and (n,dh,C)*(n,1,1), and
-scalar ops, all covered by that rule.
+on the patterns (n,d)+(d,), (D,1)*(D,d), (K+1,1)*(1,D) and scalar ops, all
+covered by that rule.
 
-The model's hop scan is one op, ``hop_attention_scan``: per-head attention
-over each center's (predecessor, hop) pairs, hop-decayed messages summed in
-the diagonal SSM state and read out through C. It records a single tape
-node whose backward is written out in closed form, instead of the gathers,
-broadcasts and segment ops it would otherwise be composed from.
+Two of the model's blocks are fused ops. Each records a single tape node
+whose backward is written out in closed form, instead of the gathers,
+broadcasts, pools and segment ops it would otherwise be composed from:
+
+- ``hop_attention_scan``: per-head attention over each center's
+  (predecessor, hop) pairs, hop-decayed messages summed in the diagonal SSM
+  state and read out through C;
+- ``cross_axis_fusion``: the fusion block's three sigmoid gates over Z-pools
+  of the head and feature axes and a PageRank-weighted pool per graph, each
+  a banded-matmul convolution.
 """
 
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
+import math
 
 import numpy as np
 
@@ -271,20 +277,6 @@ def mean(a, axis: int | None = None, keepdims: bool = False) -> Tensor:
     return mul(sum_(a, axis=axis, keepdims=keepdims), 1.0 / count)
 
 
-def max_(a, axis: int, keepdims: bool = False) -> Tensor:
-    """Max along one axis; ties route the gradient to the first maximum."""
-    a = as_tensor(a)
-    out = a.data.max(axis=axis, keepdims=True)
-
-    def bwd(g):
-        onehot = np.zeros_like(a.data)
-        np.put_along_axis(onehot, np.expand_dims(a.data.argmax(axis=axis), axis), 1.0, axis=axis)
-        gg = g if keepdims else np.expand_dims(g, axis)
-        return (onehot * gg,)
-
-    return _node(out if keepdims else out.squeeze(axis), (a,), bwd)
-
-
 def softmax(a, axis: int = -1) -> Tensor:
     a = as_tensor(a)
     z = a.data - a.data.max(axis=axis, keepdims=True)
@@ -489,7 +481,171 @@ def hop_attention_scan(q, k, bv, powers, c, pairs, spd, heads: int) -> Tensor:
     return _node(y.transpose(0, 2, 1), (q, k, bv, powers, c), bwd)
 
 
-# -- normalization, convolution, dropout ----------------------------------------
+def _zpool_grad(slices: list[np.ndarray], mx: np.ndarray, g_max, g_mean, axis: int) -> np.ndarray:
+    """Gradient with respect to x of a Z-pool over x's ``slices`` along
+    ``axis``: every slice gets ``g_mean`` (already divided by the slice
+    count), and the first slice reaching the max ``mx`` also gets ``g_max``;
+    later ties get nothing."""
+    hits = np.stack([s == mx for s in slices])
+    seen = hits[0].copy()
+    for h in hits[1:]:
+        h &= ~seen
+        seen |= h
+    return np.moveaxis(np.where(hits, g_max + g_mean, g_mean), 0, axis)
+
+
+@functools.lru_cache(maxsize=16)
+def _tap_map(kernel: tuple[int, ...], spatial: tuple[int, ...]) -> np.ndarray:
+    """tap[i, o]: the flat kernel tap joining input position i to output
+    position o of a zero-padded "same" convolution, or prod(kernel) (a zero
+    weight) where the kernel misses i. Read-only, as every call shares it."""
+    k = np.array(kernel).reshape(-1, 1, 1)
+    size = math.prod(spatial)
+    pos = np.indices(spatial).reshape(len(spatial), size)
+    off = pos[:, :, None] - pos[:, None, :] + k // 2  # (axes, |S|, |S|)
+    inside = ((off >= 0) & (off < k)).all(axis=0)
+    tap = np.where(inside, np.ravel_multi_index(off, kernel, mode="clip"), math.prod(kernel))
+    tap.flags.writeable = False
+    return tap
+
+
+def _conv_band(w: np.ndarray, spatial: tuple[int, ...]):
+    """A zero-padded "same" convolution by w (C_out, C_in, *K), every K odd,
+    over the spatial shape S, as the banded (C_in |S|, C_out |S|) matrix it
+    spans: a (B, C_in |S|) input times the matrix is the (B, C_out |S|)
+    output. Returns the matrix and ``fold``, which sums a gradient with
+    respect to the matrix back onto w's taps with one bincount per
+    (C_out, C_in) pair."""
+    c_out, c_in, *kernel = w.shape
+    tap = _tap_map(tuple(kernel), tuple(spatial))
+    size, taps = tap.shape[0], math.prod(kernel)
+    w_taps = np.zeros((c_out, c_in, taps + 1))
+    w_taps[:, :, :taps] = w.reshape(c_out, c_in, taps)
+    band = w_taps[:, :, tap].transpose(1, 2, 0, 3).reshape(c_in * size, c_out * size)
+
+    def fold(g_band):
+        rows = g_band.reshape(c_in, size, c_out, size).transpose(2, 0, 1, 3)
+        gw = [
+            np.bincount(tap.ravel(), weights=row.ravel(), minlength=taps + 1)[:taps]
+            for row in rows.reshape(c_out * c_in, size, size)
+        ]
+        return np.reshape(gw, w.shape)
+
+    return band, fold
+
+
+def cross_axis_fusion(
+    x, pagerank, batch_index, num_graphs: int, nd_w, nd_b, nc_w, nc_b, dc_w, dc_b, pr_w, pr_b
+) -> Tensor:
+    """Cross-axis fusion attention over x (n, dh, C), as one tape node.
+
+    Three sigmoid gates recalibrate x, each a "same" convolution of a
+    max-and-mean pool (the Z-pool of triplet attention, Misra et al., arXiv
+    2010.03045):
+
+        g_nd (n, dh)    = sigmoid(conv_nd(Z-pool of x over C) + nd_b)
+        g_nc (n, C)     = sigmoid(conv_nc(Z-pool of x over dh) + nc_b)
+        g_dc (G, dh, C) = sigmoid(conv_dc(max and mean over graph g's
+                                   nodes of w_p x) + dc_b)
+        out[v]          = x[v] * (g_nd[v, :, None] + g_nc[v, None, :]
+                                  + g_dc[batch_index[v]]) / 3
+
+    where w_p is the softmax over each graph's nodes of pagerank * pr_w +
+    pr_b, and an empty graph pools to 0. The kernels are nd_w (1, 2, K),
+    nc_w (1, 2, K') and dc_w (1, 2, K, K), every K odd, and the biases,
+    pr_w and pr_b are (1,). Each convolution is one banded matmul. The short
+    axes are reduced slice by slice, and a max routes its gradient to the
+    earliest maximum along the axis or over a graph's rows; the backward is
+    written out in closed form.
+    """
+    x, nd_w, nd_b, nc_w, nc_b, dc_w, dc_b, pr_w, pr_b = (
+        as_tensor(t) for t in (x, nd_w, nd_b, nc_w, nc_b, dc_w, dc_b, pr_w, pr_b)
+    )
+    pagerank = np.asarray(pagerank, dtype=np.float64)
+    batch_index = np.asarray(batch_index, dtype=np.int64)
+    kernels = (nd_w, nc_w, dc_w)
+    if (
+        x.ndim != 3 or pagerank.shape != x.shape[:1] or batch_index.shape != x.shape[:1]
+        or [w.ndim for w in kernels] != [3, 3, 4] or any(w.shape[:2] != (1, 2) for w in kernels)
+        or any(k % 2 == 0 for w in kernels for k in w.shape[2:])
+        or any(t.shape != (1,) for t in (nd_b, nc_b, dc_b, pr_w, pr_b))
+    ):
+        raise ShapeError(
+            f"cross_axis_fusion: x {x.shape}, pagerank {pagerank.shape}, "
+            f"batch_index {batch_index.shape}, kernels {[w.shape for w in kernels]}, "
+            f"biases and pr {[t.shape for t in (nd_b, nc_b, dc_b, pr_w, pr_b)]}"
+        )
+    n, dh, c = x.shape
+    # The scan hands over a transposed view; one contiguous copy makes every
+    # slice and reduction below run on unit-stride rows. The short axes are
+    # reduced one slice at a time, which on a few slices beats a numpy
+    # reduction along the axis.
+    xc = np.ascontiguousarray(x.data)
+    over_c = [xc[:, :, j] for j in range(c)]  # (n, dh) each
+    over_dh = [xc[:, i, :] for i in range(dh)]  # (n, C) each
+    max_c, max_dh = functools.reduce(np.maximum, over_c), functools.reduce(np.maximum, over_dh)
+    pool_nd = np.concatenate([max_c, functools.reduce(np.add, over_c) * (1.0 / c)], axis=1)
+    pool_nc = np.concatenate([max_dh, functools.reduce(np.add, over_dh) * (1.0 / dh)], axis=1)
+    sig = lambda t: 1.0 / (1.0 + np.exp(-t))
+    band_nd, fold_nd = _conv_band(nd_w.data, (dh,))
+    band_nc, fold_nc = _conv_band(nc_w.data, (c,))
+    gate_nd = sig(pool_nd @ band_nd + nd_b.data)
+    gate_nc = sig(pool_nc @ band_nc + nc_b.data)
+
+    by_graph = _group(batch_index)
+    counts = np.bincount(batch_index, minlength=num_graphs)
+    logits = pagerank * pr_w.data + pr_b.data
+    ex = np.exp(logits - _reduce_groups(logits, by_graph, num_graphs, np.maximum)[batch_index])
+    w_p = ex / _reduce_groups(ex, by_graph, num_graphs, np.add)[batch_index]
+    xw = xc * w_p[:, None, None]
+    gmax = _reduce_groups(xw, by_graph, num_graphs, np.maximum)
+    gmax[counts == 0] = 0.0
+    sizes = np.maximum(counts, 1.0)[:, None, None]
+    gavg = _reduce_groups(xw, by_graph, num_graphs, np.add) / sizes
+    pool_dc = np.concatenate([gmax, gavg], axis=1).reshape(num_graphs, 2 * dh * c)
+    band_dc, fold_dc = _conv_band(dc_w.data, (dh, c))
+    gate_dc = sig(pool_dc @ band_dc + dc_b.data)  # (G, dh C)
+
+    gates = gate_nd[:, :, None] + gate_nc[:, None, :] + gate_dc.reshape(-1, dh, c)[batch_index]
+
+    def bwd(g):
+        g = np.ascontiguousarray(g) * (1.0 / 3.0)
+        gx = g * gates
+        gg = g * xc
+
+        def conv_grads(g_gate, gate, pool, band, fold):
+            g_pre = g_gate * gate * (1.0 - gate)
+            return g_pre @ band.T, fold(pool.T @ g_pre), g_pre.sum().reshape(1)
+
+        g_gate = functools.reduce(np.add, [gg[:, :, j] for j in range(c)])
+        g_pool, gw_nd, gb_nd = conv_grads(g_gate, gate_nd, pool_nd, band_nd, fold_nd)
+        gx += _zpool_grad(over_c, max_c, g_pool[:, :dh], g_pool[:, dh:] * (1.0 / c), 2)
+        g_gate = functools.reduce(np.add, [gg[:, i, :] for i in range(dh)])
+        g_pool, gw_nc, gb_nc = conv_grads(g_gate, gate_nc, pool_nc, band_nc, fold_nc)
+        gx += _zpool_grad(over_dh, max_dh, g_pool[:, :c], g_pool[:, c:] * (1.0 / dh), 1)
+
+        g_gate = _reduce_groups(gg, by_graph, num_graphs, np.add).reshape(num_graphs, dh * c)
+        g_pool, gw_dc, gb_dc = conv_grads(g_gate, gate_dc, pool_dc, band_dc, fold_dc)
+        g_pool = g_pool.reshape(num_graphs, 2, dh, c)
+        # Per graph and entry, the earliest row at the max: a second max over
+        # negated row numbers, -inf for every row below the max.
+        rows = np.arange(n, dtype=np.float64)[:, None, None]
+        neg_rows = np.where(xw == gmax[batch_index], -rows, -np.inf)
+        first = -rows == _reduce_groups(neg_rows, by_graph, num_graphs, np.maximum)[batch_index]
+        gxw = np.where(first, g_pool[:, 0][batch_index], 0.0) + (g_pool[:, 1] / sizes)[batch_index]
+        gx += gxw * w_p[:, None, None]
+        g_wp = (gxw * xc).reshape(n, dh * c).sum(axis=1)
+        dot = _reduce_groups(g_wp * w_p, by_graph, num_graphs, np.add)
+        g_logits = w_p * (g_wp - dot[batch_index])
+        g_pr_w = (g_logits * pagerank).sum().reshape(1)
+        return gx, gw_nd, gb_nd, gw_nc, gb_nc, gw_dc, gb_dc, g_pr_w, g_logits.sum().reshape(1)
+
+    return _node(
+        (xc * gates) * (1.0 / 3.0), (x, nd_w, nd_b, nc_w, nc_b, dc_w, dc_b, pr_w, pr_b), bwd
+    )
+
+
+# -- normalization, dropout -------------------------------------------------------
 
 
 def layer_norm(a, gain, bias) -> Tensor:
@@ -517,50 +673,6 @@ def layer_norm(a, gain, bias) -> Tensor:
         return ga, _unbroadcast(g * xhat, gain.shape), _unbroadcast(g, bias.shape)
 
     return _node(xhat * gain.data + bias.data, (a, gain, bias), bwd)
-
-
-def conv_same(x, w, b) -> Tensor:
-    """Zero-padded "same" convolution over any number of spatial axes.
-
-    x (B, C_in, *S) * w (C_out, C_in, *K) + b (C_out,) -> (B, C_out, *S),
-    every K odd. The kernel is laid out as the banded (C_in |S|, C_out |S|)
-    matrix it spans, so the forward is one matmul and the backward two,
-    plus one bincount per (C_out, C_in) pair to sum the matrix gradient
-    back onto the taps.
-    """
-    x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
-    spatial, kernel = x.shape[2:], w.shape[2:]
-    if (
-        x.ndim < 3 or w.ndim != x.ndim or x.shape[1] != w.shape[1]
-        or b.shape != w.shape[:1] or any(k % 2 == 0 for k in kernel)
-    ):
-        raise ShapeError(f"conv_same: x {x.shape}, w {w.shape}, b {b.shape}")
-    batch, c_in = x.shape[:2]
-    c_out = w.shape[0]
-    size, taps = int(np.prod(spatial)), int(np.prod(kernel))
-    # tap[i, o]: the flat kernel tap joining input position i to output
-    # position o, or ``taps`` (a zero weight) where the kernel misses i.
-    k = np.array(kernel).reshape(-1, 1, 1)
-    pos = np.indices(spatial).reshape(len(spatial), size)
-    off = pos[:, :, None] - pos[:, None, :] + k // 2  # (axes, |S|, |S|)
-    inside = ((off >= 0) & (off < k)).all(axis=0)
-    tap = np.where(inside, np.ravel_multi_index(off, kernel, mode="clip"), taps)
-    w_taps = np.pad(w.data.reshape(c_out, c_in, taps), ((0, 0), (0, 0), (0, 1)))
-    band = w_taps[:, :, tap].transpose(1, 2, 0, 3).reshape(c_in * size, c_out * size)
-    x2 = x.data.reshape(batch, c_in * size)
-    out = (x2 @ band).reshape(batch, c_out, size) + b.data[:, None]
-
-    def bwd(g):
-        g2 = g.reshape(batch, c_out * size)
-        g_band = (x2.T @ g2).reshape(c_in, size, c_out, size).transpose(2, 0, 1, 3)
-        gw = np.stack([
-            np.bincount(tap.ravel(), weights=row.ravel(), minlength=taps + 1)[:taps]
-            for row in g_band.reshape(c_out * c_in, size, size)
-        ])
-        gb = g.reshape(batch, c_out, size).sum(axis=(0, 2))
-        return (g2 @ band.T).reshape(x.shape), gw.reshape(w.shape), gb
-
-    return _node(out.reshape((batch, c_out) + spatial), (x, w, b), bwd)
 
 
 def dropout(a, p: float, train: bool, stream: RngStream | None = None) -> Tensor:

@@ -292,15 +292,6 @@ class FusionWeights:
         )
 
 
-def _zpool(t: Tensor, axis: int) -> Tensor:
-    """Max and mean of (n, a, b) over ``axis`` (1 or 2), stacked as two
-    channels: (n, 2, the other axis)."""
-    shape = (t.shape[0], 1, t.shape[3 - axis])
-    mx = ad.max_(t, axis=axis).reshape(shape)
-    av = ad.mean(t, axis=axis).reshape(shape)
-    return ad.concat([mx, av], axis=1)
-
-
 def digraph_fusion_attention(
     x: Tensor,
     pagerank: np.ndarray,
@@ -317,24 +308,14 @@ def digraph_fusion_attention(
     per graph, convolve 3x3 over (feature, head), and broadcast the gate
     back to that graph's nodes. The output is x times the mean of the three
     gates; pooling is keyed by batch index so graphs in a batch never mix.
+    The block is one op with a closed-form backward,
+    :func:`autodiff.cross_axis_fusion`, which takes the weights in
+    ``FusionWeights`` field order.
     """
-    n, dh, c = x.shape
+    n = x.shape[0]
     if pagerank.shape[0] != n or batch_index.shape[0] != n:
         raise ad.ShapeError("fusion: pagerank/batch_index must align with nodes")
-
-    gate_nd = ad.sigmoid(ad.conv_same(_zpool(x, 2), w.nd_w, w.nd_b)).reshape(n, dh, 1)
-    gate_nc = ad.sigmoid(ad.conv_same(_zpool(x, 1), w.nc_w, w.nc_b))  # (n, 1, C)
-
-    logits = ad.add(ad.mul(ad.constant(pagerank.reshape(-1, 1)), w.pr_w), w.pr_b)
-    w_p = ad.segment_softmax(logits, batch_index, num_graphs)  # (n, 1)
-    xw = ad.mul(x, w_p.reshape(n, 1, 1))
-    gmax = ad.segment_max(xw, batch_index, num_graphs).reshape(num_graphs, 1, dh, c)
-    gavg = ad.segment_mean(xw, batch_index, num_graphs).reshape(num_graphs, 1, dh, c)
-    pooled = ad.concat([gmax, gavg], axis=1)  # (G, 2, dh, C)
-    gate_dc = ad.sigmoid(ad.conv_same(pooled, w.dc_w, w.dc_b)).reshape(num_graphs, dh, c)
-
-    gates = ad.add(ad.add(gate_nd, gate_nc), ad.gather_rows(gate_dc, batch_index))
-    return ad.mul(ad.mul(x, gates), 1.0 / 3.0)
+    return ad.cross_axis_fusion(x, pagerank, batch_index, num_graphs, *vars(w).values())
 
 
 def dirgraphssm_layer(

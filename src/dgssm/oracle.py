@@ -39,6 +39,12 @@ class SuiteResult:
     max_err: float
     detail: str
 
+    def __post_init__(self):
+        # Suites compute these with numpy; plain Python types keep the
+        # result JSON-serializable.
+        self.passed = bool(self.passed)
+        self.max_err = float(self.max_err)
+
     def __str__(self):
         tag = "PASS" if self.passed else "FAIL"
         return f"[{tag}] {self.name}: max err {self.max_err:.3e} ({self.detail})"

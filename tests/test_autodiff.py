@@ -20,6 +20,14 @@ def check(fn, shape, seed=0, tol=1e-4, positive=False):
 
 
 SEG = np.array([0, 0, 1, 2, 2, 2])
+# pagerank, batch_index, num_graphs and the weights of cross_axis_fusion on
+# two graphs of 3 and 2 nodes, each of width (3, 2).
+FUSION_ARGS = (
+    np.array([0.5, 0.2, 0.3, 0.7, 0.3]), np.array([0, 0, 0, 1, 1]), 2,
+    *(Tensor(np.random.default_rng(28 + i).normal(size=shape)) for i, shape in enumerate(
+        [(1, 2, 7), (1,), (1, 2, 1), (1,), (1, 2, 3, 3), (1,), (1,), (1,)]
+    )),
+)
 
 
 @pytest.mark.parametrize(
@@ -37,7 +45,8 @@ SEG = np.array([0, 0, 1, 2, 2, 2])
         ("matmul", lambda x: ad.sum_(ad.matmul(x, ad.constant(np.random.default_rng(1).normal(size=(4, 3))))), (2, 4), False),
         ("softmax", lambda x: ad.sum_(ad.mul(ad.softmax(x, axis=1), ad.constant(np.random.default_rng(2).normal(size=(3, 5))))), (3, 5), False),
         ("mean_axis", lambda x: ad.sum_(ad.mul(ad.mean(x, axis=0, keepdims=True), ad.mean(x, axis=1, keepdims=True))), (3, 3), False),
-        ("max_axis", lambda x: ad.sum_(ad.max_(x, axis=0)), (4, 3), False),
+        # A transposed leaf gives the fused op a strided (5, 3, 2) input, as the scan does.
+        ("cross_axis_fusion_strided", lambda x: ad.sum_(ad.mul(ad.cross_axis_fusion(ad.transpose(x, (0, 2, 1)), *FUSION_ARGS), ad.constant(np.random.default_rng(27).normal(size=(5, 3, 2))))), (5, 2, 3), False),
         ("transpose", lambda x: ad.sum_(ad.mul(ad.transpose(x, (1, 2, 0)), ad.constant(np.random.default_rng(3).normal(size=(3, 4, 2))))), (2, 3, 4), False),
         ("reshape", lambda x: ad.sum_(ad.mul(x.reshape(6, 2), ad.constant(np.random.default_rng(4).normal(size=(6, 2))))), (3, 4), False),
         ("concat", lambda x: ad.sum_(ad.mul(ad.concat([x, ad.mul(x, 2.0)], axis=1), ad.constant(np.random.default_rng(5).normal(size=(3, 8))))), (3, 4), False),
@@ -70,23 +79,29 @@ def test_gradients_on_size_one_edge_dimensions(shape):
     ids=["L6-k1", "L6-k3", "L4-k7", "4x5-k3x3", "3x2-k1x7", "2x3-k7x3"],
 )
 def test_conv_same_matches_per_tap_reference(spatial, kernel, c_out):
+    # cross_axis_fusion runs its convolutions as banded matmuls: the input
+    # times the band matrix, and in the backward the probe times its
+    # transpose and the band gradient folded onto the taps. The convolution
+    # is linear in x and in w, so the exact gradients are the reference's
+    # response to each unit input and to each unit kernel.
     stream = RngStream(13)
-    x = Tensor(stream.normal(size=(3, 2) + spatial))
-    w = Tensor(stream.normal(size=(c_out, 2) + kernel))
-    b = Tensor(stream.normal(size=(c_out,)))
-    out = ad.conv_same(x, w, b)
-    want = conv_same_reference(x.data, w.data, b.data)
+    x = stream.normal(size=(3, 2) + spatial)
+    w = stream.normal(size=(c_out, 2) + kernel)
+    b = stream.normal(size=(c_out,))
+    band, fold = ad._conv_band(w, spatial)
+    x2 = x.reshape(3, -1)
+    out = (x2 @ band).reshape((3, c_out) + spatial) + b.reshape((-1,) + (1,) * len(spatial))
+    want = conv_same_reference(x, w, b)
     assert out.shape == want.shape
-    assert np.abs(out.data - want).max() <= 1e-12 * np.abs(want).max()
-    probe = ad.constant(stream.normal(size=want.shape))
-    operands = {"x": x, "w": w, "b": b}
-    for name, leaf in operands.items():
-        def fn(t, name=name):
-            args = {**operands, name: t}
-            return ad.sum_(ad.mul(ad.conv_same(args["x"], args["w"], args["b"]), probe))
+    assert np.abs(out - want).max() <= 1e-12 * np.abs(want).max()
 
-        report = grad_check(fn, Tensor(leaf.data.copy()), eps=1e-5, tol=1e-6)
-        assert report.passed, f"{name}: {report}"
+    probe = stream.normal(size=want.shape)
+    p2 = probe.reshape(3, -1)
+    units = lambda a: (np.eye(a.size)[i].reshape(a.shape) for i in range(a.size))
+    gx = [np.sum(probe * conv_same_reference(e, w, np.zeros_like(b))) for e in units(x)]
+    gw = [np.sum(probe * conv_same_reference(x, e, np.zeros_like(b))) for e in units(w)]
+    for got, exact in [((p2 @ band.T).ravel(), gx), (fold(x2.T @ p2).ravel(), gw)]:
+        assert np.abs(got - exact).max() <= 1e-12 * np.abs(exact).max()
 
 
 @pytest.mark.parametrize("shape", [(4, 5), (3, 1), (2, 3, 6)], ids=["rows", "d1", "3d"])
@@ -114,10 +129,12 @@ def test_shape_errors_name_the_op():
         ad.mse_loss(Tensor(np.zeros(3)), Tensor(np.zeros(4)))
     with pytest.raises(ShapeError, match="segment"):
         ad.segment_sum(Tensor(np.zeros((3, 2))), np.array([0, 1]), 2)
-    with pytest.raises(ShapeError, match="conv_same"):
-        ad.conv_same(Tensor(np.zeros((2, 3, 4))), Tensor(np.zeros((1, 2, 3))), Tensor(np.zeros(1)))
-    with pytest.raises(ShapeError, match="conv_same"):
-        ad.conv_same(Tensor(np.zeros((2, 2, 4))), Tensor(np.zeros((1, 2, 2))), Tensor(np.zeros(1)))
+    pagerank, batch_index, num_graphs, nd_w, *rest = FUSION_ARGS
+    with pytest.raises(ShapeError, match="cross_axis_fusion"):  # x is not (n, dh, C)
+        ad.cross_axis_fusion(Tensor(np.zeros((5, 6))), *FUSION_ARGS)
+    with pytest.raises(ShapeError, match="cross_axis_fusion"):  # an even kernel
+        ad.cross_axis_fusion(Tensor(np.zeros((5, 3, 2))), pagerank, batch_index, num_graphs,
+                             Tensor(np.zeros((1, 2, 6))), *rest)
 
 
 def test_softmax_single_element_segment_is_one():
@@ -147,16 +164,6 @@ def test_segment_max_ties_and_empty_segments():
     ad.sum_(ad.mul(y, ad.constant(g))).backward()
     # Each tie goes to the earliest row; the empty segment's gradient goes nowhere.
     assert np.array_equal(x.grad, [[5.0, 0.0], [1.0, 2.0], [0.0, 6.0], [0.0, 0.0]])
-
-
-@pytest.mark.parametrize("keepdims", [False, True])
-def test_max_ties_route_gradient_to_first_maximum(keepdims):
-    # Row 0 ties at positions 1 and 3, row 1 at all three of 0, 2 and 3.
-    x = Tensor(np.array([[1.0, 4.0, 2.0, 4.0], [3.0, 1.0, 3.0, 3.0]]), requires_grad=True)
-    y = ad.max_(x, axis=1, keepdims=keepdims)
-    assert np.array_equal(y.data.reshape(-1), [4.0, 3.0])
-    ad.sum_(ad.mul(y, ad.constant(np.array([2.0, 5.0]).reshape(y.shape)))).backward()
-    assert np.array_equal(x.grad, [[0.0, 2.0, 0.0, 0.0], [5.0, 0.0, 0.0, 0.0]])
 
 
 def test_segment_ops_handle_unsorted_keys():

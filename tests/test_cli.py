@@ -129,6 +129,15 @@ def test_oracle_check_subcommand(capsys):
     assert result["name"] == "scc" and result["passed"]
 
 
+def test_oracle_check_receptive_field_json(capsys):
+    # This suite computes its verdict and error with numpy; --json must
+    # still print plain JSON.
+    rc = main(["oracle-check", "receptive-field", "--json"])
+    (result,) = json.loads(capsys.readouterr().out)
+    assert rc == 0 and result["name"] == "receptive-field" and result["passed"] is True
+    assert isinstance(result["max_err"], float)
+
+
 def test_oracle_check_unknown_suite_rejected():
     with pytest.raises(SystemExit):
         main(["oracle-check", "bogus"])

@@ -28,7 +28,7 @@ from dgssm.rng import RngStream
 from dgssm.ssm import init_s4d, kernel_table
 from dgssm.train import collate, prepare_graphs
 
-from conftest import conv_same_reference, make_random_digraph
+from conftest import conv_same_reference, fusion_composition, make_random_digraph
 
 
 # -- depth positional encoding ------------------------------------------------------
@@ -374,6 +374,52 @@ def test_fusion_matches_numpy_reference(heads, dh):
 
     report = grad_check_params(loss, params, eps=1e-5, tol=1e-6)
     assert report.passed, str(report)
+
+
+def _fusion_grads(fusion, data, pr, batch_index, num_graphs, w, probe):
+    """Output, x gradient and weight gradients of ``fusion`` on ``data``."""
+    x = Tensor(data, requires_grad=True)
+    for t in vars(w).values():
+        t.zero_grad()
+    out = fusion(x, pr, batch_index, num_graphs, w)
+    ad.sum_(ad.mul(out, ad.constant(probe))).backward()
+    return [out.data, x.grad] + [t.grad for t in vars(w).values()]
+
+
+@pytest.mark.parametrize("heads,dh", [(1, 8), (2, 4), (4, 2), (8, 1)])
+def test_fusion_ties_route_gradients_like_the_composition(heads, dh):
+    # The tied batch reaches its max over heads or features twice on nodes
+    # 0-5 and its per-graph max twice in the last graph. The fused op sends
+    # each of those gradients to the earliest maximum, as the op-by-op
+    # composition does. pr.b's gradient is 0 in exact arithmetic, so the
+    # bound is absolute where the gradient is below 1.
+    stream = RngStream(19)
+    _, tied, pr, batch_index, num_graphs = _tied_fusion_batch(stream, dh, heads)
+    w = _fusion_weights(stream, heads)
+    probe = stream.normal(size=tied.shape)
+    got, want = (
+        _fusion_grads(f, tied, pr, batch_index, num_graphs, w, probe)
+        for f in (digraph_fusion_attention, fusion_composition)
+    )
+    for a, b in zip(got, want):
+        assert np.abs(a - b).max() <= 1e-12 * max(np.abs(b).max(), 1.0)
+
+
+def test_fusion_strided_input_bit_identical():
+    # The scan hands the fusion a transposed view of its output.
+    stream = RngStream(20)
+    x, _, pr, batch_index, num_graphs = _tied_fusion_batch(stream, 4, 3)
+    w = _fusion_weights(stream, 3)
+    probe = stream.normal(size=x.shape)
+    strided = np.ascontiguousarray(x.transpose(0, 2, 1)).transpose(0, 2, 1)
+    assert not strided.flags.c_contiguous
+    op = lambda t, *args: ad.cross_axis_fusion(t, *args[:3], *vars(args[3]).values())
+    got, want = (
+        _fusion_grads(op, data, pr, batch_index, num_graphs, w, probe)
+        for data in (strided, np.ascontiguousarray(strided))
+    )
+    for a, b in zip(got, want):
+        assert np.array_equal(a, b)
 
 
 def test_fusion_batch_isolation_bit_identical():

@@ -12,15 +12,15 @@ Graph sparsity is handled by index-based segment operations (sum / mean /
 max / softmax keyed by an index vector) rather than sparse matrices.
 Elementwise ops broadcast by numpy trailing-axis rules; gradients of
 broadcast inputs are reduced back to the input shape. The model only relies
-on the patterns (n,d)+(d,), (D,1)*(D,d), (K+1,1)*(1,D) and scalar ops, all
-covered by that rule.
+on the pattern (n,d)+(d,) and scalar ops, both covered by that rule.
 
 Two of the model's blocks are fused ops. Each records a single tape node
 whose backward is written out in closed form, instead of the gathers,
 broadcasts, pools and segment ops it would otherwise be composed from:
 
-- ``hop_attention_scan``: per-head attention over each center's
-  (predecessor, hop) pairs, hop-decayed messages summed in the diagonal SSM
+- ``hop_attention_scan``: the q/k/v projections, the zero-order-hold
+  discretization of the diagonal SSM, per-head attention over each center's
+  (predecessor, hop) pairs, and hop-decayed messages summed in the SSM
   state and read out through C;
 - ``cross_axis_fusion``: the fusion block's three sigmoid gates over Z-pools
   of the head and feature axes and a PageRank-weighted pool per graph, each
@@ -174,27 +174,10 @@ def mul(a, b) -> Tensor:
     )
 
 
-def div(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    return _node(
-        a.data / b.data,
-        (a, b),
-        lambda g: (
-            _unbroadcast(g / b.data, a.shape),
-            _unbroadcast(-g * a.data / (b.data * b.data), b.shape),
-        ),
-    )
-
-
 def exp(a) -> Tensor:
     a = as_tensor(a)
     out_data = np.exp(a.data)
     return _node(out_data, (a,), lambda g: (g * out_data,))
-
-
-def log(a) -> Tensor:
-    a = as_tensor(a)
-    return _node(np.log(a.data), (a,), lambda g: (g / a.data,))
 
 
 def sigmoid(a) -> Tensor:
@@ -402,41 +385,55 @@ def segment_softmax(a, seg, num_segments: int) -> Tensor:
     return _node(s, (a,), bwd)
 
 
-def hop_attention_scan(q, k, bv, powers, c, pairs, spd, heads: int) -> Tensor:
-    """Attention-weighted hop scan in a diagonal state, as one tape node.
+def hop_attention_scan(fx, wq, wk, wv, a_log, log_dt, b, c, pairs, spd, heads: int) -> Tensor:
+    """The whole attention-weighted hop scan in a diagonal state, as one tape node.
 
+    The SSM is discretized by zero-order hold, a = -exp(a_log),
+    dt = exp(log_dt), a_bar = exp(dt a), b_bar = (a_bar - 1) / a * b, and
+    every message is projected into the state once, bv = (fx wv) b_bar^T.
     For a pair e = (u, v) of predecessor u and center v at hop distance
     s = spd[e], and head h of width dh = d / heads:
 
         alpha[h, e] = softmax over the pairs of v of <q_v, k_u>_h / sqrt(dh)
-        z[h, :, v]  = sum over the pairs of v of alpha[h, e] * bv_u * powers[s]
+        z[h, :, v]  = sum over the pairs of v of alpha[h, e] * bv_u * a_bar^s
         y[v, j, h]  = sum_i c[h*dh + j, i] * z[h, i, v]
 
-    with q, k (n, d), bv (n, D), powers (K+1, D) and c (d, D); returns y,
-    shape (n, dh, heads). Per-pair arrays are kept feature-major, (F, E),
-    so every segment reduction runs along a contiguous last axis; the
-    backward is written out in closed form rather than taped op by op.
+    with q = fx wq, k = fx wk, fx (n, d_in), wq, wk, wv (d_in, d), a_log and
+    log_dt (D,), b (D, d) and c (d, D); returns y, shape (n, dh, heads). The
+    power table exp(s log a_bar) has a row per hop up to max(spd). Per-pair
+    arrays are kept feature-major, (F, E), so every segment reduction runs
+    along a contiguous last axis; the backward is written out in closed form.
     """
-    q, k, bv, powers, c = (as_tensor(t) for t in (q, k, bv, powers, c))
+    fx, wq, wk, wv, a_log, log_dt, b, c = map(as_tensor, (fx, wq, wk, wv, a_log, log_dt, b, c))
     pairs = np.asarray(pairs, dtype=np.int64)
     spd = np.asarray(spd, dtype=np.int64)
-    n, d = q.shape
-    state = bv.shape[-1]
+    d, state = c.shape if c.ndim == 2 else (-1, -1)
     if (
-        k.shape != (n, d) or bv.shape != (n, state) or c.shape != (d, state)
-        or powers.ndim != 2 or powers.shape[1] != state or d % heads
-        or pairs.ndim != 2 or pairs.shape[1] != 2 or spd.shape != (pairs.shape[0],)
+        d < 0 or fx.ndim != 2 or any(w.shape != (fx.shape[1], d) for w in (wq, wk, wv))
+        or a_log.shape != (state,) or log_dt.shape != (state,) or b.shape != (state, d)
+        or d % heads or pairs.ndim != 2 or pairs.shape[1] != 2 or spd.shape != (pairs.shape[0],)
     ):
         raise ShapeError(
-            f"hop_attention_scan: q {q.shape}, k {k.shape}, bv {bv.shape}, "
-            f"powers {powers.shape}, c {c.shape}, pairs {pairs.shape}, "
-            f"spd {spd.shape}, heads {heads}"
+            f"hop_attention_scan: fx {fx.shape}, wq/wk/wv {wq.shape}/{wk.shape}/{wv.shape}, "
+            f"a_log {a_log.shape}, log_dt {log_dt.shape}, b {b.shape}, c {c.shape}, "
+            f"pairs {pairs.shape}, spd {spd.shape}, heads {heads}"
         )
+    n = fx.shape[0]
     dh = d // heads
     e = pairs.shape[0]
     scale = 1.0 / np.sqrt(dh)
     u, v = np.ascontiguousarray(pairs.T)
     by_center = _group(v)
+
+    a = -np.exp(a_log.data)
+    dt = np.exp(log_dt.data)
+    a_bar = np.exp(dt * a)
+    coef = (a_bar - 1.0) / a
+    b_bar = coef.reshape(-1, 1) * b.data
+    hops = np.arange(spd.max(initial=0) + 1, dtype=np.float64).reshape(-1, 1)
+    powers = np.exp(hops * np.log(a_bar).reshape(1, -1))  # (K+1, D)
+    xv = fx.data @ wv.data
+    bv = xv @ b_bar.T  # (n, D)
 
     # Gather along the last axis of a contiguous feature-major table. take()
     # keeps the pair axis contiguous; fancy indexing ``t[:, idx]`` would
@@ -444,11 +441,11 @@ def hop_attention_scan(q, k, bv, powers, c, pairs, spd, heads: int) -> Tensor:
     def at(table, idx):
         return np.ascontiguousarray(table).take(idx, axis=-1)
 
-    qg, kg = at(q.data.T, v), at(k.data.T, u)  # (d, E)
+    qg, kg = at((fx.data @ wq.data).T, v), at((fx.data @ wk.data).T, u)  # (d, E)
     scores = (qg * kg).reshape(heads, dh, e).sum(axis=1) * scale  # (heads, E)
     ex = np.exp(scores - at(_reduce_groups(scores, by_center, n, np.maximum, axis=1), v))
     alpha = ex / at(_reduce_groups(ex, by_center, n, np.add, axis=1), v)
-    bvg, pg = at(bv.data.T, u), at(powers.data.T, spd)  # (D, E)
+    bvg, pg = at(bv.T, u), at(powers.T, spd)  # (D, E)
     m = bvg * pg
     z = _reduce_groups(alpha[:, None, :] * m, by_center, n, np.add, axis=2)  # (heads, D, n)
     c_heads = c.data.reshape(heads, dh, state)
@@ -475,10 +472,21 @@ def hop_attention_scan(q, k, bv, powers, c, pairs, spd, heads: int) -> Tensor:
         by_pred = keyed_sum(u, n, np.concatenate([
             (gscores * qg.reshape(heads, dh, e)).reshape(d, e), gm * pg,
         ]))  # (d + D, n)
-        gpowers = keyed_sum(spd, powers.shape[0], gm * bvg)
-        return gq.T, by_pred[:d].T, by_pred[d:].T, gpowers.T, gc
+        gpowers = keyed_sum(spd, hops.shape[0], gm * bvg).T  # (K+1, D)
 
-    return _node(y.transpose(0, 2, 1), (q, k, bv, powers, c), bwd)
+        # Through bv = (fx wv) b_bar^T, the projections and the ZOH, where
+        # d a_bar / d(dt a) = a_bar and d coef / d a_bar = 1 / a.
+        gk, gbv = by_pred[:d].T, by_pred[d:].T
+        gxv = gbv @ b_bar
+        gb_bar = gbv.T @ xv  # (D, d)
+        gcoef = (gb_bar * b.data).sum(axis=1)
+        gda = gcoef * a_bar / a + (gpowers * hops * powers).sum(axis=0)
+        gfx = gq.T @ wq.data.T + gk @ wk.data.T + gxv @ wv.data.T
+        g_log_dt = gda * dt * a
+        return (gfx, fx.data.T @ gq.T, fx.data.T @ gk, fx.data.T @ gxv,
+                g_log_dt - gcoef * coef, g_log_dt, coef.reshape(-1, 1) * gb_bar, gc)
+
+    return _node(y.transpose(0, 2, 1), (fx, wq, wk, wv, a_log, log_dt, b, c), bwd)
 
 
 def _zpool_grad(slices: list[np.ndarray], mx: np.ndarray, g_max, g_mean, axis: int) -> np.ndarray:

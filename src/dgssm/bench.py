@@ -1,11 +1,10 @@
 """Per-stage timing across hop bounds.
 
-Times preprocessing, the ZOH power table (discretization plus the (K+1) x D
-table of a_bar powers the scan gathers from), forward, and backward on a
-fixed set of graphs while the hop bound K sweeps a range. The scan's work is
-proportional to the total number of hop pairs, so forward time should grow
-at most linearly in that count (plus a K-independent floor from the encoder,
-fusion, and feed-forward blocks).
+Times preprocessing, forward, and backward on a fixed set of graphs while
+the hop bound K sweeps a range. The scan's work is proportional to the
+total number of hop pairs, so forward time should grow at most linearly in
+that count (plus a K-independent floor from the encoder, fusion, and
+feed-forward blocks).
 """
 
 from __future__ import annotations
@@ -16,9 +15,8 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .graphs import DiGraph
-from .model import ModelConfig, _ssm_view, init_weights, model_forward, model_loss
+from .model import ModelConfig, init_weights, model_forward, model_loss
 from .rng import RngStream
-from .ssm import discretize, hop_powers
 from .train import collate, prepare_graphs
 
 # The sweep's fixed workload: 8 chains of 120 nodes, a one-layer model of
@@ -34,7 +32,6 @@ class BenchRecord:
     k: int
     total_pairs: int
     preprocess_s: float
-    kernel_s: float
     forward_s: float
     backward_s: float
 
@@ -82,8 +79,6 @@ def run_bench(ks: list[int] | None = None, seed: int = 0) -> list[BenchRecord]:
         prepared = prepare_graphs(graphs, cfg)
         t_pre = time.perf_counter() - t0
         batch, fwd, rev = collate(prepared)
-        ssm = _ssm_view(params, "layers.0.fwd.ssm")
-        t_kernel = _time(lambda: hop_powers(discretize(ssm)[0], k))
 
         def fwd_once():
             return model_forward(batch, fwd, rev, cfg, params, train=False)
@@ -106,7 +101,6 @@ def run_bench(ks: list[int] | None = None, seed: int = 0) -> list[BenchRecord]:
                 k=k,
                 total_pairs=fwd.num_pairs,
                 preprocess_s=t_pre,
-                kernel_s=t_kernel,
                 forward_s=t_forward,
                 backward_s=t_backward,
             )

@@ -20,11 +20,11 @@ import numpy as np
 
 from .bench import run_bench, scaling_summary
 from .graphs import load_graphs
-from .model import ModelConfig
+from .model import ModelConfig, load_model
 from .oracle import SUITES, oracle_check
 from .stats import compute_stats
 from .synth import TASK_KINDS, SyntheticTaskSpec, gen_synthetic
-from .train import RunConfig, evaluate_checkpoint, train
+from .train import LabelError, RunConfig, evaluate, train
 
 
 def _resolve_seed(args, config: dict | None = None) -> int | None:
@@ -111,12 +111,20 @@ def _cmd_gen(args) -> int:
     return 0
 
 
+def _hop_bound(text: str) -> int | float:
+    """A hop bound: an integer >= 0, or "inf" for unbounded."""
+    if text == "inf":
+        return math.inf
+    if not text.isdigit():
+        raise argparse.ArgumentTypeError(f"must be an integer >= 0 or 'inf', got {text!r}")
+    return int(text)
+
+
 def _cmd_stats(args) -> int:
     graphs = []
     for path in args.data:
         graphs.extend(load_graphs(path))
-    k = math.inf if args.k in ("inf", None) else int(args.k)
-    report = compute_stats(graphs, k)
+    report = compute_stats(graphs, args.k)
     print(report.to_json() if args.json else report.format_text())
     return 0
 
@@ -172,7 +180,15 @@ def _cmd_eval(args) -> int:
     graphs = load_graphs(args.data)
     if not graphs:
         raise ValueError(f"{args.data}: no graphs to evaluate")
-    metrics = evaluate_checkpoint(args.checkpoint, graphs)
+    cfg, params, _, _ = load_model(args.checkpoint)
+    meta = Path(args.data).with_name("task_meta.json")
+    task = json.loads(meta.read_text()).get("model_task", cfg.task) if meta.exists() else cfg.task
+    if task != cfg.task:
+        raise ValueError(f"{args.data}: the checkpoint's task is {cfg.task!r}, but {meta} names {task!r}")
+    try:
+        metrics = evaluate(cfg, params, graphs)
+    except LabelError as e:
+        raise LabelError(f"{args.data}: {e}") from None
     if args.json:
         print(json.dumps(metrics))
     else:
@@ -206,11 +222,11 @@ def _cmd_bench(args) -> int:
     if args.json:
         print(json.dumps(summary))
     else:
-        print(f"{'k':>3} {'pairs':>8} {'pre(s)':>8} {'powers(s)':>10} {'fwd(s)':>8} {'bwd(s)':>8}")
+        print(f"{'k':>3} {'pairs':>8} {'pre(s)':>8} {'fwd(s)':>8} {'bwd(s)':>8}")
         for r in records:
             print(
                 f"{r.k:>3} {r.total_pairs:>8} {r.preprocess_s:>8.3f} "
-                f"{r.kernel_s:>10.4f} {r.forward_s:>8.3f} {r.backward_s:>8.3f}"
+                f"{r.forward_s:>8.3f} {r.backward_s:>8.3f}"
             )
         print(f"max superlinearity vs pair count: {summary['max_superlinearity']:.3f}")
     if args.out:
@@ -238,7 +254,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("stats", help="dataset statistics report")
     p.add_argument("--data", nargs="+", required=True)
-    p.add_argument("--k", default="inf", help="hop bound for predecessor counts (int or 'inf')")
+    p.add_argument("--k", type=_hop_bound, default="inf",
+                   help="hop bound for predecessor counts (int >= 0 or 'inf')")
     _add_common(p, "json")
     p.set_defaults(fn=_cmd_stats)
 

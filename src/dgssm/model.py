@@ -26,7 +26,7 @@ from .autodiff import ParameterSet, Tensor
 from .checkpoint import load_arrays, save_arrays
 from .graphs import GraphBatch
 from .rng import RngStream
-from .ssm import SSMParams, discretize, hop_powers, init_s4d
+from .ssm import SSMParams, init_s4d
 
 TASKS = ("node-classify", "node-regress", "graph-classify", "graph-regress")
 
@@ -248,15 +248,13 @@ def digraph_ssm_scan(
     C diag(a_bar)^s B_bar. The scan applies it in the D-dimensional state:
     each node's message is projected once into the state, each pair scales
     it by a_bar^s, the alpha-weighted pairs are summed per center and head,
-    and head c is read out through its rows of C. Everything after the
-    projections and the power table is one op with a closed-form backward,
-    :func:`autodiff.hop_attention_scan`. Returns the head-stacked tensor
-    (n, d_head, heads).
+    and head c is read out through its rows of C. The projections, the
+    zero-order-hold discretization, the power table and the scan are one op
+    with a closed-form backward, :func:`autodiff.hop_attention_scan`.
+    Returns the head-stacked tensor (n, d_head, heads).
     """
-    a_bar, b_bar = discretize(ssm)
-    bv = ad.matmul(ad.matmul(fx, wv), ad.transpose(b_bar, (1, 0)))  # (n, D)
     return ad.hop_attention_scan(
-        ad.matmul(fx, wq), ad.matmul(fx, wk), bv, hop_powers(a_bar, artifacts.k), ssm.C,
+        fx, wq, wk, wv, ssm.a_log, ssm.log_dt, ssm.B, ssm.C,
         artifacts.k_hop_edge_index, artifacts.k_hop_spd, num_heads,
     )
 

@@ -249,10 +249,26 @@ def train(
     return result
 
 
+class LabelError(ValueError):
+    """A classifier was asked to score a label that is not one of its classes."""
+
+
 def evaluate(cfg: ModelConfig, params: ParameterSet, graphs: list[DiGraph]) -> dict:
     """Metric family on a dataset, eval mode (no dropout)."""
     if not graphs:
         raise ValueError("evaluate: empty graph list")
+    if graphs[0].feature_dim != cfg.in_dim:
+        raise ValueError(
+            f"task mismatch: model expects feature dim {cfg.in_dim}, "
+            f"data has {graphs[0].feature_dim}"
+        )
+    if cfg.task.endswith("classify"):
+        for i, g in enumerate(graphs):
+            y = np.atleast_1d(np.asarray(g.y, dtype=np.float64))
+            bad = y[~((y == np.floor(y)) & (y >= 0) & (y < cfg.num_classes))]
+            if bad.size:
+                raise LabelError(f"graph {i} ({g.graph_id}): label {bad[0]:g} is not a class of the "
+                                 f"{cfg.task} model, an integer in [0, {cfg.num_classes})")
     prepared = prepare_graphs(graphs, cfg)
     preds, labels = predict_dataset(prepared, cfg, params)
     return compute_metrics(cfg, preds, labels)
@@ -260,9 +276,4 @@ def evaluate(cfg: ModelConfig, params: ParameterSet, graphs: list[DiGraph]) -> d
 
 def evaluate_checkpoint(path: str | Path, graphs: list[DiGraph]) -> dict:
     cfg, params, _, _ = load_model(path)
-    if graphs and graphs[0].feature_dim != cfg.in_dim:
-        raise ValueError(
-            f"task mismatch: checkpoint expects feature dim {cfg.in_dim}, "
-            f"data has {graphs[0].feature_dim}"
-        )
     return evaluate(cfg, params, graphs)

@@ -28,6 +28,24 @@ FUSION_ARGS = (
         [(1, 2, 7), (1,), (1, 2, 1), (1,), (1, 2, 3, 3), (1,), (1,), (1,)]
     )),
 )
+# hop_attention_scan's arguments after fx on 4 nodes, d_in 3, d 4, state 3,
+# 2 heads: wq, wk, wv, a_log, log_dt, b, c, pairs, spd, heads.
+SCAN_PAIRS = np.array([[0, 0], [3, 0], [1, 1], [0, 1], [2, 2], [1, 2], [0, 2], [3, 3]])
+SCAN_SPD = np.array([0, 1, 0, 1, 0, 1, 2, 0])
+SCAN_ARGS = (
+    *(Tensor(np.random.default_rng(40 + i).normal(size=shape)) for i, shape in enumerate(
+        [(3, 4), (3, 4), (3, 4), (3,), (3,), (3, 4), (4, 3)]
+    )),
+    SCAN_PAIRS, SCAN_SPD, 2,
+)
+SCAN_FX = Tensor(np.random.default_rng(47).normal(size=(4, 3)))
+
+
+def _scan_with_a_log(a_log):
+    # dt = 1.5 spreads a_bar over (0, 1), far from the near-1 values of the
+    # model's initialization.
+    wq, wk, wv, _, _, b, c, *rest = SCAN_ARGS
+    return ad.hop_attention_scan(SCAN_FX, wq, wk, wv, a_log, np.full(3, np.log(1.5)), b, c, *rest)
 
 
 @pytest.mark.parametrize(
@@ -35,9 +53,10 @@ FUSION_ARGS = (
     [
         ("add_bias", lambda x: ad.sum_(ad.mul(ad.add(x, Tensor(np.arange(4.0))), ad.constant(np.random.default_rng(0).normal(size=(3, 4))))), (3, 4), False),
         ("sub", lambda x: ad.sum_(ad.mul(ad.sub(x, 1.5), ad.sub(x, 0.5))), (3, 4), False),
-        ("div", lambda x: ad.sum_(ad.div(1.0, ad.add(ad.mul(x, x), 1.0))), (2, 5), False),
+        # A transposed leaf gives the scan a strided (4, 3) fx.
+        ("hop_attention_scan_strided", lambda x: ad.sum_(ad.mul(ad.hop_attention_scan(ad.transpose(x, (1, 0)), *SCAN_ARGS), ad.constant(np.random.default_rng(48).normal(size=(4, 2, 2))))), (3, 4), False),
         ("exp", lambda x: ad.sum_(ad.exp(ad.mul(x, 0.3))), (4, 2), False),
-        ("log", lambda x: ad.sum_(ad.log(x)), (5,), True),
+        ("hop_attention_scan_a_log", lambda x: ad.sum_(ad.mul(_scan_with_a_log(x), ad.constant(np.random.default_rng(49).normal(size=(4, 2, 2))))), (3,), True),
         ("layer_norm_gain", lambda x: ad.sum_(ad.mul(ad.layer_norm(ad.constant(np.random.default_rng(19).normal(size=(4, 5))), x, Tensor(np.linspace(-1.0, 2.0, 5))), ad.constant(np.random.default_rng(20).normal(size=(4, 5))))), (5,), False),
         ("layer_norm_bias", lambda x: ad.sum_(ad.mul(ad.exp(ad.layer_norm(ad.constant(np.random.default_rng(21).normal(size=(4, 5))), Tensor(np.linspace(0.5, -1.5, 5)), x)), ad.constant(np.random.default_rng(22).normal(size=(4, 5))))), (5,), False),
         ("sigmoid", lambda x: ad.sum_(ad.sigmoid(x)), (3, 3), False),
@@ -135,6 +154,12 @@ def test_shape_errors_name_the_op():
     with pytest.raises(ShapeError, match="cross_axis_fusion"):  # an even kernel
         ad.cross_axis_fusion(Tensor(np.zeros((5, 3, 2))), pagerank, batch_index, num_graphs,
                              Tensor(np.zeros((1, 2, 6))), *rest)
+    wq, wk, wv, a_log, log_dt, b, c, pairs, spd, heads = SCAN_ARGS
+    with pytest.raises(ShapeError, match="hop_attention_scan"):  # b is (D, d + 1)
+        ad.hop_attention_scan(SCAN_FX, wq, wk, wv, a_log, log_dt, np.zeros((3, 5)), c,
+                              pairs, spd, heads)
+    with pytest.raises(ShapeError, match="hop_attention_scan"):  # 3 heads do not divide d = 4
+        ad.hop_attention_scan(SCAN_FX, *SCAN_ARGS[:-1], 3)
 
 
 def test_softmax_single_element_segment_is_one():

@@ -5,8 +5,10 @@ import pytest
 
 from dgssm.cli import main
 from dgssm.graphs import load_graphs
+from dgssm.model import ModelConfig, init_weights, save_model
+from dgssm.rng import RngStream
 from dgssm.synth import SyntheticTaskSpec, gen_synthetic
-from dgssm.train import RunConfig, evaluate, train
+from dgssm.train import LabelError, RunConfig, evaluate, train
 
 
 TINY_RUN = {
@@ -184,3 +186,33 @@ def test_bench_smoke(capsys):
     assert [r["k"] for r in summary["records"]] == [1, 2]
     assert summary["records"][1]["total_pairs"] > summary["records"][0]["total_pairs"]
     assert all(r["backward_s"] > 0 for r in summary["records"])
+
+
+@pytest.mark.parametrize("k", ["-1", "1e9", "two"])
+def test_stats_rejects_bad_hop_bound(dataset, k, capsys):
+    with pytest.raises(SystemExit):
+        main(["stats", "--data", str(dataset / "train.jsonl"), "--k", k])
+    assert f"argument --k: must be an integer >= 0 or 'inf', got '{k}'" in capsys.readouterr().err
+
+
+def _classifier_checkpoint(path):
+    cfg = ModelConfig(in_dim=3, task="node-classify", num_classes=2, hidden=8, heads=2,
+                      num_layers=1, ssm_state=4, k_hops=2, dropout=0.0)
+    save_model(path, cfg, init_weights(cfg, RngStream(0)))
+    return str(path)
+
+
+def test_eval_rejects_checkpoint_of_another_task(dataset, tmp_path):
+    ckpt = _classifier_checkpoint(tmp_path / "reach.ckpt")
+    with pytest.raises(ValueError, match="task is 'node-classify', but .*task_meta.json names 'node-regress'"):
+        main(["eval", "--checkpoint", ckpt, "--data", str(dataset / "test.jsonl")])
+
+
+def test_eval_rejects_labels_outside_the_classes(dataset, tmp_path):
+    # Without a task_meta.json beside the file, the depth labels themselves
+    # give the mismatch away: most are not classes 0 or 1.
+    ckpt = _classifier_checkpoint(tmp_path / "reach.ckpt")
+    data = tmp_path / "depths.jsonl"
+    data.write_text((dataset / "test.jsonl").read_text())
+    with pytest.raises(LabelError, match=r"depths.jsonl: graph \d+ \(.*\): label \d+ is not a class"):
+        main(["eval", "--checkpoint", ckpt, "--data", str(data)])

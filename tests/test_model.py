@@ -172,7 +172,7 @@ def test_scan_isolated_node_is_hop_zero_message():
     g = DiGraph(1, np.zeros((0, 2), np.int64), np.zeros((1, 3)))
     fx, arts, ssm, (wq, wk, wv) = _scan_setup(g, 2)
     heads = digraph_ssm_scan(fx, arts, ssm, wq, wk, wv, 2)
-    want = kernel_table(ssm, 2).data[0] @ (fx.data[0] @ wv.data)
+    want = kernel_table(ssm, 2)[0] @ (fx.data[0] @ wv.data)
     got = flatten_heads(heads).data[0]
     assert np.allclose(got, want, atol=1e-12)
 
@@ -198,22 +198,52 @@ def test_scan_attention_normalizes_per_center_and_head():
 
 @pytest.mark.parametrize("heads", [1, 2, 4])
 def test_hop_attention_scan_weights_sum_to_one(heads):
-    # With every message and hop power 1, center v's state in head h is the
-    # sum of its attention weights; rows of c that sum to 1 read that sum out
-    # unchanged, so every entry is 1 exactly when attention normalizes per
-    # center and head.
+    # a = -1e-15 and dt = 1 put every hop power a_bar^s within 1e-14 of 1.
+    # fx's column 0 is 1, and wv and b read only that column, so every
+    # message in the state is coef = (a_bar - 1) / a. Scaled by coef, rows of
+    # c summing to 1 read center v's state in head h out as the sum of its
+    # attention weights: every entry is 1 exactly when attention normalizes
+    # per center and head.
     g = DiGraph(7, np.array([[0, 1], [1, 2], [2, 0], [2, 3], [3, 4], [4, 5], [5, 3]]),
                 np.zeros((7, 3)))
     k, d, state = 3, 8, 3
     pairs, spd = k_hop_predecessors(g, k)
     stream = RngStream(22)
-    q, kk = (Tensor(3.0 * stream.normal(size=(g.num_nodes, d))) for _ in range(2))
+    fx = stream.normal(size=(g.num_nodes, d))
+    fx[:, 0] = 1.0
+    wq, wk = (3.0 * stream.normal(size=(d, d)) for _ in range(2))
+    wv, b = np.zeros((d, d)), np.zeros((state, d))
+    wv[0], b[:, 0] = 1.0, 1.0
+    a_log, log_dt = np.full(state, np.log(1e-15)), np.zeros(state)
+    a = -np.exp(a_log)
+    coef = (np.exp(a) - 1.0) / a
     c = stream.uniform(0.1, 1.0, size=(d, state))
-    c /= c.sum(axis=1, keepdims=True)
-    y = ad.hop_attention_scan(q, kk, np.ones((g.num_nodes, state)), np.ones((k + 1, state)),
-                              c, pairs, spd, heads)
+    c /= c.sum(axis=1, keepdims=True) * coef
+    y = ad.hop_attention_scan(fx, wq, wk, wv, a_log, log_dt, b, c, pairs, spd, heads)
     assert y.shape == (g.num_nodes, d // heads, heads)
     assert np.abs(y.data - 1.0).max() <= 1e-12
+
+
+def test_scan_records_one_tape_node(monkeypatch):
+    # The projections, the discretization, the power table and the scan are
+    # a single node whose parents are the leaves themselves.
+    g = make_random_digraph(8, max_nodes=10)
+    fx, arts, ssm, ws = _scan_setup(g, 3)
+    leaves = [fx, *ws, *ssm.tensors().values()]
+    for t in leaves:
+        t.requires_grad = True
+    nodes = []
+    record = ad._node
+
+    def counting_node(data, parents, backward):
+        nodes.append(record(data, parents, backward))
+        return nodes[-1]
+
+    monkeypatch.setattr(ad, "_node", counting_node)
+    heads = digraph_ssm_scan(fx, arts, ssm, *ws, 2)
+    assert nodes == [heads]
+    assert all(p._backward is None for p in heads._parents)
+    assert {id(p) for p in heads._parents} == {id(t) for t in leaves}
 
 
 def test_scan_head_slicing_layout():

@@ -11,6 +11,7 @@ from dgssm.model import ModelConfig, init_weights
 from dgssm.rng import RngStream
 from dgssm.synth import SyntheticTaskSpec, gen_synthetic
 from dgssm.train import (
+    LabelError,
     RunConfig,
     evaluate,
     evaluate_checkpoint,
@@ -134,6 +135,19 @@ def test_classification_metrics_present():
     result = train(run, splits["train"], splits["val"])
     m = evaluate(run.model, result.params, splits["test"])
     assert {"accuracy", "f1_macro", "ap", "roc_auc"} <= set(m)
+
+
+@pytest.mark.parametrize("bad", [2.0, 0.5, -1.0, np.nan], ids=["too-large", "fraction", "negative", "nan"])
+def test_classifier_rejects_labels_outside_its_classes(bad):
+    cfg = ModelConfig(in_dim=3, task="node-classify", num_classes=2, hidden=8, heads=2,
+                      num_layers=1, ssm_state=4, k_hops=2)
+    params = init_weights(cfg, RngStream(0))
+    graphs = [
+        DiGraph(3, [(0, 1), (1, 2)], np.zeros((3, 3)), y=y, graph_id=f"g{i}")
+        for i, y in enumerate([[0, 1, 1], [1, bad, 0], [bad, 0, 0]])
+    ]
+    with pytest.raises(LabelError, match=rf"graph 1 \(g1\): label {bad:g} is not a class"):
+        evaluate(cfg, params, graphs)
 
 
 def test_runconfig_round_trip():

@@ -7,7 +7,8 @@ BFS, and the layered ego sequentializer. All functions are pure and safe to
 parallelize across graphs.
 
 Preprocessing is computed once per graph list, over the disjoint union of
-its graphs (:func:`compute_batch_artifacts`), and split back per graph.
+its graphs (:func:`compute_batch_artifacts`), and split back per graph; the
+reversed graph's hop pairs are derived from the forward ones, not searched.
 Every algorithm gives each graph of a union the result it gives that graph
 alone: SCCs, depth and hop pairs never cross graphs, and PageRank takes the
 graph ordinal per node.
@@ -346,22 +347,21 @@ def compute_artifacts(g: DiGraph, k: int, batch_index: np.ndarray | None = None)
 def compute_batch_artifacts(
     batch: GraphBatch, k: int, bidirectional: bool
 ) -> tuple[list[PreprocessArtifacts], list[PreprocessArtifacts | None]]:
-    """Forward and reverse per-graph artifacts for every graph of ``batch``,
-    computed in one pass over the disjoint union per direction; every reverse
-    entry is None unless ``bidirectional``.
-
-    Depth is a property of the graph that only the input encoding reads, so
-    it is computed once, forward, and the reverse artifacts carry it too.
+    """Forward and reverse per-graph artifacts for every graph of ``batch``
+    from one pass over its disjoint union; every reverse entry is None unless
+    ``bidirectional``. The reverse hop pairs are derived, not searched: the
+    forward pair (u, v) at distance s is the reverse pair (v, u) at distance
+    s. Depth is computed once, forward, and the reverse artifacts carry it;
+    only PageRank runs on the edge-reversed union.
     """
     union = DiGraph(batch.num_nodes, batch.edges, np.empty((batch.num_nodes, 0)))
     fwd = compute_artifacts(union, k, batch_index=batch.batch_index)
     if not bidirectional:
         return unbatch_artifacts(fwd, batch), [None] * batch.num_graphs
-    union = reverse_graph(union)
-    pairs, spd = k_hop_predecessors(union, k)
-    rev = replace(
-        fwd, pagerank=pagerank(union, batch_index=batch.batch_index), k_hop_edge_index=pairs, k_hop_spd=spd
-    )
+    # u reaches v in s hops iff v reaches u in s hops on the reversed graph.
+    order = np.lexsort((fwd.k_hop_edge_index[:, 1], fwd.k_hop_spd, fwd.k_hop_edge_index[:, 0]))
+    rev = replace(fwd, pagerank=pagerank(reverse_graph(union), batch_index=batch.batch_index),
+                  k_hop_edge_index=fwd.k_hop_edge_index[order, ::-1], k_hop_spd=fwd.k_hop_spd[order])
     return unbatch_artifacts(fwd, batch), unbatch_artifacts(rev, batch)
 
 

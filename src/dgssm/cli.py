@@ -24,7 +24,7 @@ from .model import ModelConfig, load_model
 from .oracle import SUITES, oracle_check
 from .stats import compute_stats
 from .synth import TASK_KINDS, SyntheticTaskSpec, gen_synthetic
-from .train import LabelError, RunConfig, evaluate, train
+from .train import RunConfig, check_dataset, evaluate, train
 
 
 def _resolve_seed(args, config: dict | None = None) -> int | None:
@@ -134,8 +134,9 @@ def _infer_model_fields(data_dir: Path, train_graphs: list) -> dict:
     task = json.loads((data_dir / "task_meta.json").read_text())["model_task"]
     num_classes = 0
     if task.endswith("classify"):
-        labels = np.concatenate([np.atleast_1d(np.asarray(g.y)) for g in train_graphs])
-        num_classes = int(labels.max()) + 1
+        # A missing label reads NaN here; check_dataset rejects it by name.
+        labels = np.concatenate([np.atleast_1d(np.asarray(g.y, dtype=np.float64)) for g in train_graphs])
+        num_classes = int(np.nanmax(labels, initial=0)) + 1
     return dict(in_dim=train_graphs[0].feature_dim, task=task, num_classes=num_classes)
 
 
@@ -144,8 +145,12 @@ def _cmd_train(args) -> int:
     _check_config(args.config, cfg_file, RunConfig, "run config")
     _check_config(args.config, cfg_file.get("model", {}), ModelConfig, "model")
     data_dir = Path(args.data)
-    train_graphs = load_graphs(data_dir / "train.jsonl")
-    val_graphs = load_graphs(data_dir / "val.jsonl")
+    paths = [data_dir / "train.jsonl", data_dir / "val.jsonl"]
+    lists = [load_graphs(path) for path in paths]
+    for path, graphs in zip(paths, lists):
+        if not graphs:
+            raise ValueError(f"{path}: empty graph list")
+    train_graphs, val_graphs = lists
     fields = {
         **cfg_file,
         "model": {**_infer_model_fields(data_dir, train_graphs), **cfg_file.get("model", {})},
@@ -165,6 +170,8 @@ def _cmd_train(args) -> int:
             vals = " ".join(f"{k}={rec[k]:.4f}" for k in keys)
             print(f"epoch {rec['epoch']:3d} loss {rec['train_loss']:.4f} {vals}")
 
+    for path, graphs in zip(paths, lists):
+        check_dataset(run.model, graphs, str(path))
     result = train(run, train_graphs, val_graphs, log_fn=log)
     summary = {
         "best_epoch": result.best_epoch,
@@ -185,10 +192,7 @@ def _cmd_eval(args) -> int:
     task = json.loads(meta.read_text()).get("model_task", cfg.task) if meta.exists() else cfg.task
     if task != cfg.task:
         raise ValueError(f"{args.data}: the checkpoint's task is {cfg.task!r}, but {meta} names {task!r}")
-    try:
-        metrics = evaluate(cfg, params, graphs)
-    except LabelError as e:
-        raise LabelError(f"{args.data}: {e}") from None
+    metrics = evaluate(cfg, params, graphs, name=args.data)
     if args.json:
         print(json.dumps(metrics))
     else:

@@ -310,9 +310,6 @@ def digraph_fusion_attention(
     :func:`autodiff.cross_axis_fusion`, which takes the weights in
     ``FusionWeights`` field order.
     """
-    n = x.shape[0]
-    if pagerank.shape[0] != n or batch_index.shape[0] != n:
-        raise ad.ShapeError("fusion: pagerank/batch_index must align with nodes")
     return ad.cross_axis_fusion(x, pagerank, batch_index, num_graphs, *vars(w).values())
 
 

@@ -106,16 +106,9 @@ def grad_check(
     tol: float = 1e-4,
 ) -> GradCheckReport:
     """Compare reverse-mode gradients of scalar ``f(x)`` with central differences."""
-    x.requires_grad = True
-    x.zero_grad()
-    loss = f(x)
-    loss.backward()
-    analytic = np.zeros_like(x.data) if x.grad is None else x.grad.copy()
-    numeric = _central_diff(lambda: f(x), x.data, eps)
-    errs = _relative_error(analytic, numeric)
-    idx = np.unravel_index(np.argmax(errs), errs.shape) if errs.size else ()
-    worst = float(errs[idx]) if errs.size else 0.0
-    return GradCheckReport(worst, "x", idx, worst <= tol)
+    params = ParameterSet()
+    params.add("x", x)
+    return grad_check_params(lambda: f(x), params, eps, tol)
 
 
 def grad_check_params(
@@ -135,6 +128,6 @@ def grad_check_params(
         if errs.size == 0:
             continue
         idx = np.unravel_index(np.argmax(errs), errs.shape)
-        if errs[idx] >= worst:
+        if not errs[idx] < worst:  # a NaN error is the worst
             worst, worst_name, worst_idx = float(errs[idx]), name, idx
     return GradCheckReport(worst, worst_name, worst_idx, worst <= tol)

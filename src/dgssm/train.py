@@ -2,9 +2,12 @@
 
 Runs are bit-reproducible under (seed, config, dataset): parameter init,
 batch order, and dropout all draw from one splittable stream. Preprocessing
-(depth, PageRank, hop pairs, and the same for the edge-reversed graph when
-bidirectional) is computed once per graph list, over the disjoint union of
-its graphs, split back per graph, and concatenated per batch.
+(depth, PageRank and hop pairs, plus the edge-reversed graph's PageRank and
+hop pairs when bidirectional) is computed once per graph list, over the
+disjoint union of its graphs, split back per graph, and concatenated per
+batch. The reversed graph's hop pairs are derived from the forward pairs,
+not searched. Every graph list is checked before it is preprocessed: it must
+be non-empty, of the model's feature width, and labelled as the task needs.
 """
 
 from __future__ import annotations
@@ -173,6 +176,8 @@ def train(
     with a diagnostic on a non-finite loss.
     """
     cfg = run.model
+    check_dataset(cfg, train_graphs, "train_graphs")
+    check_dataset(cfg, val_graphs, "val_graphs")
     stream = RngStream(run.seed)
     init_stream, order_stream, drop_stream = stream.split(3)
     params = init_weights(cfg, init_stream)
@@ -250,25 +255,45 @@ def train(
 
 
 class LabelError(ValueError):
-    """A classifier was asked to score a label that is not one of its classes."""
+    """A graph's label is missing, is not the kind the task reads, or is not
+    one of a classifier's classes."""
 
 
-def evaluate(cfg: ModelConfig, params: ParameterSet, graphs: list[DiGraph]) -> dict:
-    """Metric family on a dataset, eval mode (no dropout)."""
+def check_dataset(cfg: ModelConfig, graphs: list[DiGraph], name: str) -> None:
+    """Reject an empty list, a feature width the model does not take, and a
+    label the task cannot score.
+
+    A node task needs one label per node and a graph task one scalar; a
+    classifier's labels must be integers in ``[0, num_classes)``. Errors start
+    with ``name``; a :class:`LabelError` also names the graph by index and id.
+    """
     if not graphs:
-        raise ValueError("evaluate: empty graph list")
+        raise ValueError(f"{name}: empty graph list")
     if graphs[0].feature_dim != cfg.in_dim:
         raise ValueError(
-            f"task mismatch: model expects feature dim {cfg.in_dim}, "
+            f"{name}: task mismatch: model expects feature dim {cfg.in_dim}, "
             f"data has {graphs[0].feature_dim}"
         )
-    if cfg.task.endswith("classify"):
-        for i, g in enumerate(graphs):
-            y = np.atleast_1d(np.asarray(g.y, dtype=np.float64))
+    node_task = cfg.task.startswith("node")
+    for i, g in enumerate(graphs):
+        where = f"{name}: graph {i} ({g.graph_id})"
+        if g.y is None:
+            raise LabelError(f"{where}: no label")
+        y = np.asarray(g.y, dtype=np.float64)
+        if y.shape != ((g.num_nodes,) if node_task else ()):
+            want = "one label per node" if node_task else "one scalar label"
+            raise LabelError(f"{where}: a {cfg.task} model needs {want}, got shape {y.shape}")
+        if cfg.task.endswith("classify"):
             bad = y[~((y == np.floor(y)) & (y >= 0) & (y < cfg.num_classes))]
             if bad.size:
-                raise LabelError(f"graph {i} ({g.graph_id}): label {bad[0]:g} is not a class of the "
+                raise LabelError(f"{where}: label {bad[0]:g} is not a class of the "
                                  f"{cfg.task} model, an integer in [0, {cfg.num_classes})")
+
+
+def evaluate(cfg: ModelConfig, params: ParameterSet, graphs: list[DiGraph], name: str = "graphs") -> dict:
+    """Metric family on a dataset, eval mode (no dropout); ``name`` names the
+    list in the errors of :func:`check_dataset`."""
+    check_dataset(cfg, graphs, name)
     prepared = prepare_graphs(graphs, cfg)
     preds, labels = predict_dataset(prepared, cfg, params)
     return compute_metrics(cfg, preds, labels)

@@ -216,3 +216,38 @@ def test_eval_rejects_labels_outside_the_classes(dataset, tmp_path):
     data.write_text((dataset / "test.jsonl").read_text())
     with pytest.raises(LabelError, match=r"depths.jsonl: graph \d+ \(.*\): label \d+ is not a class"):
         main(["eval", "--checkpoint", ckpt, "--data", str(data)])
+
+
+def test_eval_names_the_file_of_an_unlabelled_graph(dataset, tmp_path):
+    cfg = ModelConfig(in_dim=3, task="node-regress", hidden=8, heads=2, num_layers=1,
+                      ssm_state=4, k_hops=2, dropout=0.0)
+    ckpt = tmp_path / "depth.ckpt"
+    save_model(ckpt, cfg, init_weights(cfg, RngStream(0)))
+    lines = (dataset / "test.jsonl").read_text().splitlines()
+    record = json.loads(lines[1])
+    del record["y"]
+    data = tmp_path / "unlabelled.jsonl"
+    data.write_text("\n".join([lines[0], json.dumps(record)]) + "\n")
+    with pytest.raises(LabelError, match=r"unlabelled.jsonl: graph 1 \(.*\): no label"):
+        main(["eval", "--checkpoint", str(ckpt), "--data", str(data)])
+
+
+def test_train_names_the_file_of_a_bad_label(dataset, tmp_path):
+    lines = (dataset / "val.jsonl").read_text().splitlines()
+    record = json.loads(lines[0])
+    record["y"] = 1.0
+    (dataset / "val.jsonl").write_text("\n".join([json.dumps(record)] + lines[1:]) + "\n")
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(TINY_RUN))
+    with pytest.raises(LabelError, match=r"val.jsonl: graph 0 \(.*\): a node-regress model needs one label per node"):
+        main(["train", "--data", str(dataset), "--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert not (tmp_path / "out").exists()
+
+
+def test_train_names_an_empty_file(tmp_path):
+    # Two graphs leave the validation split empty.
+    data = tmp_path / "data"
+    assert main(["gen", "--task", "depth-regress", "--num-graphs", "2", "--out", str(data)]) == 0
+    assert (data / "val.jsonl").read_text() == ""
+    with pytest.raises(ValueError, match="val.jsonl: empty graph list"):
+        main(["train", "--data", str(data), "--out", str(tmp_path / "out")])

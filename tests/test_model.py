@@ -323,6 +323,17 @@ def test_fusion_preserves_shape(n, dh, c):
     assert out.shape == (n, dh, c)
 
 
+@pytest.mark.parametrize("misaligned", ["pagerank", "batch_index"])
+def test_fusion_misalignment_raises_the_op_error(misaligned):
+    # The model layer leaves the check to the op, whose error gives every shape.
+    stream = RngStream(10)
+    args = {"pagerank": np.full(5, 0.2), "batch_index": np.zeros(5, np.int64)}
+    args[misaligned] = args[misaligned][:4]
+    with pytest.raises(ad.ShapeError, match=r"cross_axis_fusion: x \(5, 4, 2\), pagerank"):
+        digraph_fusion_attention(Tensor(stream.normal(size=(5, 4, 2))), args["pagerank"],
+                                 args["batch_index"], 1, _fusion_weights(stream, 2))
+
+
 def _fusion_reference(x, pagerank, batch_index, num_graphs, w):
     """The fusion in the layout of the paper: each branch rotates x so that
     the axis it compresses leads, Z-pools that axis, convolves, gates the

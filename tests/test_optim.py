@@ -64,6 +64,12 @@ def test_grad_check_passes_on_simple_function():
     assert report.passed and report.max_rel_err < 1e-6
 
 
+def test_grad_check_fails_on_a_nan_gradient():
+    nan = ad.constant(np.full(3, np.nan))
+    report = grad_check(lambda x: ad.sum_(ad.mul(x, nan)), Tensor(np.arange(3.0)))
+    assert np.isnan(report.max_rel_err) and not report.passed
+
+
 def test_grad_check_catches_wrong_gradient():
     # A "loss" whose backward is deliberately broken via a custom node.
     def bad(x):

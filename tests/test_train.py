@@ -4,6 +4,7 @@ import types
 import numpy as np
 import pytest
 
+from dgssm import algos
 from dgssm.algos import compute_artifacts, depth_plus
 from dgssm.checkpoint import load_arrays
 from dgssm.graphs import DiGraph, reverse_graph
@@ -150,13 +151,56 @@ def test_classifier_rejects_labels_outside_its_classes(bad):
         evaluate(cfg, params, graphs)
 
 
+@pytest.mark.parametrize("split", ["train", "val"])
+def test_train_rejects_label_outside_the_classes_before_training(split, tmp_path):
+    run, splits = _tiny_run(task="reachability-classify", epochs=1)
+    run.out_dir = str(tmp_path / "out")
+    g = splits[split][0]
+    splits[split][0] = DiGraph(g.num_nodes, g.edges, g.node_features, y=np.full(g.num_nodes, 5),
+                               graph_id=g.graph_id)
+    with pytest.raises(LabelError, match=rf"{split}_graphs: graph 0 \({g.graph_id}\): label 5 is not a class"):
+        train(run, splits["train"], splits["val"])
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "task,y,match",
+    [
+        ("node-regress", None, "no label"),
+        ("node-regress", 1.5, r"a node-regress model needs one label per node, got shape \(\)"),
+        ("graph-regress", [1.0, 2.0, 3.0], r"a graph-regress model needs one scalar label, got shape \(3,\)"),
+    ],
+    ids=["missing", "scalar-for-node-task", "array-for-graph-task"],
+)
+def test_labels_of_the_wrong_kind_are_rejected(task, y, match):
+    cfg = ModelConfig(in_dim=3, task=task, hidden=8, heads=2, num_layers=1, ssm_state=4, k_hops=2)
+    good = 0.0 if task.startswith("graph") else [0.0, 1.0, 2.0]
+    graphs = [DiGraph(3, [(0, 1), (1, 2)], np.zeros((3, 3)), y=label, graph_id=f"g{i}")
+              for i, label in enumerate([good, y])]
+    with pytest.raises(LabelError, match=rf"graphs: graph 1 \(g1\): {match}"):
+        evaluate(cfg, init_weights(cfg, RngStream(0)), graphs)
+    run = RunConfig(model=cfg, epochs=1)
+    with pytest.raises(LabelError, match=rf"val_graphs: graph 1 \(g1\): {match}"):
+        train(run, graphs[:1], graphs)
+
+
+@pytest.mark.parametrize("empty", ["train", "val"])
+def test_train_rejects_an_empty_list_before_preprocessing(empty, tmp_path):
+    run, splits = _tiny_run(epochs=1)
+    run.out_dir = str(tmp_path / "out")
+    splits[empty] = []
+    with pytest.raises(ValueError, match=f"{empty}_graphs: empty graph list"):
+        train(run, splits["train"], splits["val"])
+    assert not (tmp_path / "out").exists()
+
+
 def test_runconfig_round_trip():
     run, _ = _tiny_run()
     back = RunConfig.from_dict(json.loads(json.dumps(run.to_dict())))
     assert back.to_dict() == run.to_dict()
 
 
-@pytest.mark.parametrize("k", [0, 2, 4])
+@pytest.mark.parametrize("k", [0, 2, 4, 16])
 @pytest.mark.parametrize("bidirectional", [False, True])
 def test_prepare_graphs_matches_per_graph_artifacts(k, bidirectional):
     gs = [make_random_digraph(seed) for seed in range(6)] + [
@@ -182,6 +226,17 @@ def test_prepare_graphs_matches_per_graph_artifacts(k, bidirectional):
             # Depth is the graph's own, forward, in both directions.
             assert np.array_equal(got.depth, depth_plus(g))
             assert np.abs(got.pagerank - want.pagerank).max() <= 1e-15
+
+
+def test_bidirectional_preprocessing_searches_hop_pairs_once(monkeypatch):
+    # The reverse pairs are derived from the forward ones, so one search serves both.
+    calls = []
+    search = algos.k_hop_predecessors
+    monkeypatch.setattr(algos, "k_hop_predecessors", lambda g, k: calls.append(k) or search(g, k))
+    cfg = ModelConfig(in_dim=3, task="node-regress", k_hops=3, bidirectional=True)
+    prepared = prepare_graphs([make_random_digraph(seed) for seed in range(4)], cfg)
+    assert calls == [3]
+    assert all(p.rev is not None for p in prepared)
 
 
 def test_evaluate_rejects_empty_graph_list():

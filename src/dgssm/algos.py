@@ -11,7 +11,9 @@ its graphs (:func:`compute_batch_artifacts`), and split back per graph; the
 reversed graph's hop pairs are derived from the forward ones, not searched.
 Every algorithm gives each graph of a union the result it gives that graph
 alone: SCCs, depth and hop pairs never cross graphs, and PageRank takes the
-graph ordinal per node.
+graph ordinal per node. PageRank and the hop BFS run in numpy: PageRank
+sweeps only the graphs still running, and the BFS dedupes each level against
+a sorted array of the pairs found so far. Only Tarjan is a Python loop.
 """
 
 from __future__ import annotations
@@ -192,8 +194,15 @@ def pagerank(
     graph still above ``tol`` there raises :class:`ConvergenceError`.
 
     ``batch_index`` (graph ordinal per node) treats ``g`` as a disjoint
-    union: n, the base term and the dangling spill are per graph, and each
-    graph stops on its own sweep, so its scores do not depend on the others.
+    union, and an edge between two of its graphs is refused: n, the base
+    term and the dangling spill are per graph, and each graph stops on its
+    own sweep, so its scores do not depend on the others. Whenever the count
+    of graphs still running halves, the finished ones are written out and
+    dropped from every array (Kamvar, Haveliwala and Golub, "Adaptive methods
+    for the computation of PageRank", 2004), so later sweeps cost only the
+    running graphs. Masking keeps the surviving edges in order, so every
+    ``bincount`` bucket adds the same terms in the same order and the scores
+    are bit-identical.
     """
     if not (0.0 < damping < 1.0):
         raise ValueError(f"pagerank: damping must be in (0, 1), got {damping}")
@@ -205,23 +214,40 @@ def pagerank(
     num_graphs = int(batch_index.max()) + 1 if n else 0
     sizes = np.bincount(batch_index, minlength=num_graphs)[batch_index].astype(np.float64)
     src, dst = g.edges[:, 0], g.edges[:, 1]
+    if not np.array_equal(batch_index[src], batch_index[dst]):
+        raise ValueError("pagerank: an edge joins two graphs of the union")
     outdeg = np.bincount(src, minlength=n).astype(np.float64)
     src_outdeg = outdeg[src]
     dangling = np.flatnonzero(outdeg == 0)
-    dangling_graph = batch_index[dangling]
     x = 1.0 / sizes
     base = (1.0 - damping) / sizes
+    out = np.empty(n)
+    nodes = np.arange(n)  # union ordinal of each node still swept
+    # Graph ids stay union ordinals, so `mass`, `change` and the error index
+    # by the caller's graph numbering however many graphs were dropped.
     active = np.ones(num_graphs, dtype=bool)
+    running = num_graphs  # active graphs at the last compaction
     sweeps = max(math.ceil(math.log(tol / 2) / math.log(damping)), 0) + 1
     for _ in range(sweeps):
-        contrib = np.bincount(dst, weights=x[src] / src_outdeg, minlength=n)
-        mass = np.bincount(dangling_graph, weights=x[dangling], minlength=num_graphs)
+        contrib = np.bincount(dst, weights=x[src] / src_outdeg, minlength=len(x))
+        mass = np.bincount(batch_index[dangling], weights=x[dangling], minlength=num_graphs)
         x_new = base + damping * (contrib + mass[batch_index] / sizes)
         change = np.bincount(batch_index, weights=np.abs(x_new - x), minlength=num_graphs)
         x = np.where(active[batch_index], x_new, x)
         active &= change >= tol
-        if not active.any():
-            return x
+        count = int(np.count_nonzero(active))
+        if 2 * count > running:
+            continue
+        keep = active[batch_index]
+        out[nodes[~keep]] = x[~keep]
+        if not count:
+            return out
+        renumber = np.cumsum(keep) - 1
+        edges = keep[src]
+        src, dst, src_outdeg = renumber[src[edges]], renumber[dst[edges]], src_outdeg[edges]
+        dangling = renumber[dangling[keep[dangling]]]
+        nodes, x, base, sizes, batch_index = nodes[keep], x[keep], base[keep], sizes[keep], batch_index[keep]
+        running = count
     i = int(np.flatnonzero(active)[0])
     raise ConvergenceError(
         f"pagerank: graph {i} still changes by {change[i]:.3g} (tol {tol:g}) after {sweeps} sweeps"
@@ -261,9 +287,10 @@ def k_hop_predecessors(
     ascending, so artifacts are reproducible.
 
     One level-synchronous BFS from every center at once: the frontier is
-    (center, node) pairs, expanded through a CSR in-adjacency, and each
-    level's candidates are deduped on the key ``center * n + u`` against a
-    set of the keys already found, at a cost proportional to the level.
+    (center, node) pairs, expanded through a CSR in-adjacency. Each level's
+    candidate keys ``center * n + u`` are deduped, looked up by binary search
+    in the sorted array of the keys already found, and the new ones merged in
+    by a stable sort of the two sorted runs.
     """
     if not (k == INF_HOPS or (isinstance(k, (int, np.integer)) and k >= 0)):
         raise ValueError(f"k_hop_predecessors: bad hop bound {k!r}")
@@ -271,15 +298,15 @@ def k_hop_predecessors(
     indptr, indices = _csr(g.edges[:, 1], g.edges[:, 0], n)
     centers = nodes = np.arange(n, dtype=np.int64)
     found = [(centers, nodes)]
-    seen = set(range(0, n * n, n + 1))  # the self pairs' keys
+    seen = centers * (n + 1)  # the self pairs' keys, sorted
     hops = 0
     while len(centers) and hops < k:
         hops += 1
         rows, preds = _expand(indptr, indices, nodes)
-        keys = set((centers[rows] * n + preds).tolist())
-        keys.difference_update(seen)
-        seen.update(keys)
-        new = np.sort(np.fromiter(keys, dtype=np.int64, count=len(keys)))
+        keys = _unique(centers[rows] * n + preds)
+        at = np.minimum(np.searchsorted(seen, keys), len(seen) - 1)
+        new = keys[seen[at] != keys]
+        seen = np.sort(np.concatenate([seen, new]), kind="stable")
         centers, nodes = np.divmod(new, n)
         found.append((centers, nodes))
     # Levels come out ordered by (distance, center, predecessor); a stable
@@ -322,14 +349,14 @@ class PreprocessArtifacts:
     pagerank: np.ndarray  # (n,) float64, sums to 1 per graph
     k_hop_edge_index: np.ndarray  # (E, 2) int64
     k_hop_spd: np.ndarray  # (E,) int64
-    k: int
+    k: int | float  # the hop bound; INF_HOPS when unbounded
 
     @property
     def num_pairs(self) -> int:
         return int(self.k_hop_spd.shape[0])
 
 
-def compute_artifacts(g: DiGraph, k: int, batch_index: np.ndarray | None = None) -> PreprocessArtifacts:
+def compute_artifacts(g: DiGraph, k: int | float, batch_index: np.ndarray | None = None) -> PreprocessArtifacts:
     """Depth, PageRank, and bounded-hop predecessor pairs for one graph.
 
     With ``batch_index``, ``g`` is a disjoint union and PageRank is per graph.
@@ -340,12 +367,12 @@ def compute_artifacts(g: DiGraph, k: int, batch_index: np.ndarray | None = None)
         pagerank=pagerank(g, batch_index=batch_index),
         k_hop_edge_index=pairs,
         k_hop_spd=spd,
-        k=int(k),
+        k=k if k == INF_HOPS else int(k),
     )
 
 
 def compute_batch_artifacts(
-    batch: GraphBatch, k: int, bidirectional: bool
+    batch: GraphBatch, k: int | float, bidirectional: bool
 ) -> tuple[list[PreprocessArtifacts], list[PreprocessArtifacts | None]]:
     """Forward and reverse per-graph artifacts for every graph of ``batch``
     from one pass over its disjoint union; every reverse entry is None unless

@@ -255,8 +255,8 @@ def train(
 
 
 class LabelError(ValueError):
-    """A graph's label is missing, is not the kind the task reads, or is not
-    one of a classifier's classes."""
+    """A graph's label is missing, is not the kind the task reads, is not
+    one of a classifier's classes, or is not a finite regression target."""
 
 
 def check_dataset(cfg: ModelConfig, graphs: list[DiGraph], name: str) -> None:
@@ -264,7 +264,8 @@ def check_dataset(cfg: ModelConfig, graphs: list[DiGraph], name: str) -> None:
     label the task cannot score.
 
     A node task needs one label per node and a graph task one scalar; a
-    classifier's labels must be integers in ``[0, num_classes)``. Errors start
+    classifier's labels must be integers in ``[0, num_classes)`` and a
+    regressor's must be finite. Errors start
     with ``name``; a :class:`LabelError` also names the graph by index and id.
     """
     if not graphs:
@@ -288,6 +289,8 @@ def check_dataset(cfg: ModelConfig, graphs: list[DiGraph], name: str) -> None:
             if bad.size:
                 raise LabelError(f"{where}: label {bad[0]:g} is not a class of the "
                                  f"{cfg.task} model, an integer in [0, {cfg.num_classes})")
+        elif not np.isfinite(y).all():
+            raise LabelError(f"{where}: label {y[~np.isfinite(y)][0]:g} is not finite")
 
 
 def evaluate(cfg: ModelConfig, params: ParameterSet, graphs: list[DiGraph], name: str = "graphs") -> dict:

@@ -12,6 +12,7 @@ from dgssm.algos import (
     _reverse_bfs,
     batch_artifacts,
     compute_artifacts,
+    compute_batch_artifacts,
     condense,
     dag_depth,
     depth_plus,
@@ -20,7 +21,7 @@ from dgssm.algos import (
     pagerank,
     tarjan_scc,
 )
-from dgssm.graphs import DiGraph, batch_graphs
+from dgssm.graphs import DiGraph, batch_graphs, reverse_graph
 from dgssm.rng import RngStream
 from dgssm.oracle import (
     brute_force_scc,
@@ -184,19 +185,35 @@ def test_pagerank_tol_validation(tol):
         pagerank(g, tol=tol)
 
 
-def test_pagerank_converges_on_a_long_chain_with_skip_edges():
+def _chain_with_skip_edges() -> DiGraph:
     # Rank takes more than 100 sweeps to settle along a 120-node chain.
     edges = [(j, j + 1) for j in range(119)] + [(j, j + 3) for j in range(0, 117, 7)]
-    g = DiGraph(120, np.array(edges), np.zeros((120, 1)))
+    return DiGraph(120, np.array(edges), np.zeros((120, 1)))
+
+
+def _never_settles() -> DiGraph:
+    # No change in float64 falls below 1e-300 unless the sweep lands on an
+    # exact fixed point, which this graph's iterates never do.
+    return DiGraph(4, np.array([[0, 1], [1, 2], [2, 3], [3, 0], [0, 2], [1, 3]]), np.zeros((4, 1)))
+
+
+def test_pagerank_converges_on_a_long_chain_with_skip_edges():
+    g = _chain_with_skip_edges()
     assert np.abs(pagerank(g) - dense_pagerank(g)).max() <= 1e-10
 
 
 def test_pagerank_raises_when_a_graph_does_not_converge():
-    # No change in float64 falls below 1e-300 unless the sweep lands on an
-    # exact fixed point, which this graph's iterates never do.
-    g = DiGraph(4, np.array([[0, 1], [1, 2], [2, 3], [3, 0], [0, 2], [1, 3]]), np.zeros((4, 1)))
     with pytest.raises(ConvergenceError, match=r"graph 0 still changes by .* after \d+ sweeps"):
-        pagerank(g, tol=1e-300)
+        pagerank(_never_settles(), tol=1e-300)
+
+
+def test_pagerank_error_names_a_graph_by_its_union_ordinal():
+    # The one-node graph settles at once and is dropped from the sweeps, so
+    # the graph still running sits first in what is left of the union.
+    batch = batch_graphs([DiGraph(1, np.zeros((0, 2), np.int64), np.zeros((1, 1))), _never_settles()])
+    union = DiGraph(batch.num_nodes, batch.edges, batch.node_features)
+    with pytest.raises(ConvergenceError, match=r"graph 1 still changes by .* after \d+ sweeps"):
+        pagerank(union, tol=1e-300, batch_index=batch.batch_index)
 
 
 @settings(max_examples=40, deadline=None)
@@ -232,6 +249,24 @@ def test_pagerank_per_graph_inside_a_union(seed):
         assert np.abs(part - dense_pagerank(g)).max() <= 1e-8
         # A graph stops on its own sweep, so the union changes no bit of it.
         assert np.array_equal(part, pagerank(g, tol=1e-14))
+
+
+def test_pagerank_refuses_an_edge_between_graphs_of_a_union():
+    g = DiGraph(3, np.array([[0, 1], [1, 2]]), np.zeros((3, 1)))
+    with pytest.raises(ValueError, match="an edge joins two graphs"):
+        pagerank(g, batch_index=np.array([0, 0, 1]))
+
+
+def test_pagerank_union_of_graphs_that_stop_on_far_apart_sweeps():
+    # The chain runs long after the small graphs stop, so the union is
+    # compacted several times before it finishes.
+    gs = [_chain_with_skip_edges()] + [make_random_digraph(seed, max_nodes=15, feat_dim=1) for seed in range(10)]
+    RngStream(0).shuffle(gs)
+    batch = batch_graphs(gs)
+    union = DiGraph(batch.num_nodes, batch.edges, batch.node_features)
+    got = pagerank(union, batch_index=batch.batch_index)
+    for g, off in zip(gs, batch.offsets):
+        assert np.array_equal(got[off : off + g.num_nodes], pagerank(g))
 
 
 # -- bounded-hop predecessors -------------------------------------------------------
@@ -379,6 +414,18 @@ def test_algos_are_permutation_equivariant(seed):
 
 
 # -- artifacts ------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_batch_artifacts_at_unbounded_k_match_the_reference(seed):
+    gs = _graph_list(seed)
+    fwd, rev = compute_batch_artifacts(batch_graphs(gs), math.inf, bidirectional=True)
+    for g, f, r in zip(gs, fwd, rev):
+        assert f.k == r.k == math.inf
+        for arts, h in ((f, g), (r, reverse_graph(g))):
+            want_pairs, want_spd = _reference_k_hop(h, math.inf)
+            assert np.array_equal(arts.k_hop_edge_index, want_pairs)
+            assert np.array_equal(arts.k_hop_spd, want_spd)
 
 
 def test_batch_artifacts_shifts_pairs():

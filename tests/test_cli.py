@@ -232,6 +232,20 @@ def test_eval_names_the_file_of_an_unlabelled_graph(dataset, tmp_path):
         main(["eval", "--checkpoint", str(ckpt), "--data", str(data)])
 
 
+def test_eval_names_the_file_of_a_non_finite_label(dataset, tmp_path):
+    cfg = ModelConfig(in_dim=3, task="node-regress", hidden=8, heads=2, num_layers=1,
+                      ssm_state=4, k_hops=2, dropout=0.0)
+    ckpt = tmp_path / "depth.ckpt"
+    save_model(ckpt, cfg, init_weights(cfg, RngStream(0)))
+    lines = (dataset / "test.jsonl").read_text().splitlines()
+    record = json.loads(lines[1])
+    record["y"][-1] = np.nan  # json writes NaN, and load_graphs reads it back
+    data = tmp_path / "nan.jsonl"
+    data.write_text("\n".join([lines[0], json.dumps(record)]) + "\n")
+    with pytest.raises(LabelError, match=r"nan.jsonl: graph 1 \(.*\): label nan is not finite"):
+        main(["eval", "--checkpoint", str(ckpt), "--data", str(data)])
+
+
 def test_train_names_the_file_of_a_bad_label(dataset, tmp_path):
     lines = (dataset / "val.jsonl").read_text().splitlines()
     record = json.loads(lines[0])

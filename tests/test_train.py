@@ -169,8 +169,10 @@ def test_train_rejects_label_outside_the_classes_before_training(split, tmp_path
         ("node-regress", None, "no label"),
         ("node-regress", 1.5, r"a node-regress model needs one label per node, got shape \(\)"),
         ("graph-regress", [1.0, 2.0, 3.0], r"a graph-regress model needs one scalar label, got shape \(3,\)"),
+        ("node-regress", [0.0, np.nan, 1.0], "label nan is not finite"),
+        ("graph-regress", -np.inf, "label -inf is not finite"),
     ],
-    ids=["missing", "scalar-for-node-task", "array-for-graph-task"],
+    ids=["missing", "scalar-for-node-task", "array-for-graph-task", "nan-node-label", "inf-graph-label"],
 )
 def test_labels_of_the_wrong_kind_are_rejected(task, y, match):
     cfg = ModelConfig(in_dim=3, task=task, hidden=8, heads=2, num_layers=1, ssm_state=4, k_hops=2)

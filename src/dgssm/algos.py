@@ -1,19 +1,20 @@
 """Pure directed-graph algorithms.
 
-Strongly connected components (iterative Tarjan), condensation, depth over
-arbitrary digraphs via the condensation DAG, PageRank power iteration with
-dangling-mass redistribution, bounded-hop predecessor extraction by reverse
-BFS, and the layered ego sequentializer. All functions are pure and safe to
-parallelize across graphs.
+Strongly connected components and depth over arbitrary digraphs in one
+iterative Tarjan pass, PageRank power iteration with dangling-mass
+redistribution, bounded-hop predecessor extraction by reverse BFS, and the
+layered ego sequentializer. All functions are pure and safe to parallelize
+across graphs.
 
 Preprocessing is computed once per graph list, over the disjoint union of
 its graphs (:func:`compute_batch_artifacts`), and split back per graph; the
 reversed graph's hop pairs are derived from the forward ones, not searched.
 Every algorithm gives each graph of a union the result it gives that graph
-alone: SCCs, depth and hop pairs never cross graphs, and PageRank takes the
-graph ordinal per node. PageRank and the hop BFS run in numpy: PageRank
-sweeps only the graphs still running, and the BFS dedupes each level against
-a sorted array of the pairs found so far. Only Tarjan is a Python loop.
+alone: components, depth and hop pairs never cross graphs, and PageRank
+takes the graph ordinal per node. PageRank and the hop BFS run in numpy:
+PageRank sweeps only the graphs still running, and the BFS dedupes each
+level against a sorted array of the pairs found so far. Tarjan's DFS is the
+one Python loop; it is linear, and it gives depth with no sweep per level.
 """
 
 from __future__ import annotations
@@ -26,31 +27,6 @@ import numpy as np
 from .graphs import DiGraph, GraphBatch, _csr, reverse_graph
 
 INF_HOPS = math.inf  # accepted wherever a hop bound is "unbounded"
-
-
-@dataclass(frozen=True)
-class SccPartition:
-    """Partition of nodes into strongly connected components."""
-
-    component_id: np.ndarray  # (n,) component index per node
-    num_components: int
-
-    @property
-    def components(self) -> list[np.ndarray]:
-        """Member node arrays, each sorted, in component-id order."""
-        if not self.num_components:
-            return []
-        members = np.argsort(self.component_id, kind="stable")
-        cuts = np.cumsum(np.bincount(self.component_id, minlength=self.num_components))
-        return np.split(members, cuts[:-1])
-
-
-@dataclass(frozen=True)
-class CondensationDag:
-    """DAG of SCC supernodes; edges are deduplicated inter-component pairs."""
-
-    num_supernodes: int
-    edges: np.ndarray  # (k, 2) int64, no duplicates, no self-loops
 
 
 def _expand(indptr: np.ndarray, indices: np.ndarray, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -68,20 +44,34 @@ def _unique(a: np.ndarray) -> np.ndarray:
     return a[np.concatenate([[True], a[1:] != a[:-1]])] if len(a) else a
 
 
-def tarjan_scc(g: DiGraph) -> SccPartition:
-    """Tarjan's strongly-connected-components algorithm, iteratively.
+def condensation(g: DiGraph) -> tuple[np.ndarray, np.ndarray]:
+    """Strongly connected components and depth, in one iterative Tarjan pass.
 
-    Runs in O(n + m); two nodes share a component iff mutually reachable.
-    Components are numbered in the order Tarjan completes them. Works on
-    Python lists over a CSR out-adjacency.
+    Returns ``(component, depth)``, one entry per node. Two nodes share a
+    component iff they reach each other. Depth is taken on the condensation:
+    0 for a component with no edge into it from another, else one more than
+    the deepest component with such an edge. Every member of a component has
+    its depth, and on a DAG this is the plain longest-path depth.
+
+    The DFS follows in-edges (Tarjan 1972, "Depth-first search and linear
+    graph algorithms"). Tarjan completes a component only after every
+    component it reaches, which over in-edges are its ancestors, so depth is
+    known when the component pops, and components are numbered in
+    topological order: every edge between two components goes from the
+    lower id to the higher. A visited node with no depth yet is on the
+    stack, and an edge to it stays inside the current component; a node
+    still on the stack when its DFS returns hands its depth bound to its
+    parent, so the root holds the component's depth when it pops. Runs in
+    O(n + m) on Python lists over a CSR in-adjacency; no recursion.
     """
     n = g.num_nodes
-    indptr, indices = _csr(g.edges[:, 0], g.edges[:, 1], n)
+    indptr, indices = _csr(g.edges[:, 1], g.edges[:, 0], n)
     indptr, indices = indptr.tolist(), indices.tolist()
     index = [-1] * n
     lowlink = [0] * n
-    on_stack = [False] * n
-    comp_id = [-1] * n
+    below = [0] * n  # least depth of the node's component seen so far
+    depth = [-1] * n  # -1 until the node's component pops
+    comp = [-1] * n
     stack: list[int] = []
     counter = count = 0
 
@@ -97,7 +87,6 @@ def tarjan_scc(g: DiGraph) -> SccPartition:
                 index[v] = lowlink[v] = counter
                 counter += 1
                 stack.append(v)
-                on_stack[v] = True
                 pos = indptr[v]
             end = indptr[v + 1]
             while pos < end:
@@ -105,73 +94,43 @@ def tarjan_scc(g: DiGraph) -> SccPartition:
                 pos += 1
                 if index[w] == -1:
                     break
-                if on_stack[w] and index[w] < lowlink[v]:
-                    lowlink[v] = index[w]
+                if depth[w] < 0:
+                    if index[w] < lowlink[v]:
+                        lowlink[v] = index[w]
+                elif depth[w] >= below[v]:
+                    below[v] = depth[w] + 1
             else:
                 work.pop()
                 if lowlink[v] == index[v]:
                     while True:
                         w = stack.pop()
-                        on_stack[w] = False
-                        comp_id[w] = count
+                        comp[w] = count
+                        depth[w] = below[v]
                         if w == v:
                             break
                     count += 1
                 if work:
                     parent = work[-1][0]
-                    if lowlink[v] < lowlink[parent]:
-                        lowlink[parent] = lowlink[v]
+                    if depth[v] < 0:
+                        if lowlink[v] < lowlink[parent]:
+                            lowlink[parent] = lowlink[v]
+                        if below[v] > below[parent]:
+                            below[parent] = below[v]
+                    elif depth[v] >= below[parent]:
+                        below[parent] = depth[v] + 1
                 continue
             work[-1] = (v, pos)
             work.append((w, -1))
-    return SccPartition(component_id=np.array(comp_id, dtype=np.int64), num_components=count)
-
-
-def condense(g: DiGraph, p: SccPartition) -> CondensationDag:
-    """Contract each SCC to a supernode; intra-component edges are dropped."""
-    cid, count = p.component_id, p.num_components
-    src = cid[g.edges[:, 0]]
-    dst = cid[g.edges[:, 1]]
-    keep = src != dst
-    pairs = np.stack(np.divmod(_unique(src[keep] * count + dst[keep]), count), axis=1)
-    return CondensationDag(num_supernodes=count, edges=pairs)
-
-
-def dag_depth(dag: CondensationDag) -> np.ndarray:
-    """Depth on a DAG: 0 for sources, else 1 + max over predecessors.
-
-    Level-synchronous Kahn: a node's depth is the sweep on which its last
-    in-edge is removed. Raises on a cycle.
-    """
-    k = dag.num_supernodes
-    src, dst = dag.edges[:, 0], dag.edges[:, 1]
-    indptr, indices = _csr(src, dst, k)
-    indeg = np.bincount(dst, minlength=k)
-    depth = np.zeros(k, dtype=np.int64)
-    frontier = np.flatnonzero(indeg == 0)
-    seen, level = 0, 0
-    while len(frontier):
-        depth[frontier] = level
-        seen += len(frontier)
-        level += 1
-        targets = _expand(indptr, indices, frontier)[1]
-        np.subtract.at(indeg, targets, 1)
-        frontier = _unique(targets[indeg[targets] == 0])
-    if seen != k:
-        raise ValueError("dag_depth: input graph contains a cycle")
-    return depth
+    return np.array(comp, dtype=np.int64), np.array(depth, dtype=np.int64)
 
 
 def depth_plus(g: DiGraph) -> np.ndarray:
-    """Per-node depth for arbitrary digraphs.
-
-    Contract SCCs, take DAG depth on the condensation, and broadcast each
-    supernode's depth to its members; every member of an SCC gets the same
-    depth, and a DAG reduces to the plain depth recurrence. SCCs never span
-    the graphs of a disjoint union, so on a union this is per-graph depth.
+    """Per-node depth for arbitrary digraphs: depth over the condensation,
+    shared by every member of a component (see :func:`condensation`).
+    Components never span the graphs of a disjoint union, so on a union this
+    is per-graph depth.
     """
-    part = tarjan_scc(g)
-    return dag_depth(condense(g, part))[part.component_id]
+    return condensation(g)[1]
 
 
 class ConvergenceError(RuntimeError):

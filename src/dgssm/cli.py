@@ -123,7 +123,10 @@ def _hop_bound(text: str) -> int | float:
 def _cmd_stats(args) -> int:
     graphs = []
     for path in args.data:
-        graphs.extend(load_graphs(path))
+        loaded = load_graphs(path)
+        if not loaded:
+            raise ValueError(f"{path}: empty graph list")
+        graphs.extend(loaded)
     report = compute_stats(graphs, args.k)
     print(report.to_json() if args.json else report.format_text())
     return 0

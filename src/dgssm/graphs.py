@@ -10,9 +10,12 @@ File format (one graph per line):
      "y": int | float | [int, ...] (optional), "id": str (optional),
      "node_ids": [str, ...] (optional)}
 
-An optional ``"e"`` key (per-edge features) is accepted and ignored; the
-model does not consume edge features. External string node ids, when given,
-are kept as a sidecar table and never used for indexing.
+``n`` and every edge endpoint must be JSON integers (not floats, strings or
+booleans) and every edge a pair; anything else raises
+:class:`GraphFormatError` naming the line. An optional ``"e"`` key
+(per-edge features) is accepted and ignored; the model does not consume
+edge features. External string node ids, when given, are kept as a sidecar
+table and never used for indexing.
 """
 
 from __future__ import annotations
@@ -168,10 +171,21 @@ def batch_graphs(gs: list[DiGraph]) -> GraphBatch:
     )
 
 
+def _is_int(value) -> bool:
+    """A JSON integer: ``true``, ``2.0`` and ``"2"`` are not (bool is an int subclass)."""
+    return type(value) is int
+
+
 def _graph_from_record(rec: dict, lineno: int) -> DiGraph:
     try:
-        n = int(rec["n"])
-        edges = np.asarray(rec.get("edges", []), dtype=np.int64).reshape(-1, 2)
+        n = rec["n"]
+        if not _is_int(n):
+            raise GraphFormatError(f"n must be an integer, got {n!r}")
+        edges = rec.get("edges", [])
+        for e in edges:
+            if not (isinstance(e, list) and len(e) == 2 and _is_int(e[0]) and _is_int(e[1])):
+                raise GraphFormatError(f"edge {e!r} is not a pair of integers")
+        edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
         x = np.asarray(rec["x"], dtype=np.float64)
         y = rec.get("y")
         if isinstance(y, list):

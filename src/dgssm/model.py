@@ -23,7 +23,7 @@ import numpy as np
 from . import autodiff as ad
 from .algos import PreprocessArtifacts
 from .autodiff import ParameterSet, Tensor
-from .checkpoint import load_arrays, save_arrays
+from .checkpoint import CheckpointError, load_arrays, save_arrays
 from .graphs import GraphBatch
 from .rng import RngStream
 from .ssm import SSMParams, init_s4d
@@ -428,14 +428,39 @@ def save_model(
 
 
 def load_model(path: str | Path) -> tuple[ModelConfig, ParameterSet, dict, dict]:
-    """Returns (config, params, optimizer arrays, meta)."""
+    """Returns (config, params, optimizer arrays, meta).
+
+    Raises :class:`CheckpointError` naming the file and the first mismatch
+    when the meta block has no valid model config, the ``param.*`` names or
+    shapes differ from what ``init_weights`` builds for that config, or an
+    array holds a non-finite value.
+    """
     arrays, meta = load_arrays(path)
-    cfg = ModelConfig.from_dict(meta["config"])
+    if not isinstance(meta, dict) or "config" not in meta:
+        raise CheckpointError(f"{path}: the meta block has no model config")
+    try:
+        cfg = ModelConfig.from_dict(meta["config"])
+        want = {name: t.data.shape for name, t in init_weights(cfg, RngStream(0)).items()}
+    except (TypeError, ValueError) as e:
+        raise CheckpointError(f"{path}: invalid model config ({e})") from e
     params = ParameterSet()
     opt_arrays: dict[str, np.ndarray] = {}
     for name, arr in arrays.items():
         if name.startswith("param."):
-            params.add(name[len("param.") :], Tensor(arr, requires_grad=True))
+            name = name[len("param.") :]
+            if name not in want:
+                raise CheckpointError(f"{path}: unknown parameter {name!r} for the config")
+            if arr.shape != want[name]:
+                raise CheckpointError(f"{path}: parameter {name!r} has shape {arr.shape}, "
+                                      f"but the config builds {want[name]}")
+            params.add(name, Tensor(arr, requires_grad=True))
         elif name.startswith("opt."):
             opt_arrays[name[len("opt.") :]] = arr
+    missing = [name for name in want if f"param.{name}" not in arrays]
+    if missing:
+        raise CheckpointError(f"{path}: parameter {missing[0]!r} is missing for the config")
+    # One pass over all values; ``arrays`` holds at least the parameters here.
+    if not np.isfinite(np.concatenate([arr.ravel() for arr in arrays.values()])).all():
+        name = next(name for name, arr in arrays.items() if not np.isfinite(arr).all())
+        raise CheckpointError(f"{path}: array {name!r} holds a non-finite value")
     return cfg, params, opt_arrays, meta

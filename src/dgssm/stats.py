@@ -8,7 +8,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .algos import k_hop_predecessors, tarjan_scc
+from .algos import condensation, k_hop_predecessors
 from .graphs import DiGraph
 
 
@@ -65,15 +65,14 @@ def predecessor_counts(g: DiGraph, k: int | float) -> np.ndarray:
     return np.bincount(pairs[:, 1], minlength=g.num_nodes) - 1
 
 
-def _cyclic_components(g: DiGraph) -> list[np.ndarray]:
-    """SCCs that contain a directed cycle (size > 1, or self-loop singleton)."""
-    part = tarjan_scc(g)
-    self_loops = {int(u) for u, v in g.edges if u == v}
-    out = []
-    for comp in part.components:
-        if len(comp) > 1 or int(comp[0]) in self_loops:
-            out.append(comp)
-    return out
+def _cyclic_sizes(g: DiGraph) -> np.ndarray:
+    """Sizes of the SCCs that contain a directed cycle (size > 1, or a
+    singleton carrying a self-loop)."""
+    component = condensation(g)[0]
+    sizes = np.bincount(component)
+    cyclic = sizes > 1
+    cyclic[component[g.edges[g.edges[:, 0] == g.edges[:, 1], 0]]] = True
+    return sizes[cyclic]
 
 
 def compute_stats(gs: list[DiGraph], k: int | float = math.inf) -> StatsReport:
@@ -82,14 +81,9 @@ def compute_stats(gs: list[DiGraph], k: int | float = math.inf) -> StatsReport:
         raise ValueError("compute_stats: empty graph list")
     node_counts = np.array([g.num_nodes for g in gs])
     edge_counts = np.array([g.num_edges for g in gs])
-    total_pk = 0
-    cyc_nodes, cyc_counts, cyc_sizes = [], [], []
-    for g in gs:
-        total_pk += int(predecessor_counts(g, k).sum())
-        comps = _cyclic_components(g)
-        cyc_counts.append(len(comps))
-        cyc_nodes.append(sum(len(c) for c in comps))
-        cyc_sizes.extend(len(c) for c in comps)
+    total_pk = sum(int(predecessor_counts(g, k).sum()) for g in gs)
+    cyc_sizes = [_cyclic_sizes(g) for g in gs]
+    all_sizes = np.concatenate(cyc_sizes)
     total_nodes = int(node_counts.sum())
     return StatsReport(
         num_graphs=len(gs),
@@ -101,7 +95,7 @@ def compute_stats(gs: list[DiGraph], k: int | float = math.inf) -> StatsReport:
         k=float(k) if math.isinf(k) else int(k),
         avg_pk_per_node=total_pk / total_nodes if total_nodes else 0.0,
         total_pk=total_pk,
-        avg_cycle_nodes=float(np.mean(cyc_nodes)),
-        avg_cycle_count=float(np.mean(cyc_counts)),
-        avg_cycle_size=float(np.mean(cyc_sizes)) if cyc_sizes else 0.0,
+        avg_cycle_nodes=float(np.mean([s.sum() for s in cyc_sizes])),
+        avg_cycle_count=float(np.mean([len(s) for s in cyc_sizes])),
+        avg_cycle_size=float(all_sizes.mean()) if len(all_sizes) else 0.0,
     )

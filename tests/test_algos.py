@@ -6,20 +6,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dgssm.algos import (
-    CondensationDag,
     ConvergenceError,
     PreprocessArtifacts,
     _reverse_bfs,
     batch_artifacts,
     compute_artifacts,
     compute_batch_artifacts,
-    condense,
-    dag_depth,
+    condensation,
     depth_plus,
     dir_ego2token,
     k_hop_predecessors,
     pagerank,
-    tarjan_scc,
 )
 from dgssm.graphs import DiGraph, batch_graphs, reverse_graph
 from dgssm.rng import RngStream
@@ -28,6 +25,7 @@ from dgssm.oracle import (
     dag_longest_path_depth,
     dense_pagerank,
     floyd_warshall_spd,
+    partition,
 )
 
 from conftest import make_random_digraph
@@ -47,30 +45,39 @@ def _permute_graph(g: DiGraph, perm: np.ndarray) -> DiGraph:
 
 def test_scc_single_node():
     g = DiGraph(1, np.zeros((0, 2), np.int64), np.zeros((1, 1)))
-    p = tarjan_scc(g)
-    assert p.num_components == 1 and p.components[0].tolist() == [0]
+    assert condensation(g)[0].tolist() == [0]
 
 
 def test_scc_three_cycle():
     g = DiGraph(3, np.array([[0, 1], [1, 2], [2, 0]]), np.zeros((3, 1)))
-    p = tarjan_scc(g)
-    assert p.num_components == 1
-    assert sorted(p.components[0].tolist()) == [0, 1, 2]
+    assert partition(condensation(g)[0]) == {frozenset({0, 1, 2})}
 
 
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 10_000))
 def test_scc_matches_reachability_oracle(seed):
     g = make_random_digraph(seed, max_nodes=20)
-    got = {frozenset(int(x) for x in c) for c in tarjan_scc(g).components}
-    assert got == brute_force_scc(g)
+    component = condensation(g)[0]
+    assert partition(component) == brute_force_scc(g)
+    # Ids are dense: 0 .. (number of components - 1).
+    assert np.array_equal(np.unique(component), np.arange(len(partition(component))))
 
 
 def test_scc_deep_graph_no_recursion_limit():
     n = 5000
     edges = np.stack([np.arange(n - 1), np.arange(1, n)], axis=1)
-    g = DiGraph(n, edges, np.zeros((n, 1)))
-    assert tarjan_scc(g).num_components == n
+    component, depth = condensation(DiGraph(n, edges, np.zeros((n, 1))))
+    assert np.array_equal(component, np.arange(n))
+    assert np.array_equal(depth, np.arange(n))
+
+
+def test_deep_cycle_with_tail_is_one_component_at_depth_zero():
+    n = 5000
+    edges = np.stack([np.arange(n), (np.arange(n) + 1) % n], axis=1)
+    g = DiGraph(n + 1, np.concatenate([edges, [[n - 1, n]]]), np.zeros((n + 1, 1)))
+    component, depth = condensation(g)
+    assert np.all(component[:n] == component[0]) and component[n] != component[0]
+    assert np.all(depth[:n] == 0) and depth[n] == 1
 
 
 # -- condensation ------------------------------------------------------------------
@@ -78,25 +85,28 @@ def test_scc_deep_graph_no_recursion_limit():
 
 def test_condense_dag_is_isomorphic():
     g = DiGraph(4, np.array([[0, 1], [1, 2], [1, 3]]), np.zeros((4, 1)))
-    p = tarjan_scc(g)
-    dag = condense(g, p)
-    assert dag.num_supernodes == 4
-    assert dag.edges.shape[0] == 3
+    component = condensation(g)[0]
+    assert len(set(component.tolist())) == 4
+    assert np.all(component[g.edges[:, 0]] < component[g.edges[:, 1]])
 
 
 def test_condense_cycle_with_tail():
     g = DiGraph(4, np.array([[0, 1], [1, 2], [2, 0], [2, 3]]), np.zeros((4, 1)))
-    dag = condense(g, tarjan_scc(g))
-    assert dag.num_supernodes == 2
-    assert dag.edges.shape[0] == 1
+    component = condensation(g)[0]
+    assert partition(component) == {frozenset({0, 1, 2}), frozenset({3})}
+    assert component[3] > component[2]  # the one edge between components goes up
 
 
 @settings(max_examples=30, deadline=None)
 @given(seed=st.integers(0, 10_000))
-def test_condensation_is_acyclic(seed):
+def test_components_are_numbered_topologically(seed):
+    # Every edge between two components goes from the lower id to the higher,
+    # so the condensation is acyclic and the ids are a topological order.
     g = make_random_digraph(seed)
-    dag = condense(g, tarjan_scc(g))
-    dag_depth(dag)  # raises on a cycle
+    component = condensation(g)[0]
+    src, dst = component[g.edges[:, 0]], component[g.edges[:, 1]]
+    inter = src != dst
+    assert np.all(src[inter] < dst[inter])
 
 
 # -- depth -------------------------------------------------------------------------
@@ -115,16 +125,6 @@ def test_dag_depth_chain():
 def test_dag_depth_two_sources_one_sink():
     g = DiGraph(3, np.array([[0, 2], [1, 2]]), np.zeros((3, 1)))
     assert depth_plus(g).tolist() == [0, 0, 1]
-
-
-def test_dag_depth_rejects_cycle():
-    for n, edges in [
-        (2, [[0, 1], [1, 0]]),
-        (4, [[0, 1], [1, 2], [2, 1], [2, 3]]),  # a cycle below a source
-        (3, [[0, 1], [2, 2]]),  # a self-loop
-    ]:
-        with pytest.raises(ValueError, match="cycle"):
-            dag_depth(CondensationDag(n, np.array(edges)))
 
 
 @settings(max_examples=40, deadline=None)
@@ -154,9 +154,9 @@ def test_self_loop_does_not_alter_depth():
 @given(seed=st.integers(0, 10_000))
 def test_depth_equal_within_scc(seed):
     g = make_random_digraph(seed)
-    depth = depth_plus(g)
-    for comp in tarjan_scc(g).components:
-        assert len(set(depth[comp].tolist())) == 1
+    component, depth = condensation(g)
+    for members in partition(component):
+        assert len(set(depth[list(members)].tolist())) == 1
 
 
 # -- pagerank ----------------------------------------------------------------------

@@ -51,6 +51,15 @@ def test_stats_text_output(dataset, capsys):
     assert "Avg p_inf per node" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("lead", [False, True], ids=["alone", "after-a-full-file"])
+def test_stats_names_an_empty_file(dataset, tmp_path, lead):
+    empty = tmp_path / "empty.jsonl"
+    empty.write_text("")
+    files = [str(dataset / "train.jsonl")] * lead + [str(empty)]
+    with pytest.raises(ValueError, match=r"empty\.jsonl: empty graph list"):
+        main(["stats", "--data", *files])
+
+
 def test_train_and_eval_round_trip(dataset, tmp_path, capsys):
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps(TINY_RUN))

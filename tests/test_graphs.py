@@ -40,6 +40,28 @@ def test_parse_error_names_line(tmp_path):
         load_graphs(path)
 
 
+@pytest.mark.parametrize(
+    "n, edges, error",
+    [
+        ("2.7", "[]", "n must be an integer, got 2.7"),
+        ('"2"', "[]", "n must be an integer, got '2'"),
+        ("true", "[]", "n must be an integer, got True"),
+        ("2", "[[0.9, 1]]", r"edge \[0.9, 1\] is not a pair of integers"),
+        ("2", "[[true, 1]]", r"edge \[True, 1\] is not a pair of integers"),
+        ("3", "[[0, 1, 2, 0]]", r"edge \[0, 1, 2, 0\] is not a pair of integers"),
+    ],
+    ids=["float-n", "string-n", "bool-n", "float-endpoint", "bool-endpoint", "four-values"],
+)
+def test_non_integer_size_or_endpoint_rejected(tmp_path, n, edges, error):
+    # Each of these used to load, silently changed: 2.7 -> 2, [true, 1] -> the
+    # self-loop [1, 1], [0, 1, 2, 0] -> the two edges [0, 1] and [2, 0].
+    path = tmp_path / "bad.jsonl"
+    path.write_text('{"n": 1, "edges": [], "x": [[0.0]]}\n'
+                    f'{{"n": {n}, "edges": {edges}, "x": [[0.0], [1.0], [2.0]]}}\n')
+    with pytest.raises(GraphFormatError, match=f"line 2: {error}"):
+        load_graphs(path)
+
+
 def test_inconsistent_feature_dim_rejected(tmp_path):
     # The error names the file line of the mismatched record, blank lines
     # included, not its index among the graphs.

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from dgssm import autodiff as ad
 from dgssm.algos import PreprocessArtifacts, batch_artifacts, compute_artifacts, k_hop_predecessors
 from dgssm.autodiff import ParameterSet, Tensor
+from dgssm.checkpoint import CheckpointError, save_arrays
 from dgssm.graphs import DiGraph, batch_graphs, reverse_graph
 from dgssm.model import (
     FusionWeights,
@@ -26,7 +27,7 @@ from dgssm.optim import grad_check_params
 from dgssm.oracle import sequence_scan_oracle
 from dgssm.rng import RngStream
 from dgssm.ssm import init_s4d, kernel_table
-from dgssm.train import collate, prepare_graphs
+from dgssm.train import collate, evaluate_checkpoint, prepare_graphs
 
 from conftest import conv_same_reference, fusion_composition, make_random_digraph
 
@@ -592,6 +593,58 @@ def test_checkpoint_round_trip_preserves_predictions(tmp_path):
     assert params2.names() == params.names()
     got = model_forward(batch, fwd, rev, cfg2, params2).data
     assert np.array_equal(want, got)
+
+
+_CKPT_CFG = ModelConfig(in_dim=3, task="graph-regress", hidden=8, heads=2, num_layers=1,
+                        se_layers=1, ssm_state=4, k_hops=2)
+
+
+def _edited_checkpoint(path, edit):
+    """A checkpoint of ``_CKPT_CFG`` whose arrays and meta ``edit`` changed in place."""
+    arrays = {f"param.{n}": t.data.copy() for n, t in init_weights(_CKPT_CFG, RngStream(0)).items()}
+    arrays["opt.step"] = np.array([3.0])
+    meta = {"config": _CKPT_CFG.to_dict()}
+    edit(arrays, meta)
+    save_arrays(path, arrays, meta)
+    return path
+
+
+def _set_nan(arrays, meta):
+    arrays["param.head.b1"][0] = np.nan
+
+
+@pytest.mark.parametrize(
+    "edit, error",
+    [
+        (lambda a, m: m.pop("config"), "the meta block has no model config"),
+        (lambda a, m: m["config"].update(width=8), "invalid model config .*unexpected keyword argument 'width'"),
+        (lambda a, m: m["config"].update(hidden=7), "invalid model config .*not divisible by heads"),
+        (lambda a, m: a.pop("param.layers.0.fwd.wq"), "parameter 'layers.0.fwd.wq' is missing"),
+        (lambda a, m: a.update({"param.extra.w": np.zeros(2)}), "unknown parameter 'extra.w'"),
+        (lambda a, m: a.update({"param.head.w2": np.zeros((3, 1))}),
+         r"parameter 'head.w2' has shape \(3, 1\), but the config builds \(8, 1\)"),
+        (_set_nan, "array 'param.head.b1' holds a non-finite value"),
+        (lambda a, m: a.update({"opt.m": np.array([np.inf])}), "array 'opt.m' holds a non-finite value"),
+    ],
+    ids=["no-config", "unknown-key", "bad-value", "missing", "unknown-param", "shape", "nan", "inf-opt"],
+)
+def test_load_model_checks_the_checkpoint_against_its_config(tmp_path, edit, error):
+    path = _edited_checkpoint(tmp_path / "m.ckpt", edit)
+    with pytest.raises(CheckpointError, match=f"m.ckpt: {error}"):
+        load_model(path)
+
+
+def test_load_model_keeps_optimizer_arrays(tmp_path):
+    cfg, params, opt_arrays, _ = load_model(_edited_checkpoint(tmp_path / "m.ckpt", lambda a, m: None))
+    assert cfg == _CKPT_CFG and opt_arrays == {"step": np.array([3.0])}
+    assert params.names() == init_weights(cfg, RngStream(0)).names()
+
+
+def test_eval_refuses_nan_weights(tmp_path):
+    # NaN weights used to evaluate to mse nan and pearson_r 0.0 without an error.
+    path = _edited_checkpoint(tmp_path / "m.ckpt", _set_nan)
+    with pytest.raises(CheckpointError, match="non-finite"):
+        evaluate_checkpoint(path, [DiGraph(2, np.array([[0, 1]]), np.zeros((2, 3)), y=1.0)] * 2)
 
 
 @pytest.mark.parametrize("task", ["node-regress", "node-classify"])

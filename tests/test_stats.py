@@ -5,7 +5,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dgssm.algos import tarjan_scc
+from dgssm.algos import condensation
 from dgssm.graphs import DiGraph
 from dgssm.stats import compute_stats, predecessor_counts
 
@@ -81,12 +81,11 @@ def test_pk_monotone_and_bounded(seed):
 def test_cycle_nodes_complement_acyclic_singletons(seed):
     g = make_random_digraph(seed, max_nodes=20)
     report = compute_stats([g])
-    part = tarjan_scc(g)
+    component = condensation(g)[0]
     self_loops = {int(u) for u, v in g.edges if u == v}
+    sizes = np.bincount(component)
     acyclic_singletons = sum(
-        1
-        for comp in part.components
-        if len(comp) == 1 and int(comp[0]) not in self_loops
+        1 for u, c in enumerate(component) if sizes[c] == 1 and u not in self_loops
     )
     assert report.avg_cycle_nodes == g.num_nodes - acyclic_singletons
 

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from dgssm.algos import _reverse_bfs, depth_plus, tarjan_scc
+from dgssm.algos import _reverse_bfs, condensation, depth_plus
 from dgssm.stats import predecessor_counts
 from dgssm.synth import SyntheticTaskSpec, gen_synthetic
 
@@ -27,8 +27,8 @@ def test_spec_validation():
 def test_zero_cycle_rate_yields_acyclic_graphs():
     spec = SyntheticTaskSpec(task="depth-regress", num_graphs=40, cycle_rate=0.0, seed=1)
     for g in _all_graphs(gen_synthetic(spec)):
-        part = tarjan_scc(g)
-        assert part.num_components == g.num_nodes  # all singleton SCCs
+        component = condensation(g)[0]
+        assert len(set(component.tolist())) == g.num_nodes  # all singleton SCCs
         assert not any(u == v for u, v in g.edges)
 
 
@@ -86,7 +86,7 @@ def test_reachability_classes_roughly_balanced():
 def test_cycle_rate_produces_cycles():
     spec = SyntheticTaskSpec(task="depth-regress", num_graphs=60, cycle_rate=1.0, seed=7)
     graphs = _all_graphs(gen_synthetic(spec))
-    cyclic = sum(1 for g in graphs if tarjan_scc(g).num_components < g.num_nodes)
+    cyclic = sum(1 for g in graphs if len(set(condensation(g)[0].tolist())) < g.num_nodes)
     assert cyclic >= 0.8 * len(graphs)
 
 

@@ -400,9 +400,12 @@ def hop_attention_scan(fx, wq, wk, wv, a_log, log_dt, b, c, pairs, spd, heads: i
 
     with q = fx wq, k = fx wk, fx (n, d_in), wq, wk, wv (d_in, d), a_log and
     log_dt (D,), b (D, d) and c (d, D); returns y, shape (n, dh, heads). The
-    power table exp(s log a_bar) has a row per hop up to max(spd). Per-pair
-    arrays are kept feature-major, (F, E), so every segment reduction runs
-    along a contiguous last axis; the backward is written out in closed form.
+    pairs must be sorted by center: a center-keyed table is gathered by
+    np.repeat over per-center counts. The power table exp(s log a_bar) has a
+    row per hop up to max(spd); through it, a message m = bv_u a_bar^s with
+    gradient gm adds gm m s to the gradient of dt a. Per-pair arrays are
+    feature-major, (F, E), so each segment reduction runs along a contiguous
+    last axis; the backward is written out in closed form.
     """
     fx, wq, wk, wv, a_log, log_dt, b, c = map(as_tensor, (fx, wq, wk, wv, a_log, log_dt, b, c))
     pairs = np.asarray(pairs, dtype=np.int64)
@@ -412,81 +415,76 @@ def hop_attention_scan(fx, wq, wk, wv, a_log, log_dt, b, c, pairs, spd, heads: i
         d < 0 or fx.ndim != 2 or any(w.shape != (fx.shape[1], d) for w in (wq, wk, wv))
         or a_log.shape != (state,) or log_dt.shape != (state,) or b.shape != (state, d)
         or d % heads or pairs.ndim != 2 or pairs.shape[1] != 2 or spd.shape != (pairs.shape[0],)
+        or pairs.size and (pairs.min() < 0 or pairs.max() >= fx.shape[0] or spd.min() < 0)
     ):
         raise ShapeError(
             f"hop_attention_scan: fx {fx.shape}, wq/wk/wv {wq.shape}/{wk.shape}/{wv.shape}, "
             f"a_log {a_log.shape}, log_dt {log_dt.shape}, b {b.shape}, c {c.shape}, "
-            f"pairs {pairs.shape}, spd {spd.shape}, heads {heads}"
+            f"pairs {pairs.shape} (ids in [0, n)), spd {spd.shape} (>= 0), heads {heads}"
         )
-    n = fx.shape[0]
-    dh = d // heads
-    e = pairs.shape[0]
+    n, e, dh = fx.shape[0], pairs.shape[0], d // heads
     scale = 1.0 / np.sqrt(dh)
     u, v = np.ascontiguousarray(pairs.T)
-    by_center = _group(v)
+    by_center, counts = _group(v), np.bincount(v, minlength=n)
+    if by_center[0] is not None:
+        raise ShapeError("hop_attention_scan: pairs are not sorted by center (column 1)")
 
     a = -np.exp(a_log.data)
     dt = np.exp(log_dt.data)
     a_bar = np.exp(dt * a)
     coef = (a_bar - 1.0) / a
     b_bar = coef.reshape(-1, 1) * b.data
-    hops = np.arange(spd.max(initial=0) + 1, dtype=np.float64).reshape(-1, 1)
-    powers = np.exp(hops * np.log(a_bar).reshape(1, -1))  # (K+1, D)
+    powers = np.exp(np.arange(spd.max(initial=0) + 1.0)[:, None] * np.log(a_bar))  # (K+1, D)
     xv = fx.data @ wv.data
     bv = xv @ b_bar.T  # (n, D)
 
-    # Gather along the last axis of a contiguous feature-major table. take()
-    # keeps the pair axis contiguous; fancy indexing ``t[:, idx]`` would
-    # return a transposed layout with the pair axis strided.
-    def at(table, idx):
-        return np.ascontiguousarray(table).take(idx, axis=-1)
+    # Gathers along the pair axis: each center's pairs are one run; take() on
+    # a contiguous table keeps that axis contiguous, where t[:, idx] would not.
+    at_center = functools.partial(np.repeat, repeats=counts, axis=-1)
+    at = lambda table, idx: np.ascontiguousarray(table).take(idx, axis=-1)
 
-    qg, kg = at((fx.data @ wq.data).T, v), at((fx.data @ wk.data).T, u)  # (d, E)
-    scores = (qg * kg).reshape(heads, dh, e).sum(axis=1) * scale  # (heads, E)
-    ex = np.exp(scores - at(_reduce_groups(scores, by_center, n, np.maximum, axis=1), v))
-    alpha = ex / at(_reduce_groups(ex, by_center, n, np.add, axis=1), v)
+    qh = at_center((fx.data @ wq.data).T).reshape(heads, dh, e)  # (heads, dh, E)
+    kh = at((fx.data @ wk.data).T, u).reshape(heads, dh, e)
+    scores = np.einsum("hje,hje->he", qh, kh) * scale  # (heads, E)
+    ex = np.exp(scores - at_center(_reduce_groups(scores, by_center, n, np.maximum, axis=1)))
+    alpha = ex / at_center(_reduce_groups(ex, by_center, n, np.add, axis=1))
     bvg, pg = at(bv.T, u), at(powers.T, spd)  # (D, E)
     m = bvg * pg
     z = _reduce_groups(alpha[:, None, :] * m, by_center, n, np.add, axis=2)  # (heads, D, n)
     c_heads = c.data.reshape(heads, dh, state)
-    y = np.einsum("hsn,hjs->nhj", z, c_heads)
+    y = np.matmul(c_heads, z)  # (heads, dh, n)
 
     def bwd(g):
-        gy = g.transpose(0, 2, 1)  # (n, heads, dh)
-        gz = np.einsum("nhj,hjs->hsn", gy, c_heads)
-        gc = np.einsum("nhj,hsn->hjs", gy, z).reshape(d, state)
-        gzv = at(gz, v)  # (heads, D, E)
+        gy = g.transpose(2, 1, 0)  # (heads, dh, n)
+        gz = np.matmul(c_heads.transpose(0, 2, 1), gy)  # (heads, D, n)
+        gc = np.matmul(gy, z.transpose(0, 2, 1)).reshape(d, state)
+        gzv = at_center(gz)  # (heads, D, E)
         galpha = np.einsum("hse,se->he", gzv, m)
         gm = np.einsum("he,hse->se", alpha, gzv)
         dot = _reduce_groups(galpha * alpha, by_center, n, np.add, axis=1)
-        gscores = (alpha * (galpha - at(dot, v)) * scale)[:, None, :]  # (heads, 1, E)
-        gq = _reduce_groups(
-            (gscores * kg.reshape(heads, dh, e)).reshape(d, e), by_center, n, np.add, axis=1
-        )
+        gscores = (alpha * (galpha - at_center(dot)) * scale)[:, None, :]  # (heads, 1, E)
+        gq = _reduce_groups((gscores * kh).reshape(d, e), by_center, n, np.add, axis=1)
 
-        # Keyed by predecessor and by hop, the keys are unsorted: bincount
-        # each feature row rather than argsort and permute the pairs.
-        def keyed_sum(key, num, rows):
-            return np.stack([np.bincount(key, weights=r, minlength=num) for r in rows])
-
-        by_pred = keyed_sum(u, n, np.concatenate([
-            (gscores * qg.reshape(heads, dh, e)).reshape(d, e), gm * pg,
-        ]))  # (d + D, n)
-        gpowers = keyed_sum(spd, hops.shape[0], gm * bvg).T  # (K+1, D)
+        # Keyed by predecessor, unsorted: a bincount per row of one buffer.
+        rows = np.empty((d + state, e))
+        np.multiply(gscores, qh, out=rows[:d].reshape(heads, dh, e))
+        np.multiply(gm, pg, out=rows[d:])
+        by_pred = np.stack([np.bincount(u, weights=r, minlength=n) for r in rows])  # (d + D, n)
 
         # Through bv = (fx wv) b_bar^T, the projections and the ZOH, where
-        # d a_bar / d(dt a) = a_bar and d coef / d a_bar = 1 / a.
+        # d a_bar / d(dt a) = a_bar, d coef / d a_bar = 1 / a, and the hop
+        # powers a_bar^s = exp(s dt a) add sum_e gm bvg s a_bar^s = sum_e gm m s.
         gk, gbv = by_pred[:d].T, by_pred[d:].T
         gxv = gbv @ b_bar
         gb_bar = gbv.T @ xv  # (D, d)
         gcoef = (gb_bar * b.data).sum(axis=1)
-        gda = gcoef * a_bar / a + (gpowers * hops * powers).sum(axis=0)
+        gda = gcoef * a_bar / a + np.einsum("se,se,e->s", gm, m, spd)
         gfx = gq.T @ wq.data.T + gk @ wk.data.T + gxv @ wv.data.T
         g_log_dt = gda * dt * a
         return (gfx, fx.data.T @ gq.T, fx.data.T @ gk, fx.data.T @ gxv,
                 g_log_dt - gcoef * coef, g_log_dt, coef.reshape(-1, 1) * gb_bar, gc)
 
-    return _node(y.transpose(0, 2, 1), (fx, wq, wk, wv, a_log, log_dt, b, c), bwd)
+    return _node(y.transpose(2, 1, 0), (fx, wq, wk, wv, a_log, log_dt, b, c), bwd)
 
 
 def _zpool_grad(slices: list[np.ndarray], mx: np.ndarray, g_max, g_mean, axis: int) -> np.ndarray:

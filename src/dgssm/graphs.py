@@ -11,11 +11,11 @@ File format (one graph per line):
      "node_ids": [str, ...] (optional)}
 
 ``n`` and every edge endpoint must be JSON integers (not floats, strings or
-booleans) and every edge a pair; anything else raises
-:class:`GraphFormatError` naming the line. An optional ``"e"`` key
-(per-edge features) is accepted and ignored; the model does not consume
-edge features. External string node ids, when given, are kept as a sidecar
-table and never used for indexing.
+booleans), every edge a pair, and every feature and label JSON numbers (not
+strings or booleans); anything else raises :class:`GraphFormatError` naming
+the line. An optional ``"e"`` key (per-edge features) is accepted and
+ignored. External string node ids, when given, are a sidecar table and
+never used for indexing.
 """
 
 from __future__ import annotations
@@ -185,16 +185,18 @@ def _graph_from_record(rec: dict, lineno: int) -> DiGraph:
         for e in edges:
             if not (isinstance(e, list) and len(e) == 2 and _is_int(e[0]) and _is_int(e[1])):
                 raise GraphFormatError(f"edge {e!r} is not a pair of integers")
-        edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
-        x = np.asarray(rec["x"], dtype=np.float64)
+        for row in rec["x"]:  # exact types, since bool is an int subclass
+            if not (isinstance(row, list) and all(type(t) in (int, float) for t in row)):
+                raise GraphFormatError(f"feature row {row!r} is not a list of numbers")
         y = rec.get("y")
-        if isinstance(y, list):
-            y = np.asarray(y)
+        labels = y if isinstance(y, list) else [y]
+        if y is not None and not all(type(t) in (int, float) for t in labels):
+            raise GraphFormatError(f"label {y!r} is neither a number nor a list of numbers")
         node_ids = rec.get("node_ids")
         return DiGraph(
             num_nodes=n,
             edges=edges,
-            node_features=x,
+            node_features=rec["x"],
             y=y,
             graph_id=rec.get("id"),
             node_ids=tuple(node_ids) if node_ids else None,

@@ -84,6 +84,34 @@ def fusion_composition(x, pagerank, batch_index, num_graphs, w) -> ad.Tensor:
     return ad.mul(ad.mul(x, gates), 1.0 / 3.0)
 
 
+def scan_composition(fx, wq, wk, wv, a_log, log_dt, b, c, pairs, spd, heads: int) -> ad.Tensor:
+    """hop_attention_scan composed of autodiff ops node by node: the ZOH as
+    coef = (a_bar - 1) * (-exp(-a_log)), per-pair gathers, a per-head
+    segment softmax, the hop power a_bar^s as exp(s * dt * a), a segment
+    sum of the weighted messages and a per-head readout through C."""
+    n = fx.shape[0]
+    d, state = c.shape
+    dh = d // heads
+    u, v = pairs[:, 0], pairs[:, 1]
+    dt_a = ad.mul(ad.exp(log_dt), ad.mul(ad.exp(a_log), -1.0))
+    coef = ad.mul(ad.sub(ad.exp(dt_a), 1.0), ad.mul(ad.exp(ad.mul(a_log, -1.0)), -1.0))
+    b_bar = ad.mul(b, coef.reshape(state, 1))
+    bv = ad.matmul(ad.matmul(fx, wv), ad.transpose(b_bar, (1, 0)))  # (n, D)
+    qk = ad.mul(ad.gather_rows(ad.matmul(fx, wq), v), ad.gather_rows(ad.matmul(fx, wk), u))
+    head_of = np.repeat(np.eye(heads), dh, axis=0) / np.sqrt(dh)  # (d, heads)
+    alpha = ad.segment_softmax(ad.matmul(qk, ad.constant(head_of)), v, n)  # (E, heads)
+    hop_power = ad.exp(ad.mul(ad.constant(spd.reshape(-1, 1).astype(float)), dt_a.reshape(1, state)))
+    m = ad.mul(ad.gather_rows(bv, u), hop_power)  # (E, D)
+    weighted = ad.mul(alpha.reshape(-1, heads, 1), m.reshape(-1, 1, state))
+    z = ad.transpose(ad.segment_sum(weighted, v, n), (1, 0, 2))  # (heads, n, D)
+    c_heads = c.reshape(heads, dh, state)
+    return ad.concat([
+        ad.matmul(ad.gather_rows(z, [h]).reshape(n, state),
+                  ad.transpose(ad.gather_rows(c_heads, [h]).reshape(dh, state), (1, 0))).reshape(n, dh, 1)
+        for h in range(heads)
+    ], axis=2)
+
+
 def layer_norm_reference(x: np.ndarray, gain: np.ndarray, bias: np.ndarray, eps: float = 1e-5) -> np.ndarray:
     """Layer norm over the last axis, composed step by step: mean, center,
     variance, scale by (var + eps)^-1/2, then gain and bias."""

@@ -62,6 +62,27 @@ def test_non_integer_size_or_endpoint_rejected(tmp_path, n, edges, error):
         load_graphs(path)
 
 
+@pytest.mark.parametrize(
+    "x, y, error",
+    [
+        ('[["1.5"], [true]]', '"3"', r"feature row \['1.5'\] is not a list of numbers"),
+        ("[[1.5], [true]]", "3", r"feature row \[True\] is not a list of numbers"),
+        ("[[1.5], [null]]", "3", r"feature row \[None\] is not a list of numbers"),
+        ("[[1.5], [2.0]]", '"3"', "label '3' is neither a number nor a list of numbers"),
+        ("[[1.5], [2.0]]", "true", "label True is neither a number nor a list of numbers"),
+        ("[[1.5], [2.0]]", '[0, "1"]', r"label \[0, '1'\] is neither a number nor a list of numbers"),
+    ],
+    ids=["string-feature", "bool-feature", "null-feature", "string-label", "bool-label", "string-in-labels"],
+)
+def test_non_number_feature_or_label_rejected(tmp_path, x, y, error):
+    # The first line used to load as features [[1.5], [1.0]] and the string
+    # label '3'.
+    path = tmp_path / "bad.jsonl"
+    path.write_text(f'{{"n": 2, "edges": [], "x": {x}, "y": {y}}}\n')
+    with pytest.raises(GraphFormatError, match=f"line 1: {error}"):
+        load_graphs(path)
+
+
 def test_inconsistent_feature_dim_rejected(tmp_path):
     # The error names the file line of the mismatched record, blank lines
     # included, not its index among the graphs.

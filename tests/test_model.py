@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from dgssm import autodiff as ad
 from dgssm.algos import PreprocessArtifacts, batch_artifacts, compute_artifacts, k_hop_predecessors
-from dgssm.autodiff import ParameterSet, Tensor
+from dgssm.autodiff import ParameterSet, ShapeError, Tensor
 from dgssm.checkpoint import CheckpointError, save_arrays
 from dgssm.graphs import DiGraph, batch_graphs, reverse_graph
 from dgssm.model import (
@@ -29,7 +29,7 @@ from dgssm.rng import RngStream
 from dgssm.ssm import init_s4d, kernel_table
 from dgssm.train import collate, evaluate_checkpoint, prepare_graphs
 
-from conftest import conv_same_reference, fusion_composition, make_random_digraph
+from conftest import conv_same_reference, fusion_composition, make_random_digraph, scan_composition
 
 
 # -- depth positional encoding ------------------------------------------------------
@@ -299,6 +299,62 @@ def test_scan_gradients_match_finite_differences(heads, k):
 
     report = grad_check_params(loss, params, eps=1e-5, tol=1e-6)
     assert report.passed, str(report)
+
+
+def _scan_outputs(scan, args, pairs, spd, heads, probe):
+    """Output and the eight input gradients of ``scan`` against ``probe``."""
+    ts = [Tensor(a, requires_grad=True) for a in args]
+    out = scan(*ts, pairs, spd, heads)
+    ad.sum_(ad.mul(out, ad.constant(probe))).backward()
+    return [out.data] + [t.grad for t in ts]
+
+
+@pytest.mark.parametrize("case", ["chains-k16", "random-k3"])
+def test_scan_matches_its_composition(case):
+    # A batch of chains with a skip edge every 7 nodes at k=16, and a batch
+    # of random digraphs: the fused op against the scan composed op by op.
+    stream = RngStream(31)
+    if case == "chains-k16":
+        edges = [(j, j + 1) for j in range(29)] + [(j, j + 3) for j in range(0, 27, 7)]
+        graphs, k = [DiGraph(30, edges, stream.normal(size=(30, 3))) for _ in range(3)], 16
+    else:
+        graphs, k = [make_random_digraph(seed) for seed in range(40, 46)], 3
+    batch = batch_graphs(graphs)
+    pairs, spd = k_hop_predecessors(DiGraph(batch.num_nodes, batch.edges, batch.node_features), k)
+    d_in, d, heads, state = 5, 8, 2, 4
+    ssm = init_s4d(state, d, 1e-2, 1.0, stream.child())
+    args = [stream.normal(size=(batch.num_nodes, d_in)),
+            *(stream.normal(size=(d_in, d)) for _ in range(3)),
+            *(t.data for t in ssm.tensors().values())]
+    probe = stream.normal(size=(batch.num_nodes, d // heads, heads))
+    got, want = (
+        _scan_outputs(scan, args, pairs, spd, heads, probe)
+        for scan in (ad.hop_attention_scan, scan_composition)
+    )
+    for a, b in zip(got, want):
+        assert a.shape == b.shape
+        assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
+
+
+def test_scan_rejects_pairs_not_sorted_by_center():
+    g = make_random_digraph(8, max_nodes=10)
+    fx, arts, ssm, ws = _scan_setup(g, 2)
+    pairs, spd = arts.k_hop_edge_index[::-1], arts.k_hop_spd[::-1]
+    with pytest.raises(ShapeError, match="hop_attention_scan: pairs are not sorted by center"):
+        ad.hop_attention_scan(fx, *ws, *ssm.tensors().values(), pairs, spd, 2)
+
+
+@pytest.mark.parametrize("column,value", [(0, -1), (0, "n"), (1, "n"), (2, -1)],
+                         ids=["negative-pred", "pred-n", "center-n", "negative-spd"])
+def test_scan_rejects_pair_ids_out_of_range(column, value):
+    # Unchecked, take() would wrap a negative predecessor or hop around to
+    # the last row, and an id past the last node would fail inside numpy.
+    g = make_random_digraph(8, max_nodes=10)
+    fx, arts, ssm, ws = _scan_setup(g, 2)
+    table = np.column_stack([arts.k_hop_edge_index, arts.k_hop_spd])
+    table[-1, column] = g.num_nodes if value == "n" else value
+    with pytest.raises(ShapeError, match=r"hop_attention_scan: .*\(ids in \[0, n\)\)"):
+        ad.hop_attention_scan(fx, *ws, *ssm.tensors().values(), table[:, :2], table[:, 2], 2)
 
 
 # -- fusion attention ---------------------------------------------------------------

@@ -1,8 +1,8 @@
 """Pure directed-graph algorithms.
 
 Strongly connected components and depth over arbitrary digraphs in one
-iterative Tarjan pass, PageRank power iteration with dangling-mass
-redistribution, bounded-hop predecessor extraction by reverse BFS, and the
+iterative Tarjan pass, PageRank as a sparse linear system solved by Jacobi
+sweeps, bounded-hop predecessor extraction by reverse BFS, and the
 layered ego sequentializer. All functions are pure and safe to parallelize
 across graphs.
 
@@ -137,79 +137,79 @@ class ConvergenceError(RuntimeError):
     """Raised when an iteration is still above its tolerance at its cap."""
 
 
+def _sweep_cap(tol: float, damping: float) -> int:
+    return max(math.ceil((math.log(tol) + math.log((1 - damping) / (2 * damping))) / math.log(damping)), 1) + 2
+
+
 def pagerank(
     g: DiGraph,
     damping: float = 0.85,
     tol: float = 1e-10,
     batch_index: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Power-iteration PageRank with uniform dangling-mass redistribution.
+    """PageRank with uniform dangling-mass redistribution, as a linear system.
 
-    Fixed point of  PR(u) = (1-a)/n + a * sum_{v -> u} PR(v) / outdeg(v),
-    with the rank mass of out-degree-0 nodes spread uniformly each sweep so
-    scores always sum to 1. Iteration stops when the L1 change drops below
-    ``tol``. That change is at most 2 a^(t-1) after sweep t, so the cap of
-    max(ceil(log(tol/2) / log(a)), 0) + 1 sweeps is enough in exact arithmetic; a
-    graph still above ``tol`` there raises :class:`ConvergenceError`.
+    With the dangling rows of P zeroed, the scores are y / sum(y) where
+    (I - a P^T) y = 1 (Del Corso, Gulli and Romani 2005). Jacobi sweeps
+    y <- 1 + P^T (a y / outdeg) from y = 1 only rise, as no weight is
+    negative and rounding is monotone, so they settle on an exact float
+    fixed point, on a DAG after its longest path + 1. A graph stops when
+    sum |dy| (its sum's rise) <= tol (1-a)/(2a) sum(y): the tail is at most
+    a/(1-a) of that, so the L1 error is at most ``tol``. The relative change
+    after sweep t is at most a^t, which sets :func:`_sweep_cap` (two sweeps
+    spare); a graph still running there raises :class:`ConvergenceError`.
 
     ``batch_index`` (graph ordinal per node) treats ``g`` as a disjoint
-    union, and an edge between two of its graphs is refused: n, the base
-    term and the dangling spill are per graph, and each graph stops on its
-    own sweep, so its scores do not depend on the others. Whenever the count
+    union, and an edge between two of its graphs is refused: each graph
+    stops on its own sweep and is divided by its own sum. Whenever the count
     of graphs still running halves, the finished ones are written out and
     dropped from every array (Kamvar, Haveliwala and Golub, "Adaptive methods
-    for the computation of PageRank", 2004), so later sweeps cost only the
-    running graphs. Masking keeps the surviving edges in order, so every
-    ``bincount`` bucket adds the same terms in the same order and the scores
-    are bit-identical.
+    for the computation of PageRank", 2004). Masking keeps the surviving
+    edges in order, so every ``bincount`` bucket adds the same terms in the
+    same order, and a graph's scores are bit-identical to its scores alone.
     """
     if not (0.0 < damping < 1.0):
         raise ValueError(f"pagerank: damping must be in (0, 1), got {damping}")
     if not (0.0 < tol < math.inf):
         raise ValueError(f"pagerank: tol must be positive and finite, got {tol}")
     n = g.num_nodes
-    if batch_index is None:
-        batch_index = np.zeros(n, dtype=np.int64)
+    batch_index = np.zeros(n, dtype=np.int64) if batch_index is None else batch_index
     num_graphs = int(batch_index.max()) + 1 if n else 0
-    sizes = np.bincount(batch_index, minlength=num_graphs)[batch_index].astype(np.float64)
     src, dst = g.edges[:, 0], g.edges[:, 1]
     if not np.array_equal(batch_index[src], batch_index[dst]):
         raise ValueError("pagerank: an edge joins two graphs of the union")
-    outdeg = np.bincount(src, minlength=n).astype(np.float64)
-    src_outdeg = outdeg[src]
-    dangling = np.flatnonzero(outdeg == 0)
-    x = 1.0 / sizes
-    base = (1.0 - damping) / sizes
+    weight = damping / np.maximum(np.bincount(src, minlength=n), 1)  # a / outdeg
+    y = np.ones(n)
+    total = np.bincount(batch_index, minlength=num_graphs).astype(np.float64)  # sum of y per graph
     out = np.empty(n)
     nodes = np.arange(n)  # union ordinal of each node still swept
-    # Graph ids stay union ordinals, so `mass`, `change` and the error index
+    # Graph ids stay union ordinals, so `total`, `change` and the error index
     # by the caller's graph numbering however many graphs were dropped.
     active = np.ones(num_graphs, dtype=bool)
     running = num_graphs  # active graphs at the last compaction
-    sweeps = max(math.ceil(math.log(tol / 2) / math.log(damping)), 0) + 1
+    sweeps = _sweep_cap(tol, damping)
     for _ in range(sweeps):
-        contrib = np.bincount(dst, weights=x[src] / src_outdeg, minlength=len(x))
-        mass = np.bincount(batch_index[dangling], weights=x[dangling], minlength=num_graphs)
-        x_new = base + damping * (contrib + mass[batch_index] / sizes)
-        change = np.bincount(batch_index, weights=np.abs(x_new - x), minlength=num_graphs)
-        x = np.where(active[batch_index], x_new, x)
-        active &= change >= tol
+        y_new = 1.0 + np.bincount(dst, weights=(y * weight)[src], minlength=len(y))
+        total_new = np.bincount(batch_index, weights=y_new, minlength=num_graphs)
+        change = total_new - total  # the sum of |dy|, as no entry falls
+        y = np.where(active[batch_index], y_new, y)
+        total = np.where(active, total_new, total)
+        active &= change > tol * (1.0 - damping) / (2.0 * damping) * total
         count = int(np.count_nonzero(active))
         if 2 * count > running:
             continue
         keep = active[batch_index]
-        out[nodes[~keep]] = x[~keep]
+        out[nodes[~keep]] = y[~keep] / total[batch_index[~keep]]
         if not count:
             return out
         renumber = np.cumsum(keep) - 1
         edges = keep[src]
-        src, dst, src_outdeg = renumber[src[edges]], renumber[dst[edges]], src_outdeg[edges]
-        dangling = renumber[dangling[keep[dangling]]]
-        nodes, x, base, sizes, batch_index = nodes[keep], x[keep], base[keep], sizes[keep], batch_index[keep]
+        src, dst = renumber[src[edges]], renumber[dst[edges]]
+        nodes, y, weight, batch_index = nodes[keep], y[keep], weight[keep], batch_index[keep]
         running = count
     i = int(np.flatnonzero(active)[0])
     raise ConvergenceError(
-        f"pagerank: graph {i} still changes by {change[i]:.3g} (tol {tol:g}) after {sweeps} sweeps"
+        f"pagerank: graph {i} still changes by {change[i] / total[i]:.3g} (tol {tol:g}) after {sweeps} sweeps"
     )
 
 

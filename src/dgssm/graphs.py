@@ -11,11 +11,12 @@ File format (one graph per line):
      "node_ids": [str, ...] (optional)}
 
 ``n`` and every edge endpoint must be JSON integers (not floats, strings or
-booleans), every edge a pair, and every feature and label JSON numbers (not
-strings or booleans); anything else raises :class:`GraphFormatError` naming
-the line. An optional ``"e"`` key (per-edge features) is accepted and
-ignored. External string node ids, when given, are a sidecar table and
-never used for indexing.
+booleans), every edge a pair, every feature and label JSON numbers (not
+strings or booleans), ``id`` a JSON string and ``node_ids`` a list of ``n``
+strings; anything else raises :class:`GraphFormatError` naming the line. An
+optional ``"e"`` key (per-edge features) is accepted and ignored. External
+string node ids, when given, are a sidecar table and never used for
+indexing.
 """
 
 from __future__ import annotations
@@ -68,6 +69,8 @@ class DiGraph:
             )
         if not np.all(np.isfinite(x)):
             raise GraphFormatError("node_features must be finite (found NaN or inf)")
+        if self.node_ids is not None and len(self.node_ids) != n:
+            raise GraphFormatError(f"{len(self.node_ids)} node ids for {n} nodes")
         y = self.y
         if isinstance(y, (list, np.ndarray)):
             y = np.asarray(y)
@@ -192,13 +195,20 @@ def _graph_from_record(rec: dict, lineno: int) -> DiGraph:
         labels = y if isinstance(y, list) else [y]
         if y is not None and not all(type(t) in (int, float) for t in labels):
             raise GraphFormatError(f"label {y!r} is neither a number nor a list of numbers")
+        graph_id = rec.get("id")
+        if graph_id is not None and type(graph_id) is not str:
+            raise GraphFormatError(f"id {graph_id!r} is not a string")
         node_ids = rec.get("node_ids")
+        if node_ids is not None and not (
+            isinstance(node_ids, list) and len(node_ids) == n and all(type(t) is str for t in node_ids)
+        ):
+            raise GraphFormatError(f"node_ids {node_ids!r} is not a list of {n} strings")
         return DiGraph(
             num_nodes=n,
             edges=edges,
             node_features=rec["x"],
             y=y,
-            graph_id=rec.get("id"),
+            graph_id=graph_id,
             node_ids=tuple(node_ids) if node_ids else None,
         )
     except (KeyError, TypeError, ValueError, GraphFormatError) as e:

@@ -2,9 +2,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from dgssm import algos
 from dgssm.algos import (
     ConvergenceError,
     PreprocessArtifacts,
@@ -18,7 +19,7 @@ from dgssm.algos import (
     k_hop_predecessors,
     pagerank,
 )
-from dgssm.graphs import DiGraph, batch_graphs, reverse_graph
+from dgssm.graphs import DiGraph, GraphBatch, batch_graphs, reverse_graph
 from dgssm.rng import RngStream
 from dgssm.oracle import (
     brute_force_scc,
@@ -26,6 +27,7 @@ from dgssm.oracle import (
     dense_pagerank,
     floyd_warshall_spd,
     partition,
+    random_dag,
 )
 
 from conftest import make_random_digraph
@@ -192,9 +194,17 @@ def _chain_with_skip_edges() -> DiGraph:
 
 
 def _never_settles() -> DiGraph:
-    # No change in float64 falls below 1e-300 unless the sweep lands on an
-    # exact fixed point, which this graph's iterates never do.
+    # A power iteration on this graph never got its change below 1e-300: its
+    # iterates never landed on an exact float fixed point. The linear-system
+    # sweeps only rise, so they do land on one, and the change reads 0.
     return DiGraph(4, np.array([[0, 1], [1, 2], [2, 3], [3, 0], [0, 2], [1, 3]]), np.zeros((4, 1)))
+
+
+def _dag_union(seed: int) -> tuple[list[DiGraph], DiGraph, GraphBatch]:
+    stream = RngStream(seed)
+    gs = [random_dag(stream, max_nodes=25) for _ in range(20)]
+    batch = batch_graphs(gs)
+    return gs, DiGraph(batch.num_nodes, batch.edges, batch.node_features), batch
 
 
 def test_pagerank_converges_on_a_long_chain_with_skip_edges():
@@ -202,18 +212,57 @@ def test_pagerank_converges_on_a_long_chain_with_skip_edges():
     assert np.abs(pagerank(g) - dense_pagerank(g)).max() <= 1e-10
 
 
-def test_pagerank_raises_when_a_graph_does_not_converge():
-    with pytest.raises(ConvergenceError, match=r"graph 0 still changes by .* after \d+ sweeps"):
-        pagerank(_never_settles(), tol=1e-300)
+def test_pagerank_settles_where_a_power_iteration_never_does():
+    g = _never_settles()
+    got = pagerank(g, tol=1e-300)
+    assert np.abs(got - dense_pagerank(g)).max() <= 1e-12
+    assert abs(got.sum() - 1.0) <= 1e-12
 
 
-def test_pagerank_error_names_a_graph_by_its_union_ordinal():
+def test_pagerank_error_names_a_graph_by_its_union_ordinal(monkeypatch):
     # The one-node graph settles at once and is dropped from the sweeps, so
     # the graph still running sits first in what is left of the union.
+    monkeypatch.setattr(algos, "_sweep_cap", lambda tol, damping: 1)
     batch = batch_graphs([DiGraph(1, np.zeros((0, 2), np.int64), np.zeros((1, 1))), _never_settles()])
     union = DiGraph(batch.num_nodes, batch.edges, batch.node_features)
     with pytest.raises(ConvergenceError, match=r"graph 1 still changes by .* after \d+ sweeps"):
         pagerank(union, tol=1e-300, batch_index=batch.batch_index)
+
+
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(0, 10_000))
+def test_pagerank_is_exact_on_small_dags_at_the_default_tol(seed):
+    # Each of these DAGs runs out of paths, so a sweep changes nothing, before
+    # its change falls below the stop; a power iteration stops ~1e-11 short.
+    gs, union, batch = _dag_union(seed)
+    got = pagerank(union, batch_index=batch.batch_index)
+    for g, off in zip(gs, batch.offsets):
+        assert np.abs(got[off : off + g.num_nodes] - dense_pagerank(g)).max() <= 1e-13
+
+
+@pytest.mark.parametrize("case", ["chain", "dag-union"])
+def test_pagerank_finishes_a_dag_in_longest_path_plus_one_sweeps(monkeypatch, case):
+    # P^T is nilpotent on a DAG: no score changes after the longest path's
+    # sweep, so the next one reads a zero change even at tol 1e-300.
+    if case == "chain":
+        g = _chain_with_skip_edges()
+        gs, batch_index, offsets = [g], None, [0]
+    else:
+        gs, g, batch = _dag_union(0)
+        batch_index, offsets = batch.batch_index, batch.offsets
+    sweeps = int(max(dag_longest_path_depth(h).max() for h in gs)) + 1
+    monkeypatch.setattr(algos, "_sweep_cap", lambda tol, damping: sweeps)
+    got = pagerank(g, tol=1e-300, batch_index=batch_index)
+    for h, off in zip(gs, offsets):
+        assert np.abs(got[off : off + h.num_nodes] - dense_pagerank(h)).max() <= 1e-13
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 10_000), tol=st.sampled_from([1e-4, 1e-7, 1e-10]))
+def test_pagerank_l1_error_is_within_tol_on_graphs_with_cycles(seed, tol):
+    g = make_random_digraph(seed, max_nodes=25)
+    assume(condensation(g)[0].max() + 1 < g.num_nodes)  # some component holds a cycle
+    assert np.abs(pagerank(g, tol=tol) - dense_pagerank(g)).sum() <= tol
 
 
 @settings(max_examples=40, deadline=None)

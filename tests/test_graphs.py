@@ -83,6 +83,38 @@ def test_non_number_feature_or_label_rejected(tmp_path, x, y, error):
         load_graphs(path)
 
 
+@pytest.mark.parametrize(
+    "extra, error",
+    [
+        ('"id": 5', "id 5 is not a string"),
+        ('"id": ["g"]', r"id \['g'\] is not a string"),
+        ('"node_ids": "abc"', "node_ids 'abc' is not a list of 2 strings"),
+        ('"node_ids": ["a"]', r"node_ids \['a'\] is not a list of 2 strings"),
+        ('"node_ids": ["a", 7]', r"node_ids \['a', 7\] is not a list of 2 strings"),
+    ],
+    ids=["int-id", "list-id", "string-node-ids", "short-node-ids", "int-node-id"],
+)
+def test_non_string_ids_rejected(tmp_path, extra, error):
+    # The first and third used to load: graph id 5, and the three node ids
+    # ('a', 'b', 'c') for two nodes.
+    path = tmp_path / "bad.jsonl"
+    path.write_text(f'{{"n": 2, "edges": [], "x": [[1.5], [2.0]], {extra}}}\n')
+    with pytest.raises(GraphFormatError, match=f"line 1: {error}"):
+        load_graphs(path)
+
+
+def test_string_ids_load(tmp_path):
+    path = tmp_path / "g.jsonl"
+    path.write_text('{"n": 2, "edges": [], "x": [[1.5], [2.0]], "id": "g", "node_ids": ["a", "b"]}\n')
+    (g,) = load_graphs(path)
+    assert g.graph_id == "g" and g.node_ids == ("a", "b")
+
+
+def test_node_id_count_must_match_num_nodes():
+    with pytest.raises(GraphFormatError, match="3 node ids for 2 nodes"):
+        DiGraph(2, np.zeros((0, 2), np.int64), np.zeros((2, 1)), node_ids=("a", "b", "c"))
+
+
 def test_inconsistent_feature_dim_rejected(tmp_path):
     # The error names the file line of the mismatched record, blank lines
     # included, not its index among the graphs.

@@ -25,6 +25,9 @@ broadcasts, pools and segment ops it would otherwise be composed from:
 - ``cross_axis_fusion``: the fusion block's three sigmoid gates over Z-pools
   of the head and feature axes and a PageRank-weighted pool per graph, each
   a banded-matmul convolution.
+
+The two losses, ``mse_loss`` and ``cross_entropy``, are one closed-form node
+each as well.
 """
 
 from __future__ import annotations
@@ -153,15 +156,6 @@ def add(a, b) -> Tensor:
     )
 
 
-def sub(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    return _node(
-        a.data - b.data,
-        (a, b),
-        lambda g: (_unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)),
-    )
-
-
 def mul(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     return _node(
@@ -252,12 +246,6 @@ def sum_(a, axis=None, keepdims: bool = False) -> Tensor:
         return (np.broadcast_to(gg, a.shape).copy(),)
 
     return _node(a.data.sum(axis=axis, keepdims=keepdims), (a,), bwd)
-
-
-def mean(a, axis: int | None = None, keepdims: bool = False) -> Tensor:
-    a = as_tensor(a)
-    count = a.size if axis is None else a.shape[axis]
-    return mul(sum_(a, axis=axis, keepdims=keepdims), 1.0 / count)
 
 
 def softmax(a, axis: int = -1) -> Tensor:
@@ -702,8 +690,17 @@ def mse_loss(pred, target) -> Tensor:
     pred, target = as_tensor(pred), as_tensor(target)
     if pred.shape != target.shape:
         raise ShapeError(f"mse_loss: {pred.shape} vs {target.shape}")
-    diff = sub(pred, target)
-    return mean(mul(diff, diff))
+    if pred.size == 0:
+        raise ShapeError(f"mse_loss: no entries to average in shape {pred.shape}")
+    diff = pred.data - target.data
+    scale = 1.0 / diff.size
+
+    def bwd(g):
+        gd = (g * scale) * diff
+        gd = gd + gd
+        return (gd, -gd)
+
+    return _node((diff * diff).sum() * scale, (pred, target), bwd)
 
 
 def cross_entropy(logits, labels) -> Tensor:

@@ -16,13 +16,15 @@ strings or booleans), ``id`` a JSON string and ``node_ids`` a list of ``n``
 strings; anything else raises :class:`GraphFormatError` naming the line. An
 optional ``"e"`` key (per-edge features) is accepted and ignored. External
 string node ids, when given, are a sidecar table and never used for
-indexing.
+indexing. A 0-node graph's ``"x": []`` has no rows to give its feature
+width, so it loads with the width of the file's other graphs, or width 0 in
+a file of only 0-node graphs.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -41,8 +43,9 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 class DiGraph:
     """A directed graph with node features and an optional label.
 
-    ``y`` is either a per-node integer label array of length ``num_nodes``,
-    a graph-level scalar (int class or float target), or None.
+    ``y`` is either a 1-D per-node label array of length ``num_nodes``, a
+    graph-level scalar (an int class, a float target or a 0-d array), or
+    None; a label of any other shape raises :class:`GraphFormatError`.
     """
 
     num_nodes: int
@@ -72,10 +75,12 @@ class DiGraph:
         if self.node_ids is not None and len(self.node_ids) != n:
             raise GraphFormatError(f"{len(self.node_ids)} node ids for {n} nodes")
         y = self.y
-        if isinstance(y, (list, np.ndarray)):
+        if isinstance(y, (list, tuple, np.ndarray)):
             y = np.asarray(y)
-            if y.shape[0] != n:
-                raise GraphFormatError("node label count != num_nodes")
+            if y.shape not in ((), (n,)):
+                raise GraphFormatError(
+                    f"label must be a scalar or one per node; got shape {y.shape} for n={n}"
+                )
             object.__setattr__(self, "y", _frozen(y))
         object.__setattr__(self, "edges", _frozen(edges))
         object.__setattr__(self, "node_features", _frozen(x))
@@ -144,13 +149,10 @@ class GraphBatch:
             if not np.all(same):
                 raise GraphFormatError("edge crosses two graphs in a batch")
 
-    def node_labels(self) -> np.ndarray:
-        """Concatenated per-node labels (requires node-labelled graphs)."""
-        return np.concatenate([np.asarray(y) for y in self.ys])
-
-    def graph_labels(self) -> np.ndarray:
-        """Stacked graph-level labels (requires graph-labelled graphs)."""
-        return np.asarray(self.ys)
+    def labels(self) -> np.ndarray:
+        """The batch's labels in order: one per node for node-labelled
+        graphs, one per graph for scalar labels."""
+        return np.concatenate([np.atleast_1d(y) for y in self.ys])
 
 
 def batch_graphs(gs: list[DiGraph]) -> GraphBatch:
@@ -206,7 +208,7 @@ def _graph_from_record(rec: dict, lineno: int) -> DiGraph:
         return DiGraph(
             num_nodes=n,
             edges=edges,
-            node_features=rec["x"],
+            node_features=rec["x"] or np.zeros((0, 0)),
             y=y,
             graph_id=graph_id,
             node_ids=tuple(node_ids) if node_ids else None,
@@ -218,6 +220,7 @@ def _graph_from_record(rec: dict, lineno: int) -> DiGraph:
 def load_graphs(path: str | Path) -> list[DiGraph]:
     """Load a JSON-lines graph file; fails on the first malformed record."""
     out: list[DiGraph] = []
+    width = None  # feature width of the first graph with nodes
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -228,12 +231,14 @@ def load_graphs(path: str | Path) -> list[DiGraph]:
             except json.JSONDecodeError as e:
                 raise GraphFormatError(f"line {lineno}: invalid JSON ({e})") from e
             g = _graph_from_record(rec, lineno)
-            if out and g.feature_dim != out[0].feature_dim:
+            if g.num_nodes and width is None:
+                width = g.feature_dim
+            elif g.num_nodes and g.feature_dim != width:
                 raise GraphFormatError(
-                    f"line {lineno}: feature dimension {g.feature_dim} != {out[0].feature_dim}"
+                    f"line {lineno}: feature dimension {g.feature_dim} != {width}"
                 )
             out.append(g)
-    return out
+    return [g if g.num_nodes else replace(g, node_features=np.zeros((0, width or 0))) for g in out]
 
 
 def save_graphs(gs: list[DiGraph], path: str | Path) -> None:

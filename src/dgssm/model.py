@@ -397,15 +397,10 @@ def model_loss(predictions: Tensor, batch: GraphBatch, cfg: ModelConfig) -> Tens
     """Task loss: cross-entropy for classification, MSE for regression."""
     if cfg.task.startswith("node") and batch.num_nodes == 0:
         raise ValueError(f"model_loss: task {cfg.task!r} has no loss on a batch with no nodes")
-    if cfg.task == "node-classify":
-        return ad.cross_entropy(predictions, batch.node_labels())
-    if cfg.task == "node-regress":
-        target = ad.constant(np.asarray(batch.node_labels(), dtype=np.float64).reshape(-1, 1))
-        return ad.mse_loss(predictions, target)
-    if cfg.task == "graph-classify":
-        return ad.cross_entropy(predictions, batch.graph_labels().astype(np.int64))
-    target = ad.constant(np.asarray(batch.graph_labels(), dtype=np.float64).reshape(-1, 1))
-    return ad.mse_loss(predictions, target)
+    labels = batch.labels()
+    if cfg.task.endswith("classify"):
+        return ad.cross_entropy(predictions, labels)
+    return ad.mse_loss(predictions, labels.reshape(-1, 1))
 
 
 # -- checkpointing ----------------------------------------------------------------

@@ -120,10 +120,7 @@ def predict_dataset(
         batch, fwd, rev = collate([prepared[i] for i in idx])
         out = model_forward(batch, fwd, rev, cfg, params, train=False)
         preds.append(out.data)
-        if cfg.task.startswith("node"):
-            labels.append(batch.node_labels())
-        else:
-            labels.append(batch.graph_labels())
+        labels.append(batch.labels())
     return np.concatenate(preds), np.concatenate(labels)
 
 
@@ -161,7 +158,6 @@ class TrainResult:
     best_val: float = math.nan
     checkpoint_path: str | None = None
     params: ParameterSet | None = None
-    config: RunConfig | None = None
 
 
 def train(
@@ -188,7 +184,7 @@ def train(
     prep_val = prepare_graphs(val_graphs, cfg)
     metric_name, higher_better = primary_metric(cfg)
 
-    result = TrainResult(config=run)
+    result = TrainResult()
     best_params: dict[str, np.ndarray] | None = None
     best = -math.inf if higher_better else math.inf
     stale = 0

@@ -69,7 +69,7 @@ def fusion_composition(x, pagerank, batch_index, num_graphs, w) -> ad.Tensor:
 
     def zpool(axis):
         shape = (n, 1, x.shape[3 - axis])
-        return ad.concat([_first_max(x, axis).reshape(shape), ad.mean(x, axis=axis).reshape(shape)], axis=1)
+        return ad.concat([_first_max(x, axis).reshape(shape), ad.mul(ad.sum_(x, axis=axis), 1.0 / x.shape[axis]).reshape(shape)], axis=1)
 
     gate_nd = ad.sigmoid(_conv_ops(zpool(2), w.nd_w, w.nd_b)).reshape(n, dh, 1)
     gate_nc = ad.sigmoid(_conv_ops(zpool(1), w.nc_w, w.nc_b)).reshape(n, 1, c)
@@ -94,7 +94,7 @@ def scan_composition(fx, wq, wk, wv, a_log, log_dt, b, c, pairs, spd, heads: int
     dh = d // heads
     u, v = pairs[:, 0], pairs[:, 1]
     dt_a = ad.mul(ad.exp(log_dt), ad.mul(ad.exp(a_log), -1.0))
-    coef = ad.mul(ad.sub(ad.exp(dt_a), 1.0), ad.mul(ad.exp(ad.mul(a_log, -1.0)), -1.0))
+    coef = ad.mul(ad.add(ad.exp(dt_a), -1.0), ad.mul(ad.exp(ad.mul(a_log, -1.0)), -1.0))
     b_bar = ad.mul(b, coef.reshape(state, 1))
     bv = ad.matmul(ad.matmul(fx, wv), ad.transpose(b_bar, (1, 0)))  # (n, D)
     qk = ad.mul(ad.gather_rows(ad.matmul(fx, wq), v), ad.gather_rows(ad.matmul(fx, wk), u))

@@ -52,7 +52,7 @@ def _scan_with_a_log(a_log):
     "name,fn,shape,positive",
     [
         ("add_bias", lambda x: ad.sum_(ad.mul(ad.add(x, Tensor(np.arange(4.0))), ad.constant(np.random.default_rng(0).normal(size=(3, 4))))), (3, 4), False),
-        ("sub", lambda x: ad.sum_(ad.mul(ad.sub(x, 1.5), ad.sub(x, 0.5))), (3, 4), False),
+        ("mse_target", lambda x: ad.mse_loss(ad.constant(np.random.default_rng(13).normal(size=(3, 4))), x), (3, 4), False),
         # A transposed leaf gives the scan a strided (4, 3) fx.
         ("hop_attention_scan_strided", lambda x: ad.sum_(ad.mul(ad.hop_attention_scan(ad.transpose(x, (1, 0)), *SCAN_ARGS), ad.constant(np.random.default_rng(48).normal(size=(4, 2, 2))))), (3, 4), False),
         ("exp", lambda x: ad.sum_(ad.exp(ad.mul(x, 0.3))), (4, 2), False),
@@ -63,7 +63,7 @@ def _scan_with_a_log(a_log):
         ("relu", lambda x: ad.sum_(ad.relu(ad.add(x, 0.05))), (40,), True),
         ("matmul", lambda x: ad.sum_(ad.matmul(x, ad.constant(np.random.default_rng(1).normal(size=(4, 3))))), (2, 4), False),
         ("softmax", lambda x: ad.sum_(ad.mul(ad.softmax(x, axis=1), ad.constant(np.random.default_rng(2).normal(size=(3, 5))))), (3, 5), False),
-        ("mean_axis", lambda x: ad.sum_(ad.mul(ad.mean(x, axis=0, keepdims=True), ad.mean(x, axis=1, keepdims=True))), (3, 3), False),
+        ("sum_axis", lambda x: ad.sum_(ad.mul(ad.sum_(x, axis=0, keepdims=True), ad.sum_(x, axis=1, keepdims=True))), (3, 3), False),
         # A transposed leaf gives the fused op a strided (5, 3, 2) input, as the scan does.
         ("cross_axis_fusion_strided", lambda x: ad.sum_(ad.mul(ad.cross_axis_fusion(ad.transpose(x, (0, 2, 1)), *FUSION_ARGS), ad.constant(np.random.default_rng(27).normal(size=(5, 3, 2))))), (5, 2, 3), False),
         ("transpose", lambda x: ad.sum_(ad.mul(ad.transpose(x, (1, 2, 0)), ad.constant(np.random.default_rng(3).normal(size=(3, 4, 2))))), (2, 3, 4), False),
@@ -160,6 +160,31 @@ def test_shape_errors_name_the_op():
                               pairs, spd, heads)
     with pytest.raises(ShapeError, match="hop_attention_scan"):  # 3 heads do not divide d = 4
         ad.hop_attention_scan(SCAN_FX, *SCAN_ARGS[:-1], 3)
+
+
+@pytest.mark.parametrize("shape", [(737, 1), (64, 1), (3, 4), (5,), ()])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_mse_loss_equals_its_composition(shape, seed):
+    # One tape node, equal to the bit to the add/mul/sum_ composition of the
+    # mean squared error: its value, and the gradients of a prediction and of
+    # a target that both require one, under an incoming gradient other than 1.
+    rng = np.random.default_rng(seed)
+    leaves = rng.normal(size=(2, *shape))
+    pred, target = Tensor(leaves[0], requires_grad=True), Tensor(leaves[1], requires_grad=True)
+    loss = ad.mse_loss(pred, target)
+    assert loss._parents == (pred, target)
+    ad.mul(loss, 0.7).backward()
+    cpred, ctarget = Tensor(leaves[0], requires_grad=True), Tensor(leaves[1], requires_grad=True)
+    diff = ad.add(cpred, ad.mul(ctarget, -1.0))
+    want = ad.mul(ad.sum_(ad.mul(diff, diff)), 1.0 / diff.size)
+    ad.mul(want, 0.7).backward()
+    assert loss.data == want.data
+    assert np.array_equal(pred.grad, cpred.grad) and np.array_equal(target.grad, ctarget.grad)
+
+
+def test_mse_loss_rejects_empty_input():
+    with pytest.raises(ShapeError, match="mse_loss"):
+        ad.mse_loss(Tensor(np.zeros((0, 1))), Tensor(np.zeros((0, 1))))
 
 
 def test_softmax_single_element_segment_is_one():

@@ -154,21 +154,67 @@ def test_unused_edge_feature_key_ignored(tmp_path):
     assert g.num_edges == 1
 
 
+def _empty_graph(width: int, graph_id: str) -> DiGraph:
+    return DiGraph(0, np.zeros((0, 2), np.int64), np.zeros((0, width)), y=0.5, graph_id=graph_id)
+
+
 def test_round_trip_100_records(tmp_path):
     gs = [make_random_digraph(seed) for seed in range(100)]
     gs = [
         DiGraph(g.num_nodes, g.edges, g.node_features, y=float(i), graph_id=f"g{i}")
         for i, g in enumerate(gs)
     ]
+    # 0-node graphs first, in the middle and last: each is written as "x": []
+    # and read back with the width of the other graphs.
+    gs = [_empty_graph(3, "e0"), *gs[:50], _empty_graph(3, "e1"), *gs[50:], _empty_graph(3, "e2")]
     path = tmp_path / "all.jsonl"
     save_graphs(gs, path)
     back = load_graphs(path)
-    assert len(back) == 100
+    assert len(back) == len(gs)
     for a, b in zip(gs, back):
         assert a.num_nodes == b.num_nodes
         assert np.array_equal(a.edges, b.edges)
         assert np.array_equal(a.node_features, b.node_features)
         assert a.y == b.y and a.graph_id == b.graph_id
+
+
+def test_only_0_node_graphs_load_with_width_0(tmp_path):
+    path = tmp_path / "empty.jsonl"
+    save_graphs([_empty_graph(3, "e0"), _empty_graph(3, "e1")], path)
+    assert [g.node_features.shape for g in load_graphs(path)] == [(0, 0), (0, 0)]
+
+
+@pytest.mark.parametrize(
+    "y",
+    [[[1], [2]], np.zeros((2, 1)), np.zeros((1, 2)), [1.0], np.zeros(3), (1, 2, 3)],
+    ids=["2-d-list", "column", "row", "too-few", "too-many", "tuple"],
+)
+def test_label_of_another_shape_rejected(y):
+    # The first three used to be accepted as 2-D "per-node" labels, and the
+    # tuple as a label that save_graphs writes and load_graphs then refuses.
+    with pytest.raises(GraphFormatError, match=r"label must be a scalar or one per node; got shape \("):
+        DiGraph(2, [[0, 1]], np.ones((2, 3)), y=y)
+
+
+@pytest.mark.parametrize("y", [np.array(2.0), np.array(2), 2, 2.0], ids=["0-d-float", "0-d-int", "int", "float"])
+def test_scalar_label_forms_accepted(y):
+    # A 0-d array used to fail with a bare IndexError.
+    g = DiGraph(2, [[0, 1]], np.ones((2, 3)), y=y)
+    assert batch_graphs([g, g]).labels().tolist() == [2, 2]
+
+
+@pytest.mark.parametrize(
+    "ys, want",
+    [
+        ([np.array([1.0, 2.0]), np.zeros(0), np.array([3.0, 4.0, 5.0])], [1.0, 2.0, 3.0, 4.0, 5.0]),
+        ([1.5, np.array(2.5), 3.5], [1.5, 2.5, 3.5]),
+    ],
+    ids=["node-task", "graph-task"],
+)
+def test_labels_with_a_0_node_graph(ys, want):
+    # The middle graph has no nodes: no label for a node task, one for a graph task.
+    gs = [DiGraph(n, np.zeros((0, 2), np.int64), np.zeros((n, 2)), y=y) for n, y in zip([2, 0, 3], ys)]
+    assert batch_graphs(gs).labels().tolist() == want
 
 
 def test_reverse_trivial_cases():

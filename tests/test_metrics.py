@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from dgssm import metrics as M
 from dgssm.rng import RngStream
@@ -17,10 +18,12 @@ def test_constant_predictor_auc_is_half():
     assert M.roc_auc(scores, labels) == 0.5
 
 
-def test_auc_matches_pair_counting():
+@pytest.mark.parametrize("tied", [False, True], ids=["normal", "tied-integers"])
+def test_auc_matches_pair_counting(tied):
     stream = RngStream(0)
     labels = (stream.uniform(size=60) < 0.4).astype(int)
-    scores = stream.normal(size=60)
+    # Integer scores in [0, 6) put about ten of the 60 scores in each tie group.
+    scores = stream.integers(0, 6, size=60).astype(float) if tied else stream.normal(size=60)
     pos = scores[labels == 1]
     neg = scores[labels == 0]
     wins = sum((p > n) + 0.5 * (p == n) for p in pos for n in neg)

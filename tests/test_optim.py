@@ -45,7 +45,7 @@ def test_convex_quadratic_descends():
     losses = []
     for _ in range(50):
         opt.zero_grad()
-        diff = ad.sub(p["w"], ad.constant(target))
+        diff = ad.add(p["w"], ad.constant(-target))
         loss = ad.sum_(ad.mul(diff, diff))
         loss.backward()
         losses.append(loss.item())

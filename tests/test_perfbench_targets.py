@@ -36,6 +36,32 @@ def _perfbench():
     return importlib.import_module("workloads"), importlib.import_module("checks")
 
 
+def test_traced_op_charges_each_block(tmp_path):
+    # The tracer tells the scan and fusion directions apart by argument
+    # position, so reordering the arguments of digraph_ssm_scan,
+    # digraph_fusion_attention or dirgraphssm_layer would charge one
+    # direction's time to the other; each block must read above 0.
+    workloads, _ = _perfbench()
+    tracer_module = importlib.import_module("tracer")
+    autodiff = importlib.import_module("dgssm.autodiff")
+    node = autodiff._node
+    wl = workloads.WORKLOADS["train-depth-k4"]
+    state = wl.setup(wl.generate(0), 0, tmp_path)
+    tracer = tracer_module.Tracer()
+    tracer.install()
+    try:
+        with tracer.unit("op"):
+            wl.op(state)
+    finally:
+        tracer.uninstall()
+    assert autodiff._node is node
+    metrics, _ = tracer.layer_metrics()
+    for name in ("scan_fwd", "scan_rev", "fusion_fwd", "fusion_rev"):
+        assert metrics[f"model.{name}.forward_s"]["value"] > 0, name
+        assert metrics[f"model.{name}.backward_s"]["value"] > 0, name
+    assert metrics["model.head.backward_s"]["value"] > 0
+
+
 @pytest.mark.parametrize("name", ["train-depth-k4", "train-chains-k16", "eval-ancestors-k4"])
 def test_workload_runs_one_op(name, tmp_path):
     # The benchmark's calls into the library (set-up, checkpoint, one op and

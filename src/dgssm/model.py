@@ -26,7 +26,7 @@ from .autodiff import ParameterSet, Tensor
 from .checkpoint import CheckpointError, load_arrays, save_arrays
 from .graphs import GraphBatch
 from .rng import RngStream
-from .ssm import SSMParams, init_s4d
+from .ssm import init_s4d
 
 TASKS = ("node-classify", "node-regress", "graph-classify", "graph-regress")
 
@@ -163,15 +163,6 @@ def init_weights(cfg: ModelConfig, stream: RngStream) -> ParameterSet:
     return p
 
 
-def _ssm_view(params: ParameterSet, prefix: str) -> SSMParams:
-    return SSMParams(
-        a_log=params[f"{prefix}.a_log"],
-        log_dt=params[f"{prefix}.log_dt"],
-        B=params[f"{prefix}.b"],
-        C=params[f"{prefix}.c"],
-    )
-
-
 # -- building blocks -------------------------------------------------------------
 
 
@@ -231,10 +222,8 @@ def encode_inputs(
 def digraph_ssm_scan(
     fx: Tensor,
     artifacts: PreprocessArtifacts,
-    ssm: SSMParams,
-    wq: Tensor,
-    wk: Tensor,
-    wv: Tensor,
+    params: ParameterSet,
+    prefix: str,
     num_heads: int,
 ) -> Tensor:
     """Attention-selective scan over bounded-hop predecessor sets.
@@ -250,11 +239,13 @@ def digraph_ssm_scan(
     it by a_bar^s, the alpha-weighted pairs are summed per center and head,
     and head c is read out through its rows of C. The projections, the
     zero-order-hold discretization, the power table and the scan are one op
-    with a closed-form backward, :func:`autodiff.hop_attention_scan`.
+    with a closed-form backward, :func:`autodiff.hop_attention_scan`, given
+    the weights named ``{prefix}.<name>`` in ``params``, in the op's order.
     Returns the head-stacked tensor (n, d_head, heads).
     """
+    names = ("wq", "wk", "wv", "ssm.a_log", "ssm.log_dt", "ssm.b", "ssm.c")
     return ad.hop_attention_scan(
-        fx, wq, wk, wv, ssm.a_log, ssm.log_dt, ssm.B, ssm.C,
+        fx, *(params[f"{prefix}.{name}"] for name in names),
         artifacts.k_hop_edge_index, artifacts.k_hop_spd, num_heads,
     )
 
@@ -265,37 +256,13 @@ def flatten_heads(heads: Tensor) -> Tensor:
     return ad.transpose(heads, (0, 2, 1)).reshape(n, dh * h)
 
 
-@dataclass
-class FusionWeights:
-    nd_w: Tensor
-    nd_b: Tensor
-    nc_w: Tensor
-    nc_b: Tensor
-    dc_w: Tensor
-    dc_b: Tensor
-    pr_w: Tensor
-    pr_b: Tensor
-
-    @classmethod
-    def view(cls, params: ParameterSet, prefix: str) -> "FusionWeights":
-        return cls(
-            nd_w=params[f"{prefix}.nd.w"],
-            nd_b=params[f"{prefix}.nd.b"],
-            nc_w=params[f"{prefix}.nc.w"],
-            nc_b=params[f"{prefix}.nc.b"],
-            dc_w=params[f"{prefix}.dc.w"],
-            dc_b=params[f"{prefix}.dc.b"],
-            pr_w=params[f"{prefix}.pr.w"],
-            pr_b=params[f"{prefix}.pr.b"],
-        )
-
-
 def digraph_fusion_attention(
     x: Tensor,
     pagerank: np.ndarray,
     batch_index: np.ndarray,
     num_graphs: int,
-    w: FusionWeights,
+    params: ParameterSet,
+    prefix: str,
 ) -> Tensor:
     """Cross-axis recalibration of the head-stacked tensor (N, D_h, C).
 
@@ -307,10 +274,13 @@ def digraph_fusion_attention(
     back to that graph's nodes. The output is x times the mean of the three
     gates; pooling is keyed by batch index so graphs in a batch never mix.
     The block is one op with a closed-form backward,
-    :func:`autodiff.cross_axis_fusion`, which takes the weights in
-    ``FusionWeights`` field order.
+    :func:`autodiff.cross_axis_fusion`, given the weights named
+    ``{prefix}.<name>`` in ``params``, in the op's order.
     """
-    return ad.cross_axis_fusion(x, pagerank, batch_index, num_graphs, *vars(w).values())
+    names = ("nd.w", "nd.b", "nc.w", "nc.b", "dc.w", "dc.b", "pr.w", "pr.b")
+    return ad.cross_axis_fusion(
+        x, pagerank, batch_index, num_graphs, *(params[f"{prefix}.{name}"] for name in names)
+    )
 
 
 def dirgraphssm_layer(
@@ -331,15 +301,10 @@ def dirgraphssm_layer(
 
     def scan_branch(tag: str, arts: PreprocessArtifacts) -> Tensor:
         pre = f"layers.{layer_index}.{tag}"
-        heads = digraph_ssm_scan(
-            h, arts, _ssm_view(params, f"{pre}.ssm"),
-            params[f"{pre}.wq"], params[f"{pre}.wk"], params[f"{pre}.wv"],
-            cfg.heads,
-        )
+        heads = digraph_ssm_scan(h, arts, params, pre, cfg.heads)
         if cfg.use_fusion:
             heads = digraph_fusion_attention(
-                heads, arts.pagerank, batch_index, num_graphs,
-                FusionWeights.view(params, f"{pre}.fusion"),
+                heads, arts.pagerank, batch_index, num_graphs, params, f"{pre}.fusion"
             )
         return ad.matmul(flatten_heads(heads), params[f"{pre}.wo"])
 

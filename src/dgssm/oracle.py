@@ -23,7 +23,7 @@ from .algos import (
     k_hop_predecessors,
     pagerank,
 )
-from .autodiff import Tensor
+from .autodiff import ParameterSet, Tensor
 from .graphs import DiGraph
 from .model import ModelConfig, digraph_ssm_scan, init_weights, model_forward, model_loss
 from .optim import grad_check_params
@@ -272,9 +272,12 @@ def suite_scan_equivalence(
             k_hop_spd=spd,
             k=k,
         )
-        heads = digraph_ssm_scan(
-            Tensor(fx), arts, p, Tensor(wq), Tensor(wk), Tensor(wv), num_heads
-        )
+        params = ParameterSet()
+        for name, arr in (("wq", wq), ("wk", wk), ("wv", wv)):
+            params.add(f"scan.{name}", Tensor(arr))
+        for name, t in p.tensors().items():
+            params.add(f"scan.ssm.{name}", t)
+        heads = digraph_ssm_scan(Tensor(fx), arts, params, "scan", num_heads)
         want = sequence_scan_oracle(g, fx, wq, wk, wv, p, k, num_heads)
         worst = max(worst, float(np.abs(heads.data - want).max()))
     return SuiteResult(

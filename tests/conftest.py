@@ -60,26 +60,28 @@ def _conv_ops(x: ad.Tensor, w: ad.Tensor, b: ad.Tensor) -> ad.Tensor:
     return ad.add(ad.matmul(ad.reshape(x, (batch, -1)), ad.reshape(band, (c_in * size, size))), b)
 
 
-def fusion_composition(x, pagerank, batch_index, num_graphs, w) -> ad.Tensor:
+def fusion_composition(x, pagerank, batch_index, num_graphs, params, prefix) -> ad.Tensor:
     """The fusion block composed of autodiff ops node by node, as the model
     ran it before the block became one op: Z-pools of a first-max and a
     mean, three convolutions, three sigmoids, and the per-graph softmax,
-    max and mean through the segment ops."""
+    max and mean through the segment ops. The weights are read from
+    ``params`` by prefix, as the model's block reads them."""
     n, dh, c = x.shape
+    w = lambda name: params[f"{prefix}.{name}"]
 
     def zpool(axis):
         shape = (n, 1, x.shape[3 - axis])
         return ad.concat([_first_max(x, axis).reshape(shape), ad.mul(ad.sum_(x, axis=axis), 1.0 / x.shape[axis]).reshape(shape)], axis=1)
 
-    gate_nd = ad.sigmoid(_conv_ops(zpool(2), w.nd_w, w.nd_b)).reshape(n, dh, 1)
-    gate_nc = ad.sigmoid(_conv_ops(zpool(1), w.nc_w, w.nc_b)).reshape(n, 1, c)
-    logits = ad.add(ad.mul(ad.constant(pagerank.reshape(-1, 1)), w.pr_w), w.pr_b)
+    gate_nd = ad.sigmoid(_conv_ops(zpool(2), w("nd.w"), w("nd.b"))).reshape(n, dh, 1)
+    gate_nc = ad.sigmoid(_conv_ops(zpool(1), w("nc.w"), w("nc.b"))).reshape(n, 1, c)
+    logits = ad.add(ad.mul(ad.constant(pagerank.reshape(-1, 1)), w("pr.w")), w("pr.b"))
     xw = ad.mul(x, ad.segment_softmax(logits, batch_index, num_graphs).reshape(n, 1, 1))
     pooled = ad.concat([
         ad.segment_max(xw, batch_index, num_graphs).reshape(num_graphs, 1, dh, c),
         ad.segment_mean(xw, batch_index, num_graphs).reshape(num_graphs, 1, dh, c),
     ], axis=1)
-    gate_dc = ad.sigmoid(_conv_ops(pooled, w.dc_w, w.dc_b)).reshape(num_graphs, dh, c)
+    gate_dc = ad.sigmoid(_conv_ops(pooled, w("dc.w"), w("dc.b"))).reshape(num_graphs, dh, c)
     gates = ad.add(ad.add(gate_nd, gate_nc), ad.gather_rows(gate_dc, batch_index))
     return ad.mul(ad.mul(x, gates), 1.0 / 3.0)
 

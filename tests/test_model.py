@@ -9,7 +9,6 @@ from dgssm.autodiff import ParameterSet, ShapeError, Tensor
 from dgssm.checkpoint import CheckpointError, save_arrays
 from dgssm.graphs import DiGraph, batch_graphs, reverse_graph
 from dgssm.model import (
-    FusionWeights,
     ModelConfig,
     depth_positional_encoding,
     digraph_fusion_attention,
@@ -169,10 +168,21 @@ def _scan_setup(g, k, d=8, heads=2, seed=4):
     return fx, arts, ssm, ws
 
 
+def _scan_params(ssm, ws, params=None):
+    """The scan's weights in ``params`` (a new set by default) under the
+    prefix "scan", named as the model names them."""
+    params = ParameterSet() if params is None else params
+    for name, t in zip(("wq", "wk", "wv"), ws):
+        params.add(f"scan.{name}", t)
+    for name, t in ssm.tensors().items():
+        params.add(f"scan.ssm.{name}", t)
+    return params
+
+
 def test_scan_isolated_node_is_hop_zero_message():
     g = DiGraph(1, np.zeros((0, 2), np.int64), np.zeros((1, 3)))
     fx, arts, ssm, (wq, wk, wv) = _scan_setup(g, 2)
-    heads = digraph_ssm_scan(fx, arts, ssm, wq, wk, wv, 2)
+    heads = digraph_ssm_scan(fx, arts, _scan_params(ssm, (wq, wk, wv)), "scan", 2)
     want = kernel_table(ssm, 2)[0] @ (fx.data[0] @ wv.data)
     got = flatten_heads(heads).data[0]
     assert np.allclose(got, want, atol=1e-12)
@@ -241,7 +251,7 @@ def test_scan_records_one_tape_node(monkeypatch):
         return nodes[-1]
 
     monkeypatch.setattr(ad, "_node", counting_node)
-    heads = digraph_ssm_scan(fx, arts, ssm, *ws, 2)
+    heads = digraph_ssm_scan(fx, arts, _scan_params(ssm, ws), "scan", 2)
     assert nodes == [heads]
     assert all(p._backward is None for p in heads._parents)
     assert {id(p) for p in heads._parents} == {id(t) for t in leaves}
@@ -249,8 +259,8 @@ def test_scan_records_one_tape_node(monkeypatch):
 
 def test_scan_head_slicing_layout():
     g = make_random_digraph(8, max_nodes=10)
-    fx, arts, ssm, (wq, wk, wv) = _scan_setup(g, 2)
-    heads = digraph_ssm_scan(fx, arts, ssm, wq, wk, wv, 2)
+    fx, arts, ssm, ws = _scan_setup(g, 2)
+    heads = digraph_ssm_scan(fx, arts, _scan_params(ssm, ws), "scan", 2)
     flat = flatten_heads(heads)
     d_h = heads.shape[1]
     for c in range(heads.shape[2]):
@@ -265,7 +275,7 @@ def test_scan_matches_sequence_oracle_at_long_hops():
     g = DiGraph(20, [(i, i + 1) for i in range(19)], RngStream(3).normal(size=(20, 3)))
     k = 16
     fx, arts, ssm, (wq, wk, wv) = _scan_setup(g, k)
-    heads = digraph_ssm_scan(fx, arts, ssm, wq, wk, wv, 2)
+    heads = digraph_ssm_scan(fx, arts, _scan_params(ssm, (wq, wk, wv)), "scan", 2)
     want = sequence_scan_oracle(g, fx.data, wq.data, wk.data, wv.data, ssm, k, 2)
     assert np.abs(heads.data - want).max() <= 1e-8
 
@@ -288,14 +298,14 @@ def test_scan_rejects_artifact_table_mismatch():
 def test_scan_gradients_match_finite_differences(heads, k):
     # A 3-cycle feeding a chain, a self-loop and an isolated node.
     g = DiGraph(8, [(0, 1), (1, 2), (2, 0), (2, 5), (5, 6), (6, 7), (3, 3)], np.zeros((8, 3)))
-    fx, arts, ssm, (wq, wk, wv) = _scan_setup(g, k)
+    fx, arts, ssm, ws = _scan_setup(g, k)
     params = ParameterSet()
-    for name, t in [("fx", fx), ("wq", wq), ("wk", wk), ("wv", wv), *ssm.tensors().items()]:
-        params.add(name, t)
+    params.add("fx", fx)
+    _scan_params(ssm, ws, params)
     weights = RngStream(5).normal(size=(8, 8 // heads, heads))
 
     def loss():
-        return ad.sum_(ad.mul(digraph_ssm_scan(fx, arts, ssm, wq, wk, wv, heads), weights))
+        return ad.sum_(ad.mul(digraph_ssm_scan(fx, arts, params, "scan", heads), weights))
 
     report = grad_check_params(loss, params, eps=1e-5, tol=1e-6)
     assert report.passed, str(report)
@@ -361,14 +371,14 @@ def test_scan_rejects_pair_ids_out_of_range(column, value):
 
 
 def _fusion_weights(stream, c):
+    """The fusion's weights under the prefix "fusion", named as the model
+    names them."""
     k2 = 3 if c >= 3 else 1
-    mk = lambda shape: Tensor(stream.normal(0, 0.3, shape), requires_grad=True)
-    return FusionWeights(
-        nd_w=mk((1, 2, 7)), nd_b=mk((1,)),
-        nc_w=mk((1, 2, k2)), nc_b=mk((1,)),
-        dc_w=mk((1, 2, 3, 3)), dc_b=mk((1,)),
-        pr_w=mk((1,)), pr_b=mk((1,)),
-    )
+    w = ParameterSet()
+    for name, shape in [("nd.w", (1, 2, 7)), ("nd.b", (1,)), ("nc.w", (1, 2, k2)), ("nc.b", (1,)),
+                        ("dc.w", (1, 2, 3, 3)), ("dc.b", (1,)), ("pr.w", (1,)), ("pr.b", (1,))]:
+        w.add(f"fusion.{name}", Tensor(stream.normal(0, 0.3, shape)))
+    return w
 
 
 @pytest.mark.parametrize("n,dh,c", [(5, 4, 2), (7, 2, 4), (3, 8, 8), (1, 4, 2)])
@@ -376,7 +386,8 @@ def test_fusion_preserves_shape(n, dh, c):
     stream = RngStream(10)
     x = Tensor(stream.normal(size=(n, dh, c)))
     pr = np.full(n, 1.0 / n)
-    out = digraph_fusion_attention(x, pr, np.zeros(n, np.int64), 1, _fusion_weights(stream, c))
+    out = digraph_fusion_attention(x, pr, np.zeros(n, np.int64), 1, _fusion_weights(stream, c),
+                                   "fusion")
     assert out.shape == (n, dh, c)
 
 
@@ -388,7 +399,7 @@ def test_fusion_misalignment_raises_the_op_error(misaligned):
     args[misaligned] = args[misaligned][:4]
     with pytest.raises(ad.ShapeError, match=r"cross_axis_fusion: x \(5, 4, 2\), pagerank"):
         digraph_fusion_attention(Tensor(stream.normal(size=(5, 4, 2))), args["pagerank"],
-                                 args["batch_index"], 1, _fusion_weights(stream, 2))
+                                 args["batch_index"], 1, _fusion_weights(stream, 2), "fusion")
 
 
 def _fusion_reference(x, pagerank, batch_index, num_graphs, w):
@@ -396,17 +407,18 @@ def _fusion_reference(x, pagerank, batch_index, num_graphs, w):
     the axis it compresses leads, Z-pools that axis, convolves, gates the
     rotated x and rotates the branch back; the output is the branch mean."""
     sig = lambda t: 1.0 / (1.0 + np.exp(-t))
-    conv = lambda t, wt, bt: sig(conv_same_reference(t, wt.data, bt.data))
+    conv = lambda t, name: sig(conv_same_reference(t, w[f"fusion.{name}.w"].data,
+                                                   w[f"fusion.{name}.b"].data))
 
     def zpool_first(t):  # (first, rows, cols) -> (rows, 2, cols)
         return np.stack([t.max(axis=0), t.mean(axis=0)], axis=1)
 
     x_c = x.transpose(2, 0, 1)  # (C, n, dh)
-    branch1 = (x_c * conv(zpool_first(x_c), w.nd_w, w.nd_b).transpose(1, 0, 2)).transpose(1, 2, 0)
+    branch1 = (x_c * conv(zpool_first(x_c), "nd").transpose(1, 0, 2)).transpose(1, 2, 0)
     x_d = x.transpose(1, 0, 2)  # (dh, n, C)
-    branch2 = (x_d * conv(zpool_first(x_d), w.nc_w, w.nc_b).transpose(1, 0, 2)).transpose(1, 0, 2)
+    branch2 = (x_d * conv(zpool_first(x_d), "nc").transpose(1, 0, 2)).transpose(1, 0, 2)
     branch3 = np.zeros_like(x)
-    logits = pagerank * w.pr_w.data[0] + w.pr_b.data[0]
+    logits = pagerank * w["fusion.pr.w"].data[0] + w["fusion.pr.b"].data[0]
     for gi in range(num_graphs):
         rows = batch_index == gi
         if not rows.any():
@@ -414,7 +426,7 @@ def _fusion_reference(x, pagerank, batch_index, num_graphs, w):
         e = np.exp(logits[rows] - logits[rows].max())
         xw = x[rows] * (e / e.sum())[:, None, None]
         pooled = np.stack([xw.max(axis=0), xw.mean(axis=0)])[None]  # (1, 2, dh, C)
-        branch3[rows] = x[rows] * conv(pooled, w.dc_w, w.dc_b)[0, 0]
+        branch3[rows] = x[rows] * conv(pooled, "dc")[0, 0]
     return (branch1 + branch2 + branch3) / 3.0
 
 
@@ -424,7 +436,7 @@ def test_fusion_single_node_pools_duplicate():
     w = _fusion_weights(stream, 2)
     pr = np.array([1.0])
     batch_index = np.zeros(1, np.int64)
-    out = digraph_fusion_attention(x, pr, batch_index, 1, w)
+    out = digraph_fusion_attention(x, pr, batch_index, 1, w, "fusion")
     # w_p for a single node is 1, so the pooled max and mean channels both
     # equal x itself.
     assert np.allclose(out.data, _fusion_reference(x.data, pr, batch_index, 1, w), atol=1e-12)
@@ -454,7 +466,7 @@ def test_fusion_matches_numpy_reference(heads, dh):
     x, tied, pr, batch_index, num_graphs = _tied_fusion_batch(stream, dh, heads)
     w = _fusion_weights(stream, heads)
     for data in (x, tied):
-        out = digraph_fusion_attention(Tensor(data), pr, batch_index, num_graphs, w).data
+        out = digraph_fusion_attention(Tensor(data), pr, batch_index, num_graphs, w, "fusion").data
         want = _fusion_reference(data, pr, batch_index, num_graphs, w)
         assert np.abs(out - want).max() <= 1e-12 * np.abs(want).max()
 
@@ -462,12 +474,12 @@ def test_fusion_matches_numpy_reference(heads, dh):
     # the untied batch.
     params = ParameterSet()
     params.add("x", Tensor(x))
-    for name, t in vars(w).items():
+    for name, t in w.items():
         params.add(name, t)
     probe = ad.constant(stream.normal(size=x.shape))
 
     def loss():
-        out = digraph_fusion_attention(params["x"], pr, batch_index, num_graphs, w)
+        out = digraph_fusion_attention(params["x"], pr, batch_index, num_graphs, params, "fusion")
         return ad.sum_(ad.mul(out, probe))
 
     report = grad_check_params(loss, params, eps=1e-5, tol=1e-6)
@@ -477,11 +489,10 @@ def test_fusion_matches_numpy_reference(heads, dh):
 def _fusion_grads(fusion, data, pr, batch_index, num_graphs, w, probe):
     """Output, x gradient and weight gradients of ``fusion`` on ``data``."""
     x = Tensor(data, requires_grad=True)
-    for t in vars(w).values():
-        t.zero_grad()
-    out = fusion(x, pr, batch_index, num_graphs, w)
+    w.zero_grad()
+    out = fusion(x, pr, batch_index, num_graphs, w, "fusion")
     ad.sum_(ad.mul(out, ad.constant(probe))).backward()
-    return [out.data, x.grad] + [t.grad for t in vars(w).values()]
+    return [out.data, x.grad] + [t.grad for _, t in w.items()]
 
 
 @pytest.mark.parametrize("heads,dh", [(1, 8), (2, 4), (4, 2), (8, 1)])
@@ -511,9 +522,8 @@ def test_fusion_strided_input_bit_identical():
     probe = stream.normal(size=x.shape)
     strided = np.ascontiguousarray(x.transpose(0, 2, 1)).transpose(0, 2, 1)
     assert not strided.flags.c_contiguous
-    op = lambda t, *args: ad.cross_axis_fusion(t, *args[:3], *vars(args[3]).values())
     got, want = (
-        _fusion_grads(op, data, pr, batch_index, num_graphs, w, probe)
+        _fusion_grads(digraph_fusion_attention, data, pr, batch_index, num_graphs, w, probe)
         for data in (strided, np.ascontiguousarray(strided))
     )
     for a, b in zip(got, want):
@@ -529,11 +539,11 @@ def test_fusion_batch_isolation_bit_identical():
     batch_index = np.concatenate([np.zeros(n1, np.int64), np.ones(n2, np.int64)])
     pr = np.concatenate([np.full(n1, 1 / n1), np.full(n2, 1 / n2)])
     base = digraph_fusion_attention(
-        Tensor(np.concatenate([x1, x2])), pr, batch_index, 2, w
+        Tensor(np.concatenate([x1, x2])), pr, batch_index, 2, w, "fusion"
     ).data
     x2b = x2 + stream.normal(size=x2.shape)
     bumped = digraph_fusion_attention(
-        Tensor(np.concatenate([x1, x2b])), pr, batch_index, 2, w
+        Tensor(np.concatenate([x1, x2b])), pr, batch_index, 2, w, "fusion"
     ).data
     assert np.array_equal(base[:n1], bumped[:n1])
     assert not np.array_equal(base[n1:], bumped[n1:])
@@ -556,16 +566,9 @@ def test_edgeless_bidirectional_scans_match_with_tied_weights():
             params[name].data = params[name.replace(".rev.", ".fwd.")].data.copy()
     g = DiGraph(4, np.zeros((0, 2), np.int64), RngStream(14).normal(size=(4, 3)))
     batch, fwd, rev = _prepared_batch([g], cfg)
-    from dgssm.model import digraph_ssm_scan as scan
-    from dgssm.model import _ssm_view
-
     h = encode_inputs(Tensor(batch.node_features), fwd.depth, batch.edges, cfg, params)
-    ssm_f = _ssm_view(params, "layers.0.fwd.ssm")
-    ssm_r = _ssm_view(params, "layers.0.rev.ssm")
-    out_f = scan(h, fwd, ssm_f, params["layers.0.fwd.wq"], params["layers.0.fwd.wk"],
-                 params["layers.0.fwd.wv"], cfg.heads)
-    out_r = scan(h, rev, ssm_r, params["layers.0.rev.wq"], params["layers.0.rev.wk"],
-                 params["layers.0.rev.wv"], cfg.heads)
+    out_f = digraph_ssm_scan(h, fwd, params, "layers.0.fwd", cfg.heads)
+    out_r = digraph_ssm_scan(h, rev, params, "layers.0.rev", cfg.heads)
     assert np.array_equal(out_f.data, out_r.data)
 
 

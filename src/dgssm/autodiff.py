@@ -490,40 +490,37 @@ def _zpool_grad(slices: list[np.ndarray], mx: np.ndarray, g_max, g_mean, axis: i
 
 @functools.lru_cache(maxsize=16)
 def _tap_map(kernel: tuple[int, ...], spatial: tuple[int, ...]) -> np.ndarray:
-    """tap[i, o]: the flat kernel tap joining input position i to output
-    position o of a zero-padded "same" convolution, or prod(kernel) (a zero
-    weight) where the kernel misses i. Read-only, as every call shares it."""
+    """The (prod(kernel), |S| |S|) one-hot matrix whose row t marks the flat
+    (input i, output o) positions that the flat kernel tap t joins in a
+    zero-padded "same" convolution. Read-only, as every call shares it."""
     k = np.array(kernel).reshape(-1, 1, 1)
     size = math.prod(spatial)
     pos = np.indices(spatial).reshape(len(spatial), size)
     off = pos[:, :, None] - pos[:, None, :] + k // 2  # (axes, |S|, |S|)
     inside = ((off >= 0) & (off < k)).all(axis=0)
-    tap = np.where(inside, np.ravel_multi_index(off, kernel, mode="clip"), math.prod(kernel))
-    tap.flags.writeable = False
-    return tap
+    tap = np.ravel_multi_index(off, kernel, mode="clip")
+    onehot = (inside & (tap == np.arange(math.prod(kernel)).reshape(-1, 1, 1))).astype(np.float64)
+    onehot = onehot.reshape(-1, size * size)
+    onehot.flags.writeable = False
+    return onehot
 
 
 def _conv_band(w: np.ndarray, spatial: tuple[int, ...]):
     """A zero-padded "same" convolution by w (C_out, C_in, *K), every K odd,
     over the spatial shape S, as the banded (C_in |S|, C_out |S|) matrix it
     spans: a (B, C_in |S|) input times the matrix is the (B, C_out |S|)
-    output. Returns the matrix and ``fold``, which sums a gradient with
-    respect to the matrix back onto w's taps with one bincount per
-    (C_out, C_in) pair."""
+    output. The matrix is w's taps times the one-hot tap map. Returns it and
+    ``fold``, which sums a gradient with respect to the matrix back onto w's
+    taps with the map's transpose."""
     c_out, c_in, *kernel = w.shape
-    tap = _tap_map(tuple(kernel), tuple(spatial))
-    size, taps = tap.shape[0], math.prod(kernel)
-    w_taps = np.zeros((c_out, c_in, taps + 1))
-    w_taps[:, :, :taps] = w.reshape(c_out, c_in, taps)
-    band = w_taps[:, :, tap].transpose(1, 2, 0, 3).reshape(c_in * size, c_out * size)
+    onehot = _tap_map(tuple(kernel), tuple(spatial))
+    size = math.prod(spatial)
+    band = (w.reshape(c_out * c_in, -1) @ onehot).reshape(c_out, c_in, size, size)
+    band = band.transpose(1, 2, 0, 3).reshape(c_in * size, c_out * size)
 
     def fold(g_band):
         rows = g_band.reshape(c_in, size, c_out, size).transpose(2, 0, 1, 3)
-        gw = [
-            np.bincount(tap.ravel(), weights=row.ravel(), minlength=taps + 1)[:taps]
-            for row in rows.reshape(c_out * c_in, size, size)
-        ]
-        return np.reshape(gw, w.shape)
+        return (rows.reshape(c_out * c_in, size * size) @ onehot.T).reshape(w.shape)
 
     return band, fold
 

@@ -345,9 +345,12 @@ def compute_batch_artifacts(
     if not bidirectional:
         return unbatch_artifacts(fwd, batch), [None] * batch.num_graphs
     # u reaches v in s hops iff v reaches u in s hops on the reversed graph.
-    order = np.lexsort((fwd.k_hop_edge_index[:, 1], fwd.k_hop_spd, fwd.k_hop_edge_index[:, 0]))
+    # The forward pairs are in (v, s, u) order, so a stable sort by (u, s)
+    # leaves v ascending within each (u, s) run.
+    spd = fwd.k_hop_spd
+    order = np.argsort(fwd.k_hop_edge_index[:, 0] * (spd.max(initial=0) + 1) + spd, kind="stable")
     rev = replace(fwd, pagerank=pagerank(reverse_graph(union), batch_index=batch.batch_index),
-                  k_hop_edge_index=fwd.k_hop_edge_index[order, ::-1], k_hop_spd=fwd.k_hop_spd[order])
+                  k_hop_edge_index=fwd.k_hop_edge_index[order, ::-1], k_hop_spd=spd[order])
     return unbatch_artifacts(fwd, batch), unbatch_artifacts(rev, batch)
 
 

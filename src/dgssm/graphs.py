@@ -45,7 +45,8 @@ class DiGraph:
 
     ``y`` is either a 1-D per-node label array of length ``num_nodes``, a
     graph-level scalar (an int class, a float target or a 0-d array), or
-    None; a label of any other shape raises :class:`GraphFormatError`.
+    None; a label of any other shape, or with values that are not integer
+    or float numbers, raises :class:`GraphFormatError`.
     """
 
     num_nodes: int
@@ -74,14 +75,16 @@ class DiGraph:
             raise GraphFormatError("node_features must be finite (found NaN or inf)")
         if self.node_ids is not None and len(self.node_ids) != n:
             raise GraphFormatError(f"{len(self.node_ids)} node ids for {n} nodes")
-        y = self.y
-        if isinstance(y, (list, tuple, np.ndarray)):
-            y = np.asarray(y)
+        if self.y is not None:
+            y = np.asarray(self.y)
+            if y.dtype.kind not in "iuf":
+                raise GraphFormatError(f"label values must be integer or float numbers; got {self.y!r:.80}")
             if y.shape not in ((), (n,)):
                 raise GraphFormatError(
                     f"label must be a scalar or one per node; got shape {y.shape} for n={n}"
                 )
-            object.__setattr__(self, "y", _frozen(y))
+            if isinstance(self.y, (list, tuple, np.ndarray)):
+                object.__setattr__(self, "y", _frozen(y))
         object.__setattr__(self, "edges", _frozen(edges))
         object.__setattr__(self, "node_features", _frozen(x))
 
@@ -242,7 +245,19 @@ def load_graphs(path: str | Path) -> list[DiGraph]:
 
 
 def save_graphs(gs: list[DiGraph], path: str | Path) -> None:
-    """Write graphs as JSON lines; `load_graphs(save_graphs(gs))` is identity."""
+    """Write graphs as JSON lines; `load_graphs(save_graphs(gs))` is identity.
+
+    Graphs with nodes must share one feature width, as ``load_graphs``
+    requires; otherwise :class:`GraphFormatError` is raised before the file
+    is opened.
+    """
+    sized = [(i, g.feature_dim) for i, g in enumerate(gs) if g.num_nodes]
+    for i, width in sized[1:]:
+        if width != sized[0][1]:
+            raise GraphFormatError(
+                f"save_graphs: graph {i} has feature dimension {width}, "
+                f"but graph {sized[0][0]} has {sized[0][1]}"
+            )
     with open(path, "w") as fh:
         for g in gs:
             rec: dict = {

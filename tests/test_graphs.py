@@ -184,6 +184,30 @@ def test_only_0_node_graphs_load_with_width_0(tmp_path):
     assert [g.node_features.shape for g in load_graphs(path)] == [(0, 0), (0, 0)]
 
 
+def test_save_rejects_mixed_feature_widths(tmp_path):
+    # The file would hold widths 3 and 5, which load_graphs refuses; 0-node
+    # graphs have no width to mix, as in load_graphs.
+    gs = [DiGraph(2, [[0, 1]], np.ones((2, 3))), _empty_graph(4, "e0"),
+          DiGraph(2, [[0, 1]], np.ones((2, 5)))]
+    path = tmp_path / "mixed.jsonl"
+    with pytest.raises(GraphFormatError, match="save_graphs: graph 2 has feature dimension 5, but graph 0 has 3"):
+        save_graphs(gs, path)
+    assert not path.exists()
+    save_graphs(gs[:2], path)
+    assert len(load_graphs(path)) == 2
+
+
+@pytest.mark.parametrize(
+    "y",
+    ["abc", True, ["a", "b"], np.array([True, False]), [1.0, None]],
+    ids=["string", "bool", "string-list", "bool-array", "none-in-list"],
+)
+def test_label_of_another_type_rejected(y):
+    # These used to construct, and failed only later, in check_dataset or the loss.
+    with pytest.raises(GraphFormatError, match="label values must be integer or float numbers"):
+        DiGraph(2, [[0, 1]], np.ones((2, 3)), y=y)
+
+
 @pytest.mark.parametrize(
     "y",
     [[[1], [2]], np.zeros((2, 1)), np.zeros((1, 2)), [1.0], np.zeros(3), (1, 2, 3)],

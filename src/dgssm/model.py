@@ -54,6 +54,10 @@ class ModelConfig:
     def __post_init__(self):
         if self.task not in TASKS:
             raise ValueError(f"unknown task {self.task!r}; expected one of {TASKS}")
+        for name, low in (("in_dim", 1), ("hidden", 1), ("heads", 1), ("ssm_state", 1),
+                          ("num_layers", 0), ("se_layers", 0)):
+            if getattr(self, name) < low:
+                raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
         if self.hidden % self.heads != 0:
             raise ValueError(f"hidden {self.hidden} not divisible by heads {self.heads}")
         if not (0.0 < self.dt_min <= self.dt_max):

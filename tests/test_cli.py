@@ -121,9 +121,10 @@ def test_gen_train_eval_matches_library(task, model_fields, tmp_path, capsys, mo
         ({"betas": ["a", 1]}, r"run.json: betas must be two real numbers in \[0, 1\), got \['a', 1\]"),
         ({"betas": [0.9]}, r"run.json: betas must be two real numbers in \[0, 1\), got \[0.9\]"),
         ({"batch_size": 0}, "run.json: batch_size must be >= 1, got 0"),
+        ({"model": {"num_layers": -1}}, "run.json: num_layers must be >= 0, got -1"),
     ],
     ids=["top-level", "model", "top-level-type", "model-type", "not-an-object",
-         "betas-type", "betas-length", "batch-size"],
+         "betas-type", "betas-length", "batch-size", "model-size"],
 )
 def test_train_rejects_unknown_config_key(dataset, tmp_path, run_json, match):
     cfg = tmp_path / "run.json"

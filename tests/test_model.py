@@ -628,6 +628,23 @@ def test_config_validation():
         ModelConfig(in_dim=3, task="node-regress", dt_min=0.5, dt_max=0.1)
 
 
+@pytest.mark.parametrize(
+    "field,value,low",
+    [("heads", 0, 1), ("hidden", 0, 1), ("in_dim", 0, 1), ("ssm_state", 0, 1),
+     ("num_layers", -1, 0), ("se_layers", -1, 0)],
+)
+def test_config_rejects_sizes_the_model_cannot_build(field, value, low):
+    # heads=0 used to die as a bare ZeroDivisionError, and num_layers=-1
+    # built a model with no layers.
+    with pytest.raises(ValueError, match=f"^{field} must be >= {low}, got {value}$"):
+        ModelConfig(**{"in_dim": 3, "task": "node-regress", field: value})
+
+
+def test_config_accepts_no_layers():
+    cfg = ModelConfig(in_dim=3, task="node-regress", num_layers=0, se_layers=0)
+    assert cfg.num_layers == cfg.se_layers == 0
+
+
 def test_feature_dim_mismatch_raises():
     g = make_random_digraph(31, max_nodes=6)
     cfg = ModelConfig(in_dim=5, task="node-regress", hidden=8, heads=2, k_hops=1)

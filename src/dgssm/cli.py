@@ -115,9 +115,17 @@ def _hop_bound(text: str) -> int | float:
     """A hop bound: an integer >= 0, or "inf" for unbounded."""
     if text == "inf":
         return math.inf
-    if not text.isdigit():
+    if not text.isdecimal():
         raise argparse.ArgumentTypeError(f"must be an integer >= 0 or 'inf', got {text!r}")
     return int(text)
+
+
+def _hop_bounds(text: str) -> list[int]:
+    """Comma-separated hop bounds, each an integer >= 0."""
+    parts = text.split(",")
+    if not all(part.isdecimal() for part in parts):
+        raise argparse.ArgumentTypeError(f"must be comma-separated integers >= 0, got {text!r}")
+    return [int(part) for part in parts]
 
 
 def _cmd_stats(args) -> int:
@@ -223,8 +231,7 @@ def _cmd_oracle_check(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    ks = [int(x) for x in args.ks.split(",")] if args.ks else None
-    records = run_bench(ks, **_given(seed=_resolve_seed(args)))
+    records = run_bench(args.ks, **_given(seed=_resolve_seed(args)))
     summary = scaling_summary(records)
     if args.json:
         print(json.dumps(summary))
@@ -283,7 +290,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_oracle_check)
 
     p = sub.add_parser("bench", help="per-stage timing across hop bounds")
-    p.add_argument("--ks", default=None, help="comma-separated hop bounds (default 1..9)")
+    p.add_argument("--ks", type=_hop_bounds, default=None,
+                   help="comma-separated hop bounds (default 1..9)")
     _add_common(p, "seed", "out", "json")
     p.set_defaults(fn=_cmd_bench)
     return parser

@@ -198,6 +198,15 @@ def test_bench_smoke(capsys):
     assert all(r["backward_s"] > 0 for r in summary["records"])
 
 
+@pytest.mark.parametrize("ks", ["1,x", "-1", "1,,2", "", "2.5"])
+def test_bench_rejects_bad_hop_bounds(ks, capsys):
+    # "1,x" used to end in a bare ValueError from int().
+    with pytest.raises(SystemExit) as exit_info:
+        main(["bench", "--ks", ks])
+    assert exit_info.value.code == 2
+    assert f"argument --ks: must be comma-separated integers >= 0, got '{ks}'" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("k", ["-1", "1e9", "two"])
 def test_stats_rejects_bad_hop_bound(dataset, k, capsys):
     with pytest.raises(SystemExit):

@@ -544,9 +544,9 @@ def cross_axis_fusion(
     where w_p is the softmax over each graph's nodes of pagerank * pr_w +
     pr_b, and an empty graph pools to 0. The kernels are nd_w (1, 2, K),
     nc_w (1, 2, K') and dc_w (1, 2, K, K), every K odd, and the biases,
-    pr_w and pr_b are (1,). Each convolution is one banded matmul by the
-    kernel's taps times a cached one-hot tap map. The short axes are reduced
-    slice by slice, and a max routes its gradient to the
+    pr_w and pr_b are (1,). Each convolution is one banded matmul, the band
+    being the kernel's taps times a cached one-hot tap map. The short axes
+    are reduced slice by slice, and a max routes its gradient to the
     earliest maximum along the axis or over a graph's rows; the backward is
     written out in closed form.
     """

@@ -266,7 +266,7 @@ def save_graphs(gs: list[DiGraph], path: str | Path) -> None:
                 "x": g.node_features.tolist(),
             }
             if g.y is not None:
-                rec["y"] = g.y.tolist() if isinstance(g.y, np.ndarray) else g.y
+                rec["y"] = np.asarray(g.y).tolist()
             if g.graph_id is not None:
                 rec["id"] = g.graph_id
             if g.node_ids is not None:

@@ -197,6 +197,15 @@ def test_save_rejects_mixed_feature_widths(tmp_path):
     assert len(load_graphs(path)) == 2
 
 
+def test_numpy_scalar_labels_round_trip(tmp_path):
+    # save_graphs used to stop on a numpy scalar label with a TypeError from
+    # json, leaving a truncated file.
+    gs = [DiGraph(2, [[0, 1]], np.ones((2, 3)), y=y) for y in (np.int64(1), np.float64(0.5))]
+    path = tmp_path / "scalars.jsonl"
+    save_graphs(gs, path)
+    assert [g.y for g in load_graphs(path)] == [1, 0.5]
+
+
 @pytest.mark.parametrize(
     "y",
     ["abc", True, ["a", "b"], np.array([True, False]), [1.0, None]],

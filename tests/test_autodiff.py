@@ -226,6 +226,78 @@ def test_segment_ops_handle_unsorted_keys():
     assert np.allclose(a, b)
 
 
+def _keyed_sums(vals, keys, num):
+    """The segment_sum forward and the gather_rows backward of ``vals`` keyed by ``keys``."""
+    fwd = ad.segment_sum(Tensor(vals), keys, num).data
+    table = Tensor(np.zeros((num, *vals.shape[1:])), requires_grad=True)
+    ad.sum_(ad.mul(ad.gather_rows(table, keys), ad.constant(vals))).backward()
+    return fwd, table.grad
+
+
+# Unsorted keys with empty segments 1 and 4 of 6, and no rows at all.
+KEYED_CASES = {
+    "unsorted": (np.array([3, 0, 5, 3, 2, 0, 0, 5, 3]), 6),
+    "no_rows": (np.zeros(0, np.int64), 3),
+}
+
+
+@pytest.mark.parametrize("row", [(), (3,), (2, 3)], ids=["1d", "2d", "3d"])
+@pytest.mark.parametrize("case", sorted(KEYED_CASES))
+@pytest.mark.parametrize("integer", [True, False], ids=["integer", "normal"])
+def test_keyed_sums_match_add_at(row, case, integer):
+    keys, num = KEYED_CASES[case]
+    rng = np.random.default_rng(23)
+    vals = rng.normal(size=(keys.size, *row))
+    if integer:
+        vals = np.round(vals * 100)
+    want = np.zeros((num, *row))
+    np.add.at(want, keys, vals)
+    for got in _keyed_sums(vals, keys, num):
+        assert got.shape == want.shape
+        if integer:
+            assert np.array_equal(got, want)
+        else:
+            np.testing.assert_allclose(got, want, rtol=1e-14, atol=1e-14)
+
+
+def test_keyed_sum_of_one_key_ignores_the_others():
+    # Changing, adding or dropping the rows of key 2 leaves every other
+    # key's sum bit-identical.
+    rng = np.random.default_rng(24)
+    keys = rng.integers(0, 5, size=40)
+    vals = rng.normal(size=(40, 4))
+    base = _keyed_sums(vals, keys, 5)
+    others = np.arange(5) != 2
+    changed = np.where((keys == 2)[:, None], rng.normal(size=vals.shape), vals)
+    grown = np.concatenate([keys, [2, 2]]), np.concatenate([vals, rng.normal(size=(2, 4))])
+    for k, v in [(keys, changed), grown, (keys[keys != 2], vals[keys != 2])]:
+        for got, want in zip(_keyed_sums(v, k, 5), base):
+            assert np.array_equal(got[others], want[others])
+
+
+# Each op called with three ids that must lie in [0, 2).
+ID_OPS = {
+    "segment_sum": lambda ids: ad.segment_sum(Tensor(np.ones((3, 2))), ids, 2),
+    "segment_mean": lambda ids: ad.segment_mean(Tensor(np.ones((3, 2))), ids, 2),
+    "segment_max": lambda ids: ad.segment_max(Tensor(np.ones((3, 2))), ids, 2),
+    "segment_softmax": lambda ids: ad.segment_softmax(Tensor(np.ones((3, 2))), ids, 2),
+    "gather_rows": lambda ids: ad.gather_rows(Tensor(np.ones((2, 2))), ids),
+    "cross_axis_fusion": lambda ids: ad.cross_axis_fusion(
+        Tensor(np.zeros((5, 3, 2))), FUSION_ARGS[0], np.concatenate([ids, [1, 1]]), 2,
+        *FUSION_ARGS[3:],
+    ),
+}
+
+
+@pytest.mark.parametrize("op", sorted(ID_OPS))
+@pytest.mark.parametrize("ids", [[-1, 0, 0], [0, 2, 1]], ids=["negative", "past_count"])
+def test_ids_outside_their_range_raise_naming_the_op(op, ids):
+    # Each op keys rows by ids in [0, count); a -1 would otherwise wrap to
+    # the last row or segment, and an id past the count would die in numpy.
+    with pytest.raises(ShapeError, match=op):
+        ID_OPS[op](np.array(ids))
+
+
 def test_backward_requires_scalar():
     with pytest.raises(ShapeError, match="scalar"):
         Tensor(np.zeros(3), requires_grad=True).backward()

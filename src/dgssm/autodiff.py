@@ -315,9 +315,21 @@ def _seg_reduce(x: np.ndarray, seg: np.ndarray, num: int, ufunc) -> np.ndarray:
     return out.reshape((num, *x.shape[1:]))
 
 
+def _int_ids(op: str, ids, what: str = "ids") -> np.ndarray:
+    """``ids`` as an int64 array; a ShapeError naming ``op`` if one is not a
+    whole number, which a cast would otherwise truncate to a valid id."""
+    raw = np.asarray(ids)
+    if raw.dtype.kind not in "biu" and (
+        raw.dtype.kind != "f" or not np.isfinite(raw).all() or (raw % 1).any()
+    ):
+        raise ShapeError(f"{op}: {what} must be integers, got non-integer {raw.dtype} values")
+    return raw.astype(np.int64)
+
+
 def _check_ids(op: str, ids, num: int) -> np.ndarray:
-    """``ids`` as a 1-D int64 array; a ShapeError naming ``op`` if one is outside [0, num)."""
-    ids = np.asarray(ids, dtype=np.int64)
+    """``ids`` as a 1-D int64 array; a ShapeError naming ``op`` if one is
+    not an integer or is outside [0, num)."""
+    ids = _int_ids(op, ids)
     if ids.ndim != 1:
         raise ShapeError(f"{op}: ids must be 1-D, got shape {ids.shape}")
     if ids.size and (ids.min() < 0 or ids.max() >= num):
@@ -408,17 +420,19 @@ def hop_attention_scan(fx, wq, wk, wv, a_log, log_dt, b, c, pairs, spd, heads: i
         y[v, j, h]  = sum_i c[h*dh + j, i] * z[h, i, v]
 
     with q = fx wq, k = fx wk, fx (n, d_in), wq, wk, wv (d_in, d), a_log and
-    log_dt (D,), b (D, d) and c (d, D); returns y, shape (n, dh, heads). The
-    pairs must be sorted by center: a center-keyed table is gathered by
-    np.repeat over per-center counts. The power table exp(s log a_bar) has a
-    row per hop up to max(spd); through it, a message m = bv_u a_bar^s with
-    gradient gm adds gm m s to the gradient of dt a. Per-pair arrays are
-    feature-major, (F, E), so each segment reduction runs along a contiguous
+    log_dt (D,), b (D, d) and c (d, D); returns y, shape (n, dh, heads), as
+    a transposed view of a C-contiguous (heads, dh, n) array. The pairs must
+    be sorted by center: a center-keyed table is gathered by np.repeat over
+    per-center counts. The power table exp(s log a_bar) has a column per hop
+    up to max(spd); through it, a message m = bv_u a_bar^s with gradient gm
+    adds gm m s to the gradient of dt a. Per-node tables are feature-major,
+    (F, n), the projections being w^T fx^T, and so are per-pair arrays,
+    (F, E), so each gather and segment reduction runs along a contiguous
     last axis; the backward is written out in closed form.
     """
     fx, wq, wk, wv, a_log, log_dt, b, c = map(as_tensor, (fx, wq, wk, wv, a_log, log_dt, b, c))
-    pairs = np.asarray(pairs, dtype=np.int64)
-    spd = np.asarray(spd, dtype=np.int64)
+    pairs = _int_ids("hop_attention_scan", pairs, "pairs")
+    spd = _int_ids("hop_attention_scan", spd, "spd")
     d, state = c.shape if c.ndim == 2 else (-1, -1)
     if (
         d < 0 or fx.ndim != 2 or any(w.shape != (fx.shape[1], d) for w in (wq, wk, wv))
@@ -443,21 +457,21 @@ def hop_attention_scan(fx, wq, wk, wv, a_log, log_dt, b, c, pairs, spd, heads: i
     a_bar = np.exp(dt * a)
     coef = (a_bar - 1.0) / a
     b_bar = coef.reshape(-1, 1) * b.data
-    powers = np.exp(np.arange(spd.max(initial=0) + 1.0)[:, None] * np.log(a_bar))  # (K+1, D)
-    xv = fx.data @ wv.data
-    bv = xv @ b_bar.T  # (n, D)
+    powers = np.exp(np.log(a_bar)[:, None] * np.arange(spd.max(initial=0) + 1.0))  # (D, K+1)
+    xv = wv.data.T @ fx.data.T  # (d, n)
+    bv = b_bar @ xv  # (D, n)
 
-    # Gathers along the pair axis: each center's pairs are one run; take() on
-    # a contiguous table keeps that axis contiguous, where t[:, idx] would not.
+    # Gathers along the pair axis: each center's pairs are one run. Every
+    # table is computed feature-major and C-contiguous, (F, n), so take()
+    # keeps the pair axis contiguous, where t[:, idx] would not.
     at_center = functools.partial(np.repeat, repeats=counts, axis=-1)
-    at = lambda table, idx: np.ascontiguousarray(table).take(idx, axis=-1)
 
-    qh = at_center((fx.data @ wq.data).T).reshape(heads, dh, e)  # (heads, dh, E)
-    kh = at((fx.data @ wk.data).T, u).reshape(heads, dh, e)
+    qh = at_center(wq.data.T @ fx.data.T).reshape(heads, dh, e)  # (heads, dh, E)
+    kh = (wk.data.T @ fx.data.T).take(u, axis=-1).reshape(heads, dh, e)
     scores = np.einsum("hje,hje->he", qh, kh) * scale  # (heads, E)
     ex = np.exp(scores - at_center(_reduce_groups(scores, by_center, n, np.maximum, axis=1)))
     alpha = ex / at_center(_reduce_groups(ex, by_center, n, np.add, axis=1))
-    bvg, pg = at(bv.T, u), at(powers.T, spd)  # (D, E)
+    bvg, pg = bv.take(u, axis=-1), powers.take(spd, axis=-1)  # (D, E)
     m = bvg * pg
     z = _reduce_groups(alpha[:, None, :] * m, by_center, n, np.add, axis=2)  # (heads, D, n)
     c_heads = c.data.reshape(heads, dh, state)
@@ -485,7 +499,7 @@ def hop_attention_scan(fx, wq, wk, wv, a_log, log_dt, b, c, pairs, spd, heads: i
         # powers a_bar^s = exp(s dt a) add sum_e gm bvg s a_bar^s = sum_e gm m s.
         gk, gbv = by_pred[:d].T, by_pred[d:].T
         gxv = gbv @ b_bar
-        gb_bar = gbv.T @ xv  # (D, d)
+        gb_bar = gbv.T @ xv.T  # (D, d)
         gcoef = (gb_bar * b.data).sum(axis=1)
         gda = gcoef * a_bar / a + np.einsum("se,se,e->s", gm, m, spd)
         gfx = gq.T @ wq.data.T + gk @ wk.data.T + gxv @ wv.data.T
@@ -566,16 +580,18 @@ def cross_axis_fusion(
     pr_b, and an empty graph pools to 0. The kernels are nd_w (1, 2, K),
     nc_w (1, 2, K') and dc_w (1, 2, K, K), every K odd, and the biases,
     pr_w and pr_b are (1,). Each convolution is one banded matmul, the band
-    being the kernel's taps times a cached one-hot tap map. The short axes
-    are reduced slice by slice, and a max routes its gradient to the
-    earliest maximum along the axis or over a graph's rows; the backward is
-    written out in closed form.
+    being the kernel's taps times a cached one-hot tap map. The op runs in
+    the scan's (C, dh, n) layout, so every pool, gate and per-graph
+    reduction runs along the contiguous node axis. The short axes are
+    reduced slice by slice, and a max routes its gradient to the earliest
+    maximum along the axis or over a graph's nodes; the backward is written
+    out in closed form.
     """
     x, nd_w, nd_b, nc_w, nc_b, dc_w, dc_b, pr_w, pr_b = (
         as_tensor(t) for t in (x, nd_w, nd_b, nc_w, nc_b, dc_w, dc_b, pr_w, pr_b)
     )
     pagerank = np.asarray(pagerank, dtype=np.float64)
-    batch_index = np.asarray(batch_index, dtype=np.int64)
+    batch_index = _int_ids("cross_axis_fusion", batch_index, "batch_index")
     kernels = (nd_w, nc_w, dc_w)
     if (
         x.ndim != 3 or pagerank.shape != x.shape[:1] or batch_index.shape != x.shape[:1]
@@ -591,73 +607,76 @@ def cross_axis_fusion(
             f"biases and pr {[t.shape for t in (nd_b, nc_b, dc_b, pr_w, pr_b)]}"
         )
     n, dh, c = x.shape
-    # The scan hands over a transposed view; one contiguous copy makes every
-    # slice and reduction below run on unit-stride rows. The short axes are
-    # reduced one slice at a time, which on a few slices beats a numpy
-    # reduction along the axis.
-    xc = np.ascontiguousarray(x.data)
-    over_c = [xc[:, :, j] for j in range(c)]  # (n, dh) each
-    over_dh = [xc[:, i, :] for i in range(dh)]  # (n, C) each
+    # On the scan's output X is the scan's own (C, dh, n) array, not a copy,
+    # and flatten_heads reshapes the (n, dh, C) views returned below without
+    # a copy. The short axes are reduced one slice at a time, which on a few
+    # slices beats a numpy reduction along the axis.
+    X = np.ascontiguousarray(x.data.transpose(2, 1, 0))
+    over_c = list(X)  # (dh, n) each
+    over_dh = [X[:, i] for i in range(dh)]  # (C, n) each
     max_c, max_dh = functools.reduce(np.maximum, over_c), functools.reduce(np.maximum, over_dh)
-    pool_nd = np.concatenate([max_c, functools.reduce(np.add, over_c) * (1.0 / c)], axis=1)
-    pool_nc = np.concatenate([max_dh, functools.reduce(np.add, over_dh) * (1.0 / dh)], axis=1)
+    pool_nd = np.concatenate([max_c, functools.reduce(np.add, over_c) * (1.0 / c)])
+    pool_nc = np.concatenate([max_dh, functools.reduce(np.add, over_dh) * (1.0 / dh)])
     sig = lambda t: 1.0 / (1.0 + np.exp(-t))
     band_nd, fold_nd = _conv_band(nd_w.data, (dh,))
     band_nc, fold_nc = _conv_band(nc_w.data, (c,))
-    gate_nd = sig(pool_nd @ band_nd + nd_b.data)
-    gate_nc = sig(pool_nc @ band_nc + nc_b.data)
+    gate_nd = sig(band_nd.T @ pool_nd + nd_b.data)  # (dh, n)
+    gate_nc = sig(band_nc.T @ pool_nc + nc_b.data)  # (C, n)
 
     by_graph = _group(batch_index)
     counts = np.bincount(batch_index, minlength=num_graphs)
+    at_node = lambda table: table.take(batch_index, axis=-1)
     logits = pagerank * pr_w.data + pr_b.data
-    ex = np.exp(logits - _reduce_groups(logits, by_graph, num_graphs, np.maximum)[batch_index])
-    w_p = ex / _reduce_groups(ex, by_graph, num_graphs, np.add)[batch_index]
-    xw = xc * w_p[:, None, None]
-    gmax = _reduce_groups(xw, by_graph, num_graphs, np.maximum)
-    gmax[counts == 0] = 0.0
-    sizes = np.maximum(counts, 1.0)[:, None, None]
-    gavg = _reduce_groups(xw, by_graph, num_graphs, np.add) / sizes
-    pool_dc = np.concatenate([gmax, gavg], axis=1).reshape(num_graphs, 2 * dh * c)
+    ex = np.exp(logits - at_node(_reduce_groups(logits, by_graph, num_graphs, np.maximum)))
+    w_p = ex / at_node(_reduce_groups(ex, by_graph, num_graphs, np.add))
+    xw = X * w_p
+    gmax = _reduce_groups(xw, by_graph, num_graphs, np.maximum, axis=2)  # (C, dh, G)
+    gmax[:, :, counts == 0] = 0.0
+    sizes = np.maximum(counts, 1.0)
+    gavg = _reduce_groups(xw, by_graph, num_graphs, np.add, axis=2) / sizes
+    # The (feature, head) convolution reads its pool as (2, dh, C) per graph.
+    pool_dc = np.stack([gmax, gavg]).transpose(0, 2, 1, 3).reshape(2 * dh * c, num_graphs)
     band_dc, fold_dc = _conv_band(dc_w.data, (dh, c))
-    gate_dc = sig(pool_dc @ band_dc + dc_b.data)  # (G, dh C)
+    gate_dc = sig(band_dc.T @ pool_dc + dc_b.data)  # (dh C, G)
 
-    gates = gate_nd[:, :, None] + gate_nc[:, None, :] + gate_dc.reshape(-1, dh, c)[batch_index]
+    gates = gate_nd + gate_nc[:, None] + at_node(gate_dc.reshape(dh, c, -1).transpose(1, 0, 2))
 
     def bwd(g):
-        g = np.ascontiguousarray(g) * (1.0 / 3.0)
+        g = np.ascontiguousarray(g.transpose(2, 1, 0)) * (1.0 / 3.0)
         gx = g * gates
-        gg = g * xc
+        gg = g * X
 
         def conv_grads(g_gate, gate, pool, band, fold):
             g_pre = g_gate * gate * (1.0 - gate)
-            return g_pre @ band.T, fold(pool.T @ g_pre), g_pre.sum().reshape(1)
+            return band @ g_pre, fold(pool @ g_pre.T), g_pre.sum().reshape(1)
 
-        g_gate = functools.reduce(np.add, [gg[:, :, j] for j in range(c)])
+        g_gate = functools.reduce(np.add, gg)
         g_pool, gw_nd, gb_nd = conv_grads(g_gate, gate_nd, pool_nd, band_nd, fold_nd)
-        gx += _zpool_grad(over_c, max_c, g_pool[:, :dh], g_pool[:, dh:] * (1.0 / c), 2)
-        g_gate = functools.reduce(np.add, [gg[:, i, :] for i in range(dh)])
+        gx += _zpool_grad(over_c, max_c, g_pool[:dh], g_pool[dh:] * (1.0 / c), 0)
+        g_gate = functools.reduce(np.add, [gg[:, i] for i in range(dh)])
         g_pool, gw_nc, gb_nc = conv_grads(g_gate, gate_nc, pool_nc, band_nc, fold_nc)
-        gx += _zpool_grad(over_dh, max_dh, g_pool[:, :c], g_pool[:, c:] * (1.0 / dh), 1)
+        gx += _zpool_grad(over_dh, max_dh, g_pool[:c], g_pool[c:] * (1.0 / dh), 1)
 
-        g_gate = _reduce_groups(gg, by_graph, num_graphs, np.add).reshape(num_graphs, dh * c)
+        g_gate = _reduce_groups(gg, by_graph, num_graphs, np.add, axis=2)
+        g_gate = g_gate.transpose(1, 0, 2).reshape(dh * c, num_graphs)
         g_pool, gw_dc, gb_dc = conv_grads(g_gate, gate_dc, pool_dc, band_dc, fold_dc)
-        g_pool = g_pool.reshape(num_graphs, 2, dh, c)
-        # Per graph and entry, the earliest row at the max: a second max over
-        # negated row numbers, -inf for every row below the max.
-        rows = np.arange(n, dtype=np.float64)[:, None, None]
-        neg_rows = np.where(xw == gmax[batch_index], -rows, -np.inf)
-        first = -rows == _reduce_groups(neg_rows, by_graph, num_graphs, np.maximum)[batch_index]
-        gxw = np.where(first, g_pool[:, 0][batch_index], 0.0) + (g_pool[:, 1] / sizes)[batch_index]
-        gx += gxw * w_p[:, None, None]
-        g_wp = (gxw * xc).reshape(n, dh * c).sum(axis=1)
+        g_max, g_sum = g_pool.reshape(2, dh, c, num_graphs).transpose(0, 2, 1, 3)
+        # Per graph and entry, the earliest node at the max: a second max over
+        # negated node numbers, -inf for every node below the max.
+        nodes = np.arange(n, dtype=np.float64)
+        neg_nodes = np.where(xw == at_node(gmax), -nodes, -np.inf)
+        first_at = _reduce_groups(neg_nodes, by_graph, num_graphs, np.maximum, axis=2)
+        first = -nodes == at_node(first_at)
+        gxw = np.where(first, at_node(g_max), 0.0) + at_node(g_sum / sizes)
+        gx += gxw * w_p
+        g_wp = (gxw * X).reshape(c * dh, n).sum(axis=0)
         dot = _reduce_groups(g_wp * w_p, by_graph, num_graphs, np.add)
-        g_logits = w_p * (g_wp - dot[batch_index])
-        g_pr_w = (g_logits * pagerank).sum().reshape(1)
-        return gx, gw_nd, gb_nd, gw_nc, gb_nc, gw_dc, gb_dc, g_pr_w, g_logits.sum().reshape(1)
+        g_logits = w_p * (g_wp - at_node(dot))
+        g_pr_w, g_pr_b = (g_logits * pagerank).sum().reshape(1), g_logits.sum().reshape(1)
+        return gx.transpose(2, 1, 0), gw_nd, gb_nd, gw_nc, gb_nc, gw_dc, gb_dc, g_pr_w, g_pr_b
 
-    return _node(
-        (xc * gates) * (1.0 / 3.0), (x, nd_w, nd_b, nc_w, nc_b, dc_w, dc_b, pr_w, pr_b), bwd
-    )
+    out = ((X * gates) * (1.0 / 3.0)).transpose(2, 1, 0)
+    return _node(out, (x, nd_w, nd_b, nc_w, nc_b, dc_w, dc_b, pr_w, pr_b), bwd)
 
 
 # -- normalization, dropout -------------------------------------------------------

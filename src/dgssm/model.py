@@ -15,7 +15,7 @@ concatenation + projection.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -29,6 +29,8 @@ from .rng import RngStream
 from .ssm import init_s4d
 
 TASKS = ("node-classify", "node-regress", "graph-classify", "graph-regress")
+# The values a ModelConfig field of each annotation accepts; a bool is not a number.
+_FIELD_TYPES = {"int": int, "float": (int, float), "bool": bool, "str": str}
 
 
 @dataclass
@@ -52,6 +54,12 @@ class ModelConfig:
     use_fusion: bool = True
 
     def __post_init__(self):
+        # A float size or a string switch would otherwise construct, then
+        # fail inside the forward pass or silently switch a block on.
+        for f in fields(self):
+            value, want = getattr(self, f.name), _FIELD_TYPES[f.type]
+            if not isinstance(value, want) or isinstance(value, bool) and want is not bool:
+                raise ValueError(f"{f.name} must be {f.type}, got {value!r}")
         if self.task not in TASKS:
             raise ValueError(f"unknown task {self.task!r}; expected one of {TASKS}")
         for name, low in (("in_dim", 1), ("hidden", 1), ("heads", 1), ("ssm_state", 1),
@@ -255,7 +263,12 @@ def digraph_ssm_scan(
 
 
 def flatten_heads(heads: Tensor) -> Tensor:
-    """(n, d_head, heads) -> (n, d) with head c occupying columns [c*dh, (c+1)*dh)."""
+    """(n, d_head, heads) -> (n, d) with head c occupying columns [c*dh, (c+1)*dh).
+
+    The scan and the fusion return (n, d_head, heads) views of C-contiguous
+    (heads, d_head, n) arrays; for those the result is an F-ordered view,
+    which the matmul by wo reads without a copy.
+    """
     n, dh, h = heads.shape
     return ad.transpose(heads, (0, 2, 1)).reshape(n, dh * h)
 

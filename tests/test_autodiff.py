@@ -290,12 +290,25 @@ ID_OPS = {
 
 
 @pytest.mark.parametrize("op", sorted(ID_OPS))
-@pytest.mark.parametrize("ids", [[-1, 0, 0], [0, 2, 1]], ids=["negative", "past_count"])
+@pytest.mark.parametrize(
+    "ids", [[-1, 0, 0], [0, 2, 1], [0, 0.5, 1]], ids=["negative", "past_count", "fractional"]
+)
 def test_ids_outside_their_range_raise_naming_the_op(op, ids):
     # Each op keys rows by ids in [0, count); a -1 would otherwise wrap to
-    # the last row or segment, and an id past the count would die in numpy.
+    # the last row or segment, an id past the count would die in numpy, and
+    # a cast would truncate 0.5 to the valid id 0.
     with pytest.raises(ShapeError, match=op):
         ID_OPS[op](np.array(ids))
+
+
+@pytest.mark.parametrize("op", sorted(ID_OPS))
+def test_whole_float_ids_are_accepted(op):
+    ID_OPS[op](np.array([0.0, 1.0, 1.0]))
+
+
+def test_gather_rows_accepts_an_empty_id_list():
+    # numpy reads [] as float64.
+    assert ad.gather_rows(Tensor(np.ones((2, 3))), []).shape == (0, 3)
 
 
 def test_backward_requires_scalar():

@@ -346,6 +346,17 @@ def test_scan_matches_its_composition(case):
         assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
 
 
+@pytest.mark.parametrize("column", [0, 1, 2], ids=["pred", "center", "spd"])
+def test_scan_rejects_fractional_pair_ids(column):
+    # A cast to int64 would truncate 0.5 to the valid id 0.
+    g = make_random_digraph(8, max_nodes=10)
+    fx, arts, ssm, ws = _scan_setup(g, 2)
+    table = np.column_stack([arts.k_hop_edge_index, arts.k_hop_spd]).astype(np.float64)
+    table[0, column] += 0.5
+    with pytest.raises(ShapeError, match="hop_attention_scan: .* must be integers"):
+        ad.hop_attention_scan(fx, *ws, *ssm.tensors().values(), table[:, :2], table[:, 2], 2)
+
+
 def test_scan_rejects_pairs_not_sorted_by_center():
     g = make_random_digraph(8, max_nodes=10)
     fx, arts, ssm, ws = _scan_setup(g, 2)
@@ -514,13 +525,14 @@ def test_fusion_ties_route_gradients_like_the_composition(heads, dh):
         assert np.abs(a - b).max() <= 1e-12 * max(np.abs(b).max(), 1.0)
 
 
-def test_fusion_strided_input_bit_identical():
-    # The scan hands the fusion a transposed view of its output.
+@pytest.mark.parametrize("axes", [(0, 2, 1), (2, 1, 0)], ids=["rows-by-head", "scan-layout"])
+def test_fusion_strided_input_bit_identical(axes):
+    # The scan hands the fusion a (2, 1, 0) transposed view of its output.
     stream = RngStream(20)
     x, _, pr, batch_index, num_graphs = _tied_fusion_batch(stream, 4, 3)
     w = _fusion_weights(stream, 3)
     probe = stream.normal(size=x.shape)
-    strided = np.ascontiguousarray(x.transpose(0, 2, 1)).transpose(0, 2, 1)
+    strided = np.ascontiguousarray(x.transpose(axes)).transpose(np.argsort(axes))
     assert not strided.flags.c_contiguous
     got, want = (
         _fusion_grads(digraph_fusion_attention, data, pr, batch_index, num_graphs, w, probe)
@@ -528,6 +540,19 @@ def test_fusion_strided_input_bit_identical():
     )
     for a, b in zip(got, want):
         assert np.array_equal(a, b)
+
+
+def test_flatten_heads_reads_the_scan_and_fusion_outputs_without_a_copy():
+    # Both ops return (n, dh, C) views of C-contiguous (C, dh, n) arrays, so
+    # the (n, d) input of wo is an F-ordered view of either, with or without
+    # the fusion block.
+    g = make_random_digraph(8, max_nodes=10)
+    fx, arts, ssm, ws = _scan_setup(g, 2)
+    heads = digraph_ssm_scan(fx, arts, _scan_params(ssm, ws), "scan", 2)
+    fused = digraph_fusion_attention(heads, arts.pagerank, np.zeros(g.num_nodes, np.int64), 1,
+                                     _fusion_weights(RngStream(21), 2), "fusion")
+    for t in (heads, fused):
+        assert np.shares_memory(flatten_heads(t).data, t.data)
 
 
 def test_fusion_batch_isolation_bit_identical():
@@ -640,6 +665,19 @@ def test_config_rejects_sizes_the_model_cannot_build(field, value, low):
         ModelConfig(**{"in_dim": 3, "task": "node-regress", field: value})
 
 
+@pytest.mark.parametrize(
+    "field,value,kind",
+    [("heads", 4.0, "int"), ("hidden", True, "int"), ("k_hops", "4", "int"),
+     ("use_fusion", "no", "bool"), ("bidirectional", "yes", "bool"), ("use_depth_pe", 1, "bool"),
+     ("dropout", "0.1", "float"), ("dt_max", False, "float")],
+)
+def test_config_rejects_values_of_the_wrong_type(field, value, kind):
+    # heads=4.0 used to construct and then die as a bare TypeError in the
+    # forward pass, and use_fusion="no" switched the fusion block on.
+    with pytest.raises(ValueError, match=f"^{field} must be {kind}, got {value!r}$"):
+        ModelConfig(**{"in_dim": 3, "task": "node-regress", field: value})
+
+
 def test_config_accepts_no_layers():
     cfg = ModelConfig(in_dim=3, task="node-regress", num_layers=0, se_layers=0)
     assert cfg.num_layers == cfg.se_layers == 0
@@ -695,6 +733,8 @@ def _set_nan(arrays, meta):
         (lambda a, m: m.pop("config"), "the meta block has no model config"),
         (lambda a, m: m["config"].update(width=8), "invalid model config .*unexpected keyword argument 'width'"),
         (lambda a, m: m["config"].update(hidden=7), "invalid model config .*not divisible by heads"),
+        (lambda a, m: m["config"].update(heads=2.0), r"invalid model config \(heads must be int, got 2.0\)"),
+        (lambda a, m: m["config"].update(use_fusion="no"), "invalid model config .*use_fusion must be bool"),
         (lambda a, m: a.pop("param.layers.0.fwd.wq"), "parameter 'layers.0.fwd.wq' is missing"),
         (lambda a, m: a.update({"param.extra.w": np.zeros(2)}), "unknown parameter 'extra.w'"),
         (lambda a, m: a.update({"param.head.w2": np.zeros((3, 1))}),
@@ -702,7 +742,7 @@ def _set_nan(arrays, meta):
         (_set_nan, "array 'param.head.b1' holds a non-finite value"),
         (lambda a, m: a.update({"opt.m": np.array([np.inf])}), "array 'opt.m' holds a non-finite value"),
     ],
-    ids=["no-config", "unknown-key", "bad-value", "missing", "unknown-param", "shape", "nan", "inf-opt"],
+    ids=["no-config", "unknown-key", "bad-value", "float-size", "string-switch", "missing", "unknown-param", "shape", "nan", "inf-opt"],
 )
 def test_load_model_checks_the_checkpoint_against_its_config(tmp_path, edit, error):
     path = _edited_checkpoint(tmp_path / "m.ckpt", edit)

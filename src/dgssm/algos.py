@@ -251,7 +251,7 @@ def k_hop_predecessors(
     in the sorted array of the keys already found, and the new ones merged in
     by a stable sort of the two sorted runs.
     """
-    if not (k == INF_HOPS or (isinstance(k, (int, np.integer)) and k >= 0)):
+    if isinstance(k, bool) or not (k == INF_HOPS or (isinstance(k, (int, np.integer)) and k >= 0)):
         raise ValueError(f"k_hop_predecessors: bad hop bound {k!r}")
     n = g.num_nodes
     indptr, indices = _csr(g.edges[:, 1], g.edges[:, 0], n)

@@ -8,6 +8,17 @@ and an op's output is always newer than its inputs, so the tape is a
 Wengert list: ``backward()`` replays the nodes that carry a gradient
 newest first, and each node runs once all of its consumers have.
 
+Recording is on by default. Inside ``with no_grad():`` every op returns a
+plain tensor with no parents and no closure, so a forward-only pass keeps
+no op's saved arrays alive past its consumers (the idiom of
+``torch.no_grad``); the arithmetic, and so every output, is the same. The
+flag is module-global, not per thread. A recorded graph keeps every closure,
+and the forward arrays it holds, until its last tensor is dropped, so
+``backward()`` may run over one graph more than once; leaf gradients
+accumulate until zeroed. Dropping each closure as soon as backward has run
+it lowered peak memory but made training steps slower
+(``BENCH_no-grad.json``), so it is not done.
+
 Graph sparsity is handled by index-based segment operations (sum / mean /
 max / softmax keyed by an index vector) rather than sparse matrices.
 Elementwise ops broadcast by numpy trailing-axis rules; gradients of
@@ -32,6 +43,7 @@ each as well.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import heapq
 import itertools
@@ -43,10 +55,22 @@ from .rng import RngStream
 
 
 _created = itertools.count()
+_recording = True  # read by _node; switched off by no_grad()
 
 
 class ShapeError(ValueError):
     """Raised when operand shapes violate an operation's contract."""
+
+
+@contextlib.contextmanager
+def no_grad():
+    """Record no tape inside the block; restores the previous state on exit."""
+    global _recording
+    saved, _recording = _recording, False
+    try:
+        yield
+    finally:
+        _recording = saved
 
 
 class Tensor:
@@ -124,7 +148,7 @@ def constant(x) -> Tensor:
 
 def _node(data, parents: tuple[Tensor, ...], backward) -> Tensor:
     out = Tensor(data)
-    if any(p.requires_grad for p in parents):
+    if _recording and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = parents
         out._backward = backward

@@ -29,8 +29,20 @@ from .rng import RngStream
 from .ssm import init_s4d
 
 TASKS = ("node-classify", "node-regress", "graph-classify", "graph-regress")
-# The values a ModelConfig field of each annotation accepts; a bool is not a number.
+# The values a config field of each annotation accepts; a bool is not a number.
 _FIELD_TYPES = {"int": int, "float": (int, float), "bool": bool, "str": str}
+
+
+def check_field_types(config) -> None:
+    """Reject a dataclass field value of the wrong type for its annotation,
+    for every field annotated with a type ``_FIELD_TYPES`` names. A float
+    size or a string switch would otherwise construct, then fail deep inside
+    a run or silently switch a block on."""
+    for f in fields(config):
+        want = _FIELD_TYPES.get(f.type)
+        value = getattr(config, f.name)
+        if want and (not isinstance(value, want) or isinstance(value, bool) and want is not bool):
+            raise ValueError(f"{f.name} must be {f.type}, got {value!r}")
 
 
 @dataclass
@@ -54,12 +66,7 @@ class ModelConfig:
     use_fusion: bool = True
 
     def __post_init__(self):
-        # A float size or a string switch would otherwise construct, then
-        # fail inside the forward pass or silently switch a block on.
-        for f in fields(self):
-            value, want = getattr(self, f.name), _FIELD_TYPES[f.type]
-            if not isinstance(value, want) or isinstance(value, bool) and want is not bool:
-                raise ValueError(f"{f.name} must be {f.type}, got {value!r}")
+        check_field_types(self)
         if self.task not in TASKS:
             raise ValueError(f"unknown task {self.task!r}; expected one of {TASKS}")
         for name, low in (("in_dim", 1), ("hidden", 1), ("heads", 1), ("ssm_state", 1),

@@ -23,7 +23,7 @@ from .algos import (
     k_hop_predecessors,
     pagerank,
 )
-from .autodiff import ParameterSet, Tensor
+from .autodiff import ParameterSet, Tensor, no_grad
 from .graphs import DiGraph
 from .model import ModelConfig, digraph_ssm_scan, init_weights, model_forward, model_loss
 from .optim import grad_check_params
@@ -277,7 +277,8 @@ def suite_scan_equivalence(
             params.add(f"scan.{name}", Tensor(arr))
         for name, t in p.tensors().items():
             params.add(f"scan.ssm.{name}", t)
-        heads = digraph_ssm_scan(Tensor(fx), arts, params, "scan", num_heads)
+        with no_grad():
+            heads = digraph_ssm_scan(Tensor(fx), arts, params, "scan", num_heads)
         want = sequence_scan_oracle(g, fx, wq, wk, wv, p, k, num_heads)
         worst = max(worst, float(np.abs(heads.data - want).max()))
     return SuiteResult(
@@ -298,7 +299,8 @@ def _tiny_config(**overrides) -> ModelConfig:
 def _forward_nodes(g: DiGraph, cfg: ModelConfig, params) -> np.ndarray:
     prep = prepare_graphs([g], cfg)
     batch, fwd, rev = collate(prep)
-    return model_forward(batch, fwd, rev, cfg, params, train=False).data
+    with no_grad():
+        return model_forward(batch, fwd, rev, cfg, params, train=False).data
 
 
 def suite_permutation(seed: int = 0, graphs: int = 20, tol: float = 1e-8) -> SuiteResult:

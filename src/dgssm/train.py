@@ -22,10 +22,11 @@ import numpy as np
 
 from . import metrics as M
 from .algos import PreprocessArtifacts, batch_artifacts, compute_batch_artifacts
-from .autodiff import ParameterSet
+from .autodiff import ParameterSet, no_grad
 from .graphs import DiGraph, GraphBatch, batch_graphs
 from .model import (
     ModelConfig,
+    check_field_types,
     init_weights,
     load_model,
     model_forward,
@@ -49,6 +50,7 @@ class RunConfig:
     patience: int = 20
 
     def __post_init__(self):
+        check_field_types(self)
         real = [isinstance(x, (int, float)) and not isinstance(x, bool) for x in self.betas]
         if len(real) != 2 or not all(real) or not all(0.0 <= x < 1.0 for x in self.betas):
             raise ValueError(f"betas must be two real numbers in [0, 1), got {list(self.betas)!r}")
@@ -113,12 +115,14 @@ def _batches(n: int, batch_size: int, order: np.ndarray):
 def predict_dataset(
     prepared: list[Prepared], cfg: ModelConfig, params: ParameterSet
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Stacked (predictions, labels) over a dataset, eval mode, in batches of 64."""
+    """Stacked (predictions, labels) over a dataset, eval mode, in batches of
+    64, recording no tape."""
     preds, labels = [], []
     order = np.arange(len(prepared))
     for idx in _batches(len(prepared), 64, order):
         batch, fwd, rev = collate([prepared[i] for i in idx])
-        out = model_forward(batch, fwd, rev, cfg, params, train=False)
+        with no_grad():
+            out = model_forward(batch, fwd, rev, cfg, params, train=False)
         preds.append(out.data)
         labels.append(batch.labels())
     return np.concatenate(preds), np.concatenate(labels)

@@ -371,6 +371,13 @@ def test_k_hop_long_chain_exhausts_reachability():
     assert np.all(np.diff(pairs[:, 1]) >= 0)
 
 
+@pytest.mark.parametrize("k", [True, False, -1, 1.0, "2"])
+def test_k_hop_rejects_a_bad_hop_bound(k):
+    # A bool is not a hop count, though Python reads True as 1.
+    g = DiGraph(2, np.array([[0, 1]]), np.zeros((2, 1)))
+    with pytest.raises(ValueError, match=f"bad hop bound {k!r}"):
+        k_hop_predecessors(g, k)
+
 
 def test_k_hop_chain_center():
     g = DiGraph(3, np.array([[0, 1], [1, 2]]), np.zeros((3, 1)))

@@ -3,10 +3,13 @@ import pytest
 
 from dgssm import autodiff as ad
 from dgssm.autodiff import ParameterSet, ShapeError, Tensor
+from dgssm.graphs import DiGraph
+from dgssm.model import ModelConfig, init_weights, model_forward, model_loss
 from dgssm.optim import grad_check
 from dgssm.rng import RngStream
+from dgssm.train import collate, prepare_graphs
 
-from conftest import conv_same_reference, layer_norm_reference
+from conftest import conv_same_reference, layer_norm_reference, make_random_digraph
 
 
 def check(fn, shape, seed=0, tol=1e-4, positive=False):
@@ -345,6 +348,57 @@ def test_grad_accumulates_until_zeroed():
     x.zero_grad()
     ad.sum_(x).backward()
     assert np.allclose(x.grad, 1.0)
+
+
+def test_no_grad_records_no_tape():
+    x = Tensor(np.arange(4.0).reshape(2, 2), requires_grad=True)
+    recorded = ad.layer_norm(ad.matmul(x, x), Tensor(np.ones(2), requires_grad=True), np.zeros(2))
+    with ad.no_grad():
+        out = ad.layer_norm(ad.matmul(x, x), Tensor(np.ones(2), requires_grad=True), np.zeros(2))
+    assert not out.requires_grad and out._parents == () and out._backward is None
+    assert recorded.requires_grad and np.array_equal(out.data, recorded.data)
+
+
+def test_no_grad_restores_recording_after_nesting_and_errors():
+    x = Tensor(np.ones(3), requires_grad=True)
+    records = lambda: ad.mul(x, 2.0).requires_grad
+    with ad.no_grad():
+        with ad.no_grad():
+            assert not records()
+        assert not records()
+    assert records()
+    with pytest.raises(KeyError):
+        with ad.no_grad():
+            raise KeyError("inside")
+    assert records()
+
+
+def test_a_no_grad_pass_leaves_the_next_recording_run_unchanged():
+    cfg = ModelConfig(in_dim=3, task="node-regress", hidden=8, heads=2, num_layers=2,
+                      ssm_state=4, k_hops=2, dropout=0.1, bidirectional=True)
+    graphs = [make_random_digraph(seed) for seed in range(3)]
+    graphs = [DiGraph(g.num_nodes, g.edges, g.node_features, y=np.arange(g.num_nodes) % 3 * 1.0)
+              for g in graphs]
+    params = init_weights(cfg, RngStream(0))
+    batch, fwd, rev = collate(prepare_graphs(graphs, cfg))
+
+    def leaf_grads():
+        params.zero_grad()
+        preds = model_forward(batch, fwd, rev, cfg, params, train=True, stream=RngStream(1))
+        model_loss(preds, batch, cfg).backward()
+        return {name: t.grad for name, t in params.items()}
+
+    want = leaf_grads()
+    params.zero_grad()
+    with ad.no_grad():
+        preds = model_forward(batch, fwd, rev, cfg, params, train=True, stream=RngStream(1))
+        loss = model_loss(preds, batch, cfg)
+    loss.backward()  # nothing recorded, so nothing to backpropagate
+    assert not loss.requires_grad and all(t.grad is None for _, t in params.items())
+    got = leaf_grads()
+    assert all(g is not None for g in want.values())
+    for name in want:
+        assert np.array_equal(got[name], want[name]), name
 
 
 def test_tensor_used_twice_in_one_op():

@@ -1,6 +1,7 @@
 """The benchmark's tracer wraps library functions by name, and its workloads
 call the library directly; renaming or deleting either would otherwise only
-fail when a benchmark run starts."""
+fail when a benchmark run starts. The workloads' seed-0 inputs also pin that
+the tape-free eval forward predicts what a recording forward does."""
 
 import importlib
 import importlib.util
@@ -8,7 +9,11 @@ import math
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from dgssm.model import load_model, model_forward
+from dgssm.train import collate, predict_dataset, prepare_graphs
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 TRACER = PERFBENCH / "tracer.py"
@@ -72,3 +77,22 @@ def test_workload_runs_one_op(name, tmp_path):
     count, value = wl.op(state)
     assert count > 0 and math.isfinite(value)
     assert checks.batch_isolation(*wl.isolation_case(state)) is None
+
+
+@pytest.mark.parametrize("name", ["train-depth-k4", "train-chains-k16", "eval-ancestors-k4"])
+def test_predict_dataset_matches_a_recording_forward(name, tmp_path):
+    # predict_dataset runs without a tape; the arithmetic is the same, so its
+    # predictions on each workload's seed-0 first batch or slice are the
+    # recording forward's to the bit.
+    workloads, _ = _perfbench()
+    wl = workloads.WORKLOADS[name]
+    state = wl.setup(wl.generate(0), 0, tmp_path)
+    if isinstance(state, workloads.EvalState):
+        cfg, params, _, _ = load_model(state.checkpoint)
+        prepared = prepare_graphs(state.slices.next(), cfg)
+    else:
+        cfg, params, prepared = wl.cfg, state.params, state.batches.next()
+    preds, _ = predict_dataset(prepared, cfg, params)
+    recorded = model_forward(*collate(prepared), cfg, params, train=False)
+    assert recorded.requires_grad and len(prepared) <= 64
+    assert np.array_equal(preds, recorded.data)

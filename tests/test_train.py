@@ -196,6 +196,19 @@ def test_train_rejects_an_empty_list_before_preprocessing(empty, tmp_path):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "field, value, kind",
+    [("epochs", 2.5, "int"), ("batch_size", 2.5, "int"), ("patience", "3", "int"),
+     ("seed", 1.5, "int"), ("epochs", True, "int"), ("lr", "0.1", "float")],
+)
+def test_runconfig_rejects_values_of_the_wrong_type(field, value, kind):
+    # A float count used to construct and fail after preprocessing, and a
+    # string patience or lr as a bare TypeError in a range check.
+    run, _ = _tiny_run()
+    with pytest.raises(ValueError, match=f"^{field} must be {kind}, got {value!r}$"):
+        RunConfig(**{**vars(run), field: value})
+
+
 def test_runconfig_round_trip():
     run, _ = _tiny_run()
     back = RunConfig.from_dict(json.loads(json.dumps(run.to_dict())))

@@ -790,17 +790,37 @@ def cross_entropy(logits, labels) -> Tensor:
 
 
 class ParameterSet:
-    """Named trainable tensors with a stable iteration order."""
+    """Named trainable tensors with a stable iteration order, stored in one
+    contiguous float64 buffer, ``flat``.
 
-    def __init__(self):
+    The set is built once from ordered ``(name, value)`` pairs. A value is an
+    array, or a tensor that the set adopts. Every tensor's ``.data`` is then a
+    view of its slice of ``flat``, in that order, so a whole-set update is one
+    op on ``flat`` (AdamW's step, or ``flat[...] = saved`` to restore a
+    snapshot). Rebinding a tensor's ``.data`` detaches it from ``flat``;
+    write into the view instead.
+    """
+
+    def __init__(self, items=()):
         self._params: dict[str, Tensor] = {}
+        for name, value in items:
+            if name in self._params:
+                raise ValueError(f"duplicate parameter name {name!r}")
+            t = value if isinstance(value, Tensor) else Tensor(value)
+            t.requires_grad = True
+            self._params[name] = t
+        self.flat = np.empty(sum(t.size for t in self._params.values()))
+        for t, view in zip(self._params.values(), self.views(self.flat).values()):
+            view[...] = t.data
+            t.data = view
 
-    def add(self, name: str, t: Tensor) -> Tensor:
-        if name in self._params:
-            raise ValueError(f"duplicate parameter name {name!r}")
-        t.requires_grad = True
-        self._params[name] = t
-        return t
+    def views(self, buf: np.ndarray) -> dict[str, np.ndarray]:
+        """``buf``, laid out like ``flat``, as one view per parameter, by name."""
+        out, offset = {}, 0
+        for name, t in self._params.items():
+            out[name] = buf[offset : offset + t.size].reshape(t.shape)
+            offset += t.size
+        return out
 
     def __getitem__(self, name: str) -> Tensor:
         return self._params[name]
@@ -816,4 +836,4 @@ class ParameterSet:
             t.grad = None
 
     def num_values(self) -> int:
-        return sum(t.size for t in self._params.values())
+        return self.flat.size

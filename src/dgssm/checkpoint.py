@@ -15,7 +15,10 @@ Layout (all integers little-endian):
 
 Version 1 has neither ``payload_len`` nor ``crc32``. A file that is cut
 short, carries bytes after the payload, or (version 2) fails its checksum
-raises :class:`CheckpointError`.
+raises :class:`CheckpointError`. :func:`load_arrays` reads a file in one
+pass and returns every array as a view of one copy of the payload, so a
+caller that keeps some arrays and not others copies what it keeps
+(``model.load_model`` copies the parameters into their own buffer).
 
 The meta block carries the model configuration and anything else the caller
 wants to round-trip (task, feature dimension, dtype tag). A
@@ -26,6 +29,7 @@ ordinary arrays under an ``opt.`` name prefix; ``train`` passes none.
 from __future__ import annotations
 
 import json
+import math
 import struct
 import zlib
 from pathlib import Path
@@ -64,58 +68,66 @@ def save_arrays(path: str | Path, arrays: dict[str, np.ndarray], meta: dict) -> 
         fh.write(payload)
 
 
-class _Reader:
-    """Sequential reads over a file's bytes; a short read is a truncated file."""
-
-    def __init__(self, data: bytes, path: str | Path):
-        self.data, self.path, self.pos = data, path, 0
-
-    def take(self, size: int) -> bytes:
-        if self.pos + size > len(self.data):
-            raise CheckpointError(f"{self.path}: truncated checkpoint ({len(self.data)} bytes)")
-        self.pos += size
-        return self.data[self.pos - size : self.pos]
-
-    def unpack(self, fmt: str) -> tuple:
-        return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
-
-
 def load_arrays(path: str | Path) -> tuple[dict[str, np.ndarray], dict]:
+    """Read a container in one pass: the header is unpacked at offsets, the
+    payload is copied once into one aligned buffer, and each returned array
+    is a view of its part of that buffer."""
     data = Path(path).read_bytes()
-    r = _Reader(data, path)
-    if r.take(8) != MAGIC:
+
+    def truncated() -> CheckpointError:
+        return CheckpointError(f"{path}: truncated checkpoint ({len(data)} bytes)")
+
+    if len(data) < 8:
+        raise truncated()
+    if data[:8] != MAGIC:
         raise CheckpointError(f"{path}: not a checkpoint file (bad magic)")
-    (version,) = r.unpack("<I")
-    if version not in READABLE_VERSIONS:
-        raise CheckpointError(f"{path}: unsupported checkpoint version {version}")
-    (meta_len,) = r.unpack("<I")
-    meta_bytes = r.take(meta_len)
-    (count,) = r.unpack("<I")
-    names = [r.take(r.unpack("<H")[0]) for _ in range(count)]
-    shapes = [r.unpack(f"<{r.unpack('<B')[0]}I") for _ in range(count)]
-    sizes = [int(np.prod(shape)) for shape in shapes]
-    expected = 8 * sum(sizes)
-    if version >= 2:
-        (payload_len,) = r.unpack("<Q")
-        head_end = r.pos
-        (crc,) = r.unpack("<I")
-        if payload_len != expected:
-            raise CheckpointError(
-                f"{path}: payload length {payload_len} != {expected} from the shape table"
-            )
-    payload = r.take(expected)
-    if r.pos != len(data):
-        raise CheckpointError(f"{path}: {len(data) - r.pos} trailing bytes after the payload")
-    if version >= 2 and zlib.crc32(payload, zlib.crc32(data[:head_end])) != crc:
+    try:
+        (version,) = struct.unpack_from("<I", data, 8)
+        if version not in READABLE_VERSIONS:
+            raise CheckpointError(f"{path}: unsupported checkpoint version {version}")
+        (meta_len,) = struct.unpack_from("<I", data, 12)
+        meta_bytes = data[16 : 16 + meta_len]
+        pos = 16 + meta_len
+        (count,) = struct.unpack_from("<I", data, pos)
+        pos += 4
+        names = []
+        for _ in range(count):
+            (size,) = struct.unpack_from("<H", data, pos)
+            names.append(data[pos + 2 : pos + 2 + size])
+            pos += 2 + size
+        shapes = []
+        for _ in range(count):
+            (ndim,) = struct.unpack_from("<B", data, pos)
+            shapes.append(struct.unpack_from(f"<{ndim}I", data, pos + 1))
+            pos += 1 + 4 * ndim
+        sizes = [math.prod(shape) for shape in shapes]
+        expected = 8 * sum(sizes)
+        if version >= 2:
+            payload_len, crc = struct.unpack_from("<QI", data, pos)
+            head_end = pos + 8
+            pos += 12
+            if payload_len != expected:
+                raise CheckpointError(
+                    f"{path}: payload length {payload_len} != {expected} from the shape table"
+                )
+    except struct.error:
+        raise truncated() from None
+    if pos + expected > len(data):
+        raise truncated()
+    if pos + expected != len(data):
+        raise CheckpointError(f"{path}: {len(data) - pos - expected} trailing bytes after the payload")
+    view = memoryview(data)
+    if version >= 2 and zlib.crc32(view[pos:], zlib.crc32(view[:head_end])) != crc:
         raise CheckpointError(f"{path}: checksum mismatch (corrupt checkpoint)")
     try:
         meta = json.loads(meta_bytes.decode("utf-8"))
         names = [nb.decode("utf-8") for nb in names]
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise CheckpointError(f"{path}: unreadable header ({e})") from e
+    payload = np.frombuffer(data, dtype="<f8", count=expected // 8, offset=pos).astype(np.float64)
     arrays: dict[str, np.ndarray] = {}
     offset = 0
     for name, shape, size in zip(names, shapes, sizes):
-        arrays[name] = np.frombuffer(payload, dtype="<f8", count=size, offset=offset).reshape(shape).copy()
-        offset += 8 * size
+        arrays[name] = payload[offset : offset + size].reshape(shape)
+        offset += size
     return arrays, meta

@@ -39,6 +39,30 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _edge_array(edges) -> np.ndarray:
+    """``edges`` as an (m, 2) int64 array of (src, dst) rows. Only an
+    (m, 2) array of whole numbers, or an empty list, is taken: a (2, m)
+    array read row-major would pair the wrong endpoints, and a cast would
+    truncate 1.5 to a valid node."""
+    try:
+        raw = np.asarray(edges)
+    except ValueError as e:  # ragged rows
+        raise GraphFormatError(f"edges must be an (m, 2) array of (src, dst) pairs ({e})") from e
+    if raw.shape == (0,):
+        return np.zeros((0, 2), np.int64)
+    if raw.ndim != 2 or raw.shape[1] != 2:
+        raise GraphFormatError(f"edges must be an (m, 2) array of (src, dst) pairs; got shape {raw.shape}")
+    if raw.dtype == np.int64:
+        return raw.view()  # a view, so freezing it leaves the caller's array writable
+    if raw.dtype.kind == "f":
+        bad = raw[~np.isfinite(raw) | (raw % 1 != 0)]
+        if bad.size:
+            raise GraphFormatError(f"edge endpoints must be whole numbers; got {bad[0]:g}")
+    elif raw.dtype.kind not in "iu":
+        raise GraphFormatError(f"edge endpoints must be whole numbers; got {raw.dtype} values")
+    return raw.astype(np.int64)
+
+
 @dataclass(frozen=True)
 class DiGraph:
     """A directed graph with node features and an optional label.
@@ -58,7 +82,7 @@ class DiGraph:
 
     def __post_init__(self):
         n = self.num_nodes
-        edges = np.asarray(self.edges, dtype=np.int64).reshape(-1, 2)
+        edges = _edge_array(self.edges)
         x = np.asarray(self.node_features, dtype=np.float64)
         if n < 0:
             raise GraphFormatError("num_nodes must be non-negative")

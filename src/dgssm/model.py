@@ -15,6 +15,7 @@ concatenation + projection.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
@@ -26,23 +27,25 @@ from .autodiff import ParameterSet, Tensor
 from .checkpoint import CheckpointError, load_arrays, save_arrays
 from .graphs import GraphBatch
 from .rng import RngStream
-from .ssm import init_s4d
+from .ssm import s4d_table
 
 TASKS = ("node-classify", "node-regress", "graph-classify", "graph-regress")
-# The values a config field of each annotation accepts; a bool is not a number.
-_FIELD_TYPES = {"int": int, "float": (int, float), "bool": bool, "str": str}
+_FLOAT_MAX = sys.float_info.max
 
 
 def check_field_types(config) -> None:
     """Reject a dataclass field value of the wrong type for its annotation,
-    for every field annotated with a type ``_FIELD_TYPES`` names. A float
-    size or a string switch would otherwise construct, then fail deep inside
-    a run or silently switch a block on."""
+    for every field annotated with a type ``_FIELD_TYPES`` names, and a
+    ``float`` field that is NaN or infinite. A float size, a string switch
+    or an infinite rate would otherwise construct, then fail deep inside a
+    run or silently switch a block on."""
     for f in fields(config):
         want = _FIELD_TYPES.get(f.type)
         value = getattr(config, f.name)
         if want and (not isinstance(value, want) or isinstance(value, bool) and want is not bool):
             raise ValueError(f"{f.name} must be {f.type}, got {value!r}")
+        if f.type == "float" and not (abs(value) <= _FLOAT_MAX):  # NaN, inf, or an int past float range
+            raise ValueError(f"{f.name} must be a finite float, got {value!r:.40}")
 
 
 @dataclass
@@ -96,6 +99,17 @@ class ModelConfig:
         return cls(**d)
 
 
+# The values a config field of each annotation accepts; a bool is not a number.
+_FIELD_TYPES = {
+    "int": int,
+    "float": (int, float),
+    "bool": bool,
+    "str": str,
+    "str | None": (str, type(None)),
+    "ModelConfig": ModelConfig,
+}
+
+
 def depth_positional_encoding(depth: np.ndarray, d: int) -> np.ndarray:
     """Sinusoidal encoding of integer depths, width exactly ``d``.
 
@@ -115,8 +129,8 @@ def depth_positional_encoding(depth: np.ndarray, d: int) -> np.ndarray:
 # -- weight construction ---------------------------------------------------------
 
 
-def _lin(stream: RngStream, rows: int, cols: int) -> np.ndarray:
-    return stream.normal(0.0, 1.0 / np.sqrt(rows), size=(rows, cols))
+def _lin(rows: int, cols: int) -> tuple:
+    return (rows, cols), ("normal", 1.0 / np.sqrt(rows))
 
 
 def _branch2_kernel(heads: int) -> int:
@@ -124,62 +138,70 @@ def _branch2_kernel(heads: int) -> int:
     return 3 if heads >= 3 else 1
 
 
-def init_weights(cfg: ModelConfig, stream: RngStream) -> ParameterSet:
-    """All trainable tensors, registered under stable dotted names."""
-    p = ParameterSet()
-    d, dh, h = cfg.hidden, cfg.head_dim, cfg.heads
+def param_table(cfg: ModelConfig) -> list[tuple[str, tuple[int, ...], tuple]]:
+    """(name, shape, initializer) of every trainable tensor, in registration
+    and draw order, under stable dotted names. Draws no random numbers: it is
+    the one source of names and shapes for :func:`init_weights` and
+    :func:`load_model`."""
+    d, h = cfg.hidden, cfg.heads
+    zeros, ones = ("fill", 0.0), ("fill", 1.0)
+    rows: list[tuple[str, tuple[int, ...], tuple]] = []
 
-    def add(name, arr):
-        p.add(name, Tensor(arr, requires_grad=True))
+    def add(name, shape, init):
+        rows.append((name, shape, init))
 
-    add("encoder.proj.w", _lin(stream, cfg.in_dim, d))
-    add("encoder.proj.b", np.zeros(d))
+    add("encoder.proj.w", *_lin(cfg.in_dim, d))
+    add("encoder.proj.b", (d,), zeros)
     for i in range(cfg.se_layers):
         for direction in ("in", "out"):
             for j in range(1, 5):
-                add(f"encoder.se{i}.{direction}.w{j}", _lin(stream, d, d))
-        add(f"encoder.se{i}.ln.g", np.ones(d))
-        add(f"encoder.se{i}.ln.b", np.zeros(d))
+                add(f"encoder.se{i}.{direction}.w{j}", *_lin(d, d))
+        add(f"encoder.se{i}.ln.g", (d,), ones)
+        add(f"encoder.se{i}.ln.b", (d,), zeros)
 
     directions = ("fwd", "rev") if cfg.bidirectional else ("fwd",)
     for li in range(cfg.num_layers):
         for tag in directions:
             pre = f"layers.{li}.{tag}"
             for name in ("wq", "wk", "wv", "wo"):
-                add(f"{pre}.{name}", _lin(stream, d, d))
-            ssm = init_s4d(cfg.ssm_state, d, cfg.dt_min, cfg.dt_max, stream)
-            for name, t in ssm.tensors().items():
-                p.add(f"{pre}.ssm.{name}", t)
-            add(f"{pre}.fusion.nd.w", stream.normal(0.0, 1.0 / np.sqrt(14), size=(1, 2, 7)))
-            add(f"{pre}.fusion.nd.b", np.zeros(1))
+                add(f"{pre}.{name}", *_lin(d, d))
+            for name, shape, init in s4d_table(cfg.ssm_state, d, cfg.dt_min, cfg.dt_max):
+                add(f"{pre}.ssm.{name}", shape, init)
             k2 = _branch2_kernel(h)
-            add(f"{pre}.fusion.nc.w", stream.normal(0.0, 1.0 / np.sqrt(2 * k2), size=(1, 2, k2)))
-            add(f"{pre}.fusion.nc.b", np.zeros(1))
-            add(f"{pre}.fusion.dc.w", stream.normal(0.0, 1.0 / np.sqrt(18), size=(1, 2, 3, 3)))
-            add(f"{pre}.fusion.dc.b", np.zeros(1))
-            add(f"{pre}.fusion.pr.w", stream.normal(0.0, 1.0, size=(1,)))
-            add(f"{pre}.fusion.pr.b", np.zeros(1))
+            add(f"{pre}.fusion.nd.w", (1, 2, 7), ("normal", 1.0 / np.sqrt(14)))
+            add(f"{pre}.fusion.nd.b", (1,), zeros)
+            add(f"{pre}.fusion.nc.w", (1, 2, k2), ("normal", 1.0 / np.sqrt(2 * k2)))
+            add(f"{pre}.fusion.nc.b", (1,), zeros)
+            add(f"{pre}.fusion.dc.w", (1, 2, 3, 3), ("normal", 1.0 / np.sqrt(18)))
+            add(f"{pre}.fusion.dc.b", (1,), zeros)
+            add(f"{pre}.fusion.pr.w", (1,), ("normal", 1.0))
+            add(f"{pre}.fusion.pr.b", (1,), zeros)
         if cfg.bidirectional:
-            add(f"layers.{li}.bi.w", _lin(stream, 2 * d, d))
-        add(f"layers.{li}.ln1.g", np.ones(d))
-        add(f"layers.{li}.ln1.b", np.zeros(d))
-        add(f"layers.{li}.ffn.w1", _lin(stream, d, 2 * d))
-        add(f"layers.{li}.ffn.b1", np.zeros(2 * d))
-        add(f"layers.{li}.ffn.w2", _lin(stream, 2 * d, d))
-        add(f"layers.{li}.ffn.b2", np.zeros(d))
-        add(f"layers.{li}.ln2.g", np.ones(d))
-        add(f"layers.{li}.ln2.b", np.zeros(d))
+            add(f"layers.{li}.bi.w", *_lin(2 * d, d))
+        add(f"layers.{li}.ln1.g", (d,), ones)
+        add(f"layers.{li}.ln1.b", (d,), zeros)
+        add(f"layers.{li}.ffn.w1", *_lin(d, 2 * d))
+        add(f"layers.{li}.ffn.b1", (2 * d,), zeros)
+        add(f"layers.{li}.ffn.w2", *_lin(2 * d, d))
+        add(f"layers.{li}.ffn.b2", (d,), zeros)
+        add(f"layers.{li}.ln2.g", (d,), ones)
+        add(f"layers.{li}.ln2.b", (d,), zeros)
 
     out_width = cfg.num_classes if cfg.task.endswith("classify") else 1
     if cfg.task.startswith("node"):
-        add("head.w1", _lin(stream, d, out_width))
-        add("head.b1", np.zeros(out_width))
+        add("head.w1", *_lin(d, out_width))
+        add("head.b1", (out_width,), zeros)
     else:
-        add("head.w1", _lin(stream, d, d))
-        add("head.b1", np.zeros(d))
-        add("head.w2", _lin(stream, d, out_width))
-        add("head.b2", np.zeros(out_width))
-    return p
+        add("head.w1", *_lin(d, d))
+        add("head.b1", (d,), zeros)
+        add("head.w2", *_lin(d, out_width))
+        add("head.b2", (out_width,), zeros)
+    return rows
+
+
+def init_weights(cfg: ModelConfig, stream: RngStream) -> ParameterSet:
+    """All trainable tensors of :func:`param_table`, drawn in its order."""
+    return ParameterSet((name, stream.draw(init, shape)) for name, shape, init in param_table(cfg))
 
 
 # -- building blocks -------------------------------------------------------------
@@ -416,18 +438,19 @@ def load_model(path: str | Path) -> tuple[ModelConfig, ParameterSet, dict, dict]
 
     Raises :class:`CheckpointError` naming the file and the first mismatch
     when the meta block has no valid model config, the ``param.*`` names or
-    shapes differ from what ``init_weights`` builds for that config, or an
-    array holds a non-finite value.
+    shapes differ from the config's :func:`param_table`, or an array holds a
+    non-finite value. The parameters are copied into their own buffer in
+    the table's order, whatever the file's order, so they keep no other
+    array of the file alive.
     """
     arrays, meta = load_arrays(path)
     if not isinstance(meta, dict) or "config" not in meta:
         raise CheckpointError(f"{path}: the meta block has no model config")
     try:
         cfg = ModelConfig.from_dict(meta["config"])
-        want = {name: t.data.shape for name, t in init_weights(cfg, RngStream(0)).items()}
     except (TypeError, ValueError) as e:
         raise CheckpointError(f"{path}: invalid model config ({e})") from e
-    params = ParameterSet()
+    want = {name: shape for name, shape, _ in param_table(cfg)}
     opt_arrays: dict[str, np.ndarray] = {}
     for name, arr in arrays.items():
         if name.startswith("param."):
@@ -437,14 +460,14 @@ def load_model(path: str | Path) -> tuple[ModelConfig, ParameterSet, dict, dict]
             if arr.shape != want[name]:
                 raise CheckpointError(f"{path}: parameter {name!r} has shape {arr.shape}, "
                                       f"but the config builds {want[name]}")
-            params.add(name, Tensor(arr, requires_grad=True))
         elif name.startswith("opt."):
             opt_arrays[name[len("opt.") :]] = arr
     missing = [name for name in want if f"param.{name}" not in arrays]
     if missing:
         raise CheckpointError(f"{path}: parameter {missing[0]!r} is missing for the config")
     # One pass over all values; ``arrays`` holds at least the parameters here.
-    if not np.isfinite(np.concatenate([arr.ravel() for arr in arrays.values()])).all():
+    if not np.isfinite(np.concatenate(list(arrays.values()), axis=None)).all():
         name = next(name for name, arr in arrays.items() if not np.isfinite(arr).all())
         raise CheckpointError(f"{path}: array {name!r} holds a non-finite value")
+    params = ParameterSet((name, arrays[f"param.{name}"]) for name in want)
     return cfg, params, opt_arrays, meta

@@ -13,6 +13,11 @@ from .autodiff import ParameterSet, Tensor
 class AdamW:
     """Adam with bias correction and weight decay applied outside the
     adaptive step: p <- p - lr*wd*p, then p <- p - lr * m_hat / (sqrt(v_hat)+eps).
+
+    The update runs over the parameter set's whole ``flat`` buffer at once
+    (the idiom of PyTorch's foreach/fused AdamW), with the moments ``m`` and
+    ``v`` held in buffers of the same layout. The arithmetic is elementwise,
+    so it gives every value what a per-array loop would, bit for bit.
     """
 
     def __init__(
@@ -29,27 +34,29 @@ class AdamW:
         self.eps = eps
         self.weight_decay = weight_decay
         self.step_count = 0
-        self._m = {name: np.zeros_like(t.data) for name, t in params.items()}
-        self._v = {name: np.zeros_like(t.data) for name, t in params.items()}
+        self._m = np.zeros_like(params.flat)
+        self._v = np.zeros_like(params.flat)
+        self._g = np.empty_like(params.flat)
 
     def step(self) -> None:
+        grads = []
+        for name, t in self.params.items():
+            if t.grad is None:
+                raise ValueError(f"adamw: parameter {name!r} has no gradient")
+            grads.append(t.grad)
         self.step_count += 1
         b1, b2 = self.beta1, self.beta2
         bc1 = 1.0 - b1**self.step_count
         bc2 = 1.0 - b2**self.step_count
-        for name, t in self.params.items():
-            if t.grad is None:
-                raise ValueError(f"adamw: parameter {name!r} has no gradient")
-            g = t.grad
-            if self.weight_decay:
-                t.data -= self.lr * self.weight_decay * t.data
-            m = self._m[name]
-            v = self._v[name]
-            m *= b1
-            m += (1.0 - b1) * g
-            v *= b2
-            v += (1.0 - b2) * g * g
-            t.data -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+        p, m, v, g = self.params.flat, self._m, self._v, self._g
+        np.concatenate(grads, axis=None, out=g)
+        if self.weight_decay:
+            p -= self.lr * self.weight_decay * p
+        m *= b1
+        m += (1.0 - b1) * g
+        v *= b2
+        v += (1.0 - b2) * g * g
+        p -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
 
     def zero_grad(self) -> None:
         self.params.zero_grad()
@@ -57,9 +64,10 @@ class AdamW:
     def state_arrays(self) -> dict[str, np.ndarray]:
         """Optimizer state as named arrays (for checkpointing)."""
         out: dict[str, np.ndarray] = {"step": np.array([self.step_count], dtype=np.float64)}
+        m, v = self.params.views(self._m), self.params.views(self._v)
         for name in self.params.names():
-            out[f"m.{name}"] = self._m[name]
-            out[f"v.{name}"] = self._v[name]
+            out[f"m.{name}"] = m[name]
+            out[f"v.{name}"] = v[name]
         return out
 
 
@@ -106,8 +114,7 @@ def grad_check(
     tol: float = 1e-4,
 ) -> GradCheckReport:
     """Compare reverse-mode gradients of scalar ``f(x)`` with central differences."""
-    params = ParameterSet()
-    params.add("x", x)
+    params = ParameterSet([("x", x)])
     return grad_check_params(lambda: f(x), params, eps, tol)
 
 

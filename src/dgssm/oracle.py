@@ -272,11 +272,10 @@ def suite_scan_equivalence(
             k_hop_spd=spd,
             k=k,
         )
-        params = ParameterSet()
-        for name, arr in (("wq", wq), ("wk", wk), ("wv", wv)):
-            params.add(f"scan.{name}", Tensor(arr))
-        for name, t in p.tensors().items():
-            params.add(f"scan.ssm.{name}", t)
+        params = ParameterSet(
+            [(f"scan.{name}", arr) for name, arr in (("wq", wq), ("wk", wk), ("wv", wv))]
+            + [(f"scan.ssm.{name}", t) for name, t in p.tensors().items()]
+        )
         with no_grad():
             heads = digraph_ssm_scan(Tensor(fx), arts, params, "scan", num_heads)
         want = sequence_scan_oracle(g, fx, wq, wk, wv, p, k, num_heads)

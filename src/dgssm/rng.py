@@ -49,3 +49,19 @@ class RngStream:
 
     def shuffle(self, x) -> None:
         self._gen.shuffle(x)
+
+    def draw(self, init: tuple, shape: tuple[int, ...]) -> np.ndarray:
+        """An initial array of ``shape`` from an initializer spec:
+        ``("normal", std)`` and ``("uniform", low, high)`` draw from this
+        stream; ``("fill", value)`` and ``("log_arange",)``, which gives
+        log 1, ..., log n for an (n,) shape, draw nothing."""
+        kind, *args = init
+        if kind == "normal":
+            return self._gen.normal(0.0, args[0], shape)
+        if kind == "uniform":
+            return self._gen.uniform(args[0], args[1], shape)
+        if kind == "fill":
+            return np.full(shape, float(args[0]))
+        if kind == "log_arange":
+            return np.log(np.arange(1, shape[0] + 1, dtype=np.float64))
+        raise ValueError(f"unknown initializer {init!r}")

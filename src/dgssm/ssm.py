@@ -40,6 +40,19 @@ class SSMParams:
         return {"a_log": self.a_log, "log_dt": self.log_dt, "b": self.B, "c": self.C}
 
 
+def s4d_table(state_dim: int, width: int, dt_min: float, dt_max: float) -> list[tuple]:
+    """(name, shape, initializer) of each S4D parameter, in draw order, for
+    :meth:`RngStream.draw`: a_n = -(n+1), log-uniform step sizes, and B, C
+    zero-mean with scale 1/sqrt(state_dim). Draws no random numbers."""
+    scale = 1.0 / np.sqrt(state_dim)
+    return [
+        ("a_log", (state_dim,), ("log_arange",)),
+        ("log_dt", (state_dim,), ("uniform", np.log(dt_min), np.log(dt_max))),
+        ("b", (state_dim, width), ("normal", scale)),
+        ("c", (width, state_dim), ("normal", scale)),
+    ]
+
+
 def init_s4d(
     state_dim: int,
     width: int,
@@ -47,24 +60,17 @@ def init_s4d(
     dt_max: float,
     seed: int | RngStream,
 ) -> SSMParams:
-    """Real-diagonal initialization: a_n = -(n+1), log-uniform step sizes,
-    and B, C drawn zero-mean with scale 1/sqrt(state_dim)."""
+    """Real-diagonal initialization from :func:`s4d_table`."""
     if state_dim < 1 or width < 1:
         raise ValueError("init_s4d: state_dim and width must be >= 1")
     if not (0.0 < dt_min <= dt_max):
         raise ValueError(f"init_s4d: need 0 < dt_min <= dt_max, got [{dt_min}, {dt_max}]")
     stream = seed if isinstance(seed, RngStream) else RngStream(seed)
-    a_log = np.log(np.arange(1, state_dim + 1, dtype=np.float64))
-    log_dt = stream.uniform(np.log(dt_min), np.log(dt_max), size=state_dim)
-    scale = 1.0 / np.sqrt(state_dim)
-    b = stream.normal(0.0, scale, size=(state_dim, width))
-    c = stream.normal(0.0, scale, size=(width, state_dim))
-    return SSMParams(
-        a_log=Tensor(a_log, requires_grad=True),
-        log_dt=Tensor(log_dt, requires_grad=True),
-        B=Tensor(b, requires_grad=True),
-        C=Tensor(c, requires_grad=True),
-    )
+    t = {
+        name: Tensor(stream.draw(init, shape), requires_grad=True)
+        for name, shape, init in s4d_table(state_dim, width, dt_min, dt_max)
+    }
+    return SSMParams(a_log=t["a_log"], log_dt=t["log_dt"], B=t["b"], C=t["c"])
 
 
 def discretize(p: SSMParams) -> tuple[np.ndarray, np.ndarray]:

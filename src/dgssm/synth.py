@@ -33,6 +33,7 @@ import numpy as np
 
 from .algos import _reverse_bfs, depth_plus
 from .graphs import DiGraph, save_graphs
+from .model import check_field_types
 from .rng import RngStream
 from .stats import predecessor_counts
 
@@ -52,6 +53,7 @@ class SyntheticTaskSpec:
     k_true: int = 8  # reachability horizon
 
     def __post_init__(self):
+        check_field_types(self)
         if self.task not in TASK_KINDS:
             raise ValueError(f"unknown task {self.task!r}; expected one of {TASK_KINDS}")
         if abs(sum(self.splits) - 1.0) > 1e-9:

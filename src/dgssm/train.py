@@ -189,7 +189,7 @@ def train(
     metric_name, higher_better = primary_metric(cfg)
 
     result = TrainResult()
-    best_params: dict[str, np.ndarray] | None = None
+    best_flat: np.ndarray | None = None
     best = -math.inf if higher_better else math.inf
     stale = 0
     out_dir = Path(run.out_dir) if run.out_dir else None
@@ -232,7 +232,7 @@ def train(
         if improved:
             best = score
             result.best_epoch = epoch
-            best_params = {name: t.data.copy() for name, t in params.items()}
+            best_flat = params.flat.copy()
             stale = 0
         else:
             stale += 1
@@ -240,9 +240,8 @@ def train(
                 break
 
     result.best_val = best
-    if best_params is not None:
-        for name, t in params.items():
-            t.data = best_params[name]
+    if best_flat is not None:
+        params.flat[...] = best_flat  # in place: the tensors are views of ``flat``
     result.params = params
     if out_dir:
         ckpt = out_dir / "best.ckpt"

@@ -147,6 +147,36 @@ def test_edge_out_of_range_rejected():
         DiGraph(2, np.array([[0, 2]]), np.zeros((2, 1)))
 
 
+@pytest.mark.parametrize(
+    "edges, error",
+    [([[0, 1, 2], [1, 2, 0]], r"\(m, 2\) array .*got shape \(2, 3\)"),
+     ([0, 1], r"got shape \(2,\)"),
+     (np.zeros((0, 3), np.int64), r"got shape \(0, 3\)"),
+     ([[0, 1], [2]], r"\(m, 2\) array"),
+     ([[0, 1.5]], "whole numbers; got 1.5"),
+     ([[0, np.nan]], "whole numbers; got nan"),
+     ([["0", "1"]], "whole numbers; got <U1 values")],
+)
+def test_edges_must_be_an_m_by_2_array_of_whole_numbers(edges, error):
+    # A (2, m) edge_index used to be read row-major as the wrong pairs, and
+    # an endpoint of 1.5 was truncated to node 1.
+    with pytest.raises(GraphFormatError, match=error):
+        DiGraph(3, edges, np.zeros((3, 1)))
+
+
+@pytest.mark.parametrize("edges", [[], (), np.zeros((0, 2)), [[0, 1.0], [2, 0]], np.array([[0, 1], [2, 0]], np.int32)])
+def test_edge_forms_accepted(edges):
+    g = DiGraph(3, edges, np.zeros((3, 1)))
+    assert g.edges.dtype == np.int64 and g.edges.shape == (len(edges), 2)
+
+
+def test_int64_edges_are_not_copied_or_frozen():
+    edges = np.array([[0, 1], [1, 2]], np.int64)
+    g = DiGraph(3, edges, np.zeros((3, 1)))
+    assert np.shares_memory(g.edges, edges) and not g.edges.flags.writeable
+    assert edges.flags.writeable
+
+
 def test_unused_edge_feature_key_ignored(tmp_path):
     path = tmp_path / "g.jsonl"
     path.write_text('{"n": 2, "edges": [[0,1]], "x": [[0.0],[1.0]], "e": [[0.9]]}\n')

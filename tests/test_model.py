@@ -63,13 +63,11 @@ def test_pe_odd_width_ends_on_sin():
 def _gcn_params(d, stream, prefix="enc"):
     from dgssm.autodiff import ParameterSet
 
-    p = ParameterSet()
-    for direction in ("in", "out"):
-        for j in range(1, 5):
-            p.add(f"{prefix}.{direction}.w{j}", Tensor(stream.normal(0, 0.5, (d, d)), requires_grad=True))
-    p.add(f"{prefix}.ln.g", Tensor(np.ones(d), requires_grad=True))
-    p.add(f"{prefix}.ln.b", Tensor(np.zeros(d), requires_grad=True))
-    return p
+    return ParameterSet(
+        [(f"{prefix}.{direction}.w{j}", stream.normal(0, 0.5, (d, d)))
+         for direction in ("in", "out") for j in range(1, 5)]
+        + [(f"{prefix}.ln.g", np.ones(d)), (f"{prefix}.ln.b", np.zeros(d))]
+    )
 
 
 def test_gcn_no_edges_reduces_to_self_terms():
@@ -168,15 +166,14 @@ def _scan_setup(g, k, d=8, heads=2, seed=4):
     return fx, arts, ssm, ws
 
 
-def _scan_params(ssm, ws, params=None):
-    """The scan's weights in ``params`` (a new set by default) under the
-    prefix "scan", named as the model names them."""
-    params = ParameterSet() if params is None else params
-    for name, t in zip(("wq", "wk", "wv"), ws):
-        params.add(f"scan.{name}", t)
-    for name, t in ssm.tensors().items():
-        params.add(f"scan.ssm.{name}", t)
-    return params
+def _scan_params(ssm, ws, extra=()):
+    """A set of the ``extra`` pairs, then the scan's weights under the prefix
+    "scan", named as the model names them."""
+    return ParameterSet(
+        list(extra)
+        + [(f"scan.{name}", t) for name, t in zip(("wq", "wk", "wv"), ws)]
+        + [(f"scan.ssm.{name}", t) for name, t in ssm.tensors().items()]
+    )
 
 
 def test_scan_isolated_node_is_hop_zero_message():
@@ -299,9 +296,7 @@ def test_scan_gradients_match_finite_differences(heads, k):
     # A 3-cycle feeding a chain, a self-loop and an isolated node.
     g = DiGraph(8, [(0, 1), (1, 2), (2, 0), (2, 5), (5, 6), (6, 7), (3, 3)], np.zeros((8, 3)))
     fx, arts, ssm, ws = _scan_setup(g, k)
-    params = ParameterSet()
-    params.add("fx", fx)
-    _scan_params(ssm, ws, params)
+    params = _scan_params(ssm, ws, [("fx", fx)])
     weights = RngStream(5).normal(size=(8, 8 // heads, heads))
 
     def loss():
@@ -385,11 +380,9 @@ def _fusion_weights(stream, c):
     """The fusion's weights under the prefix "fusion", named as the model
     names them."""
     k2 = 3 if c >= 3 else 1
-    w = ParameterSet()
-    for name, shape in [("nd.w", (1, 2, 7)), ("nd.b", (1,)), ("nc.w", (1, 2, k2)), ("nc.b", (1,)),
-                        ("dc.w", (1, 2, 3, 3)), ("dc.b", (1,)), ("pr.w", (1,)), ("pr.b", (1,))]:
-        w.add(f"fusion.{name}", Tensor(stream.normal(0, 0.3, shape)))
-    return w
+    shapes = [("nd.w", (1, 2, 7)), ("nd.b", (1,)), ("nc.w", (1, 2, k2)), ("nc.b", (1,)),
+              ("dc.w", (1, 2, 3, 3)), ("dc.b", (1,)), ("pr.w", (1,)), ("pr.b", (1,))]
+    return ParameterSet([(f"fusion.{name}", stream.normal(0, 0.3, shape)) for name, shape in shapes])
 
 
 @pytest.mark.parametrize("n,dh,c", [(5, 4, 2), (7, 2, 4), (3, 8, 8), (1, 4, 2)])
@@ -483,10 +476,7 @@ def test_fusion_matches_numpy_reference(heads, dh):
 
     # Finite differences step across a tie, so the gradients are checked on
     # the untied batch.
-    params = ParameterSet()
-    params.add("x", Tensor(x))
-    for name, t in w.items():
-        params.add(name, t)
+    params = ParameterSet([("x", x), *w.items()])
     probe = ad.constant(stream.normal(size=x.shape))
 
     def loss():
@@ -678,6 +668,15 @@ def test_config_rejects_values_of_the_wrong_type(field, value, kind):
         ModelConfig(**{"in_dim": 3, "task": "node-regress", field: value})
 
 
+@pytest.mark.parametrize("field", ["dt_max", "dt_min", "dropout"])
+@pytest.mark.parametrize("value", [float("inf"), float("nan"), 10**400], ids=["inf", "nan", "huge-int"])
+def test_config_rejects_non_finite_floats(field, value):
+    # dt_max=inf used to construct and then die as a bare OverflowError in
+    # init_weights, and an int past float range as one in the type check.
+    with pytest.raises(ValueError, match=f"^{field} must be a finite float, got {value!r:.40}$"):
+        ModelConfig(**{"in_dim": 3, "task": "node-regress", field: value})
+
+
 def test_config_accepts_no_layers():
     cfg = ModelConfig(in_dim=3, task="node-regress", num_layers=0, se_layers=0)
     assert cfg.num_layers == cfg.se_layers == 0
@@ -754,6 +753,63 @@ def test_load_model_keeps_optimizer_arrays(tmp_path):
     cfg, params, opt_arrays, _ = load_model(_edited_checkpoint(tmp_path / "m.ckpt", lambda a, m: None))
     assert cfg == _CKPT_CFG and opt_arrays == {"step": np.array([3.0])}
     assert params.names() == init_weights(cfg, RngStream(0)).names()
+
+
+def _assert_flat_views(params):
+    for name, t in params.items():
+        assert np.shares_memory(t.data, params.flat), name
+    assert params.flat.flags.c_contiguous and params.num_values() == params.flat.size
+
+
+def test_init_and_load_give_views_of_one_buffer(tmp_path):
+    params = init_weights(_CKPT_CFG, RngStream(0))
+    _assert_flat_views(params)
+    _, loaded, _, _ = load_model(_edited_checkpoint(tmp_path / "m.ckpt", lambda a, m: None))
+    _assert_flat_views(loaded)
+    assert np.array_equal(loaded.flat, params.flat)
+
+
+def test_load_model_takes_the_config_order_whatever_the_file_order(tmp_path):
+    def reverse(arrays, meta):
+        items = list(arrays.items())[::-1]
+        arrays.clear()
+        arrays.update(items)
+
+    want = init_weights(_CKPT_CFG, RngStream(0))
+    _, params, opt_arrays, _ = load_model(_edited_checkpoint(tmp_path / "m.ckpt", reverse))
+    assert params.names() == want.names() and opt_arrays == {"step": np.array([3.0])}
+    assert np.array_equal(params.flat, want.flat)
+    _assert_flat_views(params)
+
+
+@pytest.fixture(scope="module")
+def _ckpt_bytes(tmp_path_factory):
+    path = _edited_checkpoint(tmp_path_factory.mktemp("ckpt") / "m.ckpt", lambda a, m: None)
+    return path, path.read_bytes()
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_corrupt_checkpoint_raises_only_checkpoint_error(_ckpt_bytes, data):
+    # Cut the file anywhere, or flip a bit of or overwrite one byte of its
+    # header (everything before the float64 payload).
+    path, good = _ckpt_bytes
+    payload_values = init_weights(_CKPT_CFG, RngStream(0)).num_values() + 1  # and opt.step
+    header = len(good) - 8 * payload_values
+    kind = data.draw(st.sampled_from(["truncate", "flip", "overwrite"]))
+    if kind == "truncate":
+        bad = good[: data.draw(st.integers(0, len(good) - 1))]
+    else:
+        at = data.draw(st.integers(0, header - 1))
+        byte = good[at] ^ (1 << data.draw(st.integers(0, 7))) if kind == "flip" else data.draw(st.integers(0, 255))
+        bad = good[:at] + bytes([byte]) + good[at + 1 :]
+    cut = path.with_name("cut.ckpt")
+    cut.write_bytes(bad)
+    if bad == good:
+        load_model(cut)
+    else:
+        with pytest.raises(CheckpointError):
+            load_model(cut)
 
 
 def test_eval_refuses_nan_weights(tmp_path):

@@ -8,9 +8,7 @@ from dgssm.rng import RngStream
 
 
 def _params_with(values: np.ndarray) -> ParameterSet:
-    p = ParameterSet()
-    p.add("w", Tensor(values.copy(), requires_grad=True))
-    return p
+    return ParameterSet([("w", values.copy())])
 
 
 def test_zero_gradient_no_decay_leaves_params_unchanged():
@@ -82,3 +80,48 @@ def test_grad_check_catches_wrong_gradient():
     x = Tensor(np.arange(3.0), requires_grad=True)
     report = grad_check(bad, x)
     assert not report.passed
+
+
+def _per_array_adamw(arrays, grads, steps, lr, betas, eps, wd):
+    """AdamW written one array at a time, the update the flat step must match."""
+    b1, b2 = betas
+    m = [np.zeros_like(a) for a in arrays]
+    v = [np.zeros_like(a) for a in arrays]
+    for t in range(1, steps + 1):
+        bc1, bc2 = 1.0 - b1**t, 1.0 - b2**t
+        for p, g, mi, vi in zip(arrays, grads[t - 1], m, v):
+            p -= lr * wd * p
+            mi *= b1
+            mi += (1.0 - b1) * g
+            vi *= b2
+            vi += (1.0 - b2) * g * g
+            p -= lr * (mi / bc1) / (np.sqrt(vi / bc2) + eps)
+    return arrays, m, v
+
+
+def test_flat_step_equals_a_per_array_adamw():
+    stream = RngStream(3)
+    shapes = [(4, 3), (3,), (), (2, 1, 5)]
+    start = [stream.normal(size=s) for s in shapes]
+    grads = [[stream.normal(size=s) for s in shapes] for _ in range(3)]
+    params = ParameterSet([(f"p{i}", a.copy()) for i, a in enumerate(start)])
+    opt = AdamW(params, lr=0.01, betas=(0.8, 0.95), eps=1e-7, weight_decay=0.1)
+    for step_grads in grads:
+        for (_, t), g in zip(params.items(), step_grads):
+            t.grad = g
+        opt.step()
+    want, m, v = _per_array_adamw([a.copy() for a in start], grads, 3, 0.01, (0.8, 0.95), 1e-7, 0.1)
+    state = opt.state_arrays()
+    for i, (name, t) in enumerate(params.items()):
+        assert np.array_equal(t.data, want[i]), name
+        assert np.array_equal(state[f"m.{name}"], m[i]) and np.array_equal(state[f"v.{name}"], v[i])
+        assert np.shares_memory(t.data, params.flat)
+
+
+def test_missing_gradient_names_the_parameter_and_changes_nothing():
+    params = ParameterSet([("a", np.ones(2)), ("b", np.ones(3))])
+    params["a"].grad = np.ones(2)
+    opt = AdamW(params, lr=0.1, weight_decay=0.5)
+    with pytest.raises(ValueError, match="'b' has no gradient"):
+        opt.step()
+    assert np.array_equal(params.flat, np.ones(5))

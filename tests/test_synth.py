@@ -24,6 +24,19 @@ def test_spec_validation():
         SyntheticTaskSpec(task="depth-regress", edge_density=1.5)
 
 
+@pytest.mark.parametrize(
+    "field, value, error",
+    [("num_graphs", 2.5, "num_graphs must be int, got 2.5"), ("seed", 1.5, "seed must be int, got 1.5"),
+     ("edge_density", float("nan"), "edge_density must be a finite float, got nan"),
+     ("task", 3, "task must be str, got 3")],
+)
+def test_spec_rejects_values_of_the_wrong_type(field, value, error):
+    # num_graphs=2.5 used to die as a bare TypeError inside generation, and
+    # seed=1.5 was accepted and truncated to 1.
+    with pytest.raises(ValueError, match=f"^{error}$"):
+        SyntheticTaskSpec(**{"task": "depth-regress", field: value})
+
+
 def test_zero_cycle_rate_yields_acyclic_graphs():
     spec = SyntheticTaskSpec(task="depth-regress", num_graphs=40, cycle_rate=0.0, seed=1)
     for g in _all_graphs(gen_synthetic(spec)):

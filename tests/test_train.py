@@ -262,3 +262,50 @@ def test_evaluate_rejects_empty_graph_list():
 
 def test_prepare_graphs_empty_list():
     assert prepare_graphs([], ModelConfig(in_dim=3, task="node-regress")) == []
+
+
+def test_restored_best_epoch_stays_in_the_flat_buffer(monkeypatch):
+    # train() restores the best epoch by writing into ``params.flat``;
+    # rebinding each tensor's data would detach it, and an optimizer step
+    # on the buffer would then no longer reach the model.
+    import dgssm.train as T
+    from dgssm.model import model_forward, model_loss
+    from dgssm.optim import AdamW
+
+    sets, snapshots = [], []
+
+    def init_and_keep(cfg, stream):
+        sets.append(init_weights(cfg, stream))
+        return sets[-1]
+
+    monkeypatch.setattr(T, "init_weights", init_and_keep)
+    run, splits = _tiny_run(epochs=6, lr=0.05, dropout=0.0)
+    result = train(run, splits["train"], splits["val"], log_fn=lambda rec: snapshots.append(sets[0].flat.copy()))
+    params = result.params
+    assert params is sets[0] and result.best_epoch < len(result.history) - 1
+    assert np.array_equal(params.flat, snapshots[result.best_epoch])
+    for name, t in params.items():
+        assert np.shares_memory(t.data, params.flat), name
+
+    prepared = prepare_graphs(splits["train"][:8], run.model)
+    batch, fwd, rev = T.collate(prepared)
+    before = model_forward(batch, fwd, rev, run.model, params).data
+    model_loss(model_forward(batch, fwd, rev, run.model, params), batch, run.model).backward()
+    AdamW(params, lr=0.01).step()
+    assert not np.array_equal(model_forward(batch, fwd, rev, run.model, params).data, before)
+
+
+@pytest.mark.parametrize(
+    "field, value, error",
+    [("model", {"in_dim": 3}, "model must be ModelConfig, got {'in_dim': 3}"),
+     ("out_dir", 5, r"out_dir must be str \| None, got 5"),
+     ("weight_decay", float("inf"), "weight_decay must be a finite float, got inf"),
+     ("lr", float("nan"), "lr must be a finite float, got nan")],
+)
+def test_runconfig_rejects_a_bad_model_out_dir_or_rate(field, value, error):
+    # model={"in_dim": 3} used to die as a bare AttributeError in train, an
+    # int out_dir as a bare TypeError after preprocessing, and an infinite
+    # weight decay was accepted.
+    run, _ = _tiny_run()
+    with pytest.raises(ValueError, match=f"^{error}$"):
+        RunConfig(**{**vars(run), field: value})

@@ -10,10 +10,11 @@ File format (one graph per line):
      "y": int | float | [int, ...] (optional), "id": str (optional),
      "node_ids": [str, ...] (optional)}
 
-``n`` and every edge endpoint must be JSON integers (not floats, strings or
-booleans), every edge a pair, every feature and label JSON numbers (not
-strings or booleans), ``id`` a JSON string and ``node_ids`` a list of ``n``
-strings; anything else raises :class:`GraphFormatError` naming the line. An
+``n`` (below 2**63) and every edge endpoint must be JSON integers (not
+floats, strings or booleans), every edge a pair, every feature and label
+JSON numbers (not strings or booleans; features in float range), ``id`` a
+JSON string and ``node_ids`` a list of ``n`` strings; anything else raises
+:class:`GraphFormatError` naming the line. An
 optional ``"e"`` key (per-edge features) is accepted and ignored. External
 string node ids, when given, are a sidecar table and never used for
 indexing. A 0-node graph's ``"x": []`` has no rows to give its feature
@@ -28,6 +29,9 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
+
+
+_INT64_MAX = np.iinfo(np.int64).max
 
 
 class GraphFormatError(ValueError):
@@ -67,6 +71,7 @@ def _edge_array(edges) -> np.ndarray:
 class DiGraph:
     """A directed graph with node features and an optional label.
 
+    ``num_nodes`` is an int or numpy integer in [0, 2**63), kept as an int.
     ``y`` is either a 1-D per-node label array of length ``num_nodes``, a
     graph-level scalar (an int class, a float target or a 0-d array), or
     None; a label of any other shape, or with values that are not integer
@@ -82,10 +87,14 @@ class DiGraph:
 
     def __post_init__(self):
         n = self.num_nodes
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or not 0 <= n <= _INT64_MAX:
+            raise GraphFormatError(f"num_nodes must be an integer in [0, 2**63), got {n!r:.40}")
+        n = int(n)
         edges = _edge_array(self.edges)
-        x = np.asarray(self.node_features, dtype=np.float64)
-        if n < 0:
-            raise GraphFormatError("num_nodes must be non-negative")
+        try:
+            x = np.asarray(self.node_features, dtype=np.float64)
+        except OverflowError as e:  # an int past float range
+            raise GraphFormatError(f"node_features must be float64 numbers ({e})") from e
         if edges.size and (edges.min() < 0 or edges.max() >= n):
             raise GraphFormatError(f"edge endpoint out of range [0, {n})")
         keys = np.sort(edges[:, 0] * n + edges[:, 1])
@@ -109,6 +118,7 @@ class DiGraph:
                 )
             if isinstance(self.y, (list, tuple, np.ndarray)):
                 object.__setattr__(self, "y", _frozen(y))
+        object.__setattr__(self, "num_nodes", n)
         object.__setattr__(self, "edges", _frozen(edges))
         object.__setattr__(self, "node_features", _frozen(x))
 

@@ -15,8 +15,11 @@ concatenation + projection.
 
 from __future__ import annotations
 
+import functools
 import sys
-from dataclasses import asdict, dataclass, fields
+import types
+import typing
+from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -33,19 +36,67 @@ TASKS = ("node-classify", "node-regress", "graph-classify", "graph-regress")
 _FLOAT_MAX = sys.float_info.max
 
 
+def _fits(value, hint) -> bool:
+    """Whether ``value`` is of the resolved annotation ``hint``: an int that
+    is not a bool, a finite float (an int in float range counts), a bool, a
+    str, None, an optional, a fixed tuple or a config dataclass."""
+    if hint is int:
+        return isinstance(value, int) and not isinstance(value, bool)
+    if hint is float:  # NaN, inf, and an int past float range fail the bound
+        return isinstance(value, (int, float)) and not isinstance(value, bool) and abs(value) <= _FLOAT_MAX
+    if hint in (bool, str, type(None)) or is_dataclass(hint):
+        return isinstance(value, hint)
+    args = typing.get_args(hint)
+    if typing.get_origin(hint) is tuple and Ellipsis not in args:
+        return isinstance(value, tuple) and len(value) == len(args) and all(map(_fits, value, args))
+    if typing.get_origin(hint) in (typing.Union, types.UnionType):
+        return any(_fits(value, arg) for arg in args)
+    raise TypeError(f"no field check for the annotation {hint!r}")
+
+
+@functools.cache
+def _field_hints(cls) -> dict[str, tuple]:
+    """Field name -> (resolved annotation, its text, whether it is required)
+    for the dataclass ``cls``; resolved once per class."""
+    hints = typing.get_type_hints(cls)
+    return {f.name: (hints[f.name], f.type, f.default is MISSING and f.default_factory is MISSING)
+            for f in fields(cls)}
+
+
 def check_field_types(config) -> None:
-    """Reject a dataclass field value of the wrong type for its annotation,
-    for every field annotated with a type ``_FIELD_TYPES`` names, and a
-    ``float`` field that is NaN or infinite. A float size, a string switch
-    or an infinite rate would otherwise construct, then fail deep inside a
-    run or silently switch a block on."""
-    for f in fields(config):
-        want = _FIELD_TYPES.get(f.type)
-        value = getattr(config, f.name)
-        if want and (not isinstance(value, want) or isinstance(value, bool) and want is not bool):
-            raise ValueError(f"{f.name} must be {f.type}, got {value!r}")
-        if f.type == "float" and not (abs(value) <= _FLOAT_MAX):  # NaN, inf, or an int past float range
-            raise ValueError(f"{f.name} must be a finite float, got {value!r:.40}")
+    """Reject a config field whose value is not of its annotation, with a
+    ``ValueError`` naming the field. A float size, a string switch or an
+    infinite rate would otherwise construct, then fail deep inside a run or
+    silently switch a block on."""
+    for name, (hint, text, _) in _field_hints(type(config)).items():
+        value = getattr(config, name)
+        if not _fits(value, hint):
+            real = hint is float and isinstance(value, (int, float)) and not isinstance(value, bool)
+            raise ValueError(f"{name} must be {'a finite float' if real else text}, got {value!r:.40}")
+
+
+def from_dict(cls, data):
+    """Build the config dataclass ``cls`` from JSON-like ``data``: a nested
+    config field from a dict and a fixed-tuple field from a list. A
+    non-object, an unknown key or a missing key is a ``ValueError`` naming
+    it; ``cls`` checks the values themselves."""
+    if not isinstance(data, dict):
+        raise ValueError(f"{cls.__name__} must be a JSON object, got {data!r:.40}")
+    hints = _field_hints(cls)
+    kwargs = {}
+    for key, value in data.items():
+        if key not in hints:
+            raise ValueError(f"unknown {cls.__name__} key {key!r}; expected one of {sorted(hints)}")
+        hint = hints[key][0]
+        if is_dataclass(hint) and isinstance(value, dict):
+            value = from_dict(hint, value)
+        elif typing.get_origin(hint) is tuple and isinstance(value, list):
+            value = tuple(value)
+        kwargs[key] = value
+    for key, (_, _, required) in hints.items():
+        if required and key not in kwargs:
+            raise ValueError(f"{cls.__name__} key {key!r} is missing")
+    return cls(**kwargs)
 
 
 @dataclass
@@ -87,27 +138,6 @@ class ModelConfig:
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError("dropout must be in [0, 1)")
 
-    @property
-    def head_dim(self) -> int:
-        return self.hidden // self.heads
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ModelConfig":
-        return cls(**d)
-
-
-# The values a config field of each annotation accepts; a bool is not a number.
-_FIELD_TYPES = {
-    "int": int,
-    "float": (int, float),
-    "bool": bool,
-    "str": str,
-    "str | None": (str, type(None)),
-    "ModelConfig": ModelConfig,
-}
 
 
 def depth_positional_encoding(depth: np.ndarray, d: int) -> np.ndarray:
@@ -427,7 +457,7 @@ def save_model(
     arrays = {f"param.{name}": t.data for name, t in params.items()}
     if opt_arrays:
         arrays.update({f"opt.{name}": arr for name, arr in opt_arrays.items()})
-    meta = {"config": cfg.to_dict()}
+    meta = {"config": asdict(cfg)}
     if extra_meta:
         meta.update(extra_meta)
     save_arrays(path, arrays, meta)
@@ -447,8 +477,8 @@ def load_model(path: str | Path) -> tuple[ModelConfig, ParameterSet, dict, dict]
     if not isinstance(meta, dict) or "config" not in meta:
         raise CheckpointError(f"{path}: the meta block has no model config")
     try:
-        cfg = ModelConfig.from_dict(meta["config"])
-    except (TypeError, ValueError) as e:
+        cfg = from_dict(ModelConfig, meta["config"])
+    except ValueError as e:
         raise CheckpointError(f"{path}: invalid model config ({e})") from e
     want = {name: shape for name, shape, _ in param_table(cfg)}
     opt_arrays: dict[str, np.ndarray] = {}

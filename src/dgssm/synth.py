@@ -56,8 +56,8 @@ class SyntheticTaskSpec:
         check_field_types(self)
         if self.task not in TASK_KINDS:
             raise ValueError(f"unknown task {self.task!r}; expected one of {TASK_KINDS}")
-        if abs(sum(self.splits) - 1.0) > 1e-9:
-            raise ValueError(f"splits must sum to 1, got {self.splits}")
+        if not all(0.0 <= s <= 1.0 for s in self.splits) or abs(sum(self.splits) - 1.0) > 1e-9:
+            raise ValueError(f"splits must each be in [0, 1] and sum to 1, got {self.splits}")
         if not 0.0 <= self.edge_density <= 1.0:
             raise ValueError("edge_density must be in [0, 1]")
         if not 0.0 <= self.cycle_rate <= 1.0:
@@ -75,11 +75,6 @@ class SyntheticTaskSpec:
             "ancestor-count-regress": "graph-regress",
             "reachability-classify": "node-classify",
         }[self.task]
-
-    def to_dict(self) -> dict:
-        d = asdict(self)
-        d["splits"] = list(self.splits)
-        return d
 
 
 def _inject_cycles(edges: set[tuple[int, int]], groups: list[np.ndarray], stream: RngStream) -> None:
@@ -199,6 +194,6 @@ def gen_synthetic(
         out.mkdir(parents=True, exist_ok=True)
         for name, gs in splits.items():
             save_graphs(gs, out / f"{name}.jsonl")
-        meta = {"task": spec.task, "model_task": spec.model_task(), "spec": spec.to_dict()}
+        meta = {"task": spec.task, "model_task": spec.model_task(), "spec": asdict(spec)}
         (out / "task_meta.json").write_text(json.dumps(meta, indent=2))
     return splits

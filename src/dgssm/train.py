@@ -51,31 +51,14 @@ class RunConfig:
 
     def __post_init__(self):
         check_field_types(self)
-        real = [isinstance(x, (int, float)) and not isinstance(x, bool) for x in self.betas]
-        if len(real) != 2 or not all(real) or not all(0.0 <= x < 1.0 for x in self.betas):
-            raise ValueError(f"betas must be two real numbers in [0, 1), got {list(self.betas)!r}")
-        if not (math.isfinite(self.lr) and self.lr >= 0.0):
-            raise ValueError(f"lr must be finite and >= 0, got {self.lr}")
-        if not self.weight_decay >= 0.0:
-            raise ValueError(f"weight_decay must be >= 0, got {self.weight_decay}")
+        if not all(0.0 <= x < 1.0 for x in self.betas):
+            raise ValueError(f"betas must be in [0, 1), got {self.betas}")
+        if self.lr < 0.0 or self.weight_decay < 0.0:
+            raise ValueError(f"lr and weight_decay must be >= 0, got {self.lr} and {self.weight_decay}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.epochs < 0 or self.patience < 0:
             raise ValueError(f"epochs and patience must be >= 0, got {self.epochs} and {self.patience}")
-
-    def to_dict(self) -> dict:
-        d = asdict(self)
-        d["model"] = self.model.to_dict()
-        d["betas"] = list(self.betas)
-        return d
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "RunConfig":
-        d = dict(d)
-        d["model"] = ModelConfig.from_dict(d["model"])
-        if "betas" in d:
-            d["betas"] = tuple(d["betas"])
-        return cls(**d)
 
 
 @dataclass
@@ -246,7 +229,7 @@ def train(
     if out_dir:
         ckpt = out_dir / "best.ckpt"
         save_model(
-            ckpt, cfg, params, extra_meta={"run": run.to_dict(), "best_epoch": result.best_epoch}
+            ckpt, cfg, params, extra_meta={"run": asdict(run), "best_epoch": result.best_epoch}
         )
         (out_dir / "history.json").write_text(json.dumps(result.history, indent=2))
         result.checkpoint_path = str(ckpt)

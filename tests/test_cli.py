@@ -5,7 +5,7 @@ import pytest
 
 from dgssm.cli import main
 from dgssm.graphs import load_graphs
-from dgssm.model import ModelConfig, init_weights, save_model
+from dgssm.model import ModelConfig, from_dict, init_weights, save_model
 from dgssm.rng import RngStream
 from dgssm.synth import SyntheticTaskSpec, gen_synthetic
 from dgssm.train import LabelError, RunConfig, evaluate, train
@@ -103,8 +103,8 @@ def test_gen_train_eval_matches_library(task, model_fields, tmp_path, capsys, mo
     cli_metrics = json.loads(capsys.readouterr().out)
 
     splits = gen_synthetic(SyntheticTaskSpec(task, num_graphs=20, seed=4))
-    run = RunConfig.from_dict(
-        {**TINY_RUN, "model": {**TINY_RUN["model"], "in_dim": 3, **model_fields}}
+    run = from_dict(
+        RunConfig, {**TINY_RUN, "model": {**TINY_RUN["model"], "in_dim": 3, **model_fields}}
     )
     result = train(run, splits["train"], splits["val"])
     assert cli_metrics == evaluate(run.model, result.params, splits["test"])
@@ -113,13 +113,13 @@ def test_gen_train_eval_matches_library(task, model_fields, tmp_path, capsys, mo
 @pytest.mark.parametrize(
     "run_json,match",
     [
-        ({"learning_rate": 0.1}, "run.json: unknown run config key 'learning_rate'"),
-        ({"model": {"hiden": 8}}, "run.json: unknown model key 'hiden'"),
-        ({"epochs": "2"}, "run.json: run config key 'epochs' must be int, got '2'"),
-        ({"model": {"dropout": "0.1"}}, "run.json: model key 'dropout' must be float, got '0.1'"),
+        ({"learning_rate": 0.1}, "run.json: unknown RunConfig key 'learning_rate'"),
+        ({"model": {"hiden": 8}}, "run.json: unknown ModelConfig key 'hiden'"),
+        ({"epochs": "2"}, "run.json: epochs must be int, got '2'"),
+        ({"model": {"dropout": "0.1"}}, "run.json: dropout must be float, got '0.1'"),
         ([1, 2], r"run.json: a run config must be a JSON object, got \[1, 2\]"),
-        ({"betas": ["a", 1]}, r"run.json: betas must be two real numbers in \[0, 1\), got \['a', 1\]"),
-        ({"betas": [0.9]}, r"run.json: betas must be two real numbers in \[0, 1\), got \[0.9\]"),
+        ({"betas": ["a", 1]}, r"run.json: betas must be tuple\[float, float\], got \('a', 1\)"),
+        ({"betas": [0.9]}, r"run.json: betas must be tuple\[float, float\], got \(0.9,\)"),
         ({"batch_size": 0}, "run.json: batch_size must be >= 1, got 0"),
         ({"model": {"num_layers": -1}}, "run.json: num_layers must be >= 0, got -1"),
     ],

@@ -115,6 +115,69 @@ def test_node_id_count_must_match_num_nodes():
         DiGraph(2, np.zeros((0, 2), np.int64), np.zeros((2, 1)), node_ids=("a", "b", "c"))
 
 
+@pytest.mark.parametrize("n", [10**30, "3", 3.0, True, -1], ids=["huge", "string", "float", "bool", "negative"])
+def test_num_nodes_must_be_an_int64_integer(n):
+    # The huge count used to die as a bare OverflowError in the duplicate-edge
+    # key, the string as a bare TypeError, and 3.0 and True constructed.
+    with pytest.raises(GraphFormatError, match=f"^num_nodes must be an integer in \\[0, 2\\*\\*63\\), got {n!r}$"):
+        DiGraph(n, [[0, 1]], np.zeros((3, 1)))
+
+
+def test_numpy_integer_num_nodes_is_taken_as_an_int(tmp_path):
+    g = DiGraph(np.int32(3), [[0, 1]], np.zeros((3, 1)))
+    assert type(g.num_nodes) is int and g.num_nodes == 3
+    save_graphs([g], tmp_path / "g.jsonl")
+    assert load_graphs(tmp_path / "g.jsonl")[0].num_nodes == 3
+
+
+@pytest.mark.parametrize(
+    "record, error",
+    [('{"n": 1000000000000000000000000000000, "edges": [], "x": [[0.0]]}', "num_nodes must be an integer"),
+     ('{"n": 1, "edges": [], "x": [[1%s]]}' % ("0" * 400), "node_features must be float64 numbers")],
+    ids=["huge-n", "huge-feature"],
+)
+def test_numbers_past_int64_or_float_range_name_the_line(tmp_path, record, error):
+    # Both used to escape load_graphs as a bare OverflowError.
+    path = tmp_path / "bad.jsonl"
+    path.write_text('{"n": 1, "edges": [], "x": [[0.0]]}\n' + record + "\n")
+    with pytest.raises(GraphFormatError, match=f"^line 2: {error}"):
+        load_graphs(path)
+
+
+# No node_ids: their count check would catch a bad "n" before DiGraph does.
+_RECORD = {"n": 3, "edges": [[0, 1], [1, 2]], "x": [[0.5], [1.0], [2.0]], "y": [1, 2, 3], "id": "g"}
+# Edge values of each JSON type, then anything JSON can hold.
+_LEAVES = st.sampled_from([None, True, False, 0, 1, 2, -1, 2**63, 10**30, 10**400, 0.5, float("nan"), float("inf"), "", "a"])
+_JSON_VALUES = st.recursive(
+    _LEAVES | st.integers() | st.floats() | st.text(max_size=4),
+    lambda children: st.lists(children, max_size=4) | st.dictionaries(st.text(max_size=4), children, max_size=3),
+    max_leaves=10,
+)
+
+
+@pytest.fixture(scope="module")
+def _fuzz_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "g.jsonl"
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_mutated_record_raises_only_a_format_error_naming_its_line(_fuzz_path, data):
+    record = dict(_RECORD)
+    for _ in range(data.draw(st.integers(1, 2))):
+        key = data.draw(st.sampled_from([*_RECORD, "node_ids", "e", "extra"]))
+        kind = data.draw(st.sampled_from(["drop", "edge value", "any value"]))
+        if kind == "drop":
+            record.pop(key, None)
+        else:
+            record[key] = data.draw(_LEAVES if kind == "edge value" else _JSON_VALUES)
+    _fuzz_path.write_text(json.dumps(record) + "\n")
+    try:
+        load_graphs(_fuzz_path)
+    except GraphFormatError as e:
+        assert str(e).startswith("line 1: "), e
+
+
 def test_inconsistent_feature_dim_rejected(tmp_path):
     # The error names the file line of the mismatched record, blank lines
     # included, not its index among the graphs.

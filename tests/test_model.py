@@ -1,3 +1,5 @@
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -283,7 +285,7 @@ def test_scan_rejects_artifact_table_mismatch():
     params = init_weights(cfg, RngStream(9))
     g = make_random_digraph(9, max_nodes=8)
     batch, fwd, rev = _prepared_batch([g], cfg)
-    _, deep_fwd, deep_rev = _prepared_batch([g], ModelConfig(**{**cfg.to_dict(), "k_hops": 3}))
+    _, deep_fwd, deep_rev = _prepared_batch([g], ModelConfig(**{**asdict(cfg), "k_hops": 3}))
     model_forward(batch, fwd, rev, cfg, params)
     for arts in ((deep_fwd, rev), (fwd, deep_rev)):
         with pytest.raises(ValueError, match="k=3 > config k_hops=1"):
@@ -702,7 +704,7 @@ def test_checkpoint_round_trip_preserves_predictions(tmp_path):
     save_model(path, cfg, params, extra_meta={"note": "test"})
     cfg2, params2, opt_arrays, meta = load_model(path)
     assert meta["note"] == "test"
-    assert cfg2.to_dict() == cfg.to_dict()
+    assert asdict(cfg2) == asdict(cfg)
     assert params2.names() == params.names()
     got = model_forward(batch, fwd, rev, cfg2, params2).data
     assert np.array_equal(want, got)
@@ -716,7 +718,7 @@ def _edited_checkpoint(path, edit):
     """A checkpoint of ``_CKPT_CFG`` whose arrays and meta ``edit`` changed in place."""
     arrays = {f"param.{n}": t.data.copy() for n, t in init_weights(_CKPT_CFG, RngStream(0)).items()}
     arrays["opt.step"] = np.array([3.0])
-    meta = {"config": _CKPT_CFG.to_dict()}
+    meta = {"config": asdict(_CKPT_CFG)}
     edit(arrays, meta)
     save_arrays(path, arrays, meta)
     return path
@@ -730,7 +732,7 @@ def _set_nan(arrays, meta):
     "edit, error",
     [
         (lambda a, m: m.pop("config"), "the meta block has no model config"),
-        (lambda a, m: m["config"].update(width=8), "invalid model config .*unexpected keyword argument 'width'"),
+        (lambda a, m: m["config"].update(width=8), "invalid model config .*unknown ModelConfig key 'width'"),
         (lambda a, m: m["config"].update(hidden=7), "invalid model config .*not divisible by heads"),
         (lambda a, m: m["config"].update(heads=2.0), r"invalid model config \(heads must be int, got 2.0\)"),
         (lambda a, m: m["config"].update(use_fusion="no"), "invalid model config .*use_fusion must be bool"),

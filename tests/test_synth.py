@@ -37,6 +37,20 @@ def test_spec_rejects_values_of_the_wrong_type(field, value, error):
         SyntheticTaskSpec(**{"task": "depth-regress", field: value})
 
 
+@pytest.mark.parametrize(
+    "splits, error",
+    [((1.5, -0.25, -0.25), r"splits must each be in \[0, 1\] and sum to 1, got \(1.5, -0.25, -0.25\)"),
+     ((0.5, 0.5), r"splits must be tuple\[float, float, float\], got \(0.5, 0.5\)"),
+     ((0.5, 0.5, "x"), r"splits must be tuple\[float, float, float\], got \(0.5, 0.5, 'x'\)")],
+    ids=["out-of-range", "two-entries", "string-entry"],
+)
+def test_spec_rejects_bad_splits(splits, error):
+    # The first used to give 8/0/0 graphs, the second 4/4/0, and the third a
+    # bare TypeError in sum().
+    with pytest.raises(ValueError, match=f"^{error}$"):
+        SyntheticTaskSpec(task="depth-regress", num_graphs=8, splits=splits)
+
+
 def test_zero_cycle_rate_yields_acyclic_graphs():
     spec = SyntheticTaskSpec(task="depth-regress", num_graphs=40, cycle_rate=0.0, seed=1)
     for g in _all_graphs(gen_synthetic(spec)):

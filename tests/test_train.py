@@ -1,5 +1,6 @@
 import json
 import types
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from dgssm import algos
 from dgssm.algos import compute_artifacts, depth_plus
 from dgssm.checkpoint import load_arrays
 from dgssm.graphs import DiGraph, reverse_graph
-from dgssm.model import ModelConfig, init_weights
+from dgssm.model import ModelConfig, from_dict, init_weights
 from dgssm.rng import RngStream
 from dgssm.synth import SyntheticTaskSpec, gen_synthetic
 from dgssm.train import (
@@ -211,8 +212,8 @@ def test_runconfig_rejects_values_of_the_wrong_type(field, value, kind):
 
 def test_runconfig_round_trip():
     run, _ = _tiny_run()
-    back = RunConfig.from_dict(json.loads(json.dumps(run.to_dict())))
-    assert back.to_dict() == run.to_dict()
+    back = from_dict(RunConfig, json.loads(json.dumps(asdict(run))))
+    assert asdict(back) == asdict(run)
 
 
 @pytest.mark.parametrize("k", [0, 2, 4, 16])

@@ -3,22 +3,22 @@
 Layout (all integers little-endian):
 
     magic        8 bytes   b"DGSSMCKP"
-    version      uint32    2 (version 1 files are still read)
+    version      uint32    2
     meta_len     uint32    followed by meta_len bytes of UTF-8 JSON
     count        uint32    number of arrays
     name table   per array: uint16 name length + UTF-8 name bytes
     shape table  per array: uint8 ndim + ndim * uint32 dims
-    payload_len  uint64    bytes of payload (version 2 only)
+    payload_len  uint64    bytes of payload
     crc32        uint32    CRC-32 of every byte before it, then of the
-                           payload (version 2 only)
+                           payload
     payload      contiguous float64 array data, in table order
 
-Version 1 has neither ``payload_len`` nor ``crc32``. A file that is cut
-short, carries bytes after the payload, or (version 2) fails its checksum
-raises :class:`CheckpointError`. :func:`load_arrays` reads a file in one
-pass and returns every array as a view of one copy of the payload, so a
-caller that keeps some arrays and not others copies what it keeps
-(``model.load_model`` copies the parameters into their own buffer).
+A file of another version, or one that is cut short, carries bytes after
+the payload or fails its checksum, raises :class:`CheckpointError`.
+:func:`load_arrays` reads a file in one pass and returns every array as a
+view of one copy of the payload, so a caller that keeps some arrays and not
+others copies what it keeps (``model.load_model`` copies the parameters
+into their own buffer).
 
 The meta block carries the model configuration and anything else the caller
 wants to round-trip (task, feature dimension, dtype tag). A
@@ -38,7 +38,6 @@ import numpy as np
 
 MAGIC = b"DGSSMCKP"
 VERSION = 2
-READABLE_VERSIONS = (1, 2)
 
 
 class CheckpointError(ValueError):
@@ -83,7 +82,7 @@ def load_arrays(path: str | Path) -> tuple[dict[str, np.ndarray], dict]:
         raise CheckpointError(f"{path}: not a checkpoint file (bad magic)")
     try:
         (version,) = struct.unpack_from("<I", data, 8)
-        if version not in READABLE_VERSIONS:
+        if version != VERSION:
             raise CheckpointError(f"{path}: unsupported checkpoint version {version}")
         (meta_len,) = struct.unpack_from("<I", data, 12)
         meta_bytes = data[16 : 16 + meta_len]
@@ -102,14 +101,13 @@ def load_arrays(path: str | Path) -> tuple[dict[str, np.ndarray], dict]:
             pos += 1 + 4 * ndim
         sizes = [math.prod(shape) for shape in shapes]
         expected = 8 * sum(sizes)
-        if version >= 2:
-            payload_len, crc = struct.unpack_from("<QI", data, pos)
-            head_end = pos + 8
-            pos += 12
-            if payload_len != expected:
-                raise CheckpointError(
-                    f"{path}: payload length {payload_len} != {expected} from the shape table"
-                )
+        payload_len, crc = struct.unpack_from("<QI", data, pos)
+        head_end = pos + 8
+        pos += 12
+        if payload_len != expected:
+            raise CheckpointError(
+                f"{path}: payload length {payload_len} != {expected} from the shape table"
+            )
     except struct.error:
         raise truncated() from None
     if pos + expected > len(data):
@@ -117,7 +115,7 @@ def load_arrays(path: str | Path) -> tuple[dict[str, np.ndarray], dict]:
     if pos + expected != len(data):
         raise CheckpointError(f"{path}: {len(data) - pos - expected} trailing bytes after the payload")
     view = memoryview(data)
-    if version >= 2 and zlib.crc32(view[pos:], zlib.crc32(view[:head_end])) != crc:
+    if zlib.crc32(view[pos:], zlib.crc32(view[:head_end])) != crc:
         raise CheckpointError(f"{path}: checksum mismatch (corrupt checkpoint)")
     try:
         meta = json.loads(meta_bytes.decode("utf-8"))

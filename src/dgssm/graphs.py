@@ -25,6 +25,7 @@ a file of only 0-node graphs.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -32,6 +33,7 @@ import numpy as np
 
 
 _INT64_MAX = np.iinfo(np.int64).max
+_KEY_MAX_N = math.isqrt(_INT64_MAX)  # up to here, src * n + dst < n**2 fits in int64
 
 
 class GraphFormatError(ValueError):
@@ -67,15 +69,37 @@ def _edge_array(edges) -> np.ndarray:
     return raw.astype(np.int64)
 
 
+def _feature_array(x) -> np.ndarray:
+    """``x`` as a float64 array. Only integer and float numbers are taken:
+    numpy would parse "1.5", read True as 1 and drop an imaginary part. A
+    list is checked value by value, an array by its dtype."""
+    raw = x if isinstance(x, np.ndarray) else np.array(x, dtype=object)
+    if raw.dtype == object:
+        number = (int, float, np.integer, np.floating)
+        bad = [v for v in raw.flat if isinstance(v, bool) or not isinstance(v, number)]
+        if bad:
+            raise GraphFormatError(f"node_features must be integer or float numbers; got {bad[0]!r:.40}")
+        try:
+            return raw.astype(np.float64)
+        except OverflowError as e:  # an int past float range
+            raise GraphFormatError(f"node_features must be float64 numbers ({e})") from e
+    if raw.dtype.kind not in "iuf":
+        raise GraphFormatError(f"node_features must be integer or float numbers; got {raw.dtype} values")
+    return raw.astype(np.float64, copy=False)
+
+
 @dataclass(frozen=True)
 class DiGraph:
     """A directed graph with node features and an optional label.
 
     ``num_nodes`` is an int or numpy integer in [0, 2**63), kept as an int.
-    ``y`` is either a 1-D per-node label array of length ``num_nodes``, a
-    graph-level scalar (an int class, a float target or a 0-d array), or
-    None; a label of any other shape, or with values that are not integer
-    or float numbers, raises :class:`GraphFormatError`.
+    ``node_features`` holds integer or float numbers, kept as float64.
+    ``graph_id`` is a string or None, and ``node_ids`` None or a list or
+    tuple of ``num_nodes`` strings. ``y`` is either a 1-D per-node label
+    array of length ``num_nodes``, a graph-level scalar (an int class, a
+    float target or a 0-d array), or None; a label of any other shape, or
+    with values that are not integer or float numbers, raises
+    :class:`GraphFormatError`.
     """
 
     num_nodes: int
@@ -91,14 +115,16 @@ class DiGraph:
             raise GraphFormatError(f"num_nodes must be an integer in [0, 2**63), got {n!r:.40}")
         n = int(n)
         edges = _edge_array(self.edges)
-        try:
-            x = np.asarray(self.node_features, dtype=np.float64)
-        except OverflowError as e:  # an int past float range
-            raise GraphFormatError(f"node_features must be float64 numbers ({e})") from e
+        x = _feature_array(self.node_features)
         if edges.size and (edges.min() < 0 or edges.max() >= n):
             raise GraphFormatError(f"edge endpoint out of range [0, {n})")
-        keys = np.sort(edges[:, 0] * n + edges[:, 1])
-        if np.any(keys[1:] == keys[:-1]):
+        if n <= _KEY_MAX_N:
+            keys = np.sort(edges[:, 0] * n + edges[:, 1])
+            same = keys[1:] == keys[:-1]
+        else:  # the key would wrap; compare sorted rows
+            rows = edges[np.lexsort((edges[:, 1], edges[:, 0]))]
+            same = np.all(rows[1:] == rows[:-1], axis=1)
+        if np.any(same):
             raise GraphFormatError("duplicate (src, dst) edge pairs")
         if x.ndim != 2 or x.shape[0] != n:
             raise GraphFormatError(
@@ -106,10 +132,19 @@ class DiGraph:
             )
         if not np.all(np.isfinite(x)):
             raise GraphFormatError("node_features must be finite (found NaN or inf)")
-        if self.node_ids is not None and len(self.node_ids) != n:
-            raise GraphFormatError(f"{len(self.node_ids)} node ids for {n} nodes")
+        if self.graph_id is not None and not isinstance(self.graph_id, str):
+            raise GraphFormatError(f"graph_id must be a string or None, got {self.graph_id!r:.40}")
+        ids = self.node_ids
+        if ids is not None:
+            if not isinstance(ids, (tuple, list)) or not all(isinstance(t, str) for t in ids):
+                raise GraphFormatError(f"node_ids must be a list or tuple of strings, got {ids!r:.80}")
+            if len(ids) != n:
+                raise GraphFormatError(f"{len(ids)} node ids for {n} nodes")
         if self.y is not None:
-            y = np.asarray(self.y)
+            try:
+                y = np.asarray(self.y)
+            except ValueError as e:  # ragged rows
+                raise GraphFormatError(f"label must be a scalar or one per node ({e})") from e
             if y.dtype.kind not in "iuf":
                 raise GraphFormatError(f"label values must be integer or float numbers; got {self.y!r:.80}")
             if y.shape not in ((), (n,)):

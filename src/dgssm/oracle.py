@@ -28,7 +28,7 @@ from .graphs import DiGraph
 from .model import ModelConfig, digraph_ssm_scan, init_weights, model_forward, model_loss
 from .optim import grad_check_params
 from .rng import RngStream
-from .ssm import init_s4d, kernel_table, ssm_scan_reference
+from .ssm import kernel_table, s4d_table, ssm_scan_reference
 from .train import collate, prepare_graphs
 
 
@@ -159,10 +159,8 @@ def convolve_with_table(mats: np.ndarray, xs: np.ndarray) -> np.ndarray:
 def sequence_scan_oracle(
     g: DiGraph,
     fx: np.ndarray,
-    wq: np.ndarray,
-    wk: np.ndarray,
-    wv: np.ndarray,
-    params,
+    params: ParameterSet,
+    prefix: str,
     k: int,
     num_heads: int,
 ) -> np.ndarray:
@@ -170,14 +168,14 @@ def sequence_scan_oracle(
 
     Builds each center's hop layers, aggregates per-layer signals with the
     shared attention weights (zero vector for an empty layer), feeds the
-    sequence through the step-by-step recurrence, and slices per head.
+    sequence through the step-by-step recurrence, and slices per head. Reads
+    ``{prefix}.wq``, ``{prefix}.wk``, ``{prefix}.wv`` and ``{prefix}.ssm.*``
+    from ``params``, the weights :func:`model.digraph_ssm_scan` reads.
     Returns (n, d_head, heads), matching the message-passing scan output.
     """
     n, d = fx.shape
     dh = d // num_heads
-    q = fx @ wq
-    kk = fx @ wk
-    vv = fx @ wv
+    q, kk, vv = (fx @ params[f"{prefix}.{name}"].data for name in ("wq", "wk", "wv"))
     out = np.zeros((n, dh, num_heads))
     for center in range(n):
         layers = dir_ego2token(g, center, k)  # [L_k, ..., L_0]
@@ -192,7 +190,7 @@ def sequence_scan_oracle(
             for pos, layer in enumerate(layers):
                 for u in layer:
                     seq[pos] += alpha[u] * vv[u]
-            ys = ssm_scan_reference(params, seq)
+            ys = ssm_scan_reference(params, f"{prefix}.ssm", seq)
             out[center, :, head] = ys[-1][sl]
     return out
 
@@ -236,10 +234,12 @@ def suite_ssm_equivalence(seed: int = 0, cases: int = 100, tol: float = 1e-10) -
         d = int(stream.integers(1, 33))
         state = int(stream.integers(1, 17))
         length = int(stream.integers(1, 33))
-        p = init_s4d(state, d, 1e-3, 1e-1, stream.child())
+        child = stream.child()
+        p = ParameterSet((f"ssm.{name}", child.draw(init, shape))
+                         for name, shape, init in s4d_table(state, d, 1e-3, 1e-1))
         xs = stream.normal(size=(length, d))
-        got = convolve_with_table(kernel_table(p, length - 1), xs)
-        want = ssm_scan_reference(p, xs)
+        got = convolve_with_table(kernel_table(p, "ssm", length - 1), xs)
+        want = ssm_scan_reference(p, "ssm", xs)
         worst = max(worst, float(np.abs(got - want).max()))
     return SuiteResult(
         "ssm-equivalence", worst <= tol, worst, f"{cases} conv-vs-recurrence instances"
@@ -260,10 +260,10 @@ def suite_scan_equivalence(
         g = random_digraph(stream, max_nodes)
         k = int(hops[i % len(hops)])
         fx = stream.normal(size=(g.num_nodes, d))
-        wq = stream.normal(size=(d, d))
-        wk = stream.normal(size=(d, d))
-        wv = stream.normal(size=(d, d))
-        p = init_s4d(state, d, 1e-3, 1e-1, stream.child())
+        ws = [(f"scan.{name}", stream.normal(size=(d, d))) for name in ("wq", "wk", "wv")]
+        child = stream.child()
+        params = ParameterSet(ws + [(f"scan.ssm.{name}", child.draw(init, shape))
+                                    for name, shape, init in s4d_table(state, d, 1e-3, 1e-1)])
         pairs, spd = k_hop_predecessors(g, k)
         arts = PreprocessArtifacts(
             depth=np.zeros(g.num_nodes, np.int64),
@@ -272,13 +272,9 @@ def suite_scan_equivalence(
             k_hop_spd=spd,
             k=k,
         )
-        params = ParameterSet(
-            [(f"scan.{name}", arr) for name, arr in (("wq", wq), ("wk", wk), ("wv", wv))]
-            + [(f"scan.ssm.{name}", t) for name, t in p.tensors().items()]
-        )
         with no_grad():
             heads = digraph_ssm_scan(Tensor(fx), arts, params, "scan", num_heads)
-        want = sequence_scan_oracle(g, fx, wq, wk, wv, p, k, num_heads)
+        want = sequence_scan_oracle(g, fx, params, "scan", k, num_heads)
         worst = max(worst, float(np.abs(heads.data - want).max()))
     return SuiteResult(
         "scan-equivalence", worst <= tol, worst,

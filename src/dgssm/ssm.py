@@ -10,7 +10,9 @@ model never forms that d x d matrix: :func:`autodiff.hop_attention_scan`
 discretizes the parameters itself and works in the D-dimensional state.
 :func:`kernel_table` materializes the per-hop matrices and
 :func:`ssm_scan_reference` runs the recurrence, both in plain numpy from
-:func:`discretize`; they are the references the oracles check.
+:func:`discretize`; they are the references the oracles check. Like the
+scan, each reads ``{prefix}.a_log``, ``.log_dt``, ``.b`` and ``.c`` from a
+:class:`autodiff.ParameterSet`.
 
 Parameters are real-valued: the diagonal is initialized to a_n = -(n+1) and
 stored as a_log with A_diag = -exp(a_log), so it stays strictly negative
@@ -19,31 +21,19 @@ under gradient updates and every |a_bar_n| stays in (0, 1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .autodiff import Tensor
-from .rng import RngStream
-
-
-@dataclass
-class SSMParams:
-    """Trainable state-space parameters. A_diag = -exp(a_log)."""
-
-    a_log: Tensor  # (D,)
-    log_dt: Tensor  # (D,)
-    B: Tensor  # (D, d) input expansion
-    C: Tensor  # (d, D) output projection
-
-    def tensors(self) -> dict[str, Tensor]:
-        return {"a_log": self.a_log, "log_dt": self.log_dt, "b": self.B, "c": self.C}
+from .autodiff import ParameterSet
 
 
 def s4d_table(state_dim: int, width: int, dt_min: float, dt_max: float) -> list[tuple]:
     """(name, shape, initializer) of each S4D parameter, in draw order, for
     :meth:`RngStream.draw`: a_n = -(n+1), log-uniform step sizes, and B, C
     zero-mean with scale 1/sqrt(state_dim). Draws no random numbers."""
+    if state_dim < 1 or width < 1:
+        raise ValueError("s4d_table: state_dim and width must be >= 1")
+    if not (0.0 < dt_min <= dt_max):
+        raise ValueError(f"s4d_table: need 0 < dt_min <= dt_max, got [{dt_min}, {dt_max}]")
     scale = 1.0 / np.sqrt(state_dim)
     return [
         ("a_log", (state_dim,), ("log_arange",)),
@@ -53,38 +43,19 @@ def s4d_table(state_dim: int, width: int, dt_min: float, dt_max: float) -> list[
     ]
 
 
-def init_s4d(
-    state_dim: int,
-    width: int,
-    dt_min: float,
-    dt_max: float,
-    seed: int | RngStream,
-) -> SSMParams:
-    """Real-diagonal initialization from :func:`s4d_table`."""
-    if state_dim < 1 or width < 1:
-        raise ValueError("init_s4d: state_dim and width must be >= 1")
-    if not (0.0 < dt_min <= dt_max):
-        raise ValueError(f"init_s4d: need 0 < dt_min <= dt_max, got [{dt_min}, {dt_max}]")
-    stream = seed if isinstance(seed, RngStream) else RngStream(seed)
-    t = {
-        name: Tensor(stream.draw(init, shape), requires_grad=True)
-        for name, shape, init in s4d_table(state_dim, width, dt_min, dt_max)
-    }
-    return SSMParams(a_log=t["a_log"], log_dt=t["log_dt"], B=t["b"], C=t["c"])
-
-
-def discretize(p: SSMParams) -> tuple[np.ndarray, np.ndarray]:
-    """Zero-order-hold discretization, in plain numpy.
+def discretize(params: ParameterSet, prefix: str) -> tuple[np.ndarray, np.ndarray]:
+    """Zero-order-hold discretization of the weights ``{prefix}.a_log``,
+    ``{prefix}.log_dt`` and ``{prefix}.b``, in plain numpy.
 
     Returns (a_bar, b_bar) with a_bar_n = exp(dt_n a_n) in (0, 1) and
     b_bar = ((a_bar - 1) / a) * B rows.
     """
-    a = -np.exp(p.a_log.data)
-    a_bar = np.exp(np.exp(p.log_dt.data) * a)
-    return a_bar, ((a_bar - 1.0) / a)[:, None] * p.B.data
+    a = -np.exp(params[f"{prefix}.a_log"].data)
+    a_bar = np.exp(np.exp(params[f"{prefix}.log_dt"].data) * a)
+    return a_bar, ((a_bar - 1.0) / a)[:, None] * params[f"{prefix}.b"].data
 
 
-def kernel_table(p: SSMParams, k: int) -> np.ndarray:
+def kernel_table(params: ParameterSet, prefix: str, k: int) -> np.ndarray:
     """Per-hop matrices C diag(a_bar)^s B_bar for s = 0..k, shape (k+1, d, d).
 
     The explicit hop-matrix form of the kernel, kept as a reference for the
@@ -92,23 +63,23 @@ def kernel_table(p: SSMParams, k: int) -> np.ndarray:
     """
     if k < 0:
         raise ValueError(f"kernel_table: hop bound must be >= 0, got {k}")
-    a_bar, b_bar = discretize(p)
+    a_bar, b_bar = discretize(params, prefix)
     pows = a_bar[None, :] ** np.arange(k + 1)[:, None]  # (k+1, D)
-    return (p.C.data[None, :, :] * pows[:, None, :]) @ b_bar
+    return (params[f"{prefix}.c"].data[None, :, :] * pows[:, None, :]) @ b_bar
 
 
-def ssm_scan_reference(p: SSMParams, xs: np.ndarray) -> np.ndarray:
+def ssm_scan_reference(params: ParameterSet, prefix: str, xs: np.ndarray) -> np.ndarray:
     """Exact recurrent evaluation h_t = a_bar*h_{t-1} + B_bar x_t, y_t = C h_t.
 
     Plain numpy, state starts at zero; used as the oracle for the kernel
     table and for the message-passing scan.
     """
     xs = np.asarray(xs, dtype=np.float64)
-    width = p.B.shape[1]
+    a_bar, b_bar = discretize(params, prefix)
+    width = b_bar.shape[1]
     if xs.ndim != 2 or xs.shape[1] != width:
         raise ValueError(f"ssm_scan_reference: expected (L, {width}), got {xs.shape}")
-    a_bar, b_bar = discretize(p)
-    c = p.C.data
+    c = params[f"{prefix}.c"].data
     h = np.zeros_like(a_bar)
     ys = np.zeros_like(xs)
     for t in range(xs.shape[0]):

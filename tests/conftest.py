@@ -6,6 +6,7 @@ import pytest
 from dgssm import autodiff as ad
 from dgssm.graphs import DiGraph
 from dgssm.rng import RngStream
+from dgssm.ssm import s4d_table
 
 
 def make_random_digraph(seed: int, max_nodes: int = 25, feat_dim: int = 3) -> DiGraph:
@@ -15,6 +16,15 @@ def make_random_digraph(seed: int, max_nodes: int = 25, feat_dim: int = 3) -> Di
     mask = stream.uniform(size=(n, n)) < p
     np.fill_diagonal(mask, False)
     return DiGraph(n, np.argwhere(mask), stream.normal(size=(n, feat_dim)))
+
+
+def ssm_params(state: int, width: int, dt_min: float, dt_max: float,
+               seed: int | RngStream) -> ad.ParameterSet:
+    """Standalone S4D weights under the prefix "ssm", drawn as the model
+    draws a block's: ``s4d_table``'s rows from ``seed``'s stream, in order."""
+    stream = seed if isinstance(seed, RngStream) else RngStream(seed)
+    return ad.ParameterSet((f"ssm.{name}", stream.draw(init, shape))
+                           for name, shape, init in s4d_table(state, width, dt_min, dt_max))
 
 
 def conv_same_reference(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:

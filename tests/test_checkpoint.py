@@ -96,14 +96,8 @@ def test_flipped_payload_bit_rejected(tmp_path):
         load_arrays(path)
 
 
-def test_version_1_file_still_read(tmp_path):
-    arrays, meta = _arrays(), {"config": {"hidden": 4}}
+def test_version_1_file_refused(tmp_path):
     path = tmp_path / "v1.ckpt"
-    path.write_bytes(_v1_bytes(arrays, meta))
-    back, meta2 = load_arrays(path)
-    assert meta2 == meta and list(back) == list(arrays)
-    for k in arrays:
-        assert np.array_equal(back[k], arrays[k])
-    path.write_bytes(_v1_bytes(arrays, meta) + b"x")
-    with pytest.raises(CheckpointError, match="trailing"):
+    path.write_bytes(_v1_bytes(_arrays(), {"config": {"hidden": 4}}))
+    with pytest.raises(CheckpointError, match="unsupported checkpoint version 1"):
         load_arrays(path)

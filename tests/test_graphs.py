@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from dgssm.graphs import (
     DiGraph,
@@ -203,6 +204,90 @@ def test_non_finite_features_rejected(tmp_path):
 def test_duplicate_edges_rejected():
     with pytest.raises(GraphFormatError, match="duplicate"):
         DiGraph(2, np.array([[0, 1], [0, 1]]), np.zeros((2, 1)))
+
+
+@pytest.mark.parametrize("n", [3037000499, 3037000500, 2**33, 2**59])
+def test_duplicate_edge_check_past_the_int64_key_range(n):
+    # src * n + dst wraps in int64 once n**2 passes 2**63: at n = 2**33 and
+    # 2**59 the distinct edges (2**31, 0) and (0, 0) both used to key to 0.
+    x = np.zeros((n, 0))
+    assert DiGraph(n, [[2**31, 0], [0, 0], [n - 1, n - 1]], x).num_edges == 3
+    with pytest.raises(GraphFormatError, match="duplicate"):
+        DiGraph(n, [[0, 0], [2**31, 0], [2**31, 0]], x)
+
+
+@pytest.mark.parametrize(
+    "x, error",
+    [([["1.5"]], "got '1.5'"),
+     ([[b"1.5"]], "got b'1.5'"),
+     ([[True]], "got True"),
+     ([[1.0, True]], "got True"),
+     (np.array([[1 + 2j]]), "got complex128 values"),
+     ([[1 + 2j]], r"got \(1\+2j\)"),
+     (np.array([["1.5"]]), "got <U3 values"),
+     ({"a": 1.0}, "got {'a': 1.0}"),
+     ([[1.0], [1.0, 2.0]], r"got \[1.0\]")],
+    ids=["string", "bytes", "bool", "bool-in-row", "complex-array", "complex-list", "string-array", "dict", "ragged"],
+)
+def test_constructor_refuses_non_number_features(x, error):
+    # The string, bytes and bools used to be converted to floats, the complex
+    # array lost its imaginary part, and the rest escaped as a bare ValueError
+    # or TypeError; load_graphs refuses each of them by type.
+    with pytest.raises(GraphFormatError, match=f"^node_features must be integer or float numbers; {error}$"):
+        DiGraph(len(x), [], x)
+
+
+@pytest.mark.parametrize(
+    "field, value, error",
+    [("y", [[1], [1, 2]], "label must be a scalar or one per node"),
+     ("graph_id", 5, "graph_id must be a string or None, got 5"),
+     ("node_ids", 5, "node_ids must be a list or tuple of strings, got 5"),
+     ("node_ids", "ab", "node_ids must be a list or tuple of strings, got 'ab'"),
+     ("node_ids", ("a", 7), r"node_ids must be a list or tuple of strings, got \('a', 7\)")],
+    ids=["ragged-label", "int-graph-id", "int-node-ids", "string-node-ids", "int-in-node-ids"],
+)
+def test_constructor_refuses_labels_and_ids_of_another_type(field, value, error):
+    # The ragged label and node_ids=5 used to escape as a bare ValueError or
+    # TypeError; the rest constructed.
+    with pytest.raises(GraphFormatError, match=f"^{error}"):
+        DiGraph(2, [[0, 1]], np.zeros((2, 1)), **{field: value})
+
+
+_GRAPH = dict(num_nodes=3, edges=[[0, 1], [1, 2]], node_features=[[0.5], [1.0], [2.0]],
+              y=[1, 2, 3], graph_id="g", node_ids=("a", "b", "c"))
+# Values of each Python and numpy scalar type, nested in lists, tuples and
+# dicts, and numpy arrays of each dtype kind.
+_SCALARS = st.sampled_from(
+    [None, True, 0, 1, 2, 3, -1, 2**63, 10**30, 10**400, 0.5, float("nan"), float("inf"),
+     1 + 2j, "", "1.5", b"1", np.int32(2), np.uint64(2**64 - 1), np.float32(0.5), np.bool_(True)]
+) | st.integers() | st.floats() | st.text(max_size=3)
+_VALUES = st.recursive(
+    _SCALARS,
+    lambda children: st.lists(children, max_size=4) | st.tuples(children, children)
+    | st.dictionaries(st.text(max_size=2), children, max_size=2),
+    max_leaves=12,
+) | hnp.arrays(
+    st.sampled_from([np.int64, np.int32, np.uint64, np.float64, np.float32, np.bool_, np.complex128, "U2", "S2"]),
+    hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=4),
+)
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_constructor_builds_a_well_formed_graph_or_raises_a_format_error(data):
+    args = dict(_GRAPH)
+    for _ in range(data.draw(st.integers(1, 3))):
+        args[data.draw(st.sampled_from(list(_GRAPH)))] = data.draw(_VALUES)
+    try:
+        g = DiGraph(**args)
+    except GraphFormatError:
+        return
+    n = g.num_nodes
+    assert type(n) is int and g.edges.dtype == np.int64 and g.edges.shape[1:] == (2,)
+    assert g.node_features.dtype == np.float64 and g.node_features.shape[0] == n
+    assert g.graph_id is None or isinstance(g.graph_id, str)
+    assert g.node_ids is None or (len(g.node_ids) == n and all(isinstance(t, str) for t in g.node_ids))
+    assert g.y is None or np.asarray(g.y).dtype.kind in "iuf"
 
 
 def test_edge_out_of_range_rejected():

@@ -27,10 +27,10 @@ from dgssm.model import (
 from dgssm.optim import grad_check_params
 from dgssm.oracle import sequence_scan_oracle
 from dgssm.rng import RngStream
-from dgssm.ssm import init_s4d, kernel_table
+from dgssm.ssm import kernel_table
 from dgssm.train import collate, evaluate_checkpoint, prepare_graphs
 
-from conftest import conv_same_reference, fusion_composition, make_random_digraph, scan_composition
+from conftest import conv_same_reference, fusion_composition, make_random_digraph, scan_composition, ssm_params
 
 
 # -- depth positional encoding ------------------------------------------------------
@@ -163,7 +163,7 @@ def _scan_setup(g, k, d=8, heads=2, seed=4):
         k_hop_spd=spd,
         k=k,
     )
-    ssm = init_s4d(4, d, 1e-3, 1e-1, stream.child())
+    ssm = ssm_params(4, d, 1e-3, 1e-1, stream.child())
     ws = [Tensor(stream.normal(size=(d, d))) for _ in range(3)]
     return fx, arts, ssm, ws
 
@@ -174,7 +174,7 @@ def _scan_params(ssm, ws, extra=()):
     return ParameterSet(
         list(extra)
         + [(f"scan.{name}", t) for name, t in zip(("wq", "wk", "wv"), ws)]
-        + [(f"scan.ssm.{name}", t) for name, t in ssm.tensors().items()]
+        + [(f"scan.{name}", t) for name, t in ssm.items()]
     )
 
 
@@ -182,7 +182,7 @@ def test_scan_isolated_node_is_hop_zero_message():
     g = DiGraph(1, np.zeros((0, 2), np.int64), np.zeros((1, 3)))
     fx, arts, ssm, (wq, wk, wv) = _scan_setup(g, 2)
     heads = digraph_ssm_scan(fx, arts, _scan_params(ssm, (wq, wk, wv)), "scan", 2)
-    want = kernel_table(ssm, 2)[0] @ (fx.data[0] @ wv.data)
+    want = kernel_table(ssm, "ssm", 2)[0] @ (fx.data[0] @ wv.data)
     got = flatten_heads(heads).data[0]
     assert np.allclose(got, want, atol=1e-12)
 
@@ -239,7 +239,7 @@ def test_scan_records_one_tape_node(monkeypatch):
     # a single node whose parents are the leaves themselves.
     g = make_random_digraph(8, max_nodes=10)
     fx, arts, ssm, ws = _scan_setup(g, 3)
-    leaves = [fx, *ws, *ssm.tensors().values()]
+    leaves = [fx, *ws, *(t for _, t in ssm.items())]
     for t in leaves:
         t.requires_grad = True
     nodes = []
@@ -274,8 +274,9 @@ def test_scan_matches_sequence_oracle_at_long_hops():
     g = DiGraph(20, [(i, i + 1) for i in range(19)], RngStream(3).normal(size=(20, 3)))
     k = 16
     fx, arts, ssm, (wq, wk, wv) = _scan_setup(g, k)
-    heads = digraph_ssm_scan(fx, arts, _scan_params(ssm, (wq, wk, wv)), "scan", 2)
-    want = sequence_scan_oracle(g, fx.data, wq.data, wk.data, wv.data, ssm, k, 2)
+    params = _scan_params(ssm, (wq, wk, wv))
+    heads = digraph_ssm_scan(fx, arts, params, "scan", 2)
+    want = sequence_scan_oracle(g, fx.data, params, "scan", k, 2)
     assert np.abs(heads.data - want).max() <= 1e-8
 
 
@@ -329,10 +330,10 @@ def test_scan_matches_its_composition(case):
     batch = batch_graphs(graphs)
     pairs, spd = k_hop_predecessors(DiGraph(batch.num_nodes, batch.edges, batch.node_features), k)
     d_in, d, heads, state = 5, 8, 2, 4
-    ssm = init_s4d(state, d, 1e-2, 1.0, stream.child())
+    ssm = ssm_params(state, d, 1e-2, 1.0, stream.child())
     args = [stream.normal(size=(batch.num_nodes, d_in)),
             *(stream.normal(size=(d_in, d)) for _ in range(3)),
-            *(t.data for t in ssm.tensors().values())]
+            *(t.data for _, t in ssm.items())]
     probe = stream.normal(size=(batch.num_nodes, d // heads, heads))
     got, want = (
         _scan_outputs(scan, args, pairs, spd, heads, probe)
@@ -351,7 +352,7 @@ def test_scan_rejects_fractional_pair_ids(column):
     table = np.column_stack([arts.k_hop_edge_index, arts.k_hop_spd]).astype(np.float64)
     table[0, column] += 0.5
     with pytest.raises(ShapeError, match="hop_attention_scan: .* must be integers"):
-        ad.hop_attention_scan(fx, *ws, *ssm.tensors().values(), table[:, :2], table[:, 2], 2)
+        ad.hop_attention_scan(fx, *ws, *(t for _, t in ssm.items()), table[:, :2], table[:, 2], 2)
 
 
 def test_scan_rejects_pairs_not_sorted_by_center():
@@ -359,7 +360,7 @@ def test_scan_rejects_pairs_not_sorted_by_center():
     fx, arts, ssm, ws = _scan_setup(g, 2)
     pairs, spd = arts.k_hop_edge_index[::-1], arts.k_hop_spd[::-1]
     with pytest.raises(ShapeError, match="hop_attention_scan: pairs are not sorted by center"):
-        ad.hop_attention_scan(fx, *ws, *ssm.tensors().values(), pairs, spd, 2)
+        ad.hop_attention_scan(fx, *ws, *(t for _, t in ssm.items()), pairs, spd, 2)
 
 
 @pytest.mark.parametrize("column,value", [(0, -1), (0, "n"), (1, "n"), (2, -1)],
@@ -372,7 +373,7 @@ def test_scan_rejects_pair_ids_out_of_range(column, value):
     table = np.column_stack([arts.k_hop_edge_index, arts.k_hop_spd])
     table[-1, column] = g.num_nodes if value == "n" else value
     with pytest.raises(ShapeError, match=r"hop_attention_scan: .*\(ids in \[0, n\)\)"):
-        ad.hop_attention_scan(fx, *ws, *ssm.tensors().values(), table[:, :2], table[:, 2], 2)
+        ad.hop_attention_scan(fx, *ws, *(t for _, t in ssm.items()), table[:, :2], table[:, 2], 2)
 
 
 # -- fusion attention ---------------------------------------------------------------

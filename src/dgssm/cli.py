@@ -46,11 +46,16 @@ def _given(**values) -> dict:
     return {k: v for k, v in values.items() if v is not None}
 
 
-def _json_object(path: str, section, where: str) -> dict:
-    """``section`` of the config file at ``path``, which must be a JSON object to merge."""
-    if not isinstance(section, dict):
-        raise ValueError(f"{path}: a {where} must be a JSON object, got {section!r}")
-    return section
+def _read_json_object(path: str | Path, what: str) -> dict:
+    """The JSON object in the file at ``path``; anything else is a
+    ``ValueError`` naming the file."""
+    try:
+        value = json.loads(Path(path).read_text())
+    except ValueError as e:  # not JSON, or not UTF-8 text
+        raise ValueError(f"{path}: invalid JSON ({e})") from e
+    if not isinstance(value, dict):
+        raise ValueError(f"{path}: a {what} must be a JSON object, got {value!r:.80}")
+    return value
 
 
 _COMMON_FLAGS = {
@@ -120,7 +125,10 @@ def _cmd_stats(args) -> int:
 
 def _infer_model_fields(data_dir: Path, train_graphs: list) -> dict:
     """The model fields the dataset fixes: feature width, task, class count."""
-    task = json.loads((data_dir / "task_meta.json").read_text())["model_task"]
+    meta = data_dir / "task_meta.json"
+    task = _read_json_object(meta, "task meta").get("model_task")
+    if not isinstance(task, str):
+        raise ValueError(f"{meta}: model_task must be a string, got {task!r:.40}")
     num_classes = 0
     if task.endswith("classify"):
         # A missing label reads NaN here; check_dataset rejects it by name.
@@ -130,9 +138,8 @@ def _infer_model_fields(data_dir: Path, train_graphs: list) -> dict:
 
 
 def _cmd_train(args) -> int:
-    cfg_file = json.loads(Path(args.config).read_text()) if args.config else {}
-    cfg_file = _json_object(args.config, cfg_file, "run config")
-    model_file = _json_object(args.config, cfg_file.get("model", {}), "model")
+    cfg_file = _read_json_object(args.config, "run config") if args.config else {}
+    model_file = cfg_file.get("model", {})
     data_dir = Path(args.data)
     paths = [data_dir / "train.jsonl", data_dir / "val.jsonl"]
     lists = [load_graphs(path) for path in paths]
@@ -142,7 +149,9 @@ def _cmd_train(args) -> int:
     train_graphs, val_graphs = lists
     fields = {
         **cfg_file,
-        "model": {**_infer_model_fields(data_dir, train_graphs), **model_file},
+        # A non-object "model" goes to RunConfig as it is, which names it.
+        "model": {**_infer_model_fields(data_dir, train_graphs), **model_file}
+        if isinstance(model_file, dict) else model_file,
         "out_dir": args.out or cfg_file.get("out_dir", "run-out"),
         **_given(seed=_resolve_seed(args, cfg_file)),
     }
@@ -178,7 +187,7 @@ def _cmd_eval(args) -> int:
         raise ValueError(f"{args.data}: no graphs to evaluate")
     cfg, params, _, _ = load_model(args.checkpoint)
     meta = Path(args.data).with_name("task_meta.json")
-    task = json.loads(meta.read_text()).get("model_task", cfg.task) if meta.exists() else cfg.task
+    task = _read_json_object(meta, "task meta").get("model_task", cfg.task) if meta.exists() else cfg.task
     if task != cfg.task:
         raise ValueError(f"{args.data}: the checkpoint's task is {cfg.task!r}, but {meta} names {task!r}")
     metrics = evaluate(cfg, params, graphs, name=args.data)
@@ -276,8 +285,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one subcommand. A bad flag exits with argparse's status 2; a bad
+    file raises a ``ValueError`` (or one of its typed subclasses) naming it."""
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except OSError as e:  # a missing or unreadable file
+        raise ValueError(f"{e.filename}: {e.strerror}" if e.filename else str(e)) from e
 
 
 if __name__ == "__main__":

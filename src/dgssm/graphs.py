@@ -10,11 +10,11 @@ File format (one graph per line):
      "y": int | float | [int, ...] (optional), "id": str (optional),
      "node_ids": [str, ...] (optional)}
 
-``n`` (below 2**63) and every edge endpoint must be JSON integers (not
-floats, strings or booleans), every edge a pair, every feature and label
-JSON numbers (not strings or booleans; features in float range), ``id`` a
-JSON string and ``node_ids`` a list of ``n`` strings; anything else raises
-:class:`GraphFormatError` naming the line. An
+The keys hold :class:`DiGraph`'s ``num_nodes``, ``edges``,
+``node_features``, ``y``, ``graph_id`` and ``node_ids``, and the constructor
+checks their values by its own rules. One rule holds for files only: every
+edge endpoint is a JSON integer (``DiGraph`` takes 1.0 from code). Every
+error is a :class:`GraphFormatError` that starts with ``line N:``. An
 optional ``"e"`` key (per-edge features) is accepted and ignored. External
 string node ids, when given, are a sidecar table and never used for
 indexing. A 0-node graph's ``"x": []`` has no rows to give its feature
@@ -37,7 +37,7 @@ _KEY_MAX_N = math.isqrt(_INT64_MAX)  # up to here, src * n + dst < n**2 fits in 
 
 
 class GraphFormatError(ValueError):
-    """Raised for malformed or inconsistent graph files."""
+    """Raised for a malformed graph, built in code or read from a file."""
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -45,61 +45,86 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _edge_array(edges) -> np.ndarray:
-    """``edges`` as an (m, 2) int64 array of (src, dst) rows. Only an
-    (m, 2) array of whole numbers, or an empty list, is taken: a (2, m)
-    array read row-major would pair the wrong endpoints, and a cast would
-    truncate 1.5 to a valid node."""
+_NUMBER = (int, float, np.integer, np.floating)
+_EDGE_RULE = "edge endpoints must be whole numbers"
+
+
+def _array(value, rule: str) -> np.ndarray:
+    """``value`` as an array: an array as a view, so that freezing the result
+    leaves the caller's array writable; anything else as an object array of
+    its values, for :func:`_numbers` to check one by one."""
+    if isinstance(value, np.ndarray):
+        return value.view()
     try:
-        raw = np.asarray(edges)
-    except ValueError as e:  # ragged rows
-        raise GraphFormatError(f"edges must be an (m, 2) array of (src, dst) pairs ({e})") from e
+        return np.array(value, dtype=object)
+    except ValueError as e:  # nested arrays of mismatched shapes
+        raise GraphFormatError(f"{rule} ({e})") from e
+
+
+def _numbers(value, rule: str, dtype=None) -> np.ndarray:
+    """``value`` as an array of integer or float numbers (as ``dtype`` if
+    given), else a :class:`GraphFormatError` that starts with ``rule``. A
+    list is checked value by value, since numpy would parse "1.5", read True
+    as 1 and drop an imaginary part; an array is checked by its dtype."""
+    raw = _array(value, rule)
+    if raw.dtype == object:
+        if any(issubclass(t, bool) or not issubclass(t, _NUMBER) for t in set(map(type, raw.flat))):
+            bad = next(v for v in raw.flat if isinstance(v, bool) or not isinstance(v, _NUMBER))
+            raise GraphFormatError(f"{rule}; got {bad!r:.40}")
+        try:
+            raw = raw.astype(dtype) if dtype else np.array(raw.tolist())
+        except OverflowError as e:  # an int past float range
+            raise GraphFormatError(f"{rule} in {np.dtype(dtype)} range ({e})") from e
+    if raw.dtype.kind not in "iuf":
+        raise GraphFormatError(f"{rule}; got {raw.dtype} values")
+    return raw if dtype is None else raw.astype(dtype, copy=False)
+
+
+def _edge_array(edges, n: int) -> np.ndarray:
+    """``edges`` as an (m, 2) int64 array of distinct (src, dst) rows in
+    ``[0, n)``. Only an (m, 2) array of whole numbers, or an empty list, is
+    taken: a (2, m) array read row-major would pair the wrong endpoints, and
+    a cast would truncate 1.5 to a valid node."""
+    raw = _array(edges, _EDGE_RULE)
     if raw.shape == (0,):
         return np.zeros((0, 2), np.int64)
     if raw.ndim != 2 or raw.shape[1] != 2:
         raise GraphFormatError(f"edges must be an (m, 2) array of (src, dst) pairs; got shape {raw.shape}")
-    if raw.dtype == np.int64:
-        return raw.view()  # a view, so freezing it leaves the caller's array writable
+    raw = _numbers(raw, _EDGE_RULE)
     if raw.dtype.kind == "f":
         bad = raw[~np.isfinite(raw) | (raw % 1 != 0)]
         if bad.size:
-            raise GraphFormatError(f"edge endpoints must be whole numbers; got {bad[0]:g}")
-    elif raw.dtype.kind not in "iu":
-        raise GraphFormatError(f"edge endpoints must be whole numbers; got {raw.dtype} values")
-    return raw.astype(np.int64)
-
-
-def _feature_array(x) -> np.ndarray:
-    """``x`` as a float64 array. Only integer and float numbers are taken:
-    numpy would parse "1.5", read True as 1 and drop an imaginary part. A
-    list is checked value by value, an array by its dtype."""
-    raw = x if isinstance(x, np.ndarray) else np.array(x, dtype=object)
-    if raw.dtype == object:
-        number = (int, float, np.integer, np.floating)
-        bad = [v for v in raw.flat if isinstance(v, bool) or not isinstance(v, number)]
-        if bad:
-            raise GraphFormatError(f"node_features must be integer or float numbers; got {bad[0]!r:.40}")
-        try:
-            return raw.astype(np.float64)
-        except OverflowError as e:  # an int past float range
-            raise GraphFormatError(f"node_features must be float64 numbers ({e})") from e
-    if raw.dtype.kind not in "iuf":
-        raise GraphFormatError(f"node_features must be integer or float numbers; got {raw.dtype} values")
-    return raw.astype(np.float64, copy=False)
+            raise GraphFormatError(f"{_EDGE_RULE}; got {bad[0]:g}")
+    if raw.size and (raw.min() < 0 or raw.max() >= n):  # before the cast, which could wrap
+        raise GraphFormatError(f"edge endpoint out of range [0, {n})")
+    edges = raw.astype(np.int64, copy=False)
+    if n <= _KEY_MAX_N:
+        keys = np.sort(edges[:, 0] * n + edges[:, 1])
+        same = keys[1:] == keys[:-1]
+    else:  # the key would wrap; compare sorted rows
+        rows = edges[np.lexsort((edges[:, 1], edges[:, 0]))]
+        same = np.all(rows[1:] == rows[:-1], axis=1)
+    if np.any(same):
+        raise GraphFormatError("duplicate (src, dst) edge pairs")
+    return edges
 
 
 @dataclass(frozen=True)
 class DiGraph:
-    """A directed graph with node features and an optional label.
+    """A directed graph with node features and an optional label; this
+    constructor is the one check of every field, in code and from files.
 
     ``num_nodes`` is an int or numpy integer in [0, 2**63), kept as an int.
-    ``node_features`` holds integer or float numbers, kept as float64.
+    ``edges`` is an (m, 2) array of distinct whole-number (src, dst) pairs
+    in [0, num_nodes), or an empty list, kept as int64. ``node_features`` is
+    a (num_nodes, f) array of finite integer or float numbers, kept as
+    float64. ``y`` is None, a graph-level scalar (an int class, a float
+    target or a 0-d array) or one integer or float label per node.
     ``graph_id`` is a string or None, and ``node_ids`` None or a list or
-    tuple of ``num_nodes`` strings. ``y`` is either a 1-D per-node label
-    array of length ``num_nodes``, a graph-level scalar (an int class, a
-    float target or a 0-d array), or None; a label of any other shape, or
-    with values that are not integer or float numbers, raises
-    :class:`GraphFormatError`.
+    tuple of ``num_nodes`` strings, kept as a tuple. A list is checked value
+    by value (no bool, str, None or complex) and an array by its dtype; an
+    array is kept as a read-only view, so the caller's own stays writable.
+    Anything else raises :class:`GraphFormatError` naming the field.
     """
 
     num_nodes: int
@@ -114,18 +139,8 @@ class DiGraph:
         if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or not 0 <= n <= _INT64_MAX:
             raise GraphFormatError(f"num_nodes must be an integer in [0, 2**63), got {n!r:.40}")
         n = int(n)
-        edges = _edge_array(self.edges)
-        x = _feature_array(self.node_features)
-        if edges.size and (edges.min() < 0 or edges.max() >= n):
-            raise GraphFormatError(f"edge endpoint out of range [0, {n})")
-        if n <= _KEY_MAX_N:
-            keys = np.sort(edges[:, 0] * n + edges[:, 1])
-            same = keys[1:] == keys[:-1]
-        else:  # the key would wrap; compare sorted rows
-            rows = edges[np.lexsort((edges[:, 1], edges[:, 0]))]
-            same = np.all(rows[1:] == rows[:-1], axis=1)
-        if np.any(same):
-            raise GraphFormatError("duplicate (src, dst) edge pairs")
+        edges = _edge_array(self.edges, n)
+        x = _numbers(self.node_features, "node_features must be integer or float numbers", np.float64)
         if x.ndim != 2 or x.shape[0] != n:
             raise GraphFormatError(
                 f"node_features must be (num_nodes, f); got {x.shape} for n={n}"
@@ -139,14 +154,10 @@ class DiGraph:
             if not isinstance(ids, (tuple, list)) or not all(isinstance(t, str) for t in ids):
                 raise GraphFormatError(f"node_ids must be a list or tuple of strings, got {ids!r:.80}")
             if len(ids) != n:
-                raise GraphFormatError(f"{len(ids)} node ids for {n} nodes")
+                raise GraphFormatError(f"node_ids must be one string per node; got {len(ids)} for n={n}")
+            object.__setattr__(self, "node_ids", tuple(ids))
         if self.y is not None:
-            try:
-                y = np.asarray(self.y)
-            except ValueError as e:  # ragged rows
-                raise GraphFormatError(f"label must be a scalar or one per node ({e})") from e
-            if y.dtype.kind not in "iuf":
-                raise GraphFormatError(f"label values must be integer or float numbers; got {self.y!r:.80}")
+            y = _numbers(self.y, "label values must be integer or float numbers")
             if y.shape not in ((), (n,)):
                 raise GraphFormatError(
                     f"label must be a scalar or one per node; got shape {y.shape} for n={n}"
@@ -248,61 +259,42 @@ def batch_graphs(gs: list[DiGraph]) -> GraphBatch:
     )
 
 
-def _is_int(value) -> bool:
-    """A JSON integer: ``true``, ``2.0`` and ``"2"`` are not (bool is an int subclass)."""
-    return type(value) is int
-
-
-def _graph_from_record(rec: dict, lineno: int) -> DiGraph:
+def _graph_from_line(line: bytes) -> DiGraph:
+    """The graph a file line holds; :class:`DiGraph` checks every value.
+    Endpoints must be JSON integers, the one rule for files only: in code,
+    ``DiGraph`` takes whole floats such as 1.0."""
     try:
-        n = rec["n"]
-        if not _is_int(n):
-            raise GraphFormatError(f"n must be an integer, got {n!r}")
-        edges = rec.get("edges", [])
-        for e in edges:
-            if not (isinstance(e, list) and len(e) == 2 and _is_int(e[0]) and _is_int(e[1])):
-                raise GraphFormatError(f"edge {e!r} is not a pair of integers")
-        for row in rec["x"]:  # exact types, since bool is an int subclass
-            if not (isinstance(row, list) and all(type(t) in (int, float) for t in row)):
-                raise GraphFormatError(f"feature row {row!r} is not a list of numbers")
-        y = rec.get("y")
-        labels = y if isinstance(y, list) else [y]
-        if y is not None and not all(type(t) in (int, float) for t in labels):
-            raise GraphFormatError(f"label {y!r} is neither a number nor a list of numbers")
-        graph_id = rec.get("id")
-        if graph_id is not None and type(graph_id) is not str:
-            raise GraphFormatError(f"id {graph_id!r} is not a string")
-        node_ids = rec.get("node_ids")
-        if node_ids is not None and not (
-            isinstance(node_ids, list) and len(node_ids) == n and all(type(t) is str for t in node_ids)
-        ):
-            raise GraphFormatError(f"node_ids {node_ids!r} is not a list of {n} strings")
-        return DiGraph(
-            num_nodes=n,
-            edges=edges,
-            node_features=rec["x"] or np.zeros((0, 0)),
-            y=y,
-            graph_id=graph_id,
-            node_ids=tuple(node_ids) if node_ids else None,
-        )
-    except (KeyError, TypeError, ValueError, GraphFormatError) as e:
-        raise GraphFormatError(f"line {lineno}: {e}") from e
+        rec = json.loads(line)
+    except ValueError as e:  # not JSON, or not UTF-8
+        raise GraphFormatError(f"invalid JSON ({e})") from e
+    n, x = rec["n"], rec["x"]
+    edges = _array(rec.get("edges", []), _EDGE_RULE)
+    if float in set(map(type, edges.flat)):
+        bad = next(v for v in edges.flat if type(v) is float)
+        raise GraphFormatError(f"edge endpoints must be JSON integers; got {bad!r}")
+    return DiGraph(
+        num_nodes=n,
+        edges=edges,
+        node_features=np.zeros((0, 0)) if x == [] else x,
+        y=rec.get("y"),
+        graph_id=rec.get("id"),
+        node_ids=rec.get("node_ids"),
+    )
 
 
 def load_graphs(path: str | Path) -> list[DiGraph]:
-    """Load a JSON-lines graph file; fails on the first malformed record."""
+    """Load a JSON-lines graph file; fails on the first malformed record
+    with a :class:`GraphFormatError` that starts with its line number."""
     out: list[DiGraph] = []
     width = None  # feature width of the first graph with nodes
-    with open(path) as fh:
+    with open(path, "rb") as fh:  # bytes, so that a line that is not UTF-8 is invalid JSON
         for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
+            if not line.strip():
                 continue
             try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise GraphFormatError(f"line {lineno}: invalid JSON ({e})") from e
-            g = _graph_from_record(rec, lineno)
+                g = _graph_from_line(line)
+            except (KeyError, TypeError, ValueError) as e:
+                raise GraphFormatError(f"line {lineno}: {e}") from e
             if g.num_nodes and width is None:
                 width = g.feature_dim
             elif g.num_nodes and g.feature_dim != width:

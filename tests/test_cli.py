@@ -2,9 +2,12 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from dgssm.cli import main
-from dgssm.graphs import load_graphs
+from dgssm.checkpoint import CheckpointError
+from dgssm.cli import build_parser, main
+from dgssm.graphs import GraphFormatError, load_graphs
 from dgssm.model import ModelConfig, from_dict, init_weights, save_model
 from dgssm.rng import RngStream
 from dgssm.synth import SyntheticTaskSpec, gen_synthetic
@@ -122,9 +125,10 @@ def test_gen_train_eval_matches_library(task, model_fields, tmp_path, capsys, mo
         ({"betas": [0.9]}, r"run.json: betas must be tuple\[float, float\], got \(0.9,\)"),
         ({"batch_size": 0}, "run.json: batch_size must be >= 1, got 0"),
         ({"model": {"num_layers": -1}}, "run.json: num_layers must be >= 0, got -1"),
+        ({"model": [1, 2]}, r"run.json: model must be ModelConfig, got \[1, 2\]"),
     ],
     ids=["top-level", "model", "top-level-type", "model-type", "not-an-object",
-         "betas-type", "betas-length", "batch-size", "model-size"],
+         "betas-type", "betas-length", "batch-size", "model-size", "model-not-an-object"],
 )
 def test_train_rejects_unknown_config_key(dataset, tmp_path, run_json, match):
     cfg = tmp_path / "run.json"
@@ -221,6 +225,13 @@ def _classifier_checkpoint(path):
     return str(path)
 
 
+def _regressor_checkpoint(path):
+    cfg = ModelConfig(in_dim=3, task="node-regress", hidden=8, heads=2, num_layers=1,
+                      ssm_state=4, k_hops=2, dropout=0.0)
+    save_model(path, cfg, init_weights(cfg, RngStream(0)))
+    return str(path)
+
+
 def test_eval_rejects_checkpoint_of_another_task(dataset, tmp_path):
     ckpt = _classifier_checkpoint(tmp_path / "reach.ckpt")
     with pytest.raises(ValueError, match="task is 'node-classify', but .*task_meta.json names 'node-regress'"):
@@ -238,31 +249,25 @@ def test_eval_rejects_labels_outside_the_classes(dataset, tmp_path):
 
 
 def test_eval_names_the_file_of_an_unlabelled_graph(dataset, tmp_path):
-    cfg = ModelConfig(in_dim=3, task="node-regress", hidden=8, heads=2, num_layers=1,
-                      ssm_state=4, k_hops=2, dropout=0.0)
-    ckpt = tmp_path / "depth.ckpt"
-    save_model(ckpt, cfg, init_weights(cfg, RngStream(0)))
+    ckpt = _regressor_checkpoint(tmp_path / "depth.ckpt")
     lines = (dataset / "test.jsonl").read_text().splitlines()
     record = json.loads(lines[1])
     del record["y"]
     data = tmp_path / "unlabelled.jsonl"
     data.write_text("\n".join([lines[0], json.dumps(record)]) + "\n")
     with pytest.raises(LabelError, match=r"unlabelled.jsonl: graph 1 \(.*\): no label"):
-        main(["eval", "--checkpoint", str(ckpt), "--data", str(data)])
+        main(["eval", "--checkpoint", ckpt, "--data", str(data)])
 
 
 def test_eval_names_the_file_of_a_non_finite_label(dataset, tmp_path):
-    cfg = ModelConfig(in_dim=3, task="node-regress", hidden=8, heads=2, num_layers=1,
-                      ssm_state=4, k_hops=2, dropout=0.0)
-    ckpt = tmp_path / "depth.ckpt"
-    save_model(ckpt, cfg, init_weights(cfg, RngStream(0)))
+    ckpt = _regressor_checkpoint(tmp_path / "depth.ckpt")
     lines = (dataset / "test.jsonl").read_text().splitlines()
     record = json.loads(lines[1])
     record["y"][-1] = np.nan  # json writes NaN, and load_graphs reads it back
     data = tmp_path / "nan.jsonl"
     data.write_text("\n".join([lines[0], json.dumps(record)]) + "\n")
     with pytest.raises(LabelError, match=r"nan.jsonl: graph 1 \(.*\): label nan is not finite"):
-        main(["eval", "--checkpoint", str(ckpt), "--data", str(data)])
+        main(["eval", "--checkpoint", ckpt, "--data", str(data)])
 
 
 def test_train_names_the_file_of_a_bad_label(dataset, tmp_path):
@@ -284,3 +289,93 @@ def test_train_names_an_empty_file(tmp_path):
     assert (data / "val.jsonl").read_text() == ""
     with pytest.raises(ValueError, match="val.jsonl: empty graph list"):
         main(["train", "--data", str(data), "--out", str(tmp_path / "out")])
+
+
+@pytest.mark.parametrize(
+    "command, name, text, match",
+    [
+        ("train", "run.json", "{", "run.json: invalid JSON"),
+        ("train", "task_meta.json", "{", "task_meta.json: invalid JSON"),
+        ("train", "task_meta.json", '{"task": "depth-regress"}', "task_meta.json: model_task must be a string, got None"),
+        ("train", "task_meta.json", "[1]", r"task_meta.json: a task meta must be a JSON object, got \[1\]"),
+        ("eval", "task_meta.json", "{", "task_meta.json: invalid JSON"),
+        ("eval", "task_meta.json", "[1]", r"task_meta.json: a task meta must be a JSON object, got \[1\]"),
+    ],
+    ids=["train-config-not-json", "train-meta-not-json", "train-meta-without-task",
+         "train-meta-not-an-object", "eval-meta-not-json", "eval-meta-not-an-object"],
+)
+def test_json_file_errors_name_the_file(dataset, tmp_path, command, name, text, match):
+    # These used to escape as a bare JSONDecodeError, KeyError, TypeError or
+    # AttributeError.
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(TINY_RUN))
+    (cfg if name == "run.json" else dataset / name).write_text(text)
+    argv = {"train": ["train", "--data", str(dataset), "--config", str(cfg), "--out", str(tmp_path / "out")],
+            "eval": ["eval", "--checkpoint", _regressor_checkpoint(tmp_path / "depth.ckpt"),
+                     "--data", str(dataset / "test.jsonl")]}[command]
+    with pytest.raises(ValueError, match=match):
+        main(argv)
+
+
+# Relative paths in the fuzz's working directory, one of them missing.
+_PATHS = ["data/train.jsonl", "data/test.jsonl", "data/task_meta.json", "data", "model.ckpt",
+          "empty.jsonl", "junk.bin", "missing.jsonl"]
+_RUN_ARGV = [["stats", "--data", "data/train.jsonl", "--k", "2", "--json"],
+             ["eval", "--checkpoint", "model.ckpt", "--data", "data/test.jsonl", "--json"]]
+_PARSE_ARGV = [["gen", "--task", "depth-regress", "--num-graphs", "6", "--seed", "1", "--out", "out"],
+               ["train", "--data", "data", "--config", "run.json", "--out", "out", "--seed", "0"],
+               ["oracle-check", "scc", "--json"],
+               ["bench", "--ks", "1,2", "--seed", "0", "--out", "bench.json"]]
+_VALUES = st.sampled_from(_PATHS) | st.sampled_from(["inf", "-1", "0", "2", "1e9", "1,2", "", "x", "scc"]) \
+    | st.text(max_size=4).filter(lambda t: not t.startswith("-"))  # "-h" would exit 0
+_TOKENS = _VALUES | st.sampled_from(
+    ["stats", "eval", "gen", "train", "bench", "--data", "--checkpoint", "--k", "--ks", "--json",
+     "--seed", "--config", "--out", "--task", "--num-graphs"])
+
+
+@pytest.fixture
+def fuzz_dir(tmp_path, monkeypatch):
+    monkeypatch.delenv("DGSSM_SEED", raising=False)
+    gen_synthetic(SyntheticTaskSpec("depth-regress", num_graphs=6, min_nodes=5, max_nodes=7, seed=0),
+                  tmp_path / "data")
+    _regressor_checkpoint(tmp_path / "model.ckpt")
+    (tmp_path / "empty.jsonl").write_text("")
+    (tmp_path / "junk.bin").write_bytes(bytes(range(256)))
+    monkeypatch.chdir(tmp_path)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_mutated_argv_exits_2_or_raises_a_typed_error(fuzz_dir, data, capsys):
+    # stats and eval run on the fixture; the other subcommands are only
+    # parsed, so that nothing is generated, trained or timed.
+    argv = list(data.draw(st.sampled_from(_RUN_ARGV * 2 + _PARSE_ARGV)))
+    for _ in range(data.draw(st.integers(1, 2))):
+        i = data.draw(st.integers(0, len(argv)))
+        # Mostly a new value in place of a value, so that most argvs parse.
+        kind = data.draw(st.sampled_from(["value"] * 4 + ["drop", "insert", "swap"]))
+        values = [k for k, t in enumerate(argv) if k and not t.startswith("--")]
+        if kind == "value" and values:
+            argv[data.draw(st.sampled_from(values))] = data.draw(_VALUES)
+        elif kind == "insert" or not argv:
+            argv.insert(i, data.draw(_TOKENS))
+        elif kind == "drop":
+            argv.pop(min(i, len(argv) - 1))
+        else:
+            j = data.draw(st.integers(0, len(argv) - 1))
+            i = min(i, len(argv) - 1)
+            argv[i], argv[j] = argv[j], argv[i]
+    files = []
+    try:
+        args = build_parser().parse_args(argv)
+        if args.command in ("stats", "eval"):
+            files = [*np.atleast_1d(args.data), getattr(args, "checkpoint", "")]
+            main(argv)
+    except SystemExit as e:
+        assert e.code == 2, argv
+    except (GraphFormatError, CheckpointError, LabelError):
+        pass
+    except ValueError as e:
+        assert any(f in str(e) for f in files), (argv, e)
+    capsys.readouterr()

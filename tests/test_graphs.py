@@ -41,67 +41,86 @@ def test_parse_error_names_line(tmp_path):
         load_graphs(path)
 
 
+def _constructor_error(record: dict) -> str:
+    """The error DiGraph raises for a record's values, passed as json parses them."""
+    with pytest.raises(GraphFormatError) as e:
+        DiGraph(record["n"], record.get("edges", []), record["x"], record.get("y"),
+                record.get("id"), record.get("node_ids"))
+    return str(e.value)
+
+
+def _assert_load_error(path, lineno: int, field: str, own: str | None = None) -> None:
+    """load_graphs fails at ``lineno`` naming ``field``, with the file-only
+    rule's text ``own`` or else exactly DiGraph's error for the same values,
+    so that no second check of a field can creep back into the loader."""
+    with pytest.raises(GraphFormatError, match=f"^line {lineno}: .*{field}") as e:
+        load_graphs(path)
+    record = json.loads(path.read_text().splitlines()[lineno - 1])
+    assert str(e.value) == f"line {lineno}: {own or _constructor_error(record)}"
+
+
 @pytest.mark.parametrize(
-    "n, edges, error",
+    "n, edges, field, own",
     [
-        ("2.7", "[]", "n must be an integer, got 2.7"),
-        ('"2"', "[]", "n must be an integer, got '2'"),
-        ("true", "[]", "n must be an integer, got True"),
-        ("2", "[[0.9, 1]]", r"edge \[0.9, 1\] is not a pair of integers"),
-        ("2", "[[true, 1]]", r"edge \[True, 1\] is not a pair of integers"),
-        ("3", "[[0, 1, 2, 0]]", r"edge \[0, 1, 2, 0\] is not a pair of integers"),
+        ("2.7", "[]", "num_nodes", None),
+        ('"2"', "[]", "num_nodes", None),
+        ("true", "[]", "num_nodes", None),
+        ("2", "[[0.9, 1]]", "edge", "edge endpoints must be JSON integers; got 0.9"),
+        ("2", "[[true, 1]]", "edge", None),
+        ("3", "[[0, 1, 2, 0]]", "edge", None),
+        ("3", "[[1.0, 0]]", "edge", "edge endpoints must be JSON integers; got 1.0"),
     ],
-    ids=["float-n", "string-n", "bool-n", "float-endpoint", "bool-endpoint", "four-values"],
+    ids=["float-n", "string-n", "bool-n", "float-endpoint", "bool-endpoint", "four-values",
+         "whole-float-endpoint"],
 )
-def test_non_integer_size_or_endpoint_rejected(tmp_path, n, edges, error):
+def test_non_integer_size_or_endpoint_rejected(tmp_path, n, edges, field, own):
     # Each of these used to load, silently changed: 2.7 -> 2, [true, 1] -> the
     # self-loop [1, 1], [0, 1, 2, 0] -> the two edges [0, 1] and [2, 0].
+    # Endpoints must be JSON integers, a rule for files only: DiGraph takes
+    # the whole float 1.0 from code.
     path = tmp_path / "bad.jsonl"
     path.write_text('{"n": 1, "edges": [], "x": [[0.0]]}\n'
                     f'{{"n": {n}, "edges": {edges}, "x": [[0.0], [1.0], [2.0]]}}\n')
-    with pytest.raises(GraphFormatError, match=f"line 2: {error}"):
-        load_graphs(path)
+    _assert_load_error(path, 2, field, own)
 
 
 @pytest.mark.parametrize(
-    "x, y, error",
+    "x, y, field",
     [
-        ('[["1.5"], [true]]', '"3"', r"feature row \['1.5'\] is not a list of numbers"),
-        ("[[1.5], [true]]", "3", r"feature row \[True\] is not a list of numbers"),
-        ("[[1.5], [null]]", "3", r"feature row \[None\] is not a list of numbers"),
-        ("[[1.5], [2.0]]", '"3"', "label '3' is neither a number nor a list of numbers"),
-        ("[[1.5], [2.0]]", "true", "label True is neither a number nor a list of numbers"),
-        ("[[1.5], [2.0]]", '[0, "1"]', r"label \[0, '1'\] is neither a number nor a list of numbers"),
+        ('[["1.5"], [true]]', '"3"', "node_features"),
+        ("[[1.5], [true]]", "3", "node_features"),
+        ("[[1.5], [null]]", "3", "node_features"),
+        ("[[1.5], [2.0]]", '"3"', "label"),
+        ("[[1.5], [2.0]]", "true", "label"),
+        ("[[1.5], [2.0]]", '[0, "1"]', "label"),
     ],
     ids=["string-feature", "bool-feature", "null-feature", "string-label", "bool-label", "string-in-labels"],
 )
-def test_non_number_feature_or_label_rejected(tmp_path, x, y, error):
+def test_non_number_feature_or_label_rejected(tmp_path, x, y, field):
     # The first line used to load as features [[1.5], [1.0]] and the string
     # label '3'.
     path = tmp_path / "bad.jsonl"
     path.write_text(f'{{"n": 2, "edges": [], "x": {x}, "y": {y}}}\n')
-    with pytest.raises(GraphFormatError, match=f"line 1: {error}"):
-        load_graphs(path)
+    _assert_load_error(path, 1, field)
 
 
 @pytest.mark.parametrize(
-    "extra, error",
+    "extra, field",
     [
-        ('"id": 5', "id 5 is not a string"),
-        ('"id": ["g"]', r"id \['g'\] is not a string"),
-        ('"node_ids": "abc"', "node_ids 'abc' is not a list of 2 strings"),
-        ('"node_ids": ["a"]', r"node_ids \['a'\] is not a list of 2 strings"),
-        ('"node_ids": ["a", 7]', r"node_ids \['a', 7\] is not a list of 2 strings"),
+        ('"id": 5', "graph_id"),
+        ('"id": ["g"]', "graph_id"),
+        ('"node_ids": "abc"', "node_ids"),
+        ('"node_ids": ["a"]', "node_ids"),
+        ('"node_ids": ["a", 7]', "node_ids"),
     ],
     ids=["int-id", "list-id", "string-node-ids", "short-node-ids", "int-node-id"],
 )
-def test_non_string_ids_rejected(tmp_path, extra, error):
+def test_non_string_ids_rejected(tmp_path, extra, field):
     # The first and third used to load: graph id 5, and the three node ids
     # ('a', 'b', 'c') for two nodes.
     path = tmp_path / "bad.jsonl"
     path.write_text(f'{{"n": 2, "edges": [], "x": [[1.5], [2.0]], {extra}}}\n')
-    with pytest.raises(GraphFormatError, match=f"line 1: {error}"):
-        load_graphs(path)
+    _assert_load_error(path, 1, field)
 
 
 def test_string_ids_load(tmp_path):
@@ -112,7 +131,7 @@ def test_string_ids_load(tmp_path):
 
 
 def test_node_id_count_must_match_num_nodes():
-    with pytest.raises(GraphFormatError, match="3 node ids for 2 nodes"):
+    with pytest.raises(GraphFormatError, match="^node_ids must be one string per node; got 3 for n=2$"):
         DiGraph(2, np.zeros((0, 2), np.int64), np.zeros((2, 1)), node_ids=("a", "b", "c"))
 
 
@@ -132,16 +151,23 @@ def test_numpy_integer_num_nodes_is_taken_as_an_int(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "record, error",
-    [('{"n": 1000000000000000000000000000000, "edges": [], "x": [[0.0]]}', "num_nodes must be an integer"),
-     ('{"n": 1, "edges": [], "x": [[1%s]]}' % ("0" * 400), "node_features must be float64 numbers")],
+    "record, field",
+    [('{"n": 1000000000000000000000000000000, "edges": [], "x": [[0.0]]}', "num_nodes"),
+     ('{"n": 1, "edges": [], "x": [[1%s]]}' % ("0" * 400), "node_features")],
     ids=["huge-n", "huge-feature"],
 )
-def test_numbers_past_int64_or_float_range_name_the_line(tmp_path, record, error):
+def test_numbers_past_int64_or_float_range_name_the_line(tmp_path, record, field):
     # Both used to escape load_graphs as a bare OverflowError.
     path = tmp_path / "bad.jsonl"
     path.write_text('{"n": 1, "edges": [], "x": [[0.0]]}\n' + record + "\n")
-    with pytest.raises(GraphFormatError, match=f"^line 2: {error}"):
+    _assert_load_error(path, 2, field)
+
+
+def test_line_that_is_not_utf8_names_the_line(tmp_path):
+    # It used to escape load_graphs as a bare UnicodeDecodeError.
+    path = tmp_path / "bad.jsonl"
+    path.write_bytes(b'{"n": 1, "edges": [], "x": [[0.0]]}\n{"n": 1, "id": "\xff"}\n')
+    with pytest.raises(GraphFormatError, match="^line 2: invalid JSON"):
         load_graphs(path)
 
 
@@ -239,7 +265,7 @@ def test_constructor_refuses_non_number_features(x, error):
 
 @pytest.mark.parametrize(
     "field, value, error",
-    [("y", [[1], [1, 2]], "label must be a scalar or one per node"),
+    [("y", [[1], [1, 2]], r"label values must be integer or float numbers; got \[1\]"),
      ("graph_id", 5, "graph_id must be a string or None, got 5"),
      ("node_ids", 5, "node_ids must be a list or tuple of strings, got 5"),
      ("node_ids", "ab", "node_ids must be a list or tuple of strings, got 'ab'"),
@@ -303,11 +329,13 @@ def test_edge_out_of_range_rejected():
      ([[0, 1], [2]], r"\(m, 2\) array"),
      ([[0, 1.5]], "whole numbers; got 1.5"),
      ([[0, np.nan]], "whole numbers; got nan"),
-     ([["0", "1"]], "whole numbers; got <U1 values")],
+     (np.array([["0", "1"]]), "whole numbers; got <U1 values"),
+     ([["0", "1"]], "whole numbers; got '0'"),
+     ([[0, True]], "whole numbers; got True")],
 )
 def test_edges_must_be_an_m_by_2_array_of_whole_numbers(edges, error):
-    # A (2, m) edge_index used to be read row-major as the wrong pairs, and
-    # an endpoint of 1.5 was truncated to node 1.
+    # A (2, m) edge_index used to be read row-major as the wrong pairs, an
+    # endpoint of 1.5 was truncated to node 1, and [0, True] was the edge (0, 1).
     with pytest.raises(GraphFormatError, match=error):
         DiGraph(3, edges, np.zeros((3, 1)))
 
@@ -323,6 +351,15 @@ def test_int64_edges_are_not_copied_or_frozen():
     g = DiGraph(3, edges, np.zeros((3, 1)))
     assert np.shares_memory(g.edges, edges) and not g.edges.flags.writeable
     assert edges.flags.writeable
+
+
+@pytest.mark.parametrize("field", ["node_features", "y"])
+def test_caller_float64_arrays_stay_writable(field):
+    # The graph used to freeze the caller's own array instead of a view of it.
+    args = dict(num_nodes=3, edges=[], node_features=np.zeros((3, 1)), y=np.zeros(3))
+    g = DiGraph(**args)
+    assert np.shares_memory(getattr(g, field), args[field]) and not getattr(g, field).flags.writeable
+    assert args[field].flags.writeable
 
 
 def test_unused_edge_feature_key_ignored(tmp_path):
@@ -386,11 +423,12 @@ def test_numpy_scalar_labels_round_trip(tmp_path):
 
 @pytest.mark.parametrize(
     "y",
-    ["abc", True, ["a", "b"], np.array([True, False]), [1.0, None]],
-    ids=["string", "bool", "string-list", "bool-array", "none-in-list"],
+    ["abc", True, ["a", "b"], np.array([True, False]), [1.0, None], [1, True]],
+    ids=["string", "bool", "string-list", "bool-array", "none-in-list", "bool-in-list"],
 )
 def test_label_of_another_type_rejected(y):
-    # These used to construct, and failed only later, in check_dataset or the loss.
+    # These used to construct, and failed only later, in check_dataset or the
+    # loss; [1, True] was the label [1, 1].
     with pytest.raises(GraphFormatError, match="label values must be integer or float numbers"):
         DiGraph(2, [[0, 1]], np.ones((2, 3)), y=y)
 

@@ -106,9 +106,6 @@ class Tensor:
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.shape}{flag})"
 
-    def zero_grad(self) -> None:
-        self.grad = None
-
     # -- autodiff ------------------------------------------------------------
     def backward(self) -> None:
         """Backpropagate from a scalar; leaf grads accumulate until zeroed."""
@@ -192,12 +189,6 @@ def mul(a, b) -> Tensor:
     )
 
 
-def exp(a) -> Tensor:
-    a = as_tensor(a)
-    out_data = np.exp(a.data)
-    return _node(out_data, (a,), lambda g: (g * out_data,))
-
-
 def sigmoid(a) -> Tensor:
     a = as_tensor(a)
     s = 1.0 / (1.0 + np.exp(-a.data))
@@ -258,31 +249,6 @@ def gather_rows(a, idx) -> Tensor:
     return _node(
         a.data[idx], (a,), lambda g: (_seg_reduce(g, idx, a.shape[0], np.add),)
     )
-
-
-def sum_(a, axis=None, keepdims: bool = False) -> Tensor:
-    a = as_tensor(a)
-
-    def bwd(g):
-        if axis is None:
-            return (np.broadcast_to(g, a.shape).copy(),)
-        gg = g if keepdims else np.expand_dims(g, axis)
-        return (np.broadcast_to(gg, a.shape).copy(),)
-
-    return _node(a.data.sum(axis=axis, keepdims=keepdims), (a,), bwd)
-
-
-def softmax(a, axis: int = -1) -> Tensor:
-    a = as_tensor(a)
-    z = a.data - a.data.max(axis=axis, keepdims=True)
-    e = np.exp(z)
-    s = e / e.sum(axis=axis, keepdims=True)
-
-    def bwd(g):
-        dot = (g * s).sum(axis=axis, keepdims=True)
-        return (s * (g - dot),)
-
-    return _node(s, (a,), bwd)
 
 
 # -- segment operations (variable-length groups keyed by an index vector) -------

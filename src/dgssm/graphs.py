@@ -211,7 +211,8 @@ def reverse_graph(g: DiGraph) -> DiGraph:
 
 @dataclass(frozen=True)
 class GraphBatch:
-    """Several graphs concatenated into one node/edge index space."""
+    """Several graphs concatenated into one node/edge index space. Each
+    array is kept as a read-only view, so the caller's own stays writable."""
 
     num_graphs: int
     num_nodes: int
@@ -224,7 +225,7 @@ class GraphBatch:
 
     def __post_init__(self):
         for name in ("edges", "node_features", "batch_index", "offsets", "node_counts"):
-            object.__setattr__(self, name, _frozen(np.asarray(getattr(self, name))))
+            object.__setattr__(self, name, _frozen(np.asarray(getattr(self, name)).view()))
         if np.any(np.diff(self.batch_index) < 0):
             raise GraphFormatError("batch_index must be non-decreasing")
         if self.edges.size:
@@ -267,6 +268,11 @@ def _graph_from_line(line: bytes) -> DiGraph:
         rec = json.loads(line)
     except ValueError as e:  # not JSON, or not UTF-8
         raise GraphFormatError(f"invalid JSON ({e})") from e
+    if not isinstance(rec, dict):
+        raise GraphFormatError(f"a graph record must be a JSON object, got {type(rec).__name__}")
+    for key in ("n", "x"):
+        if key not in rec:
+            raise GraphFormatError(f"missing key {key!r}")
     n, x = rec["n"], rec["x"]
     edges = _array(rec.get("edges", []), _EDGE_RULE)
     if float in set(map(type, edges.flat)):
@@ -293,7 +299,7 @@ def load_graphs(path: str | Path) -> list[DiGraph]:
                 continue
             try:
                 g = _graph_from_line(line)
-            except (KeyError, TypeError, ValueError) as e:
+            except (TypeError, ValueError) as e:
                 raise GraphFormatError(f"line {lineno}: {e}") from e
             if g.num_nodes and width is None:
                 width = g.feature_dim

@@ -170,9 +170,10 @@ def _branch2_kernel(heads: int) -> int:
 
 def param_table(cfg: ModelConfig) -> list[tuple[str, tuple[int, ...], tuple]]:
     """(name, shape, initializer) of every trainable tensor, in registration
-    and draw order, under stable dotted names. Draws no random numbers: it is
-    the one source of names and shapes for :func:`init_weights` and
-    :func:`load_model`."""
+    and draw order, under stable dotted names: exactly the weights the
+    forward reads, so a branch has ``fusion.*`` rows only under
+    ``use_fusion``. Draws no random numbers: it is the one source of names
+    and shapes for :func:`init_weights` and :func:`load_model`."""
     d, h = cfg.hidden, cfg.heads
     zeros, ones = ("fill", 0.0), ("fill", 1.0)
     rows: list[tuple[str, tuple[int, ...], tuple]] = []
@@ -197,15 +198,16 @@ def param_table(cfg: ModelConfig) -> list[tuple[str, tuple[int, ...], tuple]]:
                 add(f"{pre}.{name}", *_lin(d, d))
             for name, shape, init in s4d_table(cfg.ssm_state, d, cfg.dt_min, cfg.dt_max):
                 add(f"{pre}.ssm.{name}", shape, init)
-            k2 = _branch2_kernel(h)
-            add(f"{pre}.fusion.nd.w", (1, 2, 7), ("normal", 1.0 / np.sqrt(14)))
-            add(f"{pre}.fusion.nd.b", (1,), zeros)
-            add(f"{pre}.fusion.nc.w", (1, 2, k2), ("normal", 1.0 / np.sqrt(2 * k2)))
-            add(f"{pre}.fusion.nc.b", (1,), zeros)
-            add(f"{pre}.fusion.dc.w", (1, 2, 3, 3), ("normal", 1.0 / np.sqrt(18)))
-            add(f"{pre}.fusion.dc.b", (1,), zeros)
-            add(f"{pre}.fusion.pr.w", (1,), ("normal", 1.0))
-            add(f"{pre}.fusion.pr.b", (1,), zeros)
+            if cfg.use_fusion:
+                k2 = _branch2_kernel(h)
+                add(f"{pre}.fusion.nd.w", (1, 2, 7), ("normal", 1.0 / np.sqrt(14)))
+                add(f"{pre}.fusion.nd.b", (1,), zeros)
+                add(f"{pre}.fusion.nc.w", (1, 2, k2), ("normal", 1.0 / np.sqrt(2 * k2)))
+                add(f"{pre}.fusion.nc.b", (1,), zeros)
+                add(f"{pre}.fusion.dc.w", (1, 2, 3, 3), ("normal", 1.0 / np.sqrt(18)))
+                add(f"{pre}.fusion.dc.b", (1,), zeros)
+                add(f"{pre}.fusion.pr.w", (1,), ("normal", 1.0))
+                add(f"{pre}.fusion.pr.b", (1,), zeros)
         if cfg.bidirectional:
             add(f"layers.{li}.bi.w", *_lin(2 * d, d))
         add(f"layers.{li}.ln1.g", (d,), ones)

@@ -107,17 +107,6 @@ def _central_diff(f: Callable[[], Tensor], arr: np.ndarray, eps: float) -> np.nd
     return num
 
 
-def grad_check(
-    f: Callable[[Tensor], Tensor],
-    x: Tensor,
-    eps: float = 1e-4,
-    tol: float = 1e-4,
-) -> GradCheckReport:
-    """Compare reverse-mode gradients of scalar ``f(x)`` with central differences."""
-    params = ParameterSet([("x", x)])
-    return grad_check_params(lambda: f(x), params, eps, tol)
-
-
 def grad_check_params(
     f: Callable[[], Tensor],
     params: ParameterSet,

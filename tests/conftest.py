@@ -5,6 +5,7 @@ import pytest
 
 from dgssm import autodiff as ad
 from dgssm.graphs import DiGraph
+from dgssm.optim import GradCheckReport, grad_check_params
 from dgssm.rng import RngStream
 from dgssm.ssm import s4d_table
 
@@ -37,6 +38,46 @@ def conv_same_reference(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarr
         window = xp[(slice(None), slice(None)) + tuple(slice(t, t + s) for t, s in zip(tap, spatial))]
         out += np.einsum("bc...,oc->bo...", window, w[(slice(None), slice(None)) + tap])
     return out
+
+
+# Ops that no model path runs, built on ad._node like the library's own: the
+# test compositions below use them, and test_autodiff checks them.
+
+
+def exp(a) -> ad.Tensor:
+    a = ad.as_tensor(a)
+    out_data = np.exp(a.data)
+    return ad._node(out_data, (a,), lambda g: (g * out_data,))
+
+
+def sum_(a, axis=None, keepdims: bool = False) -> ad.Tensor:
+    a = ad.as_tensor(a)
+
+    def bwd(g):
+        if axis is None:
+            return (np.broadcast_to(g, a.shape).copy(),)
+        gg = g if keepdims else np.expand_dims(g, axis)
+        return (np.broadcast_to(gg, a.shape).copy(),)
+
+    return ad._node(a.data.sum(axis=axis, keepdims=keepdims), (a,), bwd)
+
+
+def softmax(a, axis: int = -1) -> ad.Tensor:
+    a = ad.as_tensor(a)
+    z = a.data - a.data.max(axis=axis, keepdims=True)
+    e = np.exp(z)
+    s = e / e.sum(axis=axis, keepdims=True)
+
+    def bwd(g):
+        dot = (g * s).sum(axis=axis, keepdims=True)
+        return (s * (g - dot),)
+
+    return ad._node(s, (a,), bwd)
+
+
+def grad_check(f, x: ad.Tensor, eps: float = 1e-4, tol: float = 1e-4) -> GradCheckReport:
+    """Compare reverse-mode gradients of scalar ``f(x)`` with central differences."""
+    return grad_check_params(lambda: f(x), ad.ParameterSet([("x", x)]), eps, tol)
 
 
 def _first_max(t: ad.Tensor, axis: int) -> ad.Tensor:
@@ -81,7 +122,7 @@ def fusion_composition(x, pagerank, batch_index, num_graphs, params, prefix) -> 
 
     def zpool(axis):
         shape = (n, 1, x.shape[3 - axis])
-        return ad.concat([_first_max(x, axis).reshape(shape), ad.mul(ad.sum_(x, axis=axis), 1.0 / x.shape[axis]).reshape(shape)], axis=1)
+        return ad.concat([_first_max(x, axis).reshape(shape), ad.mul(sum_(x, axis=axis), 1.0 / x.shape[axis]).reshape(shape)], axis=1)
 
     gate_nd = ad.sigmoid(_conv_ops(zpool(2), w("nd.w"), w("nd.b"))).reshape(n, dh, 1)
     gate_nc = ad.sigmoid(_conv_ops(zpool(1), w("nc.w"), w("nc.b"))).reshape(n, 1, c)
@@ -105,14 +146,14 @@ def scan_composition(fx, wq, wk, wv, a_log, log_dt, b, c, pairs, spd, heads: int
     d, state = c.shape
     dh = d // heads
     u, v = pairs[:, 0], pairs[:, 1]
-    dt_a = ad.mul(ad.exp(log_dt), ad.mul(ad.exp(a_log), -1.0))
-    coef = ad.mul(ad.add(ad.exp(dt_a), -1.0), ad.mul(ad.exp(ad.mul(a_log, -1.0)), -1.0))
+    dt_a = ad.mul(exp(log_dt), ad.mul(exp(a_log), -1.0))
+    coef = ad.mul(ad.add(exp(dt_a), -1.0), ad.mul(exp(ad.mul(a_log, -1.0)), -1.0))
     b_bar = ad.mul(b, coef.reshape(state, 1))
     bv = ad.matmul(ad.matmul(fx, wv), ad.transpose(b_bar, (1, 0)))  # (n, D)
     qk = ad.mul(ad.gather_rows(ad.matmul(fx, wq), v), ad.gather_rows(ad.matmul(fx, wk), u))
     head_of = np.repeat(np.eye(heads), dh, axis=0) / np.sqrt(dh)  # (d, heads)
     alpha = ad.segment_softmax(ad.matmul(qk, ad.constant(head_of)), v, n)  # (E, heads)
-    hop_power = ad.exp(ad.mul(ad.constant(spd.reshape(-1, 1).astype(float)), dt_a.reshape(1, state)))
+    hop_power = exp(ad.mul(ad.constant(spd.reshape(-1, 1).astype(float)), dt_a.reshape(1, state)))
     m = ad.mul(ad.gather_rows(bv, u), hop_power)  # (E, D)
     weighted = ad.mul(alpha.reshape(-1, heads, 1), m.reshape(-1, 1, state))
     z = ad.transpose(ad.segment_sum(weighted, v, n), (1, 0, 2))  # (heads, n, D)

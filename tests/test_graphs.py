@@ -163,6 +163,21 @@ def test_numbers_past_int64_or_float_range_name_the_line(tmp_path, record, field
     _assert_load_error(path, 2, field)
 
 
+@pytest.mark.parametrize(
+    "record, field, own",
+    [('{"edges": [], "x": [[0.0]]}', "'n'", "missing key 'n'"),
+     ('{"n": 1, "edges": []}', "'x'", "missing key 'x'"),
+     ('[1, [], [[0.0]]]', "JSON object", "a graph record must be a JSON object, got list")],
+    ids=["missing-n", "missing-x", "list-record"],
+)
+def test_record_that_is_not_a_graph_object_names_the_line(tmp_path, record, field, own):
+    # These used to read "line 2: 'n'" and "line 2: list indices must be
+    # integers or slices, not str".
+    path = tmp_path / "bad.jsonl"
+    path.write_text('{"n": 1, "edges": [], "x": [[0.0]]}\n' + record + "\n")
+    _assert_load_error(path, 2, field, own)
+
+
 def test_line_that_is_not_utf8_names_the_line(tmp_path):
     # It used to escape load_graphs as a bare UnicodeDecodeError.
     path = tmp_path / "bad.jsonl"
@@ -513,6 +528,17 @@ def test_cross_graph_edge_rejected():
             offsets=np.array([0, 2]),
             node_counts=np.array([2, 2]),
         )
+
+
+def test_batch_keeps_the_caller_arrays_writable():
+    # The batch used to freeze the caller's own arrays instead of views of them.
+    args = dict(edges=np.array([[0, 1], [2, 3]]), node_features=np.zeros((4, 1)),
+                batch_index=np.array([0, 0, 1, 1]))
+    b = GraphBatch(num_graphs=2, num_nodes=4, offsets=np.array([0, 2]), node_counts=np.array([2, 2]), **args)
+    for name, arr in args.items():
+        field = getattr(b, name)
+        assert np.shares_memory(field, arr) and not field.flags.writeable, name
+        assert arr.flags.writeable, name
 
 
 @settings(max_examples=25, deadline=None)

@@ -22,6 +22,7 @@ from dgssm.model import (
     load_model,
     model_forward,
     model_loss,
+    param_table,
     save_model,
 )
 from dgssm.optim import grad_check_params
@@ -30,7 +31,7 @@ from dgssm.rng import RngStream
 from dgssm.ssm import kernel_table
 from dgssm.train import collate, evaluate_checkpoint, prepare_graphs
 
-from conftest import conv_same_reference, fusion_composition, make_random_digraph, scan_composition, ssm_params
+from conftest import conv_same_reference, fusion_composition, make_random_digraph, scan_composition, ssm_params, sum_
 
 
 # -- depth positional encoding ------------------------------------------------------
@@ -303,7 +304,7 @@ def test_scan_gradients_match_finite_differences(heads, k):
     weights = RngStream(5).normal(size=(8, 8 // heads, heads))
 
     def loss():
-        return ad.sum_(ad.mul(digraph_ssm_scan(fx, arts, params, "scan", heads), weights))
+        return sum_(ad.mul(digraph_ssm_scan(fx, arts, params, "scan", heads), weights))
 
     report = grad_check_params(loss, params, eps=1e-5, tol=1e-6)
     assert report.passed, str(report)
@@ -313,7 +314,7 @@ def _scan_outputs(scan, args, pairs, spd, heads, probe):
     """Output and the eight input gradients of ``scan`` against ``probe``."""
     ts = [Tensor(a, requires_grad=True) for a in args]
     out = scan(*ts, pairs, spd, heads)
-    ad.sum_(ad.mul(out, ad.constant(probe))).backward()
+    sum_(ad.mul(out, ad.constant(probe))).backward()
     return [out.data] + [t.grad for t in ts]
 
 
@@ -484,7 +485,7 @@ def test_fusion_matches_numpy_reference(heads, dh):
 
     def loss():
         out = digraph_fusion_attention(params["x"], pr, batch_index, num_graphs, params, "fusion")
-        return ad.sum_(ad.mul(out, probe))
+        return sum_(ad.mul(out, probe))
 
     report = grad_check_params(loss, params, eps=1e-5, tol=1e-6)
     assert report.passed, str(report)
@@ -495,7 +496,7 @@ def _fusion_grads(fusion, data, pr, batch_index, num_graphs, w, probe):
     x = Tensor(data, requires_grad=True)
     w.zero_grad()
     out = fusion(x, pr, batch_index, num_graphs, w, "fusion")
-    ad.sum_(ad.mul(out, ad.constant(probe))).backward()
+    sum_(ad.mul(out, ad.constant(probe))).backward()
     return [out.data, x.grad] + [t.grad for _, t in w.items()]
 
 
@@ -709,6 +710,27 @@ def test_checkpoint_round_trip_preserves_predictions(tmp_path):
     assert params2.names() == params.names()
     got = model_forward(batch, fwd, rev, cfg2, params2).data
     assert np.array_equal(want, got)
+
+
+@pytest.mark.parametrize("task", ["node-regress", "graph-regress"])
+@pytest.mark.parametrize("bidirectional", [False, True], ids=["uni", "bi"])
+@pytest.mark.parametrize("se_layers", [0, 1], ids=["se0", "se1"])
+@pytest.mark.parametrize("use_fusion", [False, True], ids=["no-fusion", "fusion"])
+def test_the_weight_table_is_what_the_forward_reads(use_fusion, se_layers, bidirectional, task):
+    # A weight that no path reads holds no gradient, and AdamW.step refuses
+    # it: use_fusion=False used to register every branch's fusion weights.
+    cfg = ModelConfig(in_dim=3, task=task, hidden=8, heads=2, num_layers=1, se_layers=se_layers,
+                      ssm_state=4, k_hops=2, bidirectional=bidirectional, use_fusion=use_fusion)
+    graphs = [make_random_digraph(seed, max_nodes=10) for seed in (40, 41)]
+    graphs = [DiGraph(g.num_nodes, g.edges, g.node_features,
+                      y=np.arange(g.num_nodes) * 0.5 if task == "node-regress" else 1.5)
+              for g in graphs]
+    params = init_weights(cfg, RngStream(0))
+    batch, fwd, rev = _prepared_batch(graphs, cfg)
+    model_loss(model_forward(batch, fwd, rev, cfg, params), batch, cfg).backward()
+    assert {name for name, t in params.items() if t.grad is not None} == {
+        name for name, _, _ in param_table(cfg)
+    }
 
 
 _CKPT_CFG = ModelConfig(in_dim=3, task="graph-regress", hidden=8, heads=2, num_layers=1,

@@ -1,10 +1,14 @@
-"""The library runs on the standard library and its declared dependencies.
+"""The library runs on the standard library and its declared dependencies,
+and holds only what its own paths run.
 
 An import of an installed but undeclared package (scipy, say) works on the
-machine it was written on and fails on a clean install of the package.
+machine it was written on and fails on a clean install of the package. An op
+that only its own tests call is test code; it belongs in ``tests/``.
 """
 
 import ast
+import functools
+import importlib.util
 import re
 import sys
 from pathlib import Path
@@ -15,6 +19,7 @@ tomllib = pytest.importorskip("tomllib")  # Python 3.11+
 
 ROOT = Path(__file__).resolve().parents[1]
 SOURCES = sorted((ROOT / "src" / "dgssm").glob("*.py"))
+TRACER = ROOT / "perfbench" / "tracer.py"
 
 
 def _declared() -> set[str]:
@@ -38,3 +43,66 @@ def _imported(path: Path) -> set[str]:
 def test_imports_are_stdlib_or_declared(path):
     allowed = set(sys.stdlib_module_names) | _declared() | {"dgssm"}
     assert _imported(path) <= allowed, f"{path.name} imports {sorted(_imported(path) - allowed)}"
+
+
+@functools.cache
+def _trees() -> dict[str, ast.Module]:
+    return {path.stem: ast.parse(path.read_text(), filename=str(path)) for path in SOURCES}
+
+
+def _public_functions(module: str) -> list[ast.FunctionDef]:
+    return [node for node in _trees()[module].body
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")]
+
+
+def _walk(tree: ast.AST, skip: ast.AST):
+    """Every node of ``tree`` outside the ``skip`` subtree."""
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if node is not skip:
+            yield node
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def _is_referenced(module: str, fn: ast.FunctionDef) -> bool:
+    """Whether ``src/`` names ``fn`` outside its own def: bare in its module,
+    imported from it (``from .module import name``), or as an attribute of
+    the module's alias (``from . import module as ad``; ``ad.name``)."""
+    for stem, tree in _trees().items():
+        nodes = list(_walk(tree, fn))
+        aliases = {alias.asname or alias.name for node in nodes
+                   if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module is None
+                   for alias in node.names if alias.name == module}
+        for node in nodes:
+            if isinstance(node, ast.Name):
+                hit = stem == module and node.id == fn.name
+            elif isinstance(node, ast.ImportFrom):
+                hit = node.level == 1 and node.module == module and fn.name in {a.name for a in node.names}
+            elif isinstance(node, ast.Attribute):
+                hit = node.attr == fn.name and isinstance(node.value, ast.Name) and node.value.id in aliases
+            else:
+                hit = False
+            if hit:
+                return True
+    return False
+
+
+@functools.cache
+def _traced() -> set[str]:
+    """The library functions the benchmark's tracer wraps by name."""
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    return {attr.split(".")[-1] for _, attr, *_ in tracer.TARGETS}
+
+
+ENGINE = [(module, fn.name) for module in ("autodiff", "optim") for fn in _public_functions(module)]
+
+
+@pytest.mark.parametrize("module, name", ENGINE, ids=[f"{m}.{n}" for m, n in ENGINE])
+def test_engine_function_has_a_library_caller(module, name):
+    fn = next(fn for fn in _public_functions(module) if fn.name == name)
+    assert _is_referenced(module, fn) or name in _traced(), (
+        f"dgssm.{module}.{name} is called only from outside src/; move it into the tests"
+    )

@@ -9,7 +9,7 @@ from dgssm import algos
 from dgssm.algos import compute_artifacts, depth_plus
 from dgssm.checkpoint import load_arrays
 from dgssm.graphs import DiGraph, reverse_graph
-from dgssm.model import ModelConfig, from_dict, init_weights
+from dgssm.model import ModelConfig, from_dict, init_weights, load_model, save_model
 from dgssm.rng import RngStream
 from dgssm.synth import SyntheticTaskSpec, gen_synthetic
 from dgssm.train import (
@@ -112,6 +112,21 @@ def test_train_checkpoint_holds_only_parameters(tmp_path):
     arrays, meta = load_arrays(result.checkpoint_path)
     assert sorted(arrays) == sorted(f"param.{name}" for name in result.params.names())
     assert meta["best_epoch"] == 0
+
+
+def test_a_model_without_fusion_trains_saves_and_loads(tmp_path):
+    # Its table used to hold every branch's fusion weights, which the forward
+    # never reads, so the first AdamW step raised "has no gradient".
+    run, splits = _tiny_run(epochs=1, bidirectional=True, use_fusion=False)
+    run.out_dir = str(tmp_path / "out")
+    result = train(run, splits["train"], splits["val"])
+    assert not any(".fusion." in name for name in result.params.names())
+    path = tmp_path / "m.ckpt"
+    save_model(path, run.model, result.params)
+    for ckpt in (result.checkpoint_path, path):
+        cfg, params, _, _ = load_model(ckpt)
+        assert cfg == run.model and params.names() == result.params.names()
+        assert np.array_equal(params.flat, result.params.flat)
 
 
 def test_train_submodule_is_not_shadowed():

@@ -130,9 +130,6 @@ class Tensor:
                     grads[p] = pg
                     heapq.heappush(pending, (-p._seq, p))
 
-    def reshape(self, *shape):
-        return reshape(self, shape if len(shape) > 1 else shape[0])
-
 
 def as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
@@ -212,22 +209,6 @@ def matmul(a, b) -> Tensor:
         a.data @ b.data,
         (a, b),
         lambda g: (g @ b.data.T, a.data.T @ g),
-    )
-
-
-def reshape(a, shape) -> Tensor:
-    a = as_tensor(a)
-    return _node(
-        a.data.reshape(shape), (a,), lambda g: (g.reshape(a.shape),)
-    )
-
-
-def transpose(a, axes: tuple[int, ...]) -> Tensor:
-    """Permute axes; ``axes`` maps output axis i to input axis axes[i]."""
-    a = as_tensor(a)
-    inv = np.argsort(axes)
-    return _node(
-        np.transpose(a.data, axes), (a,), lambda g: (np.transpose(g, inv),)
     )
 
 
@@ -407,18 +388,19 @@ def hop_attention_scan(fx, wq, wk, wv, a_log, log_dt, b, c, pairs, spd, heads: i
 
         alpha[h, e] = softmax over the pairs of v of <q_v, k_u>_h / sqrt(dh)
         z[h, :, v]  = sum over the pairs of v of alpha[h, e] * bv_u * a_bar^s
-        y[v, j, h]  = sum_i c[h*dh + j, i] * z[h, i, v]
+        y[v, h*dh + j] = sum_i c[h*dh + j, i] * z[h, i, v]
 
     with q = fx wq, k = fx wk, fx (n, d_in), wq, wk, wv (d_in, d), a_log and
-    log_dt (D,), b (D, d) and c (d, D); returns y, shape (n, dh, heads), as
-    a transposed view of a C-contiguous (heads, dh, n) array. The pairs must
-    be sorted by center: a center-keyed table is gathered by np.repeat over
-    per-center counts. The power table exp(s log a_bar) has a column per hop
-    up to max(spd); through it, a message m = bv_u a_bar^s with gradient gm
-    adds gm m s to the gradient of dt a. Per-node tables are feature-major,
-    (F, n), the projections being w^T fx^T, and so are per-pair arrays,
-    (F, E), so each gather and segment reduction runs along a contiguous
-    last axis; the backward is written out in closed form.
+    log_dt (D,), b (D, d) and c (d, D); returns y, shape (n, d), as the
+    F-ordered view of a C-contiguous (d, n) array, which a matmul reads
+    without a copy. The pairs must be sorted by center: a center-keyed table
+    is gathered by np.repeat over per-center counts. The power table
+    exp(s log a_bar) has a column per hop up to max(spd); through it, a
+    message m = bv_u a_bar^s with gradient gm adds gm m s to the gradient of
+    dt a. Per-node tables are feature-major, (F, n), the projections being
+    w^T fx^T, and so are per-pair arrays, (F, E), so each gather and segment
+    reduction runs along a contiguous last axis; the backward is written out
+    in closed form.
     """
     fx, wq, wk, wv, a_log, log_dt, b, c = map(as_tensor, (fx, wq, wk, wv, a_log, log_dt, b, c))
     pairs = _int_ids("hop_attention_scan", pairs, "pairs")
@@ -427,7 +409,8 @@ def hop_attention_scan(fx, wq, wk, wv, a_log, log_dt, b, c, pairs, spd, heads: i
     if (
         d < 0 or fx.ndim != 2 or any(w.shape != (fx.shape[1], d) for w in (wq, wk, wv))
         or a_log.shape != (state,) or log_dt.shape != (state,) or b.shape != (state, d)
-        or d % heads or pairs.ndim != 2 or pairs.shape[1] != 2 or spd.shape != (pairs.shape[0],)
+        or heads < 1 or d % heads
+        or pairs.ndim != 2 or pairs.shape[1] != 2 or spd.shape != (pairs.shape[0],)
         or pairs.size and (pairs.min() < 0 or pairs.max() >= fx.shape[0] or spd.min() < 0)
     ):
         raise ShapeError(
@@ -468,7 +451,7 @@ def hop_attention_scan(fx, wq, wk, wv, a_log, log_dt, b, c, pairs, spd, heads: i
     y = np.matmul(c_heads, z)  # (heads, dh, n)
 
     def bwd(g):
-        gy = g.transpose(2, 1, 0)  # (heads, dh, n)
+        gy = g.T.reshape(heads, dh, n)
         gz = np.matmul(c_heads.transpose(0, 2, 1), gy)  # (heads, D, n)
         gc = np.matmul(gy, z.transpose(0, 2, 1)).reshape(d, state)
         gzv = at_center(gz)  # (heads, D, E)
@@ -497,7 +480,7 @@ def hop_attention_scan(fx, wq, wk, wv, a_log, log_dt, b, c, pairs, spd, heads: i
         return (gfx, fx.data.T @ gq.T, fx.data.T @ gk, fx.data.T @ gxv,
                 g_log_dt - gcoef * coef, g_log_dt, coef.reshape(-1, 1) * gb_bar, gc)
 
-    return _node(y.transpose(2, 1, 0), (fx, wq, wk, wv, a_log, log_dt, b, c), bwd)
+    return _node(y.reshape(d, n).T, (fx, wq, wk, wv, a_log, log_dt, b, c), bwd)
 
 
 def _zpool_grad(slices: list[np.ndarray], mx: np.ndarray, g_max, g_mean, axis: int) -> np.ndarray:
@@ -551,13 +534,16 @@ def _conv_band(w: np.ndarray, spatial: tuple[int, ...]):
 
 
 def cross_axis_fusion(
-    x, pagerank, batch_index, num_graphs: int, nd_w, nd_b, nc_w, nc_b, dc_w, dc_b, pr_w, pr_b
+    x, pagerank, batch_index, num_graphs: int, nd_w, nd_b, nc_w, nc_b, dc_w, dc_b, pr_w, pr_b,
+    heads: int,
 ) -> Tensor:
-    """Cross-axis fusion attention over x (n, dh, C), as one tape node.
+    """Cross-axis fusion attention over x (n, d), as one tape node.
 
-    Three sigmoid gates recalibrate x, each a "same" convolution of a
-    max-and-mean pool (the Z-pool of triplet attention, Misra et al., arXiv
-    2010.03045):
+    x holds C = ``heads`` heads of width dh = d / C, column h*dh + j holding
+    feature j of head h, as the scan writes it; below, x[v] is node v's
+    (dh, C) block. Three sigmoid gates recalibrate x, each a "same"
+    convolution of a max-and-mean pool (the Z-pool of triplet attention,
+    Misra et al., arXiv 2010.03045):
 
         g_nd (n, dh)    = sigmoid(conv_nd(Z-pool of x over C) + nd_b)
         g_nc (n, C)     = sigmoid(conv_nc(Z-pool of x over dh) + nc_b)
@@ -572,10 +558,11 @@ def cross_axis_fusion(
     pr_w and pr_b are (1,). Each convolution is one banded matmul, the band
     being the kernel's taps times a cached one-hot tap map. The op runs in
     the scan's (C, dh, n) layout, so every pool, gate and per-graph
-    reduction runs along the contiguous node axis. The short axes are
-    reduced slice by slice, and a max routes its gradient to the earliest
-    maximum along the axis or over a graph's nodes; the backward is written
-    out in closed form.
+    reduction runs along the contiguous node axis, and returns the (n, d)
+    view of that layout, as the scan does. The short axes are reduced slice
+    by slice, and a max routes its gradient to the earliest maximum along
+    the axis or over a graph's nodes; the backward is written out in closed
+    form.
     """
     x, nd_w, nd_b, nc_w, nc_b, dc_w, dc_b, pr_w, pr_b = (
         as_tensor(t) for t in (x, nd_w, nd_b, nc_w, nc_b, dc_w, dc_b, pr_w, pr_b)
@@ -584,24 +571,24 @@ def cross_axis_fusion(
     batch_index = _int_ids("cross_axis_fusion", batch_index, "batch_index")
     kernels = (nd_w, nc_w, dc_w)
     if (
-        x.ndim != 3 or pagerank.shape != x.shape[:1] or batch_index.shape != x.shape[:1]
+        x.ndim != 2 or heads < 1 or x.shape[1] % heads
+        or pagerank.shape != x.shape[:1] or batch_index.shape != x.shape[:1]
         or [w.ndim for w in kernels] != [3, 3, 4] or any(w.shape[:2] != (1, 2) for w in kernels)
         or any(k % 2 == 0 for w in kernels for k in w.shape[2:])
         or any(t.shape != (1,) for t in (nd_b, nc_b, dc_b, pr_w, pr_b))
         or batch_index.size and (batch_index.min() < 0 or batch_index.max() >= num_graphs)
     ):
         raise ShapeError(
-            f"cross_axis_fusion: x {x.shape}, pagerank {pagerank.shape}, "
+            f"cross_axis_fusion: x {x.shape}, heads {heads}, pagerank {pagerank.shape}, "
             f"batch_index {batch_index.shape} (ids in [0, {num_graphs})), "
             f"kernels {[w.shape for w in kernels]}, "
             f"biases and pr {[t.shape for t in (nd_b, nc_b, dc_b, pr_w, pr_b)]}"
         )
-    n, dh, c = x.shape
-    # On the scan's output X is the scan's own (C, dh, n) array, not a copy,
-    # and flatten_heads reshapes the (n, dh, C) views returned below without
-    # a copy. The short axes are reduced one slice at a time, which on a few
+    n, dh, c = x.shape[0], x.shape[1] // heads, heads
+    # On the scan's output X is a view of the scan's own (d, n) array, not a
+    # copy. The short axes are reduced one slice at a time, which on a few
     # slices beats a numpy reduction along the axis.
-    X = np.ascontiguousarray(x.data.transpose(2, 1, 0))
+    X = np.ascontiguousarray(x.data.T.reshape(c, dh, n))
     over_c = list(X)  # (dh, n) each
     over_dh = [X[:, i] for i in range(dh)]  # (C, n) each
     max_c, max_dh = functools.reduce(np.maximum, over_c), functools.reduce(np.maximum, over_dh)
@@ -632,7 +619,7 @@ def cross_axis_fusion(
     gates = gate_nd + gate_nc[:, None] + at_node(gate_dc.reshape(dh, c, -1).transpose(1, 0, 2))
 
     def bwd(g):
-        g = np.ascontiguousarray(g.transpose(2, 1, 0)) * (1.0 / 3.0)
+        g = np.ascontiguousarray(g.T.reshape(c, dh, n)) * (1.0 / 3.0)
         gx = g * gates
         gg = g * X
 
@@ -663,9 +650,9 @@ def cross_axis_fusion(
         dot = _reduce_groups(g_wp * w_p, by_graph, num_graphs, np.add)
         g_logits = w_p * (g_wp - at_node(dot))
         g_pr_w, g_pr_b = (g_logits * pagerank).sum().reshape(1), g_logits.sum().reshape(1)
-        return gx.transpose(2, 1, 0), gw_nd, gb_nd, gw_nc, gb_nc, gw_dc, gb_dc, g_pr_w, g_pr_b
+        return gx.reshape(c * dh, n).T, gw_nd, gb_nd, gw_nc, gb_nc, gw_dc, gb_dc, g_pr_w, g_pr_b
 
-    out = ((X * gates) * (1.0 / 3.0)).transpose(2, 1, 0)
+    out = ((X * gates) * (1.0 / 3.0)).reshape(c * dh, n).T
     return _node(out, (x, nd_w, nd_b, nc_w, nc_b, dc_w, dc_b, pr_w, pr_b), bwd)
 
 

@@ -92,7 +92,8 @@ def run_bench(ks: list[int] | None = None, seed: int = 0) -> list[BenchRecord]:
 
         if not records:
             # Untimed warm-up: the first calls in a process run cold and
-            # would inflate the K=min reference that scaling_summary uses.
+            # would inflate the first record, the K=min reference of
+            # scaling_summary in a sorted sweep.
             bwd_once()
         t_forward = _time(fwd_once)
         t_backward = min(bwd_once() for _ in range(REPEATS))
@@ -112,15 +113,17 @@ def scaling_summary(records: list[BenchRecord]) -> dict:
     """Forward-time growth relative to linear-in-pairs growth.
 
     ``max_superlinearity`` is max over K of
-    (time_K / time_ref) / (pairs_K / pairs_ref) with K=min as reference;
-    values <= 1 mean sublinear growth (fixed overhead dominates).
+    (time_K / time_ref) / (pairs_K / pairs_ref) with the first record of the
+    smallest K as reference; values <= 1 mean sublinear growth (fixed
+    overhead dominates). With fewer than two distinct K it is None, as there
+    is no growth to measure.
     """
-    base = records[0]
-    worst = 0.0
-    for r in records[1:]:
-        time_ratio = r.forward_s / base.forward_s
-        pair_ratio = r.total_pairs / base.total_pairs
-        worst = max(worst, time_ratio / pair_ratio)
+    base = min(records, key=lambda r: r.k)
+    worst = max(
+        ((r.forward_s / base.forward_s) / (r.total_pairs / base.total_pairs)
+         for r in records if r.k != base.k),
+        default=None,
+    )
     return {
         "reference_k": base.k,
         "max_superlinearity": worst,

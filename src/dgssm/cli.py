@@ -173,7 +173,8 @@ def _cmd_train(args) -> int:
     result = train(run, train_graphs, val_graphs, log_fn=log)
     summary = {
         "best_epoch": result.best_epoch,
-        "best_val": result.best_val,
+        # With no improving epoch there is no best value, and JSON has no NaN.
+        "best_val": result.best_val if result.best_epoch >= 0 else None,
         "checkpoint": result.checkpoint_path,
         "epochs_run": len(result.history),
     }
@@ -229,7 +230,8 @@ def _cmd_bench(args) -> int:
                 f"{r.k:>3} {r.total_pairs:>8} {r.preprocess_s:>8.3f} "
                 f"{r.forward_s:>8.3f} {r.backward_s:>8.3f}"
             )
-        print(f"max superlinearity vs pair count: {summary['max_superlinearity']:.3f}")
+        worst = summary["max_superlinearity"]
+        print(f"max superlinearity vs pair count: {'n/a' if worst is None else f'{worst:.3f}'}")
     if args.out:
         Path(args.out).write_text(json.dumps(summary, indent=2))
     return 0

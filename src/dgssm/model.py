@@ -6,8 +6,10 @@ runs the hop-structured scan: multi-head attention weights over every node's
 bounded-hop predecessor set select messages that are carried into the
 diagonal SSM state, decayed by a_bar^s for their hop distance s, summed per
 center and read out through C; the result is recalibrated by fusion
-attention across (node, feature, head) axes, flattened, projected, and
-passed through residual / layer-norm / feed-forward blocks. A
+attention across (node, feature, head) axes, projected, and passed through
+residual / layer-norm / feed-forward blocks. The scan and the fusion both
+take and return (n, d) with head c in columns [c*d_head, (c+1)*d_head), so
+the projection reads their output as it is. A
 bidirectional layer runs an independent second scan on the edge-reversed
 graph (its own weights, preprocessing, and PageRank) and merges by
 concatenation + projection.
@@ -314,24 +316,13 @@ def digraph_ssm_scan(
     zero-order-hold discretization, the power table and the scan are one op
     with a closed-form backward, :func:`autodiff.hop_attention_scan`, given
     the weights named ``{prefix}.<name>`` in ``params``, in the op's order.
-    Returns the head-stacked tensor (n, d_head, heads).
+    Returns (n, d), head c in columns [c*d_head, (c+1)*d_head).
     """
     names = ("wq", "wk", "wv", "ssm.a_log", "ssm.log_dt", "ssm.b", "ssm.c")
     return ad.hop_attention_scan(
         fx, *(params[f"{prefix}.{name}"] for name in names),
         artifacts.k_hop_edge_index, artifacts.k_hop_spd, num_heads,
     )
-
-
-def flatten_heads(heads: Tensor) -> Tensor:
-    """(n, d_head, heads) -> (n, d) with head c occupying columns [c*dh, (c+1)*dh).
-
-    The scan and the fusion return (n, d_head, heads) views of C-contiguous
-    (heads, d_head, n) arrays; for those the result is an F-ordered view,
-    which the matmul by wo reads without a copy.
-    """
-    n, dh, h = heads.shape
-    return ad.transpose(heads, (0, 2, 1)).reshape(n, dh * h)
 
 
 def digraph_fusion_attention(
@@ -341,8 +332,10 @@ def digraph_fusion_attention(
     num_graphs: int,
     params: ParameterSet,
     prefix: str,
+    num_heads: int,
 ) -> Tensor:
-    """Cross-axis recalibration of the head-stacked tensor (N, D_h, C).
+    """Cross-axis recalibration of the scan's output (N, D), read as
+    (N, D_h, C) with C = ``num_heads`` heads in column blocks of width D_h.
 
     Three sigmoid gates: (1) compress the head axis, convolve along
     features, one gate per node and feature; (2) compress the feature axis,
@@ -350,14 +343,16 @@ def digraph_fusion_attention(
     per-graph softmax over a learned scalar map of PageRank, pool max+mean
     per graph, convolve 3x3 over (feature, head), and broadcast the gate
     back to that graph's nodes. The output is x times the mean of the three
-    gates; pooling is keyed by batch index so graphs in a batch never mix.
+    gates, in x's (N, D) layout; pooling is keyed by batch index so graphs in
+    a batch never mix.
     The block is one op with a closed-form backward,
     :func:`autodiff.cross_axis_fusion`, given the weights named
     ``{prefix}.<name>`` in ``params``, in the op's order.
     """
     names = ("nd.w", "nd.b", "nc.w", "nc.b", "dc.w", "dc.b", "pr.w", "pr.b")
     return ad.cross_axis_fusion(
-        x, pagerank, batch_index, num_graphs, *(params[f"{prefix}.{name}"] for name in names)
+        x, pagerank, batch_index, num_graphs, *(params[f"{prefix}.{name}"] for name in names),
+        num_heads,
     )
 
 
@@ -382,9 +377,9 @@ def dirgraphssm_layer(
         heads = digraph_ssm_scan(h, arts, params, pre, cfg.heads)
         if cfg.use_fusion:
             heads = digraph_fusion_attention(
-                heads, arts.pagerank, batch_index, num_graphs, params, f"{pre}.fusion"
+                heads, arts.pagerank, batch_index, num_graphs, params, f"{pre}.fusion", cfg.heads
             )
-        return ad.matmul(flatten_heads(heads), params[f"{pre}.wo"])
+        return ad.matmul(heads, params[f"{pre}.wo"])
 
     y = scan_branch("fwd", arts_fwd)
     if cfg.bidirectional:

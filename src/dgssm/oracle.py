@@ -171,12 +171,13 @@ def sequence_scan_oracle(
     sequence through the step-by-step recurrence, and slices per head. Reads
     ``{prefix}.wq``, ``{prefix}.wk``, ``{prefix}.wv`` and ``{prefix}.ssm.*``
     from ``params``, the weights :func:`model.digraph_ssm_scan` reads.
-    Returns (n, d_head, heads), matching the message-passing scan output.
+    Returns (n, d), head c in columns [c*d_head, (c+1)*d_head), matching the
+    message-passing scan output.
     """
     n, d = fx.shape
     dh = d // num_heads
     q, kk, vv = (fx @ params[f"{prefix}.{name}"].data for name in ("wq", "wk", "wv"))
-    out = np.zeros((n, dh, num_heads))
+    out = np.zeros((n, d))
     for center in range(n):
         layers = dir_ego2token(g, center, k)  # [L_k, ..., L_0]
         ego = [u for layer in layers for u in layer]
@@ -191,7 +192,7 @@ def sequence_scan_oracle(
                 for u in layer:
                     seq[pos] += alpha[u] * vv[u]
             ys = ssm_scan_reference(params, f"{prefix}.ssm", seq)
-            out[center, :, head] = ys[-1][sl]
+            out[center, sl] = ys[-1][sl]
     return out
 
 

@@ -222,8 +222,8 @@ def train(
             if stale > run.patience:
                 break
 
-    result.best_val = best
     if best_flat is not None:
+        result.best_val = best
         params.flat[...] = best_flat  # in place: the tensors are views of ``flat``
     result.params = params
     if out_dir:

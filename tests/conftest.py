@@ -75,6 +75,18 @@ def softmax(a, axis: int = -1) -> ad.Tensor:
     return ad._node(s, (a,), bwd)
 
 
+def reshape(a, shape) -> ad.Tensor:
+    a = ad.as_tensor(a)
+    return ad._node(a.data.reshape(shape), (a,), lambda g: (g.reshape(a.shape),))
+
+
+def transpose(a, axes: tuple[int, ...]) -> ad.Tensor:
+    """Permute axes; ``axes`` maps output axis i to input axis axes[i]."""
+    a = ad.as_tensor(a)
+    inv = np.argsort(axes)
+    return ad._node(np.transpose(a.data, axes), (a,), lambda g: (np.transpose(g, inv),))
+
+
 def grad_check(f, x: ad.Tensor, eps: float = 1e-4, tol: float = 1e-4) -> GradCheckReport:
     """Compare reverse-mode gradients of scalar ``f(x)`` with central differences."""
     return grad_check_params(lambda: f(x), ad.ParameterSet([("x", x)]), eps, tol)
@@ -107,62 +119,66 @@ def _conv_ops(x: ad.Tensor, w: ad.Tensor, b: ad.Tensor) -> ad.Tensor:
                 np.eye(taps)[t].reshape((1, 1) + kernel),
                 np.zeros(1),
             ).ravel()
-    band = ad.matmul(ad.reshape(w, (c_in, taps)), ad.constant(onehot.reshape(taps, -1)))
-    return ad.add(ad.matmul(ad.reshape(x, (batch, -1)), ad.reshape(band, (c_in * size, size))), b)
+    band = ad.matmul(reshape(w, (c_in, taps)), ad.constant(onehot.reshape(taps, -1)))
+    return ad.add(ad.matmul(reshape(x, (batch, -1)), reshape(band, (c_in * size, size))), b)
 
 
-def fusion_composition(x, pagerank, batch_index, num_graphs, params, prefix) -> ad.Tensor:
+def fusion_composition(x, pagerank, batch_index, num_graphs, params, prefix, heads) -> ad.Tensor:
     """The fusion block composed of autodiff ops node by node, as the model
     ran it before the block became one op: Z-pools of a first-max and a
     mean, three convolutions, three sigmoids, and the per-graph softmax,
-    max and mean through the segment ops. The weights are read from
-    ``params`` by prefix, as the model's block reads them."""
-    n, dh, c = x.shape
+    max and mean through the segment ops, on x (n, d) read as (n, dh, heads).
+    The weights are read from ``params`` by prefix, as the model's block
+    reads them."""
+    n, d = x.shape
+    dh, c = d // heads, heads
+    x = transpose(reshape(x, (n, c, dh)), (0, 2, 1))  # (n, dh, C)
     w = lambda name: params[f"{prefix}.{name}"]
 
     def zpool(axis):
         shape = (n, 1, x.shape[3 - axis])
-        return ad.concat([_first_max(x, axis).reshape(shape), ad.mul(sum_(x, axis=axis), 1.0 / x.shape[axis]).reshape(shape)], axis=1)
+        return ad.concat([reshape(_first_max(x, axis), shape), reshape(ad.mul(sum_(x, axis=axis), 1.0 / x.shape[axis]), shape)], axis=1)
 
-    gate_nd = ad.sigmoid(_conv_ops(zpool(2), w("nd.w"), w("nd.b"))).reshape(n, dh, 1)
-    gate_nc = ad.sigmoid(_conv_ops(zpool(1), w("nc.w"), w("nc.b"))).reshape(n, 1, c)
+    gate_nd = reshape(ad.sigmoid(_conv_ops(zpool(2), w("nd.w"), w("nd.b"))), (n, dh, 1))
+    gate_nc = reshape(ad.sigmoid(_conv_ops(zpool(1), w("nc.w"), w("nc.b"))), (n, 1, c))
     logits = ad.add(ad.mul(ad.constant(pagerank.reshape(-1, 1)), w("pr.w")), w("pr.b"))
-    xw = ad.mul(x, ad.segment_softmax(logits, batch_index, num_graphs).reshape(n, 1, 1))
+    xw = ad.mul(x, reshape(ad.segment_softmax(logits, batch_index, num_graphs), (n, 1, 1)))
     pooled = ad.concat([
-        ad.segment_max(xw, batch_index, num_graphs).reshape(num_graphs, 1, dh, c),
-        ad.segment_mean(xw, batch_index, num_graphs).reshape(num_graphs, 1, dh, c),
+        reshape(ad.segment_max(xw, batch_index, num_graphs), (num_graphs, 1, dh, c)),
+        reshape(ad.segment_mean(xw, batch_index, num_graphs), (num_graphs, 1, dh, c)),
     ], axis=1)
-    gate_dc = ad.sigmoid(_conv_ops(pooled, w("dc.w"), w("dc.b"))).reshape(num_graphs, dh, c)
+    gate_dc = reshape(ad.sigmoid(_conv_ops(pooled, w("dc.w"), w("dc.b"))), (num_graphs, dh, c))
     gates = ad.add(ad.add(gate_nd, gate_nc), ad.gather_rows(gate_dc, batch_index))
-    return ad.mul(ad.mul(x, gates), 1.0 / 3.0)
+    return reshape(transpose(ad.mul(ad.mul(x, gates), 1.0 / 3.0), (0, 2, 1)), (n, d))
 
 
 def scan_composition(fx, wq, wk, wv, a_log, log_dt, b, c, pairs, spd, heads: int) -> ad.Tensor:
     """hop_attention_scan composed of autodiff ops node by node: the ZOH as
     coef = (a_bar - 1) * (-exp(-a_log)), per-pair gathers, a per-head
     segment softmax, the hop power a_bar^s as exp(s * dt * a), a segment
-    sum of the weighted messages and a per-head readout through C."""
+    sum of the weighted messages and a per-head readout through C into the
+    head's column block of the (n, d) output."""
     n = fx.shape[0]
     d, state = c.shape
     dh = d // heads
     u, v = pairs[:, 0], pairs[:, 1]
     dt_a = ad.mul(exp(log_dt), ad.mul(exp(a_log), -1.0))
     coef = ad.mul(ad.add(exp(dt_a), -1.0), ad.mul(exp(ad.mul(a_log, -1.0)), -1.0))
-    b_bar = ad.mul(b, coef.reshape(state, 1))
-    bv = ad.matmul(ad.matmul(fx, wv), ad.transpose(b_bar, (1, 0)))  # (n, D)
+    b_bar = ad.mul(b, reshape(coef, (state, 1)))
+    bv = ad.matmul(ad.matmul(fx, wv), transpose(b_bar, (1, 0)))  # (n, D)
     qk = ad.mul(ad.gather_rows(ad.matmul(fx, wq), v), ad.gather_rows(ad.matmul(fx, wk), u))
     head_of = np.repeat(np.eye(heads), dh, axis=0) / np.sqrt(dh)  # (d, heads)
     alpha = ad.segment_softmax(ad.matmul(qk, ad.constant(head_of)), v, n)  # (E, heads)
-    hop_power = exp(ad.mul(ad.constant(spd.reshape(-1, 1).astype(float)), dt_a.reshape(1, state)))
+    hop_power = exp(ad.mul(ad.constant(spd.reshape(-1, 1).astype(float)), reshape(dt_a, (1, state))))
     m = ad.mul(ad.gather_rows(bv, u), hop_power)  # (E, D)
-    weighted = ad.mul(alpha.reshape(-1, heads, 1), m.reshape(-1, 1, state))
-    z = ad.transpose(ad.segment_sum(weighted, v, n), (1, 0, 2))  # (heads, n, D)
-    c_heads = c.reshape(heads, dh, state)
+    weighted = ad.mul(reshape(alpha, (-1, heads, 1)), reshape(m, (-1, 1, state)))
+    z = transpose(ad.segment_sum(weighted, v, n), (1, 0, 2))  # (heads, n, D)
+    c_heads = reshape(c, (heads, dh, state))
     return ad.concat([
-        ad.matmul(ad.gather_rows(z, [h]).reshape(n, state),
-                  ad.transpose(ad.gather_rows(c_heads, [h]).reshape(dh, state), (1, 0))).reshape(n, dh, 1)
+        ad.matmul(reshape(ad.gather_rows(z, [h]), (n, state)),
+                  transpose(reshape(ad.gather_rows(c_heads, [h]), (dh, state)), (1, 0)))
         for h in range(heads)
-    ], axis=2)
+    ], axis=1)
 
 
 def layer_norm_reference(x: np.ndarray, gain: np.ndarray, bias: np.ndarray, eps: float = 1e-5) -> np.ndarray:

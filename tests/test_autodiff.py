@@ -8,7 +8,8 @@ from dgssm.model import ModelConfig, init_weights, model_forward, model_loss
 from dgssm.rng import RngStream
 from dgssm.train import collate, prepare_graphs
 
-from conftest import conv_same_reference, exp, grad_check, layer_norm_reference, make_random_digraph, softmax, sum_
+from conftest import (conv_same_reference, exp, grad_check, layer_norm_reference, make_random_digraph, reshape,
+                      softmax, sum_, transpose)
 
 
 def check(fn, shape, seed=0, tol=1e-4, positive=False):
@@ -22,13 +23,15 @@ def check(fn, shape, seed=0, tol=1e-4, positive=False):
 
 
 SEG = np.array([0, 0, 1, 2, 2, 2])
-# pagerank, batch_index, num_graphs and the weights of cross_axis_fusion on
-# two graphs of 3 and 2 nodes, each of width (3, 2).
+# cross_axis_fusion's arguments after x on two graphs of 3 and 2 nodes, x
+# of width 6 in 2 heads: pagerank, batch_index, num_graphs, the weights and
+# heads.
 FUSION_ARGS = (
     np.array([0.5, 0.2, 0.3, 0.7, 0.3]), np.array([0, 0, 0, 1, 1]), 2,
     *(Tensor(np.random.default_rng(28 + i).normal(size=shape)) for i, shape in enumerate(
         [(1, 2, 7), (1,), (1, 2, 1), (1,), (1, 2, 3, 3), (1,), (1,), (1,)]
     )),
+    2,
 )
 # hop_attention_scan's arguments after fx on 4 nodes, d_in 3, d 4, state 3,
 # 2 heads: wq, wk, wv, a_log, log_dt, b, c, pairs, spd, heads.
@@ -56,9 +59,9 @@ def _scan_with_a_log(a_log):
         ("add_bias", lambda x: sum_(ad.mul(ad.add(x, Tensor(np.arange(4.0))), ad.constant(np.random.default_rng(0).normal(size=(3, 4))))), (3, 4), False),
         ("mse_target", lambda x: ad.mse_loss(ad.constant(np.random.default_rng(13).normal(size=(3, 4))), x), (3, 4), False),
         # A transposed leaf gives the scan a strided (4, 3) fx.
-        ("hop_attention_scan_strided", lambda x: sum_(ad.mul(ad.hop_attention_scan(ad.transpose(x, (1, 0)), *SCAN_ARGS), ad.constant(np.random.default_rng(48).normal(size=(4, 2, 2))))), (3, 4), False),
+        ("hop_attention_scan_strided", lambda x: sum_(ad.mul(ad.hop_attention_scan(transpose(x, (1, 0)), *SCAN_ARGS), ad.constant(np.random.default_rng(48).normal(size=(4, 4))))), (3, 4), False),
         ("exp", lambda x: sum_(exp(ad.mul(x, 0.3))), (4, 2), False),
-        ("hop_attention_scan_a_log", lambda x: sum_(ad.mul(_scan_with_a_log(x), ad.constant(np.random.default_rng(49).normal(size=(4, 2, 2))))), (3,), True),
+        ("hop_attention_scan_a_log", lambda x: sum_(ad.mul(_scan_with_a_log(x), ad.constant(np.random.default_rng(49).normal(size=(4, 4))))), (3,), True),
         ("layer_norm_gain", lambda x: sum_(ad.mul(ad.layer_norm(ad.constant(np.random.default_rng(19).normal(size=(4, 5))), x, Tensor(np.linspace(-1.0, 2.0, 5))), ad.constant(np.random.default_rng(20).normal(size=(4, 5))))), (5,), False),
         ("layer_norm_bias", lambda x: sum_(ad.mul(exp(ad.layer_norm(ad.constant(np.random.default_rng(21).normal(size=(4, 5))), Tensor(np.linspace(0.5, -1.5, 5)), x)), ad.constant(np.random.default_rng(22).normal(size=(4, 5))))), (5,), False),
         ("sigmoid", lambda x: sum_(ad.sigmoid(x)), (3, 3), False),
@@ -66,10 +69,10 @@ def _scan_with_a_log(a_log):
         ("matmul", lambda x: sum_(ad.matmul(x, ad.constant(np.random.default_rng(1).normal(size=(4, 3))))), (2, 4), False),
         ("softmax", lambda x: sum_(ad.mul(softmax(x, axis=1), ad.constant(np.random.default_rng(2).normal(size=(3, 5))))), (3, 5), False),
         ("sum_axis", lambda x: sum_(ad.mul(sum_(x, axis=0, keepdims=True), sum_(x, axis=1, keepdims=True))), (3, 3), False),
-        # A transposed leaf gives the fused op a strided (5, 3, 2) input, as the scan does.
-        ("cross_axis_fusion_strided", lambda x: sum_(ad.mul(ad.cross_axis_fusion(ad.transpose(x, (0, 2, 1)), *FUSION_ARGS), ad.constant(np.random.default_rng(27).normal(size=(5, 3, 2))))), (5, 2, 3), False),
-        ("transpose", lambda x: sum_(ad.mul(ad.transpose(x, (1, 2, 0)), ad.constant(np.random.default_rng(3).normal(size=(3, 4, 2))))), (2, 3, 4), False),
-        ("reshape", lambda x: sum_(ad.mul(x.reshape(6, 2), ad.constant(np.random.default_rng(4).normal(size=(6, 2))))), (3, 4), False),
+        # A transposed leaf gives the fused op an F-ordered (5, 6) input, as the scan does.
+        ("cross_axis_fusion_strided", lambda x: sum_(ad.mul(ad.cross_axis_fusion(transpose(x, (1, 0)), *FUSION_ARGS), ad.constant(np.random.default_rng(27).normal(size=(5, 6))))), (6, 5), False),
+        ("transpose", lambda x: sum_(ad.mul(transpose(x, (1, 2, 0)), ad.constant(np.random.default_rng(3).normal(size=(3, 4, 2))))), (2, 3, 4), False),
+        ("reshape", lambda x: sum_(ad.mul(reshape(x, (6, 2)), ad.constant(np.random.default_rng(4).normal(size=(6, 2))))), (3, 4), False),
         ("concat", lambda x: sum_(ad.mul(ad.concat([x, ad.mul(x, 2.0)], axis=1), ad.constant(np.random.default_rng(5).normal(size=(3, 8))))), (3, 4), False),
         ("gather", lambda x: sum_(ad.mul(ad.gather_rows(x, np.array([0, 2, 2, 1])), ad.constant(np.random.default_rng(6).normal(size=(4, 3))))), (3, 3), False),
         ("segment_sum", lambda x: sum_(ad.mul(ad.segment_sum(x, SEG, 4), ad.constant(np.random.default_rng(7).normal(size=(4, 2))))), (6, 2), False),
@@ -80,7 +83,7 @@ def _scan_with_a_log(a_log):
         ("mse", lambda x: ad.mse_loss(x, ad.constant(np.random.default_rng(12).normal(size=(4, 3)))), (4, 3), False),
         ("cross_entropy", lambda x: ad.cross_entropy(x, np.array([0, 2, 1])), (3, 3), False),
         # A transposed leaf gives the op a strided (6, 2, 3) input.
-        ("segment_max_strided", lambda x: sum_(ad.mul(ad.segment_max(ad.transpose(x, (2, 1, 0)), SEG, 4), ad.constant(np.random.default_rng(18).normal(size=(4, 2, 3))))), (3, 2, 6), False),
+        ("segment_max_strided", lambda x: sum_(ad.mul(ad.segment_max(transpose(x, (2, 1, 0)), SEG, 4), ad.constant(np.random.default_rng(18).normal(size=(4, 2, 3))))), (3, 2, 6), False),
         ("layer_norm_scaled", lambda x: sum_(ad.mul(ad.layer_norm(x, Tensor(np.linspace(-1.0, 2.0, 5)), Tensor(np.linspace(0.5, -1.5, 5))), ad.constant(np.random.default_rng(23).normal(size=(4, 5))))), (4, 5), False),
     ],
 )
@@ -151,17 +154,31 @@ def test_shape_errors_name_the_op():
     with pytest.raises(ShapeError, match="segment"):
         ad.segment_sum(Tensor(np.zeros((3, 2))), np.array([0, 1]), 2)
     pagerank, batch_index, num_graphs, nd_w, *rest = FUSION_ARGS
-    with pytest.raises(ShapeError, match="cross_axis_fusion"):  # x is not (n, dh, C)
-        ad.cross_axis_fusion(Tensor(np.zeros((5, 6))), *FUSION_ARGS)
+    with pytest.raises(ShapeError, match="cross_axis_fusion"):  # x is not (n, d)
+        ad.cross_axis_fusion(Tensor(np.zeros((5, 3, 2))), *FUSION_ARGS)
     with pytest.raises(ShapeError, match="cross_axis_fusion"):  # an even kernel
-        ad.cross_axis_fusion(Tensor(np.zeros((5, 3, 2))), pagerank, batch_index, num_graphs,
+        ad.cross_axis_fusion(Tensor(np.zeros((5, 6))), pagerank, batch_index, num_graphs,
                              Tensor(np.zeros((1, 2, 6))), *rest)
     wq, wk, wv, a_log, log_dt, b, c, pairs, spd, heads = SCAN_ARGS
     with pytest.raises(ShapeError, match="hop_attention_scan"):  # b is (D, d + 1)
         ad.hop_attention_scan(SCAN_FX, wq, wk, wv, a_log, log_dt, np.zeros((3, 5)), c,
                               pairs, spd, heads)
-    with pytest.raises(ShapeError, match="hop_attention_scan"):  # 3 heads do not divide d = 4
-        ad.hop_attention_scan(SCAN_FX, *SCAN_ARGS[:-1], 3)
+
+
+# Each op called with a head count for an input of width d = 4.
+HEAD_OPS = {
+    "hop_attention_scan": lambda heads: ad.hop_attention_scan(SCAN_FX, *SCAN_ARGS[:-1], heads),
+    "cross_axis_fusion": lambda heads: ad.cross_axis_fusion(Tensor(np.zeros((5, 4))), *FUSION_ARGS[:-1], heads),
+}
+
+
+@pytest.mark.parametrize("op", sorted(HEAD_OPS))
+@pytest.mark.parametrize("heads", [0, -2, 3], ids=["zero", "negative", "non-divisor"])
+def test_head_counts_below_one_or_not_dividing_d_raise_naming_the_op(op, heads):
+    # Unchecked, 0 heads would divide by zero and -2 would fail inside
+    # numpy's reshape.
+    with pytest.raises(ShapeError, match=f"{op}: .*heads {heads}"):
+        HEAD_OPS[op](heads)
 
 
 @pytest.mark.parametrize("shape", [(737, 1), (64, 1), (3, 4), (5,), ()])
@@ -285,7 +302,7 @@ ID_OPS = {
     "segment_softmax": lambda ids: ad.segment_softmax(Tensor(np.ones((3, 2))), ids, 2),
     "gather_rows": lambda ids: ad.gather_rows(Tensor(np.ones((2, 2))), ids),
     "cross_axis_fusion": lambda ids: ad.cross_axis_fusion(
-        Tensor(np.zeros((5, 3, 2))), FUSION_ARGS[0], np.concatenate([ids, [1, 1]]), 2,
+        Tensor(np.zeros((5, 6))), FUSION_ARGS[0], np.concatenate([ids, [1, 1]]), 2,
         *FUSION_ARGS[3:],
     ),
 }

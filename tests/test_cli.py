@@ -5,6 +5,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from dgssm import cli
+from dgssm.bench import BenchRecord, scaling_summary
 from dgssm.checkpoint import CheckpointError
 from dgssm.cli import build_parser, main
 from dgssm.graphs import GraphFormatError, load_graphs
@@ -79,6 +81,21 @@ def test_train_and_eval_round_trip(dataset, tmp_path, capsys):
     assert rc == 0
     metrics = json.loads(capsys.readouterr().out)
     assert "rmse" in metrics
+
+
+def _no_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def test_train_json_without_an_improving_epoch_is_valid_json(dataset, tmp_path, capsys):
+    # With no epoch run, no epoch improves: the best value is null, not
+    # Infinity, which RFC 8259 does not allow.
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({**TINY_RUN, "epochs": 0}))
+    assert main(["train", "--data", str(dataset), "--config", str(cfg),
+                 "--out", str(tmp_path / "run-out"), "--json"]) == 0
+    summary = json.loads(capsys.readouterr().out, parse_constant=_no_constant)
+    assert summary["best_epoch"] == -1 and summary["best_val"] is None
 
 
 @pytest.mark.parametrize(
@@ -200,6 +217,27 @@ def test_bench_smoke(capsys):
     assert [r["k"] for r in summary["records"]] == [1, 2]
     assert summary["records"][1]["total_pairs"] > summary["records"][0]["total_pairs"]
     assert all(r["backward_s"] > 0 for r in summary["records"])
+
+
+def test_scaling_summary_takes_the_smallest_k_as_reference():
+    # From K=1 to K=6 the forward time grows 4x and the pairs 2x, whichever
+    # order the sweep ran them in.
+    low, high = BenchRecord(1, 100, 0.0, 1.0, 0.0), BenchRecord(6, 200, 0.0, 4.0, 0.0)
+    for records in ([low, high], [high, low]):
+        summary = scaling_summary(records)
+        assert summary["reference_k"] == 1
+        assert summary["max_superlinearity"] == 2.0
+
+
+@pytest.mark.parametrize("ks", ["1", "3,3"])
+def test_bench_reports_no_superlinearity_without_two_bounds(ks, monkeypatch, capsys):
+    # One bound measures no growth; it used to report 0.0, which passes any
+    # bound on superlinearity.
+    monkeypatch.setattr(cli, "run_bench", lambda ks, **_: [BenchRecord(k, 100, 0.0, 1.0, 0.0) for k in ks])
+    assert main(["bench", "--ks", ks, "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["max_superlinearity"] is None
+    assert main(["bench", "--ks", ks]) == 0
+    assert capsys.readouterr().out.endswith("max superlinearity vs pair count: n/a\n")
 
 
 @pytest.mark.parametrize("ks", ["1,x", "-1", "1,,2", "", "2.5"])

@@ -17,7 +17,6 @@ from dgssm.model import (
     digraph_ssm_scan,
     dir_gated_gcn,
     encode_inputs,
-    flatten_heads,
     init_weights,
     load_model,
     model_forward,
@@ -184,7 +183,7 @@ def test_scan_isolated_node_is_hop_zero_message():
     fx, arts, ssm, (wq, wk, wv) = _scan_setup(g, 2)
     heads = digraph_ssm_scan(fx, arts, _scan_params(ssm, (wq, wk, wv)), "scan", 2)
     want = kernel_table(ssm, "ssm", 2)[0] @ (fx.data[0] @ wv.data)
-    got = flatten_heads(heads).data[0]
+    got = heads.data[0]
     assert np.allclose(got, want, atol=1e-12)
 
 
@@ -231,7 +230,7 @@ def test_hop_attention_scan_weights_sum_to_one(heads):
     c = stream.uniform(0.1, 1.0, size=(d, state))
     c /= c.sum(axis=1, keepdims=True) * coef
     y = ad.hop_attention_scan(fx, wq, wk, wv, a_log, log_dt, b, c, pairs, spd, heads)
-    assert y.shape == (g.num_nodes, d // heads, heads)
+    assert y.shape == (g.num_nodes, d)
     assert np.abs(y.data - 1.0).max() <= 1e-12
 
 
@@ -258,15 +257,21 @@ def test_scan_records_one_tape_node(monkeypatch):
 
 
 def test_scan_head_slicing_layout():
+    # Head c reads out through rows [c*d_h, (c+1)*d_h) of C into the same
+    # columns of the (n, d) output, and into no other column.
     g = make_random_digraph(8, max_nodes=10)
     fx, arts, ssm, ws = _scan_setup(g, 2)
-    heads = digraph_ssm_scan(fx, arts, _scan_params(ssm, ws), "scan", 2)
-    flat = flatten_heads(heads)
-    d_h = heads.shape[1]
-    for c in range(heads.shape[2]):
-        assert np.array_equal(
-            flat.data[:, c * d_h : (c + 1) * d_h], heads.data[:, :, c]
-        )
+    params = _scan_params(ssm, ws)
+    full = digraph_ssm_scan(fx, arts, params, "scan", 2).data
+    c = params["scan.ssm.c"].data
+    saved, d_h = c.copy(), c.shape[0] // 2
+    for head in range(2):
+        block = np.arange(c.shape[0]) // d_h == head
+        c[~block] = 0.0
+        alone = digraph_ssm_scan(fx, arts, params, "scan", 2).data
+        c[...] = saved
+        assert np.array_equal(alone[:, block], full[:, block])
+        assert not alone[:, ~block].any()
 
 
 def test_scan_matches_sequence_oracle_at_long_hops():
@@ -301,7 +306,7 @@ def test_scan_gradients_match_finite_differences(heads, k):
     g = DiGraph(8, [(0, 1), (1, 2), (2, 0), (2, 5), (5, 6), (6, 7), (3, 3)], np.zeros((8, 3)))
     fx, arts, ssm, ws = _scan_setup(g, k)
     params = _scan_params(ssm, ws, [("fx", fx)])
-    weights = RngStream(5).normal(size=(8, 8 // heads, heads))
+    weights = RngStream(5).normal(size=(8, 8))
 
     def loss():
         return sum_(ad.mul(digraph_ssm_scan(fx, arts, params, "scan", heads), weights))
@@ -335,7 +340,7 @@ def test_scan_matches_its_composition(case):
     args = [stream.normal(size=(batch.num_nodes, d_in)),
             *(stream.normal(size=(d_in, d)) for _ in range(3)),
             *(t.data for _, t in ssm.items())]
-    probe = stream.normal(size=(batch.num_nodes, d // heads, heads))
+    probe = stream.normal(size=(batch.num_nodes, d))
     got, want = (
         _scan_outputs(scan, args, pairs, spd, heads, probe)
         for scan in (ad.hop_attention_scan, scan_composition)
@@ -389,14 +394,20 @@ def _fusion_weights(stream, c):
     return ParameterSet([(f"fusion.{name}", stream.normal(0, 0.3, shape)) for name, shape in shapes])
 
 
+def _columns(x):
+    """(n, dh, C) -> (n, d) with head c in columns [c*dh, (c+1)*dh), the
+    layout the scan and the fusion take and return."""
+    return x.transpose(0, 2, 1).reshape(x.shape[0], -1)
+
+
 @pytest.mark.parametrize("n,dh,c", [(5, 4, 2), (7, 2, 4), (3, 8, 8), (1, 4, 2)])
 def test_fusion_preserves_shape(n, dh, c):
     stream = RngStream(10)
-    x = Tensor(stream.normal(size=(n, dh, c)))
+    x = Tensor(stream.normal(size=(n, dh * c)))
     pr = np.full(n, 1.0 / n)
     out = digraph_fusion_attention(x, pr, np.zeros(n, np.int64), 1, _fusion_weights(stream, c),
-                                   "fusion")
-    assert out.shape == (n, dh, c)
+                                   "fusion", c)
+    assert out.shape == (n, dh * c)
 
 
 @pytest.mark.parametrize("misaligned", ["pagerank", "batch_index"])
@@ -405,9 +416,9 @@ def test_fusion_misalignment_raises_the_op_error(misaligned):
     stream = RngStream(10)
     args = {"pagerank": np.full(5, 0.2), "batch_index": np.zeros(5, np.int64)}
     args[misaligned] = args[misaligned][:4]
-    with pytest.raises(ad.ShapeError, match=r"cross_axis_fusion: x \(5, 4, 2\), pagerank"):
-        digraph_fusion_attention(Tensor(stream.normal(size=(5, 4, 2))), args["pagerank"],
-                                 args["batch_index"], 1, _fusion_weights(stream, 2), "fusion")
+    with pytest.raises(ad.ShapeError, match=r"cross_axis_fusion: x \(5, 8\), heads 2, pagerank"):
+        digraph_fusion_attention(Tensor(stream.normal(size=(5, 8))), args["pagerank"],
+                                 args["batch_index"], 1, _fusion_weights(stream, 2), "fusion", 2)
 
 
 def _fusion_reference(x, pagerank, batch_index, num_graphs, w):
@@ -444,10 +455,11 @@ def test_fusion_single_node_pools_duplicate():
     w = _fusion_weights(stream, 2)
     pr = np.array([1.0])
     batch_index = np.zeros(1, np.int64)
-    out = digraph_fusion_attention(x, pr, batch_index, 1, w, "fusion")
+    out = digraph_fusion_attention(Tensor(_columns(x.data)), pr, batch_index, 1, w, "fusion", 2)
     # w_p for a single node is 1, so the pooled max and mean channels both
     # equal x itself.
-    assert np.allclose(out.data, _fusion_reference(x.data, pr, batch_index, 1, w), atol=1e-12)
+    assert np.allclose(out.data, _columns(_fusion_reference(x.data, pr, batch_index, 1, w)),
+                       atol=1e-12)
 
 
 def _tied_fusion_batch(stream, dh, c):
@@ -474,28 +486,30 @@ def test_fusion_matches_numpy_reference(heads, dh):
     x, tied, pr, batch_index, num_graphs = _tied_fusion_batch(stream, dh, heads)
     w = _fusion_weights(stream, heads)
     for data in (x, tied):
-        out = digraph_fusion_attention(Tensor(data), pr, batch_index, num_graphs, w, "fusion").data
-        want = _fusion_reference(data, pr, batch_index, num_graphs, w)
+        out = digraph_fusion_attention(Tensor(_columns(data)), pr, batch_index, num_graphs, w,
+                                       "fusion", heads).data
+        want = _columns(_fusion_reference(data, pr, batch_index, num_graphs, w))
         assert np.abs(out - want).max() <= 1e-12 * np.abs(want).max()
 
     # Finite differences step across a tie, so the gradients are checked on
     # the untied batch.
-    params = ParameterSet([("x", x), *w.items()])
-    probe = ad.constant(stream.normal(size=x.shape))
+    params = ParameterSet([("x", _columns(x)), *w.items()])
+    probe = ad.constant(stream.normal(size=params["x"].shape))
 
     def loss():
-        out = digraph_fusion_attention(params["x"], pr, batch_index, num_graphs, params, "fusion")
+        out = digraph_fusion_attention(params["x"], pr, batch_index, num_graphs, params, "fusion",
+                                       heads)
         return sum_(ad.mul(out, probe))
 
     report = grad_check_params(loss, params, eps=1e-5, tol=1e-6)
     assert report.passed, str(report)
 
 
-def _fusion_grads(fusion, data, pr, batch_index, num_graphs, w, probe):
+def _fusion_grads(fusion, data, pr, batch_index, num_graphs, w, heads, probe):
     """Output, x gradient and weight gradients of ``fusion`` on ``data``."""
     x = Tensor(data, requires_grad=True)
     w.zero_grad()
-    out = fusion(x, pr, batch_index, num_graphs, w, "fusion")
+    out = fusion(x, pr, batch_index, num_graphs, w, "fusion", heads)
     sum_(ad.mul(out, ad.constant(probe))).backward()
     return [out.data, x.grad] + [t.grad for _, t in w.items()]
 
@@ -510,59 +524,62 @@ def test_fusion_ties_route_gradients_like_the_composition(heads, dh):
     stream = RngStream(19)
     _, tied, pr, batch_index, num_graphs = _tied_fusion_batch(stream, dh, heads)
     w = _fusion_weights(stream, heads)
+    tied = _columns(tied)
     probe = stream.normal(size=tied.shape)
     got, want = (
-        _fusion_grads(f, tied, pr, batch_index, num_graphs, w, probe)
+        _fusion_grads(f, tied, pr, batch_index, num_graphs, w, heads, probe)
         for f in (digraph_fusion_attention, fusion_composition)
     )
     for a, b in zip(got, want):
         assert np.abs(a - b).max() <= 1e-12 * max(np.abs(b).max(), 1.0)
 
 
-@pytest.mark.parametrize("axes", [(0, 2, 1), (2, 1, 0)], ids=["rows-by-head", "scan-layout"])
-def test_fusion_strided_input_bit_identical(axes):
-    # The scan hands the fusion a (2, 1, 0) transposed view of its output.
+@pytest.mark.parametrize("layout", ["every-other-column", "scan-layout"])
+def test_fusion_strided_input_bit_identical(layout):
+    # The scan hands the fusion the F-ordered (n, d) view of its (d, n) array.
     stream = RngStream(20)
     x, _, pr, batch_index, num_graphs = _tied_fusion_batch(stream, 4, 3)
     w = _fusion_weights(stream, 3)
+    x = _columns(x)
     probe = stream.normal(size=x.shape)
-    strided = np.ascontiguousarray(x.transpose(axes)).transpose(np.argsort(axes))
+    strided = np.asfortranarray(x) if layout == "scan-layout" else np.repeat(x, 2, axis=1)[:, ::2]
     assert not strided.flags.c_contiguous
     got, want = (
-        _fusion_grads(digraph_fusion_attention, data, pr, batch_index, num_graphs, w, probe)
+        _fusion_grads(digraph_fusion_attention, data, pr, batch_index, num_graphs, w, 3, probe)
         for data in (strided, np.ascontiguousarray(strided))
     )
     for a, b in zip(got, want):
         assert np.array_equal(a, b)
 
 
-def test_flatten_heads_reads_the_scan_and_fusion_outputs_without_a_copy():
-    # Both ops return (n, dh, C) views of C-contiguous (C, dh, n) arrays, so
-    # the (n, d) input of wo is an F-ordered view of either, with or without
-    # the fusion block.
+def test_scan_and_fusion_return_views_of_one_feature_major_buffer():
+    # Each op's (n, d) output is a view whose transpose is a C-contiguous
+    # (d, n) array, so the matmul by wo reads it without a copy, with or
+    # without the fusion block.
     g = make_random_digraph(8, max_nodes=10)
     fx, arts, ssm, ws = _scan_setup(g, 2)
     heads = digraph_ssm_scan(fx, arts, _scan_params(ssm, ws), "scan", 2)
     fused = digraph_fusion_attention(heads, arts.pagerank, np.zeros(g.num_nodes, np.int64), 1,
-                                     _fusion_weights(RngStream(21), 2), "fusion")
+                                     _fusion_weights(RngStream(21), 2), "fusion", 2)
     for t in (heads, fused):
-        assert np.shares_memory(flatten_heads(t).data, t.data)
+        assert t.shape == (g.num_nodes, fx.shape[1])
+        assert t.data.base is not None and t.data.T.flags.c_contiguous
 
 
 def test_fusion_batch_isolation_bit_identical():
     stream = RngStream(12)
     n1, n2, dh, c = 6, 5, 4, 2
-    x1 = stream.normal(size=(n1, dh, c))
-    x2 = stream.normal(size=(n2, dh, c))
+    x1 = stream.normal(size=(n1, dh * c))
+    x2 = stream.normal(size=(n2, dh * c))
     w = _fusion_weights(stream, c)
     batch_index = np.concatenate([np.zeros(n1, np.int64), np.ones(n2, np.int64)])
     pr = np.concatenate([np.full(n1, 1 / n1), np.full(n2, 1 / n2)])
     base = digraph_fusion_attention(
-        Tensor(np.concatenate([x1, x2])), pr, batch_index, 2, w, "fusion"
+        Tensor(np.concatenate([x1, x2])), pr, batch_index, 2, w, "fusion", c
     ).data
     x2b = x2 + stream.normal(size=x2.shape)
     bumped = digraph_fusion_attention(
-        Tensor(np.concatenate([x1, x2b])), pr, batch_index, 2, w, "fusion"
+        Tensor(np.concatenate([x1, x2b])), pr, batch_index, 2, w, "fusion", c
     ).data
     assert np.array_equal(base[:n1], bumped[:n1])
     assert not np.array_equal(base[n1:], bumped[n1:])

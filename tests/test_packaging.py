@@ -8,7 +8,6 @@ that only its own tests call is test code; it belongs in ``tests/``.
 
 import ast
 import functools
-import importlib.util
 import re
 import sys
 from pathlib import Path
@@ -19,7 +18,7 @@ tomllib = pytest.importorskip("tomllib")  # Python 3.11+
 
 ROOT = Path(__file__).resolve().parents[1]
 SOURCES = sorted((ROOT / "src" / "dgssm").glob("*.py"))
-TRACER = ROOT / "perfbench" / "tracer.py"
+BENCHMARK = sorted((ROOT / "perfbench").glob("*.py"))
 
 
 def _declared() -> set[str]:
@@ -88,21 +87,34 @@ def _is_referenced(module: str, fn: ast.FunctionDef) -> bool:
     return False
 
 
+_DOTTED = re.compile(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)*")
+
+
 @functools.cache
-def _traced() -> set[str]:
-    """The library functions the benchmark's tracer wraps by name."""
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
-    tracer = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracer)
-    return {attr.split(".")[-1] for _, attr, *_ in tracer.TARGETS}
+def _benchmark_names() -> set[str]:
+    """Every name the benchmark's code uses: bare, as an attribute, imported,
+    or as the last part of a dotted name in a string, as its tracer names
+    the library functions it wraps."""
+    names = set()
+    for path in BENCHMARK:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.alias):
+                names.add(node.name.split(".")[-1])
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str) and _DOTTED.fullmatch(node.value):
+                names.add(node.value.split(".")[-1])
+    return names
 
 
-ENGINE = [(module, fn.name) for module in ("autodiff", "optim") for fn in _public_functions(module)]
+PUBLIC = [(path.stem, fn.name) for path in SOURCES for fn in _public_functions(path.stem)]
 
 
-@pytest.mark.parametrize("module, name", ENGINE, ids=[f"{m}.{n}" for m, n in ENGINE])
+@pytest.mark.parametrize("module, name", PUBLIC, ids=[f"{m}.{n}" for m, n in PUBLIC])
 def test_engine_function_has_a_library_caller(module, name):
     fn = next(fn for fn in _public_functions(module) if fn.name == name)
-    assert _is_referenced(module, fn) or name in _traced(), (
+    assert _is_referenced(module, fn) or name in _benchmark_names(), (
         f"dgssm.{module}.{name} is called only from outside src/; move it into the tests"
     )

@@ -1,4 +1,5 @@
 import json
+import math
 import types
 from dataclasses import asdict
 
@@ -89,6 +90,12 @@ def test_early_stopping_respects_patience():
     result = train(run, splits["train"], splits["val"])
     # No improvement is possible after epoch 0 with lr=0.
     assert len(result.history) == 5  # epoch 0 + patience 3 + the stopping epoch
+
+
+def test_no_improving_epoch_leaves_best_val_nan():
+    run, splits = _tiny_run(epochs=0)
+    result = train(run, splits["train"], splits["val"])
+    assert result.best_epoch == -1 and math.isnan(result.best_val)
 
 
 def test_checkpoint_saved_and_evaluable(tmp_path):

@@ -483,12 +483,12 @@ def hop_attention_scan(fx, wq, wk, wv, a_log, log_dt, b, c, pairs, spd, heads: i
     return _node(y.reshape(d, n).T, (fx, wq, wk, wv, a_log, log_dt, b, c), bwd)
 
 
-def _zpool_grad(slices: list[np.ndarray], mx: np.ndarray, g_max, g_mean, axis: int) -> np.ndarray:
-    """Gradient with respect to x of a Z-pool over x's ``slices`` along
-    ``axis``: every slice gets ``g_mean`` (already divided by the slice
-    count), and the first slice reaching the max ``mx`` also gets ``g_max``;
-    later ties get nothing."""
-    hits = np.stack([s == mx for s in slices])
+def _zpool_grad(x: np.ndarray, mx: np.ndarray, g_max, g_mean, axis: int) -> np.ndarray:
+    """Gradient with respect to x of a Z-pool of x along ``axis``: every
+    entry gets ``g_mean`` (already divided by the axis length), and the first
+    entry along the axis reaching the max ``mx`` also gets ``g_max``; later
+    ties get nothing."""
+    hits = np.moveaxis(x, axis, 0) == mx
     seen = hits[0].copy()
     for h in hits[1:]:
         h &= ~seen
@@ -559,10 +559,9 @@ def cross_axis_fusion(
     being the kernel's taps times a cached one-hot tap map. The op runs in
     the scan's (C, dh, n) layout, so every pool, gate and per-graph
     reduction runs along the contiguous node axis, and returns the (n, d)
-    view of that layout, as the scan does. The short axes are reduced slice
-    by slice, and a max routes its gradient to the earliest maximum along
-    the axis or over a graph's nodes; the backward is written out in closed
-    form.
+    view of that layout, as the scan does. A max routes its gradient to the
+    earliest maximum along the axis or over a graph's nodes; the backward is
+    written out in closed form.
     """
     x, nd_w, nd_b, nc_w, nc_b, dc_w, dc_b, pr_w, pr_b = (
         as_tensor(t) for t in (x, nd_w, nd_b, nc_w, nc_b, dc_w, dc_b, pr_w, pr_b)
@@ -586,14 +585,11 @@ def cross_axis_fusion(
         )
     n, dh, c = x.shape[0], x.shape[1] // heads, heads
     # On the scan's output X is a view of the scan's own (d, n) array, not a
-    # copy. The short axes are reduced one slice at a time, which on a few
-    # slices beats a numpy reduction along the axis.
+    # copy.
     X = np.ascontiguousarray(x.data.T.reshape(c, dh, n))
-    over_c = list(X)  # (dh, n) each
-    over_dh = [X[:, i] for i in range(dh)]  # (C, n) each
-    max_c, max_dh = functools.reduce(np.maximum, over_c), functools.reduce(np.maximum, over_dh)
-    pool_nd = np.concatenate([max_c, functools.reduce(np.add, over_c) * (1.0 / c)])
-    pool_nc = np.concatenate([max_dh, functools.reduce(np.add, over_dh) * (1.0 / dh)])
+    max_c, max_dh = X.max(axis=0), X.max(axis=1)  # (dh, n), (C, n)
+    pool_nd = np.concatenate([max_c, X.sum(axis=0) * (1.0 / c)])
+    pool_nc = np.concatenate([max_dh, X.sum(axis=1) * (1.0 / dh)])
     sig = lambda t: 1.0 / (1.0 + np.exp(-t))
     band_nd, fold_nd = _conv_band(nd_w.data, (dh,))
     band_nc, fold_nc = _conv_band(nc_w.data, (c,))
@@ -627,12 +623,10 @@ def cross_axis_fusion(
             g_pre = g_gate * gate * (1.0 - gate)
             return band @ g_pre, fold(pool @ g_pre.T), g_pre.sum().reshape(1)
 
-        g_gate = functools.reduce(np.add, gg)
-        g_pool, gw_nd, gb_nd = conv_grads(g_gate, gate_nd, pool_nd, band_nd, fold_nd)
-        gx += _zpool_grad(over_c, max_c, g_pool[:dh], g_pool[dh:] * (1.0 / c), 0)
-        g_gate = functools.reduce(np.add, [gg[:, i] for i in range(dh)])
-        g_pool, gw_nc, gb_nc = conv_grads(g_gate, gate_nc, pool_nc, band_nc, fold_nc)
-        gx += _zpool_grad(over_dh, max_dh, g_pool[:c], g_pool[c:] * (1.0 / dh), 1)
+        g_pool, gw_nd, gb_nd = conv_grads(gg.sum(axis=0), gate_nd, pool_nd, band_nd, fold_nd)
+        gx += _zpool_grad(X, max_c, g_pool[:dh], g_pool[dh:] * (1.0 / c), 0)
+        g_pool, gw_nc, gb_nc = conv_grads(gg.sum(axis=1), gate_nc, pool_nc, band_nc, fold_nc)
+        gx += _zpool_grad(X, max_dh, g_pool[:c], g_pool[c:] * (1.0 / dh), 1)
 
         g_gate = _reduce_groups(gg, by_graph, num_graphs, np.add, axis=2)
         g_gate = g_gate.transpose(1, 0, 2).reshape(dh * c, num_graphs)

@@ -31,14 +31,26 @@ def _resolve_seed(args, config: dict | None = None) -> int | None:
     env = os.environ.get("DGSSM_SEED")
     if env is not None:
         try:
-            return int(env)
+            seed = int(env)
         except ValueError:
             raise ValueError(f"DGSSM_SEED must be an integer, got {env!r}") from None
+        if seed < 0:
+            raise ValueError(f"DGSSM_SEED must be >= 0, got {env!r}")
+        return seed
     if getattr(args, "seed", None) is not None:
         return int(args.seed)
     if config and "seed" in config:
         return config["seed"]  # as written, so that RunConfig checks its type
     return None
+
+
+def _load_nonempty(path: str | Path) -> list:
+    """The graphs in the file at ``path``; an empty list is a ``ValueError``
+    naming the file."""
+    graphs = load_graphs(path)
+    if not graphs:
+        raise ValueError(f"{path}: empty graph list")
+    return graphs
 
 
 def _given(**values) -> dict:
@@ -112,12 +124,7 @@ def _hop_bounds(text: str) -> list[int]:
 
 
 def _cmd_stats(args) -> int:
-    graphs = []
-    for path in args.data:
-        loaded = load_graphs(path)
-        if not loaded:
-            raise ValueError(f"{path}: empty graph list")
-        graphs.extend(loaded)
+    graphs = [g for path in args.data for g in _load_nonempty(path)]
     report = compute_stats(graphs, args.k)
     print(report.to_json() if args.json else report.format_text())
     return 0
@@ -142,10 +149,7 @@ def _cmd_train(args) -> int:
     model_file = cfg_file.get("model", {})
     data_dir = Path(args.data)
     paths = [data_dir / "train.jsonl", data_dir / "val.jsonl"]
-    lists = [load_graphs(path) for path in paths]
-    for path, graphs in zip(paths, lists):
-        if not graphs:
-            raise ValueError(f"{path}: empty graph list")
+    lists = [_load_nonempty(path) for path in paths]
     train_graphs, val_graphs = lists
     fields = {
         **cfg_file,
@@ -183,9 +187,7 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    graphs = load_graphs(args.data)
-    if not graphs:
-        raise ValueError(f"{args.data}: no graphs to evaluate")
+    graphs = _load_nonempty(args.data)
     cfg, params, _, _ = load_model(args.checkpoint)
     meta = Path(args.data).with_name("task_meta.json")
     task = _read_json_object(meta, "task meta").get("model_task", cfg.task) if meta.exists() else cfg.task

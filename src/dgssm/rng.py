@@ -1,54 +1,43 @@
 """Splittable counter-based random streams.
 
 Every stochastic component in this package (initializers, dropout, data
-generation, batch shuffling) draws from an explicit :class:`RngStream`, so a
-run is bit-reproducible from its seed. Streams are backed by numpy's Philox
-counter-based generator and split through ``SeedSequence.spawn``, which keeps
-child streams statistically independent of each other and of the parent.
+generation, batch shuffling) draws from an explicit :class:`RngStream`, and
+no other module calls ``np.random``, so a run is bit-reproducible from its
+seed. A stream is a numpy ``Generator`` on the Philox counter-based bit
+generator, and splits through ``Generator.spawn``, which keeps child streams
+statistically independent of each other and of the parent.
 """
 
 from __future__ import annotations
 
+import numbers
+
 import numpy as np
 
 
-class RngStream:
-    """A named handle on one independent random stream."""
+class RngStream(np.random.Generator):
+    """A numpy ``Generator`` on Philox, seeded by an integer >= 0 or a
+    ``SeedSequence``. ``Generator.spawn`` passes each child its Philox bit
+    generator, which is taken as it is."""
 
-    def __init__(self, seed: int | np.random.SeedSequence = 0):
-        if isinstance(seed, np.random.SeedSequence):
-            self._seq = seed
+    def __init__(self, seed: int | np.random.SeedSequence | np.random.BitGenerator = 0):
+        if isinstance(seed, np.random.BitGenerator):
+            bits = seed
+        elif isinstance(seed, np.random.SeedSequence):
+            bits = np.random.Philox(seed)
+        elif isinstance(seed, numbers.Integral) and not isinstance(seed, bool) and seed >= 0:
+            bits = np.random.Philox(int(seed))
         else:
-            self._seq = np.random.SeedSequence(int(seed))
-        self._gen = np.random.Generator(np.random.Philox(self._seq))
+            raise ValueError(f"RngStream: seed must be an integer >= 0, got {seed!r}")
+        super().__init__(bits)
 
-    def split(self, n: int) -> list["RngStream"]:
+    def split(self, n: int) -> list[RngStream]:
         """Spawn ``n`` independent child streams."""
-        return [RngStream(s) for s in self._seq.spawn(n)]
+        return self.spawn(n)
 
-    def child(self) -> "RngStream":
+    def child(self) -> RngStream:
         """Spawn the next child stream (deterministic sequence)."""
-        return RngStream(self._seq.spawn(1)[0])
-
-    # Thin delegation to the underlying numpy Generator, so call sites do not
-    # reach into ``_gen`` directly.
-    def normal(self, loc=0.0, scale=1.0, size=None) -> np.ndarray:
-        return self._gen.normal(loc, scale, size)
-
-    def uniform(self, low=0.0, high=1.0, size=None) -> np.ndarray:
-        return self._gen.uniform(low, high, size)
-
-    def integers(self, low, high=None, size=None) -> np.ndarray:
-        return self._gen.integers(low, high, size)
-
-    def permutation(self, n: int) -> np.ndarray:
-        return self._gen.permutation(n)
-
-    def choice(self, a, size=None, replace=True, p=None):
-        return self._gen.choice(a, size=size, replace=replace, p=p)
-
-    def shuffle(self, x) -> None:
-        self._gen.shuffle(x)
+        return self.spawn(1)[0]
 
     def draw(self, init: tuple, shape: tuple[int, ...]) -> np.ndarray:
         """An initial array of ``shape`` from an initializer spec:
@@ -57,9 +46,9 @@ class RngStream:
         log 1, ..., log n for an (n,) shape, draw nothing."""
         kind, *args = init
         if kind == "normal":
-            return self._gen.normal(0.0, args[0], shape)
+            return self.normal(0.0, args[0], shape)
         if kind == "uniform":
-            return self._gen.uniform(args[0], args[1], shape)
+            return self.uniform(args[0], args[1], shape)
         if kind == "fill":
             return np.full(shape, float(args[0]))
         if kind == "log_arange":

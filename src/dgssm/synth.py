@@ -62,6 +62,9 @@ class SyntheticTaskSpec:
             raise ValueError("edge_density must be in [0, 1]")
         if not 0.0 <= self.cycle_rate <= 1.0:
             raise ValueError("cycle_rate must be in [0, 1]")
+        for name, low in (("num_graphs", 1), ("k_true", 0), ("seed", 0)):
+            if getattr(self, name) < low:
+                raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
         min_required = self.k_true + 3 if self.task == "reachability-classify" else 4
         if self.min_nodes < min_required or self.min_nodes > self.max_nodes:
             raise ValueError(

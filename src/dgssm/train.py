@@ -59,6 +59,8 @@ class RunConfig:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.epochs < 0 or self.patience < 0:
             raise ValueError(f"epochs and patience must be >= 0, got {self.epochs} and {self.patience}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass

@@ -141,11 +141,12 @@ def test_gen_train_eval_matches_library(task, model_fields, tmp_path, capsys, mo
         ({"betas": ["a", 1]}, r"run.json: betas must be tuple\[float, float\], got \('a', 1\)"),
         ({"betas": [0.9]}, r"run.json: betas must be tuple\[float, float\], got \(0.9,\)"),
         ({"batch_size": 0}, "run.json: batch_size must be >= 1, got 0"),
+        ({"seed": -1}, "run.json: seed must be >= 0, got -1"),
         ({"model": {"num_layers": -1}}, "run.json: num_layers must be >= 0, got -1"),
         ({"model": [1, 2]}, r"run.json: model must be ModelConfig, got \[1, 2\]"),
     ],
     ids=["top-level", "model", "top-level-type", "model-type", "not-an-object",
-         "betas-type", "betas-length", "batch-size", "model-size", "model-not-an-object"],
+         "betas-type", "betas-length", "batch-size", "seed", "model-size", "model-not-an-object"],
 )
 def test_train_rejects_unknown_config_key(dataset, tmp_path, run_json, match):
     cfg = tmp_path / "run.json"
@@ -190,7 +191,7 @@ def test_flag_rejected_where_not_read(dataset, tmp_path):
 def test_eval_rejects_empty_data_file(tmp_path):
     empty = tmp_path / "empty.jsonl"
     empty.write_text("")
-    with pytest.raises(ValueError, match="empty.jsonl: no graphs"):
+    with pytest.raises(ValueError, match=r"empty\.jsonl: empty graph list"):
         main(["eval", "--checkpoint", str(tmp_path / "none.ckpt"), "--data", str(empty)])
 
 
@@ -208,6 +209,14 @@ def test_env_seed_must_be_an_integer(tmp_path, monkeypatch):
     monkeypatch.setenv("DGSSM_SEED", "abc")
     with pytest.raises(ValueError, match="DGSSM_SEED must be an integer, got 'abc'"):
         main(["gen", "--task", "depth-regress", "--num-graphs", "6", "--out", str(tmp_path / "d")])
+
+
+def test_env_seed_must_be_at_least_zero(tmp_path, monkeypatch):
+    # It used to fail inside numpy's seeding.
+    monkeypatch.setenv("DGSSM_SEED", "-1")
+    with pytest.raises(ValueError, match="DGSSM_SEED must be >= 0, got '-1'"):
+        main(["gen", "--task", "depth-regress", "--num-graphs", "6", "--out", str(tmp_path / "d")])
+    assert not (tmp_path / "d").exists()
 
 
 def test_bench_smoke(capsys):

@@ -118,3 +118,33 @@ def test_engine_function_has_a_library_caller(module, name):
     assert _is_referenced(module, fn) or name in _benchmark_names(), (
         f"dgssm.{module}.{name} is called only from outside src/; move it into the tests"
     )
+
+
+def _names_numpy_random(tree: ast.Module) -> bool:
+    """Whether a module reaches numpy's random module: ``np.random`` or
+    ``numpy.random`` as an attribute, or an import of it or from it."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            if node.attr == "random" and isinstance(node.value, ast.Name) and node.value.id in {"np", "numpy"}:
+                return True
+        elif isinstance(node, ast.Import):
+            if any(alias.name.startswith("numpy.random") for alias in node.names):
+                return True
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            if node.module.startswith("numpy.random") or (
+                node.module == "numpy" and any(alias.name == "random" for alias in node.names)
+            ):
+                return True
+    return False
+
+
+NOT_RNG = [path for path in SOURCES if path.name != "rng.py"]
+
+
+@pytest.mark.parametrize("path", NOT_RNG, ids=[p.name for p in NOT_RNG])
+def test_only_the_rng_module_draws_from_numpy(path):
+    # Every draw goes through an RngStream, so a run is reproducible from
+    # its one seed.
+    assert not _names_numpy_random(_trees()[path.stem]), (
+        f"{path.name} names numpy.random; draw from a dgssm.rng.RngStream instead"
+    )

@@ -38,6 +38,18 @@ def test_spec_rejects_values_of_the_wrong_type(field, value, error):
 
 
 @pytest.mark.parametrize(
+    "field, value, error",
+    [("num_graphs", 0, "num_graphs must be >= 1, got 0"), ("num_graphs", -1, "num_graphs must be >= 1, got -1"),
+     ("k_true", -5, "k_true must be >= 0, got -5"), ("seed", -1, "seed must be >= 0, got -1")],
+)
+def test_spec_rejects_values_out_of_range(field, value, error):
+    # num_graphs=-1 used to write three empty files, k_true=-5 to label every
+    # node 0, and seed=-1 to fail inside numpy's seeding.
+    with pytest.raises(ValueError, match=f"^{error}$"):
+        SyntheticTaskSpec(**{"task": "reachability-classify", field: value})
+
+
+@pytest.mark.parametrize(
     "splits, error",
     [((1.5, -0.25, -0.25), r"splits must each be in \[0, 1\] and sum to 1, got \(1.5, -0.25, -0.25\)"),
      ((0.5, 0.5), r"splits must be tuple\[float, float, float\], got \(0.5, 0.5\)"),

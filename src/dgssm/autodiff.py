@@ -20,7 +20,11 @@ it lowered peak memory but made training steps slower
 (``BENCH_no-grad.json``), so it is not done.
 
 Graph sparsity is handled by index-based segment operations (sum / mean /
-max / softmax keyed by an index vector) rather than sparse matrices.
+max / softmax keyed by an index vector) rather than sparse matrices. A keyed
+sum is one flat bincount; every other grouped reduction, in the segment ops
+and the fused ops alike, goes through one reduceat path, with one softmax
+within groups and one rule that routes a max's gradient to the earliest
+entry at the max; an empty group reduces to 0.
 Elementwise ops broadcast by numpy trailing-axis rules; gradients of
 broadcast inputs are reduced back to the input shape. The model only relies
 on the pattern (n,d)+(d,) and scalar ops, both covered by that rule.
@@ -228,7 +232,7 @@ def gather_rows(a, idx) -> Tensor:
     a = as_tensor(a)
     idx = _check_ids("gather_rows", idx, a.shape[0])
     return _node(
-        a.data[idx], (a,), lambda g: (_seg_reduce(g, idx, a.shape[0], np.add),)
+        a.data[idx], (a,), lambda g: (_seg_reduce(g, idx, a.shape[0]),)
     )
 
 
@@ -238,48 +242,53 @@ def gather_rows(a, idx) -> Tensor:
 # (key * width + column) ids. Edge keys give about one row per segment, where
 # ufunc.reduceat pays per segment and per column: on a 2-vCPU host, a
 # (1088, 32) sum keyed by edge targets took 640 us by argsort + reduceat and
-# 150 us by bincount. Maxima, and the fused ops' sums over few long segments
-# sorted by center or graph, go through _group + reduceat instead: the scan's
-# feature-major (32, 19832) sum into 960 centers took 610 us that way and
-# 2.5 ms by bincount, and the fusion's (737, 8, 4) sum into 32 graphs 48 us
-# against 79 us. Already-sorted keys (pairs are emitted center-ascending)
-# skip the argsort. Either way a key's sum reads only that key's rows, so it
-# does not depend on the rows of any other key.
+# 150 us by bincount. Every other grouped reduction (maxima, softmax, and the
+# fused ops' sums over few long segments sorted by center or graph) goes
+# through _group + reduceat: the scan's feature-major (32, 19832) sum into
+# 960 centers took 610 us that way and 2.5 ms by bincount, and the fusion's
+# (737, 8, 4) sum into 32 graphs 48 us against 79 us. Already-sorted keys
+# (pairs are emitted center-ascending) skip the argsort. Either way a key's
+# reduction reads only that key's rows, so it does not depend on the rows of
+# any other key, and an empty group reduces to 0.
 
 
 def _group(seg: np.ndarray):
-    """(perm, sorted_seg, group_starts, group_ids); perm None if pre-sorted."""
-    if seg.size == 0:
-        return None, seg, np.zeros(0, np.intp), np.zeros(0, np.int64)
-    if np.all(seg[1:] >= seg[:-1]):
-        perm, s = None, seg
-    else:
-        perm = np.argsort(seg, kind="stable")
-        s = seg[perm]
-    starts = np.flatnonzero(np.concatenate(([True], s[1:] != s[:-1]))).astype(np.intp)
-    return perm, s, starts, s[starts]
+    """(perm, group_starts, group_ids) of ids >= 0; perm None if pre-sorted."""
+    perm = None if np.all(seg[1:] >= seg[:-1]) else np.argsort(seg, kind="stable")
+    s = seg if perm is None else seg[perm]
+    starts = np.flatnonzero(np.concatenate((s[:1] >= 0, s[1:] != s[:-1])))
+    return perm, starts, s[starts]
 
 
 def _reduce_groups(x: np.ndarray, groups, num: int, ufunc, axis: int = 0) -> np.ndarray:
-    """Reduce ``x`` along ``axis`` over the groups of a ``_group`` result."""
-    fill = 0.0 if ufunc is np.add else -np.inf
-    shape = list(x.shape)
-    shape[axis] = num
-    out = np.full(shape, fill, dtype=x.dtype)
-    if x.shape[axis] == 0:
-        return out
-    perm, _, starts, ids = groups
-    xs = x if perm is None else np.take(x, perm, axis=axis)
-    where = [slice(None)] * x.ndim
-    where[axis] = ids
-    out[tuple(where)] = ufunc.reduceat(xs, starts, axis=axis)
+    """Reduce ``x`` along ``axis`` over the groups of a ``_group`` result;
+    an empty group gives 0."""
+    out = np.zeros(x.shape[:axis] + (num,) + x.shape[axis + 1:], dtype=x.dtype)
+    perm, starts, ids = groups
+    if ids.size:
+        xs = x if perm is None else np.take(x, perm, axis=axis)
+        out[(slice(None),) * axis + (ids,)] = ufunc.reduceat(xs, starts, axis=axis)
     return out
 
 
-def _seg_reduce(x: np.ndarray, seg: np.ndarray, num: int, ufunc) -> np.ndarray:
-    """Reduce the rows of ``x`` keyed by ``seg``, ids already in [0, num)."""
-    if ufunc is not np.add:
-        return _reduce_groups(x, _group(seg), num, ufunc)
+def _softmax_in_groups(x: np.ndarray, groups, num: int, at, axis: int = 0):
+    """Softmax of ``x`` within groups along ``axis``, and the map from its
+    gradient to x's; ``at`` gathers a per-group table back onto x."""
+    ex = np.exp(x - at(_reduce_groups(x, groups, num, np.maximum, axis)))
+    s = ex / at(_reduce_groups(ex, groups, num, np.add, axis))
+    return s, lambda g: s * (g - at(_reduce_groups(g * s, groups, num, np.add, axis)))
+
+
+def _first_at_max(x: np.ndarray, mx: np.ndarray, groups, num: int, at, axis: int = 0) -> np.ndarray:
+    """Where ``x`` first reaches its group's max ``mx`` along ``axis``: a
+    second max over negated positions, -inf for every entry below the max."""
+    neg = -np.arange(x.shape[axis], dtype=np.float64).reshape((-1,) + (1,) * (x.ndim - 1 - axis))
+    first_at = _reduce_groups(np.where(x == at(mx), neg, -np.inf), groups, num, np.maximum, axis)
+    return neg == at(first_at)
+
+
+def _seg_reduce(x: np.ndarray, seg: np.ndarray, num: int) -> np.ndarray:
+    """Sum the rows of ``x`` keyed by ``seg``, ids already in [0, num)."""
     width = math.prod(x.shape[1:])
     keys = (seg[:, None] * width + np.arange(width)).ravel()
     out = np.bincount(keys, weights=x.ravel(), minlength=num * width)
@@ -319,7 +328,7 @@ def segment_sum(a, seg, num_segments: int) -> Tensor:
     a = as_tensor(a)
     seg = _check_segments("segment_sum", a, seg, num_segments)
     return _node(
-        _seg_reduce(a.data, seg, num_segments, np.add),
+        _seg_reduce(a.data, seg, num_segments),
         (a,),
         lambda g: (g[seg],),
     )
@@ -331,30 +340,27 @@ def segment_mean(a, seg, num_segments: int) -> Tensor:
     counts = np.bincount(seg, minlength=num_segments).astype(a.data.dtype)
     counts = np.maximum(counts, 1.0).reshape((num_segments,) + (1,) * (a.ndim - 1))
     return _node(
-        _seg_reduce(a.data, seg, num_segments, np.add) / counts,
+        _seg_reduce(a.data, seg, num_segments) / counts,
         (a,),
         lambda g: ((g / counts)[seg],),
     )
 
 
 def segment_max(a, seg, num_segments: int) -> Tensor:
-    """Per-segment elementwise max over rows; empty segments yield 0.
+    """Per-segment elementwise max over rows; an empty segment yields 0.
 
-    Ties route the gradient to the earliest row attaining the max: a second
-    max-reduction over negated row numbers, with -inf for every row below
-    its segment's max, finds that row per segment and feature. The backward
-    builds that mask, so a forward-only call never pays for it; zeroing the
-    empty segments does not disturb it, since no row belongs to one.
+    Ties route the gradient to the earliest row attaining the max, per
+    segment and feature (``_first_at_max``, which the fusion's graph max
+    shares). The backward builds that mask, so a forward-only call never
+    pays for it.
     """
     a = as_tensor(a)
     seg = _check_segments("segment_max", a, seg, num_segments)
-    out = _seg_reduce(a.data, seg, num_segments, np.maximum)
-    out[np.bincount(seg, minlength=num_segments) == 0] = 0.0
+    groups, at = _group(seg), lambda t: t[seg]
+    out = _reduce_groups(a.data, groups, num_segments, np.maximum)
 
     def bwd(g):
-        rows = np.arange(a.shape[0], dtype=np.float64).reshape((-1,) + (1,) * (a.ndim - 1))
-        neg_rows = np.where(a.data == out[seg], -rows, -np.inf)
-        first = -rows == _seg_reduce(neg_rows, seg, num_segments, np.maximum)[seg]
+        first = _first_at_max(a.data, out, groups, num_segments, at)
         return (np.where(first, g[seg], 0.0),)
 
     return _node(out, (a,), bwd)
@@ -364,17 +370,8 @@ def segment_softmax(a, seg, num_segments: int) -> Tensor:
     """Softmax normalized within each segment of the leading axis."""
     a = as_tensor(a)
     seg = _check_segments("segment_softmax", a, seg, num_segments)
-    mx = _seg_reduce(a.data, seg, num_segments, np.maximum)
-    mx = np.where(np.isinf(mx), 0.0, mx)
-    e = np.exp(a.data - mx[seg])
-    denom = _seg_reduce(e, seg, num_segments, np.add)
-    s = e / denom[seg]
-
-    def bwd(g):
-        dot = _seg_reduce(g * s, seg, num_segments, np.add)
-        return (s * (g - dot[seg]),)
-
-    return _node(s, (a,), bwd)
+    s, grad = _softmax_in_groups(a.data, _group(seg), num_segments, lambda t: t[seg])
+    return _node(s, (a,), lambda g: (grad(g),))
 
 
 def hop_attention_scan(fx, wq, wk, wv, a_log, log_dt, b, c, pairs, spd, heads: int) -> Tensor:
@@ -442,8 +439,7 @@ def hop_attention_scan(fx, wq, wk, wv, a_log, log_dt, b, c, pairs, spd, heads: i
     qh = at_center(wq.data.T @ fx.data.T).reshape(heads, dh, e)  # (heads, dh, E)
     kh = (wk.data.T @ fx.data.T).take(u, axis=-1).reshape(heads, dh, e)
     scores = np.einsum("hje,hje->he", qh, kh) * scale  # (heads, E)
-    ex = np.exp(scores - at_center(_reduce_groups(scores, by_center, n, np.maximum, axis=1)))
-    alpha = ex / at_center(_reduce_groups(ex, by_center, n, np.add, axis=1))
+    alpha, alpha_grad = _softmax_in_groups(scores, by_center, n, at_center, axis=1)
     bvg, pg = bv.take(u, axis=-1), powers.take(spd, axis=-1)  # (D, E)
     m = bvg * pg
     z = _reduce_groups(alpha[:, None, :] * m, by_center, n, np.add, axis=2)  # (heads, D, n)
@@ -457,8 +453,7 @@ def hop_attention_scan(fx, wq, wk, wv, a_log, log_dt, b, c, pairs, spd, heads: i
         gzv = at_center(gz)  # (heads, D, E)
         galpha = np.einsum("hse,se->he", gzv, m)
         gm = np.einsum("he,hse->se", alpha, gzv)
-        dot = _reduce_groups(galpha * alpha, by_center, n, np.add, axis=1)
-        gscores = (alpha * (galpha - at_center(dot)) * scale)[:, None, :]  # (heads, 1, E)
+        gscores = (alpha_grad(galpha) * scale)[:, None, :]  # (heads, 1, E)
         gq = _reduce_groups((gscores * kh).reshape(d, e), by_center, n, np.add, axis=1)
 
         # Keyed by predecessor, unsorted: a bincount per row of one buffer.
@@ -597,15 +592,11 @@ def cross_axis_fusion(
     gate_nc = sig(band_nc.T @ pool_nc + nc_b.data)  # (C, n)
 
     by_graph = _group(batch_index)
-    counts = np.bincount(batch_index, minlength=num_graphs)
     at_node = lambda table: table.take(batch_index, axis=-1)
-    logits = pagerank * pr_w.data + pr_b.data
-    ex = np.exp(logits - at_node(_reduce_groups(logits, by_graph, num_graphs, np.maximum)))
-    w_p = ex / at_node(_reduce_groups(ex, by_graph, num_graphs, np.add))
+    w_p, wp_grad = _softmax_in_groups(pagerank * pr_w.data + pr_b.data, by_graph, num_graphs, at_node)
     xw = X * w_p
     gmax = _reduce_groups(xw, by_graph, num_graphs, np.maximum, axis=2)  # (C, dh, G)
-    gmax[:, :, counts == 0] = 0.0
-    sizes = np.maximum(counts, 1.0)
+    sizes = np.maximum(np.bincount(batch_index, minlength=num_graphs), 1.0)
     gavg = _reduce_groups(xw, by_graph, num_graphs, np.add, axis=2) / sizes
     # The (feature, head) convolution reads its pool as (2, dh, C) per graph.
     pool_dc = np.stack([gmax, gavg]).transpose(0, 2, 1, 3).reshape(2 * dh * c, num_graphs)
@@ -632,17 +623,10 @@ def cross_axis_fusion(
         g_gate = g_gate.transpose(1, 0, 2).reshape(dh * c, num_graphs)
         g_pool, gw_dc, gb_dc = conv_grads(g_gate, gate_dc, pool_dc, band_dc, fold_dc)
         g_max, g_sum = g_pool.reshape(2, dh, c, num_graphs).transpose(0, 2, 1, 3)
-        # Per graph and entry, the earliest node at the max: a second max over
-        # negated node numbers, -inf for every node below the max.
-        nodes = np.arange(n, dtype=np.float64)
-        neg_nodes = np.where(xw == at_node(gmax), -nodes, -np.inf)
-        first_at = _reduce_groups(neg_nodes, by_graph, num_graphs, np.maximum, axis=2)
-        first = -nodes == at_node(first_at)
+        first = _first_at_max(xw, gmax, by_graph, num_graphs, at_node, axis=2)
         gxw = np.where(first, at_node(g_max), 0.0) + at_node(g_sum / sizes)
         gx += gxw * w_p
-        g_wp = (gxw * X).reshape(c * dh, n).sum(axis=0)
-        dot = _reduce_groups(g_wp * w_p, by_graph, num_graphs, np.add)
-        g_logits = w_p * (g_wp - at_node(dot))
+        g_logits = wp_grad((gxw * X).reshape(c * dh, n).sum(axis=0))
         g_pr_w, g_pr_b = (g_logits * pagerank).sum().reshape(1), g_logits.sum().reshape(1)
         return gx.reshape(c * dh, n).T, gw_nd, gb_nd, gw_nc, gb_nc, gw_dc, gb_dc, g_pr_w, g_pr_b
 

@@ -415,8 +415,9 @@ def model_forward(
             f"feature dim {batch.node_features.shape[1]} != config in_dim {cfg.in_dim}"
         )
     for arts in (arts_fwd, arts_rev):
-        if arts is not None and arts.k > cfg.k_hops:
-            raise ValueError(f"artifacts built with k={arts.k} > config k_hops={cfg.k_hops}")
+        if arts is not None and arts.k != cfg.k_hops:
+            sign = ">" if arts.k > cfg.k_hops else "<"
+            raise ValueError(f"artifacts built with k={arts.k} {sign} config k_hops={cfg.k_hops}")
     x = ad.constant(batch.node_features)
     h = encode_inputs(x, arts_fwd.depth, batch.edges, cfg, params)
     for li in range(cfg.num_layers):

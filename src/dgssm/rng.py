@@ -17,8 +17,8 @@ import numpy as np
 
 class RngStream(np.random.Generator):
     """A numpy ``Generator`` on Philox, seeded by an integer >= 0 or a
-    ``SeedSequence``. ``Generator.spawn`` passes each child its Philox bit
-    generator, which is taken as it is."""
+    ``SeedSequence``. ``Generator.spawn``, pickle and copy pass each new
+    stream its Philox bit generator, which is taken as it is."""
 
     def __init__(self, seed: int | np.random.SeedSequence | np.random.BitGenerator = 0):
         if isinstance(seed, np.random.BitGenerator):
@@ -30,6 +30,9 @@ class RngStream(np.random.Generator):
         else:
             raise ValueError(f"RngStream: seed must be an integer >= 0, got {seed!r}")
         super().__init__(bits)
+
+    def __reduce__(self):  # Generator's own rebuilds a plain Generator
+        return type(self), (self.bit_generator,)
 
     def split(self, n: int) -> list[RngStream]:
         """Spawn ``n`` independent child streams."""

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -233,6 +235,71 @@ def test_segment_max_ties_and_empty_segments():
     sum_(ad.mul(y, ad.constant(g))).backward()
     # Each tie goes to the earliest row; the empty segment's gradient goes nowhere.
     assert np.array_equal(x.grad, [[5.0, 0.0], [1.0, 2.0], [0.0, 6.0], [0.0, 0.0]])
+
+
+# The digest of _fused_digest's outputs and gradients; a change to any bit
+# of the fused ops or of segment_max changes it. Recorded with numpy 2.4.6
+# and its bundled OpenBLAS on x86-64: another BLAS build may round the
+# ops' matmuls differently.
+FUSED_DIGEST = "93a4dbf2f59a82b8"
+
+
+def _fused_digest() -> str:
+    """The output and every input gradient, under a seeded incoming
+    gradient, of hop_attention_scan, cross_axis_fusion and segment_max on
+    seeded inputs that hold exact ties (repeated rows and values on a coarse
+    grid) and an empty group (a center without pairs, a graph or segment
+    without rows), hashed as raw bytes."""
+    h = hashlib.sha256()
+    stream = RngStream(31)
+
+    def run(op, leaves):
+        leaves = [Tensor(a, requires_grad=True) for a in leaves]
+        out = op(*leaves)
+        sum_(ad.mul(out, ad.constant(stream.normal(size=out.shape)))).backward()
+        for a in (out.data, *(t.grad for t in leaves)):
+            h.update(np.ascontiguousarray(a).tobytes())
+
+    # 7 nodes, fx rows 1 and 2 equal, so their keys tie in every center
+    # they both feed; center 5 has no pairs.
+    pairs, spd = [], []
+    for v in (0, 1, 2, 3, 4, 6):
+        preds = [v] + [int(u) for u in stream.permutation(7)[:3] if u != v]
+        pairs += [(u, v) for u in preds]
+        spd += [0] + [int(s) for s in stream.integers(1, 4, size=len(preds) - 1)]
+    pairs += [(1, 6), (2, 6)]
+    spd += [2, 2]
+    for heads in (1, 2, 4):
+        fx = stream.normal(size=(7, 3))
+        fx[2] = fx[1]
+        weights = [stream.normal(size=s) for s in [(3, 8)] * 3 + [(4,), (4,), (4, 8), (8, 4)]]
+        run(lambda *t: ad.hop_attention_scan(*t, np.array(pairs), np.array(spd), heads), [fx, *weights])
+
+    # 9 nodes in graphs 0, 2 and 3 of 4; graph 1 is empty. With ties, x and
+    # pagerank lie on a coarse grid, so they tie within graphs, heads and
+    # features, and nodes 0 and 1 are equal.
+    batch_index = np.array([0, 0, 0, 2, 2, 2, 2, 3, 3])
+    for heads, dh in [(1, 3), (2, 4), (4, 2)]:
+        for ties in (False, True):
+            x = stream.normal(size=(9, heads * dh))
+            pagerank = stream.uniform(size=9)
+            if ties:
+                x, pagerank = np.round(x), np.round(pagerank * 2) / 2
+                x[1], pagerank[1] = x[0], pagerank[0]
+            weights = [stream.normal(size=s) for s in
+                       [(1, 2, 3), (1,), (1, 2, 3), (1,), (1, 2, 3, 3), (1,), (1,), (1,)]]
+            run(lambda x, *w: ad.cross_axis_fusion(x, pagerank, batch_index, 4, *w, heads), [x, *weights])
+
+    # Unsorted keys; segment 3 of 5 is empty.
+    seg = np.array([4, 0, 2, 0, 4, 1, 2, 0, 4, 1])
+    for row in [(), (3,), (2, 2)]:
+        x = np.round(stream.normal(size=(10, *row)) * 2) / 2
+        run(lambda x: ad.segment_max(x, seg, 5), [x])
+    return h.hexdigest()[:16]
+
+
+def test_fused_ops_and_segment_max_give_their_pinned_bits():
+    assert _fused_digest() == FUSED_DIGEST
 
 
 def test_segment_ops_handle_unsorted_keys():

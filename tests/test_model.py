@@ -293,9 +293,14 @@ def test_scan_rejects_artifact_table_mismatch():
     g = make_random_digraph(9, max_nodes=8)
     batch, fwd, rev = _prepared_batch([g], cfg)
     _, deep_fwd, deep_rev = _prepared_batch([g], ModelConfig(**{**asdict(cfg), "k_hops": 3}))
+    _, flat_fwd, flat_rev = _prepared_batch([g], ModelConfig(**{**asdict(cfg), "k_hops": 0}))
     model_forward(batch, fwd, rev, cfg, params)
     for arts in ((deep_fwd, rev), (fwd, deep_rev)):
         with pytest.raises(ValueError, match="k=3 > config k_hops=1"):
+            model_forward(batch, *arts, cfg, params)
+    # Shallower artifacts would run without error, on fewer hops than the config's.
+    for arts in ((flat_fwd, rev), (fwd, flat_rev)):
+        with pytest.raises(ValueError, match="k=0 < config k_hops=1"):
             model_forward(batch, *arts, cfg, params)
 
 

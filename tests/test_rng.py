@@ -1,7 +1,9 @@
 """The random streams: every draw the library makes is pinned, and seeds are
 checked where they enter."""
 
+import copy
 import hashlib
+import pickle
 import re
 
 import numpy as np
@@ -63,6 +65,19 @@ def test_spawned_streams_are_rng_streams():
 def test_seed_must_be_an_integer_at_least_zero(seed):
     with pytest.raises(ValueError, match=re.escape(f"RngStream: seed must be an integer >= 0, got {seed!r}")):
         RngStream(seed)
+
+
+@pytest.mark.parametrize("clone", [lambda s: pickle.loads(pickle.dumps(s)), copy.copy, copy.deepcopy],
+                         ids=["pickle", "copy", "deepcopy"])
+def test_streams_survive_pickle_and_copy(clone):
+    # A copy draws what the original would have drawn next, as a stream.
+    stream, same = RngStream(5), RngStream(5)
+    for s in (stream, same):
+        s.normal(size=3)
+    twin = clone(stream)
+    assert type(twin) is RngStream
+    assert np.array_equal(twin.normal(size=4), same.normal(size=4))
+    assert np.array_equal(twin.child().uniform(size=2), same.child().uniform(size=2))
 
 
 def test_seed_accepts_numpy_integers():

@@ -36,7 +36,9 @@ broadcasts, pools and segment ops it would otherwise be composed from:
 - ``hop_attention_scan``: the q/k/v projections, the zero-order-hold
   discretization of the diagonal SSM, per-head attention over each center's
   (predecessor, hop) pairs, and hop-decayed messages summed in the SSM
-  state and read out through C;
+  state and read out through C. A per-pair product that its backward does
+  not read is formed one head at a time in one reused block, never for all
+  heads at once;
 - ``cross_axis_fusion``: the fusion block's three sigmoid gates over Z-pools
   of the head and feature axes and a PageRank-weighted pool per graph, each
   a banded-matmul convolution.
@@ -397,7 +399,16 @@ def hop_attention_scan(fx, wq, wk, wv, a_log, log_dt, b, c, pairs, spd, heads: i
     dt a. Per-node tables are feature-major, (F, n), the projections being
     w^T fx^T, and so are per-pair arrays, (F, E), so each gather and segment
     reduction runs along a contiguous last axis; the backward is written out
-    in closed form.
+    in closed form. The backward reads the saved per-pair arrays q_v and k_u
+    (heads, dh, E), alpha (heads, E), m = bv_u a_bar^s and the powers a_bar^s
+    (D, E), and z. Every other per-pair product is formed one head at a
+    time and reduced before the next head's: alpha m in the forward; in the
+    backward, the gathered state gradient, from which one pass gives galpha
+    and adds to gm, and the score gradient times k and times q; then gm
+    times the powers. All but the gathered gradient are written into one
+    reused (rows, E) block, so no (heads, F, E) temporary is formed. Each
+    row's sum reads only that row, so the sums are those of the whole
+    product.
     """
     fx, wq, wk, wv, a_log, log_dt, b, c = map(as_tensor, (fx, wq, wk, wv, a_log, log_dt, b, c))
     pairs = _int_ids("hop_attention_scan", pairs, "pairs")
@@ -442,7 +453,13 @@ def hop_attention_scan(fx, wq, wk, wv, a_log, log_dt, b, c, pairs, spd, heads: i
     alpha, alpha_grad = _softmax_in_groups(scores, by_center, n, at_center, axis=1)
     bvg, pg = bv.take(u, axis=-1), powers.take(spd, axis=-1)  # (D, E)
     m = bvg * pg
-    z = _reduce_groups(alpha[:, None, :] * m, by_center, n, np.add, axis=2)  # (heads, D, n)
+
+    # alpha m, a head at a time in one reused block.
+    block = np.empty((state, e))
+    by_center_sum = lambda x: _reduce_groups(x, by_center, n, np.add, axis=1)
+    z = np.empty((heads, state, n))
+    for h in range(heads):
+        z[h] = by_center_sum(np.multiply(alpha[h], m, out=block))
     c_heads = c.data.reshape(heads, dh, state)
     y = np.matmul(c_heads, z)  # (heads, dh, n)
 
@@ -450,22 +467,28 @@ def hop_attention_scan(fx, wq, wk, wv, a_log, log_dt, b, c, pairs, spd, heads: i
         gy = g.T.reshape(heads, dh, n)
         gz = np.matmul(c_heads.transpose(0, 2, 1), gy)  # (heads, D, n)
         gc = np.matmul(gy, z.transpose(0, 2, 1)).reshape(d, state)
-        gzv = at_center(gz)  # (heads, D, E)
-        galpha = np.einsum("hse,se->he", gzv, m)
-        gm = np.einsum("he,hse->se", alpha, gzv)
-        gscores = (alpha_grad(galpha) * scale)[:, None, :]  # (heads, 1, E)
-        gq = _reduce_groups((gscores * kh).reshape(d, e), by_center, n, np.add, axis=1)
+        # One pass over each head's gathered state gradient gives its galpha
+        # row and adds its share to gm, in head order.
+        galpha, gm = np.empty((heads, e)), np.zeros((state, e))
+        for h in range(heads):
+            gzv = at_center(gz[h])  # (D, E)
+            np.einsum("se,se->e", gzv, m, out=galpha[h])
+            gm += np.multiply(alpha[h], gzv, out=gzv)
+        gscores = alpha_grad(galpha) * scale  # (heads, E)
 
-        # Keyed by predecessor, unsorted: a bincount per row of one buffer.
-        rows = np.empty((d + state, e))
-        np.multiply(gscores, qh, out=rows[:d].reshape(heads, dh, e))
-        np.multiply(gm, pg, out=rows[d:])
-        by_pred = np.stack([np.bincount(u, weights=r, minlength=n) for r in rows])  # (d + D, n)
+        # Keyed by predecessor, unsorted: a bincount per row.
+        by_pred_sum = lambda x: np.stack([np.bincount(u, weights=r, minlength=n) for r in x])
+        block = np.empty((max(dh, state), e))
+        gq, gk = np.empty((d, n)), np.empty((d, n))
+        for h in range(heads):
+            rows = slice(h * dh, (h + 1) * dh)
+            gq[rows] = by_center_sum(np.multiply(gscores[h], kh[h], out=block[:dh]))
+            gk[rows] = by_pred_sum(np.multiply(gscores[h], qh[h], out=block[:dh]))
 
         # Through bv = (fx wv) b_bar^T, the projections and the ZOH, where
         # d a_bar / d(dt a) = a_bar, d coef / d a_bar = 1 / a, and the hop
         # powers a_bar^s = exp(s dt a) add sum_e gm bvg s a_bar^s = sum_e gm m s.
-        gk, gbv = by_pred[:d].T, by_pred[d:].T
+        gk, gbv = gk.T, by_pred_sum(np.multiply(gm, pg, out=block[:state])).T
         gxv = gbv @ b_bar
         gb_bar = gbv.T @ xv.T  # (D, d)
         gcoef = (gb_bar * b.data).sum(axis=1)

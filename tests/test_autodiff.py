@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -300,6 +301,30 @@ def _fused_digest() -> str:
 
 def test_fused_ops_and_segment_max_give_their_pinned_bits():
     assert _fused_digest() == FUSED_DIGEST
+
+
+def test_scan_working_memory_stays_under_two_state_blocks():
+    # A chains-sized scan, 960 centers of 15-25 pairs at up to 16 hops: the
+    # peak of its forward and of its backward, above what the node keeps for
+    # its backward, stays under two (heads, D, E) arrays of float64.
+    stream = RngStream(5)
+    n, heads, d, state = 960, 4, 32, 8
+    v = np.repeat(np.arange(n), stream.integers(15, 26, size=n))
+    pairs = np.column_stack([stream.integers(0, n, size=v.size), v])
+    spd = stream.integers(0, 17, size=v.size)
+    shapes = [(n, 3), (3, d), (3, d), (3, d), (state,), (state,), (state, d), (d, state)]
+    leaves = [Tensor(stream.normal(size=s), requires_grad=True) for s in shapes]
+    g = stream.normal(size=(n, d))
+    tracemalloc.start()
+    try:
+        out = ad.hop_attention_scan(*leaves, pairs, spd, heads)
+        saved, fwd_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        out._backward(g)
+        bwd_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert max(fwd_peak, bwd_peak) - saved < 2 * heads * state * v.size * 8
 
 
 def test_segment_ops_handle_unsorted_keys():

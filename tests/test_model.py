@@ -1,3 +1,4 @@
+import hashlib
 from dataclasses import asdict
 
 import numpy as np
@@ -28,6 +29,7 @@ from dgssm.optim import grad_check_params
 from dgssm.oracle import sequence_scan_oracle
 from dgssm.rng import RngStream
 from dgssm.ssm import kernel_table
+from dgssm.synth import SyntheticTaskSpec, gen_synthetic
 from dgssm.train import collate, evaluate_checkpoint, prepare_graphs
 
 from conftest import conv_same_reference, fusion_composition, make_random_digraph, scan_composition, ssm_params, sum_
@@ -385,6 +387,53 @@ def test_scan_rejects_pair_ids_out_of_range(column, value):
     table[-1, column] = g.num_nodes if value == "n" else value
     with pytest.raises(ShapeError, match=r"hop_attention_scan: .*\(ids in \[0, n\)\)"):
         ad.hop_attention_scan(fx, *ws, *(t for _, t in ssm.items()), table[:, :2], table[:, 2], 2)
+
+
+# -- the bits of a first training step at benchmark size -----------------------------
+
+
+def _chains(stream):
+    """8 chains of 120 nodes with a skip edge j -> j+3 every 7 nodes."""
+    edges = [(j, j + 1) for j in range(119)] + [(j, j + 3) for j in range(0, 117, 7)]
+    return [DiGraph(120, edges, stream.normal(size=(120, 3)), y=stream.normal(size=120))
+            for _ in range(8)]
+
+
+# Each run's seed-0 first step, set up as the benchmark's train-depth-k4 and
+# train-chains-k16 workloads set up (4,750 and 19,832 hop pairs per scan):
+# SHA-256 prefixes of the predictions, the loss, and every gradient in
+# param_table order. Recorded with numpy 2.4.6 and its bundled OpenBLAS on
+# x86-64: another BLAS build may round the matmuls differently.
+FIRST_STEP_DIGESTS = {
+    "depth-k4": ("66fe3e693943e33c", "3bfac38010b5b9b8", "153d3ebd63d3a737"),
+    "chains-k16": ("6d1ed329e161b62c", "ce71792e842db162", "7d51a1c852391072"),
+}
+
+
+@pytest.mark.parametrize("run", sorted(FIRST_STEP_DIGESTS))
+def test_first_training_step_gives_its_pinned_bits(run):
+    base = dict(in_dim=3, hidden=32, heads=4, se_layers=1, ssm_state=8, task="node-regress")
+    if run == "depth-k4":
+        cfg = ModelConfig(**base, num_layers=2, k_hops=4, dropout=0.1, bidirectional=True)
+        spec = SyntheticTaskSpec(task="depth-regress", num_graphs=512, seed=0, splits=(1.0, 0.0, 0.0))
+        graphs, batch_size = gen_synthetic(spec)["train"], 32
+    else:
+        cfg = ModelConfig(**base, num_layers=1, k_hops=16, dropout=0.0, bidirectional=False)
+        graphs, batch_size = _chains(RngStream(0)), 8
+    init_stream, order_stream, drop_stream = RngStream(0).split(3)
+    prepared = prepare_graphs(graphs, cfg)
+    params = init_weights(cfg, init_stream)
+    first = order_stream.permutation(len(prepared))[:batch_size]
+    batch, fwd, rev = collate([prepared[int(i)] for i in first])
+    preds = model_forward(batch, fwd, rev, cfg, params, train=True, stream=drop_stream.child())
+    loss = model_loss(preds, batch, cfg)
+    loss.backward()
+    grads = hashlib.sha256()
+    for _, t in params.items():
+        grads.update(np.ascontiguousarray(t.grad).tobytes())
+    got = tuple(h.hexdigest()[:16] for h in
+                (hashlib.sha256(preds.data.tobytes()), hashlib.sha256(loss.data.tobytes()), grads))
+    assert got == FIRST_STEP_DIGESTS[run]
 
 
 # -- fusion attention ---------------------------------------------------------------

@@ -438,7 +438,11 @@ def hop_attention_scan(fx, wq, wk, wv, a_log, log_dt, b, c, pairs, spd, heads: i
     a_bar = np.exp(dt * a)
     coef = (a_bar - 1.0) / a
     b_bar = coef.reshape(-1, 1) * b.data
-    powers = np.exp(np.log(a_bar)[:, None] * np.arange(spd.max(initial=0) + 1.0))  # (D, K+1)
+    # Where a_bar underflows to 0, its log is -inf and hop 0's -inf * 0 is
+    # NaN; a_bar^0 is 1, and exp(-inf) gives the 0 of every later hop.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        powers = np.exp(np.log(a_bar)[:, None] * np.arange(spd.max(initial=0) + 1.0))  # (D, K+1)
+    powers[:, 0] = 1.0
     xv = wv.data.T @ fx.data.T  # (d, n)
     bv = b_bar @ xv  # (D, n)
 

@@ -19,7 +19,7 @@ from dgssm.algos import (
     k_hop_predecessors,
     pagerank,
 )
-from dgssm.graphs import DiGraph, GraphBatch, batch_graphs, reverse_graph
+from dgssm.graphs import DiGraph, GraphBatch, _csr, batch_graphs, reverse_graph
 from dgssm.rng import RngStream
 from dgssm.oracle import (
     brute_force_scc,
@@ -109,6 +109,76 @@ def test_components_are_numbered_topologically(seed):
     src, dst = component[g.edges[:, 0]], component[g.edges[:, 1]]
     inter = src != dst
     assert np.all(src[inter] < dst[inter])
+
+
+# -- the level peel and the handover to Tarjan ------------------------------------
+
+
+def _tarjan_alone(g: DiGraph) -> tuple[np.ndarray, np.ndarray]:
+    """condensation without the peel: Tarjan over the whole graph."""
+    n = g.num_nodes
+    return algos._tarjan(n, *_csr(g.edges[:, 1], g.edges[:, 0], n), [0] * n)
+
+
+def _with_cycles(g: DiGraph, stream: RngStream, extra=()) -> DiGraph:
+    """``g`` plus a self-loop and a 2-cycle on random nodes, plus the
+    ``extra`` edges on nodes numbered from ``g.num_nodes`` up."""
+    u, v = stream.permutation(g.num_nodes)[:2].tolist()
+    edges = np.unique(np.array(g.edges.tolist() + [(u, u), (u, v), (v, u), *extra]), axis=0)
+    n = max(g.num_nodes, int(edges.max()) + 1)
+    return DiGraph(n, edges, np.zeros((n, 1)))
+
+
+def _check_condensation(g: DiGraph) -> None:
+    component, depth = condensation(g)
+    assert partition(component) == brute_force_scc(g)
+    assert np.array_equal(depth, _tarjan_alone(g)[1])
+    assert np.array_equal(np.unique(component), np.arange(len(np.unique(component))))
+    src, dst = component[g.edges[:, 0]], component[g.edges[:, 1]]
+    assert np.all(src[src != dst] < dst[src != dst])
+
+
+def _peel_union(seed: int, num_graphs: int) -> DiGraph:
+    """Random digraphs with cycles, fed by ``_PEEL_WIDTH`` two-node paths
+    s -> t spread over them, each t with edges into its graph: the first two
+    levels are at least ``_PEEL_WIDTH`` wide, and the cycles and what hangs
+    below them go to Tarjan."""
+    stream = RngStream(seed)
+    graphs = []
+    for i, own in enumerate(np.array_split(np.arange(algos._PEEL_WIDTH), num_graphs)):
+        g = make_random_digraph(seed * 100 + i, max_nodes=12)
+        feed = []
+        for s, t in g.num_nodes + 2 * np.arange(len(own))[:, None] + [0, 1]:
+            feed += [(s, t)] + [(t, w) for w in stream.permutation(g.num_nodes)[:2].tolist()]
+        graphs.append(_with_cycles(g, stream, feed))
+    union = batch_graphs(graphs)
+    return DiGraph(union.num_nodes, union.edges, np.zeros((union.num_nodes, 1)))
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 10_000), num_graphs=st.integers(1, 12))
+def test_peel_then_tarjan_matches_the_oracles(seed, num_graphs):
+    g = _peel_union(seed, num_graphs)
+    _check_condensation(g)
+    residual = []
+    tarjan = algos._tarjan
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(algos, "_tarjan", lambda n, *rest: residual.append(n) or tarjan(n, *rest))
+        condensation(g)
+    # The peel ran at least the two feeder levels, then handed over the rest.
+    assert len(residual) == 1 and 0 < residual[0] <= g.num_nodes - 2 * algos._PEEL_WIDTH
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 10_000))
+def test_one_node_levels_peel_too(seed):
+    g = _with_cycles(make_random_digraph(seed), RngStream(seed))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(algos, "_PEEL_WIDTH", 1)
+        _check_condensation(g)
+        dag = _as_dag(g)
+        _check_condensation(dag)
+        assert np.array_equal(condensation(dag)[1], dag_longest_path_depth(dag))
 
 
 # -- depth -------------------------------------------------------------------------

@@ -357,6 +357,39 @@ def test_scan_matches_its_composition(case):
         assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
 
 
+def test_scan_where_a_bar_underflows_keeps_hop_zero_alone():
+    # dt a from -800 to -1200: a_bar = exp(dt a) underflows to 0, so a_bar^0
+    # is 1 and every later hop carries nothing. Outputs and gradients are
+    # finite and equal the composition's, whose hop power exp(s dt a) takes
+    # no log, and each center reads only its own message, by its attention
+    # share: y_v = alpha_vv C_h b_bar (fx_v wv) per head h, b_bar = B / -a.
+    stream = RngStream(37)
+    g = make_random_digraph(42)
+    pairs, spd = k_hop_predecessors(g, 3)
+    n, d_in, d, heads = g.num_nodes, 5, 8, 2
+    fx, wq, wk, wv = stream.normal(size=(n, d_in)), *(stream.normal(size=(d_in, d)) for _ in range(3))
+    a_log, log_dt = np.log([8.0, 10.0, 12.0]), np.full(3, np.log(100.0))
+    b, c = stream.normal(size=(3, d)), stream.normal(size=(d, 3))
+    args = [fx, wq, wk, wv, a_log, log_dt, b, c]
+    probe = stream.normal(size=(n, d))
+    got, want = (
+        _scan_outputs(scan, args, pairs, spd, heads, probe)
+        for scan in (ad.hop_attention_scan, scan_composition)
+    )
+    for a, w in zip(got, want):
+        assert np.all(np.isfinite(a))
+        assert np.abs(a - w).max() <= 1e-12 * np.abs(w).max()
+    u, v = pairs.T
+    scores = ((fx @ wq)[v] * (fx @ wk)[u]).reshape(-1, heads, d // heads).sum(axis=2) / np.sqrt(d // heads)
+    weight = np.exp(scores)
+    alpha = weight / np.stack([np.bincount(v, weights=w, minlength=n) for w in weight.T], axis=1)[v]
+    alpha_self = np.zeros((n, heads))
+    alpha_self[v[spd == 0]] = alpha[spd == 0]
+    message = (fx @ wv) @ (b / np.exp(a_log)[:, None]).T  # (n, D)
+    heads_out = np.einsum("nh,hjs,ns->nhj", alpha_self, c.reshape(heads, d // heads, 3), message)
+    assert np.allclose(got[0], heads_out.reshape(n, d), rtol=1e-12, atol=0)
+
+
 @pytest.mark.parametrize("column", [0, 1, 2], ids=["pred", "center", "spd"])
 def test_scan_rejects_fractional_pair_ids(column):
     # A cast to int64 would truncate 0.5 to the valid id 0.

@@ -12,6 +12,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from dgssm import algos
+from dgssm.graphs import DiGraph, _csr, batch_graphs
 from dgssm.model import load_model, model_forward
 from dgssm.train import collate, predict_dataset, prepare_graphs
 
@@ -96,3 +98,18 @@ def test_predict_dataset_matches_a_recording_forward(name, tmp_path):
     recorded = model_forward(*collate(prepared), cfg, params, train=False)
     assert recorded.requires_grad and len(prepared) <= 64
     assert np.array_equal(preds, recorded.data)
+
+
+@pytest.mark.parametrize("name", ["train-depth-k4", "train-chains-k16", "eval-ancestors-k4"])
+def test_workload_union_condensation_matches_tarjan_alone(name):
+    # The seed-0 union each workload preprocesses: the level peel and its
+    # handover give Tarjan's depth and partition over the whole union.
+    workloads, _ = _perfbench()
+    union = batch_graphs(workloads.WORKLOADS[name].generate(0))
+    n, src, dst = union.num_nodes, union.edges[:, 0], union.edges[:, 1]
+    component, depth = algos.condensation(DiGraph(n, union.edges, np.zeros((n, 1))))
+    want_component, want_depth = algos._tarjan(n, *_csr(dst, src, n), [0] * n)
+    assert np.array_equal(depth, want_depth)
+    # The same partition: each id of one labelling meets one id of the other.
+    joint = np.unique(np.stack([component, want_component]), axis=1).shape[1]
+    assert joint == len(np.unique(component)) == len(np.unique(want_component))

@@ -84,6 +84,15 @@ def test_divergence_aborts_with_diagnostic():
         train(run, splits["train"], splits["val"])
 
 
+@pytest.mark.parametrize("state,dt_min,dt_max", [(200, 5.0, 5.0), (8, 100.0, 200.0)])
+def test_a_config_whose_a_bar_underflows_trains_to_a_finite_loss(state, dt_min, dt_max):
+    # dt a reaches -1000 and -1600 at initialization, where a_bar = exp(dt a)
+    # is 0 in float64.
+    run, splits = _tiny_run(num_graphs=8, epochs=1, ssm_state=state, dt_min=dt_min, dt_max=dt_max)
+    result = train(run, splits["train"], splits["val"])
+    assert math.isfinite(result.history[0]["train_loss"])
+
+
 def test_early_stopping_respects_patience():
     run, splits = _tiny_run(epochs=50, lr=0.0)
     run.patience = 3

@@ -8,12 +8,15 @@ and safe to parallelize across graphs.
 
 Preprocessing is computed once per graph list, over the disjoint union of
 its graphs (:func:`compute_batch_artifacts`), and split back per graph; the
-reversed graph's hop pairs are derived from the forward ones, not searched.
-Every algorithm gives each graph of a union the result it gives that graph
-alone: components, depth and hop pairs never cross graphs, and PageRank
-takes the graph ordinal per node. PageRank and the hop BFS run in numpy:
-PageRank sweeps only the graphs still running, and the BFS dedupes each
-level against a sorted array of the pairs found so far. Depth peels the
+reversed graph's hop pairs are derived from the forward ones by one sort,
+not searched, and PageRank runs once for both directions, over the union
+and its edge reversal side by side. Every algorithm gives each graph of a
+union the result it gives that graph alone: components, depth and hop pairs
+never cross graphs, and PageRank takes the graph ordinal per node. PageRank
+and the hop BFS run in numpy: PageRank writes each graph out on the sweep
+where it stops and drops the finished graphs each time the running count
+halves, and the BFS dedupes each level against a sorted array of the pairs
+found so far. Depth peels the
 acyclic levels in numpy while they are wide, and Tarjan's DFS, the one
 Python loop, takes the cycles and what lies below them or past the last
 wide level; it is linear, and it gives depth with no sweep per level.
@@ -26,7 +29,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .graphs import DiGraph, GraphBatch, _csr, reverse_graph
+from .graphs import DiGraph, GraphBatch, _csr
 
 INF_HOPS = math.inf  # accepted wherever a hop bound is "unbounded"
 
@@ -219,12 +222,14 @@ def pagerank(
 
     ``batch_index`` (graph ordinal per node) treats ``g`` as a disjoint
     union, and an edge between two of its graphs is refused: each graph
-    stops on its own sweep and is divided by its own sum. Whenever the count
-    of graphs still running halves, the finished ones are written out and
-    dropped from every array (Kamvar, Haveliwala and Golub, "Adaptive methods
-    for the computation of PageRank", 2004). Masking keeps the surviving
-    edges in order, so every ``bincount`` bucket adds the same terms in the
-    same order, and a graph's scores are bit-identical to its scores alone.
+    stops on its own sweep, is divided by its own sum and written out then.
+    A finished graph is still swept, which changes no other graph as no edge
+    leaves it, until the count of graphs still running halves; then the
+    finished ones are dropped from every array (Kamvar, Haveliwala and
+    Golub, "Adaptive methods for the computation of PageRank", 2004).
+    Masking keeps the surviving edges in order, so every ``bincount``
+    bucket adds the same terms in the same order, and a graph's scores are
+    bit-identical to its scores alone.
     """
     if not (0.0 < damping < 1.0):
         raise ValueError(f"pagerank: damping must be in (0, 1), got {damping}")
@@ -236,10 +241,12 @@ def pagerank(
     src, dst = g.edges[:, 0], g.edges[:, 1]
     if not np.array_equal(batch_index[src], batch_index[dst]):
         raise ValueError("pagerank: an edge joins two graphs of the union")
+    out = np.empty(n)
+    if not num_graphs:
+        return out
     weight = damping / np.maximum(np.bincount(src, minlength=n), 1)  # a / outdeg
     y = np.ones(n)
     total = np.bincount(batch_index, minlength=num_graphs).astype(np.float64)  # sum of y per graph
-    out = np.empty(n)
     nodes = np.arange(n)  # union ordinal of each node still swept
     # Graph ids stay union ordinals, so `total`, `change` and the error index
     # by the caller's graph numbering however many graphs were dropped.
@@ -247,19 +254,22 @@ def pagerank(
     running = num_graphs  # active graphs at the last compaction
     sweeps = _sweep_cap(tol, damping)
     for _ in range(sweeps):
-        y_new = 1.0 + np.bincount(dst, weights=(y * weight)[src], minlength=len(y))
-        total_new = np.bincount(batch_index, weights=y_new, minlength=num_graphs)
+        y = 1.0 + np.bincount(dst, weights=(y * weight)[src], minlength=len(y))
+        total_new = np.bincount(batch_index, weights=y, minlength=num_graphs)
         change = total_new - total  # the sum of |dy|, as no entry falls
-        y = np.where(active[batch_index], y_new, y)
-        total = np.where(active, total_new, total)
-        active &= change > tol * (1.0 - damping) / (2.0 * damping) * total
+        total = total_new
+        done = active & ~(change > tol * (1.0 - damping) / (2.0 * damping) * total)
+        if not done.any():
+            continue
+        active &= ~done
+        done = done[batch_index]
+        out[nodes[done]] = y[done] / total[batch_index[done]]
         count = int(np.count_nonzero(active))
         if 2 * count > running:
             continue
-        keep = active[batch_index]
-        out[nodes[~keep]] = y[~keep] / total[batch_index[~keep]]
         if not count:
             return out
+        keep = active[batch_index]
         renumber = np.cumsum(keep) - 1
         edges = keep[src]
         src, dst = renumber[src[edges]], renumber[dst[edges]]
@@ -378,10 +388,15 @@ def compute_artifacts(g: DiGraph, k: int | float, batch_index: np.ndarray | None
 
     With ``batch_index``, ``g`` is a disjoint union and PageRank is per graph.
     """
+    return _artifacts(g, k, pagerank(g, batch_index=batch_index))
+
+
+def _artifacts(g: DiGraph, k: int | float, ranks: np.ndarray) -> PreprocessArtifacts:
+    """:func:`compute_artifacts` with the PageRank scores given."""
     pairs, spd = k_hop_predecessors(g, k)
     return PreprocessArtifacts(
         depth=depth_plus(g),
-        pagerank=pagerank(g, batch_index=batch_index),
+        pagerank=ranks,
         k_hop_edge_index=pairs,
         k_hop_spd=spd,
         k=k if k == INF_HOPS else int(k),
@@ -393,22 +408,36 @@ def compute_batch_artifacts(
 ) -> tuple[list[PreprocessArtifacts], list[PreprocessArtifacts | None]]:
     """Forward and reverse per-graph artifacts for every graph of ``batch``
     from one pass over its disjoint union; every reverse entry is None unless
-    ``bidirectional``. The reverse hop pairs are derived, not searched: the
-    forward pair (u, v) at distance s is the reverse pair (v, u) at distance
-    s. Depth is computed once, forward, and the reverse artifacts carry it;
-    only PageRank runs on the edge-reversed union.
+    ``bidirectional``.
+
+    Depth and the hop pairs are computed once, forward, and the reverse
+    artifacts carry the depth. The reverse hop pairs are derived, not
+    searched: the forward pair (u, v) at distance s is the reverse pair
+    (v, u) at distance s. PageRank runs once for both directions, over a
+    union of twice the nodes: the batch union, then its edge reversal as
+    graphs ``num_graphs`` onwards. :func:`pagerank` gives each graph of a
+    union the bits it gives that graph alone, so both halves hold what each
+    direction would get from a call of its own.
     """
-    union = DiGraph(batch.num_nodes, batch.edges, np.empty((batch.num_nodes, 0)))
-    fwd = compute_artifacts(union, k, batch_index=batch.batch_index)
+    n = batch.num_nodes
+    union = DiGraph(n, batch.edges, np.empty((n, 0)))
     if not bidirectional:
+        fwd = compute_artifacts(union, k, batch_index=batch.batch_index)
         return unbatch_artifacts(fwd, batch), [None] * batch.num_graphs
+    both = DiGraph(2 * n, np.concatenate([batch.edges, batch.edges[:, ::-1] + n]), np.empty((2 * n, 0)))
+    ranks = pagerank(both, batch_index=np.concatenate([batch.batch_index, batch.batch_index + batch.num_graphs]))
+    fwd = _artifacts(union, k, ranks[:n])
     # u reaches v in s hops iff v reaches u in s hops on the reversed graph.
-    # The forward pairs are in (v, s, u) order, so a stable sort by (u, s)
-    # leaves v ascending within each (u, s) run.
+    # The reverse pairs are ordered (u, s, v): one sort of the distinct keys
+    # (u hops + s) n + v.
     spd = fwd.k_hop_spd
-    order = np.argsort(fwd.k_hop_edge_index[:, 0] * (spd.max(initial=0) + 1) + spd, kind="stable")
-    rev = replace(fwd, pagerank=pagerank(reverse_graph(union), batch_index=batch.batch_index),
-                  k_hop_edge_index=fwd.k_hop_edge_index[order, ::-1], k_hop_spd=spd[order])
+    hops = int(spd.max(initial=0)) + 1
+    if n * n * hops >= 2**63:
+        raise ValueError(f"compute_batch_artifacts: pair keys overflow int64 at n = {n} nodes and hops = {hops}")
+    u, v = fwd.k_hop_edge_index[:, 0], fwd.k_hop_edge_index[:, 1]
+    key, v = np.divmod(np.sort((u * hops + spd) * n + v), n)
+    u, spd = np.divmod(key, hops)
+    rev = replace(fwd, pagerank=ranks[n:], k_hop_edge_index=np.stack([v, u], axis=1), k_hop_spd=spd)
     return unbatch_artifacts(fwd, batch), unbatch_artifacts(rev, batch)
 
 

@@ -435,7 +435,8 @@ def hop_attention_scan(fx, wq, wk, wv, a_log, log_dt, b, c, pairs, spd, heads: i
 
     a = -np.exp(a_log.data)
     dt = np.exp(log_dt.data)
-    a_bar = np.exp(dt * a)
+    with np.errstate(over="ignore"):  # dt a past float range is -inf: a_bar is its limit, 0
+        a_bar = np.exp(dt * a)
     coef = (a_bar - 1.0) / a
     b_bar = coef.reshape(-1, 1) * b.data
     # Where a_bar underflows to 0, its log is -inf and hop 0's -inf * 0 is

@@ -565,3 +565,56 @@ def test_batch_artifacts_shifts_pairs():
     # Per-graph scores each still sum to one.
     assert abs(merged.pagerank[:2].sum() - 1.0) < 1e-9
     assert abs(merged.pagerank[2:].sum() - 1.0) < 1e-9
+
+
+def test_bidirectional_batch_artifacts_run_pagerank_once(monkeypatch):
+    # Both directions share one PageRank sweep loop, over the union and its
+    # edge reversal side by side.
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].num_nodes)
+        return real(*args, **kwargs)
+
+    real = algos.pagerank
+    monkeypatch.setattr(algos, "pagerank", counted)
+    batch = batch_graphs(_graph_list(0))
+    compute_batch_artifacts(batch, 2, bidirectional=True)
+    assert calls == [2 * batch.num_nodes]
+    calls.clear()
+    compute_batch_artifacts(batch, 2, bidirectional=False)
+    assert calls == [batch.num_nodes]
+
+
+def _two_cycles() -> list[DiGraph]:
+    """A lone 2-cycle, a 2-cycle with a tail in and out, and a 0-node graph."""
+    return [
+        DiGraph(2, np.array([[0, 1], [1, 0]]), np.zeros((2, 3))),
+        DiGraph(5, np.array([[0, 1], [1, 2], [2, 1], [2, 3], [4, 3], [3, 3]]), np.zeros((5, 3))),
+        DiGraph(0, np.zeros((0, 2), np.int64), np.zeros((0, 3))),
+    ]
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 10_000), k=st.sampled_from([0, 1, 3, math.inf]))
+def test_batch_artifacts_give_each_graph_its_own_bits_both_ways(seed, k):
+    # The reverse pairs come from one sort of the forward ones and the two
+    # directions share a PageRank call; each graph of a shuffled union still
+    # gets, bit for bit, what its reversal gets alone.
+    gs = _graph_list(seed) + _two_cycles()
+    RngStream(seed).shuffle(gs)
+    fwd, rev = compute_batch_artifacts(batch_graphs(gs), k, bidirectional=True)
+    for g, f, r in zip(gs, fwd, rev):
+        h = reverse_graph(g)
+        for arts, graph in ((f, g), (r, h)):
+            want_pairs, want_spd = _reference_k_hop(graph, k)
+            assert np.array_equal(arts.k_hop_edge_index, want_pairs)
+            assert np.array_equal(arts.k_hop_spd, want_spd)
+            assert np.array_equal(arts.pagerank, pagerank(graph))
+            assert np.array_equal(arts.depth, depth_plus(g))
+
+
+def test_pagerank_of_no_nodes_is_empty():
+    for batch_index in (None, np.zeros(0, np.int64)):
+        got = pagerank(DiGraph(0, np.zeros((0, 2), np.int64), np.zeros((0, 1))), batch_index=batch_index)
+        assert got.shape == (0,)

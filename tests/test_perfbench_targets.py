@@ -3,6 +3,7 @@ call the library directly; renaming or deleting either would otherwise only
 fail when a benchmark run starts. The workloads' seed-0 inputs also pin that
 the tape-free eval forward predicts what a recording forward does."""
 
+import hashlib
 import importlib
 import importlib.util
 import math
@@ -113,3 +114,39 @@ def test_workload_union_condensation_matches_tarjan_alone(name):
     # The same partition: each id of one labelling meets one id of the other.
     joint = np.unique(np.stack([component, want_component]), axis=1).shape[1]
     assert joint == len(np.unique(component)) == len(np.unique(want_component))
+
+
+def _artifact_digest(prepared) -> str:
+    """SHA-256 over depth, PageRank, hop pairs and distances, forward then
+    reverse, of every prepared graph in order."""
+    h = hashlib.sha256()
+    for p in prepared:
+        for arts in (p.fwd, p.rev):
+            if arts is None:
+                continue
+            for a, dtype in ((arts.depth, "<i8"), (arts.pagerank, "<f8"),
+                             (arts.k_hop_edge_index, "<i8"), (arts.k_hop_spd, "<i8")):
+                h.update(np.ascontiguousarray(a, dtype=dtype).tobytes())
+    return h.hexdigest()
+
+
+# Recorded when PageRank ran once per direction and the reverse pairs came
+# from a stable argsort; any change to the preprocessing must keep them. The
+# two k = 4 workloads draw the same seed-0 graphs (only the labels differ),
+# so they share a digest.
+PREPARED_DIGESTS = {
+    "train-depth-k4": "3e8b46ae6ae7229836a7df088ae2d401e5503b6e7ca545a7f081691a3d251e16",
+    "train-chains-k16": "0a1406e081d8f4d5558b9b9b86e07bf7e842468ec4e84c85eae6b778d912e4b4",
+    "eval-ancestors-k4": "3e8b46ae6ae7229836a7df088ae2d401e5503b6e7ca545a7f081691a3d251e16",
+}
+
+
+@pytest.mark.parametrize("name", sorted(PREPARED_DIGESTS))
+def test_workload_preprocessing_keeps_its_bits(name):
+    # Each workload's seed-0 graphs, preprocessed in one pass as its set-up
+    # (train) or every op (eval) does: both directions where it has two.
+    workloads, _ = _perfbench()
+    wl = workloads.WORKLOADS[name]
+    prepared = prepare_graphs(wl.generate(0), wl.cfg)
+    assert (prepared[0].rev is None) == (not wl.cfg.bidirectional)
+    assert _artifact_digest(prepared) == PREPARED_DIGESTS[name]

@@ -5,6 +5,8 @@ from dataclasses import asdict
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dgssm import algos
 from dgssm.algos import compute_artifacts, depth_plus
@@ -89,6 +91,41 @@ def test_a_config_whose_a_bar_underflows_trains_to_a_finite_loss(state, dt_min, 
     # dt a reaches -1000 and -1600 at initialization, where a_bar = exp(dt a)
     # is 0 in float64.
     run, splits = _tiny_run(num_graphs=8, epochs=1, ssm_state=state, dt_min=dt_min, dt_max=dt_max)
+    result = train(run, splits["train"], splits["val"])
+    assert math.isfinite(result.history[0]["train_loss"])
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    task=st.sampled_from(["depth-regress", "ancestor-count-regress", "reachability-classify"]),
+    num_classes=st.integers(2, 4),
+    heads=st.integers(1, 4),
+    head_width=st.integers(1, 6),
+    num_layers=st.integers(0, 3),
+    se_layers=st.integers(0, 3),
+    ssm_state=st.integers(1, 256),
+    dt_exponents=st.lists(st.floats(-300.0, 308.25), min_size=2, max_size=2).map(sorted),
+    k_hops=st.integers(0, 8),
+    dropout=st.one_of(st.sampled_from([0.0, 0.999999]), st.floats(0.0, 1.0, exclude_max=True)),
+    switches=st.tuples(st.booleans(), st.booleans(), st.booleans()),
+)
+@example(task="depth-regress", num_classes=2, heads=2, head_width=2, num_layers=1, se_layers=1, ssm_state=8,
+         dt_exponents=[308.0, 308.25], k_hops=2, dropout=0.1, switches=(True, True, True))
+def test_every_config_the_boundary_accepts_trains_to_a_finite_loss(
+    task, num_classes, heads, head_width, num_layers, se_layers, ssm_state, dt_exponents, k_hops, dropout, switches
+):
+    # ModelConfig's numeric fields over what __post_init__ accepts, the step
+    # range over six hundred decades: one epoch on a few small graphs gives a
+    # finite loss and no warning. The example's dt a passes float range.
+    bidirectional, use_depth_pe, use_fusion = switches
+    dt_min, dt_max = (10.0**x for x in dt_exponents)
+    run, splits = _tiny_run(
+        task=task, num_graphs=8, epochs=1, num_classes=num_classes if task == "reachability-classify" else 0,
+        hidden=heads * head_width, heads=heads, num_layers=num_layers, se_layers=se_layers, ssm_state=ssm_state,
+        dt_min=dt_min, dt_max=dt_max, k_hops=k_hops, dropout=dropout, bidirectional=bidirectional,
+        use_depth_pe=use_depth_pe, use_fusion=use_fusion,
+    )
     result = train(run, splits["train"], splits["val"])
     assert math.isfinite(result.history[0]["train_loss"])
 

@@ -6,20 +6,21 @@ system solved by Jacobi sweeps, bounded-hop predecessor extraction by
 reverse BFS, and the layered ego sequentializer. All functions are pure
 and safe to parallelize across graphs.
 
-Preprocessing is computed once per graph list, over the disjoint union of
-its graphs (:func:`compute_batch_artifacts`), and split back per graph; the
-reversed graph's hop pairs are derived from the forward ones by one sort,
-not searched, and PageRank runs once for both directions, over the union
-and its edge reversal side by side. Every algorithm gives each graph of a
-union the result it gives that graph alone: components, depth and hop pairs
-never cross graphs, and PageRank takes the graph ordinal per node. PageRank
-and the hop BFS run in numpy: PageRank writes each graph out on the sweep
-where it stops and drops the finished graphs each time the running count
-halves, and the BFS dedupes each level against a sorted array of the pairs
-found so far. Depth peels the
-acyclic levels in numpy while they are wide, and Tarjan's DFS, the one
-Python loop, takes the cycles and what lies below them or past the last
-wide level; it is linear, and it gives depth with no sweep per level.
+Preprocessing has one path, :func:`compute_batch_artifacts`, for one
+direction or both: once per graph list, over the disjoint union of its
+graphs, split back per graph. It runs the hop search and depth once, and
+PageRank once, over the union or, for both directions, over the union and
+its edge reversal side by side; the reversed graph's hop pairs are derived
+from the forward ones by one sort, not searched. Every algorithm gives
+each graph of a union the result it gives that graph alone: components,
+depth and hop pairs never cross graphs, and PageRank takes the graph
+ordinal per node. PageRank and the hop BFS run in numpy: PageRank writes
+each graph out on the sweep where it stops and drops the finished graphs
+each time the running count halves, and the BFS dedupes each level against
+a sorted array of the pairs found so far. Depth peels the acyclic levels
+in numpy while they are wide, and Tarjan's DFS, the one Python loop, takes
+the cycles and what lies below them or past the last wide level; it is
+linear, and it gives depth with no sweep per level.
 """
 
 from __future__ import annotations
@@ -32,6 +33,13 @@ import numpy as np
 from .graphs import DiGraph, GraphBatch, _csr
 
 INF_HOPS = math.inf  # accepted wherever a hop bound is "unbounded"
+
+
+def _check_hop_bound(k, caller: str) -> None:
+    """Refuse a hop bound that is neither an int >= 0 nor ``INF_HOPS``; a
+    bool is not a hop count, though Python reads True as 1."""
+    if isinstance(k, bool) or not (k == INF_HOPS or (isinstance(k, (int, np.integer)) and k >= 0)):
+        raise ValueError(f"{caller}: bad hop bound {k!r}")
 
 
 def _expand(indptr: np.ndarray, indices: np.ndarray, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -198,16 +206,14 @@ class ConvergenceError(RuntimeError):
     """Raised when an iteration is still above its tolerance at its cap."""
 
 
-def _sweep_cap(tol: float, damping: float) -> int:
-    return max(math.ceil((math.log(tol) + math.log((1 - damping) / (2 * damping))) / math.log(damping)), 1) + 2
+_DAMPING = 0.85  # PageRank's a: the share of a node's score that follows its out-edges
 
 
-def pagerank(
-    g: DiGraph,
-    damping: float = 0.85,
-    tol: float = 1e-10,
-    batch_index: np.ndarray | None = None,
-) -> np.ndarray:
+def _sweep_cap(tol: float) -> int:
+    return max(math.ceil((math.log(tol) + math.log((1 - _DAMPING) / (2 * _DAMPING))) / math.log(_DAMPING)), 1) + 2
+
+
+def pagerank(g: DiGraph, tol: float = 1e-10, batch_index: np.ndarray | None = None) -> np.ndarray:
     """PageRank with uniform dangling-mass redistribution, as a linear system.
 
     With the dangling rows of P zeroed, the scores are y / sum(y) where
@@ -229,14 +235,19 @@ def pagerank(
     Golub, "Adaptive methods for the computation of PageRank", 2004).
     Masking keeps the surviving edges in order, so every ``bincount``
     bucket adds the same terms in the same order, and a graph's scores are
-    bit-identical to its scores alone.
+    bit-identical to its scores alone. ``batch_index`` must be a 1-D
+    integer array of ordinals >= 0, one per node.
     """
-    if not (0.0 < damping < 1.0):
-        raise ValueError(f"pagerank: damping must be in (0, 1), got {damping}")
     if not (0.0 < tol < math.inf):
         raise ValueError(f"pagerank: tol must be positive and finite, got {tol}")
     n = g.num_nodes
-    batch_index = np.zeros(n, dtype=np.int64) if batch_index is None else batch_index
+    if batch_index is None:
+        batch_index = np.zeros(n, dtype=np.int64)
+    elif not (
+        isinstance(batch_index, np.ndarray) and batch_index.shape == (n,) and batch_index.dtype.kind in "iu"
+        and np.can_cast(batch_index.dtype, np.int64) and batch_index.min(initial=0) >= 0
+    ):
+        raise ValueError(f"pagerank: batch_index must be a 1-D integer array of {n} graph ordinals >= 0")
     num_graphs = int(batch_index.max()) + 1 if n else 0
     src, dst = g.edges[:, 0], g.edges[:, 1]
     if not np.array_equal(batch_index[src], batch_index[dst]):
@@ -244,7 +255,7 @@ def pagerank(
     out = np.empty(n)
     if not num_graphs:
         return out
-    weight = damping / np.maximum(np.bincount(src, minlength=n), 1)  # a / outdeg
+    weight = _DAMPING / np.maximum(np.bincount(src, minlength=n), 1)  # a / outdeg
     y = np.ones(n)
     total = np.bincount(batch_index, minlength=num_graphs).astype(np.float64)  # sum of y per graph
     nodes = np.arange(n)  # union ordinal of each node still swept
@@ -252,13 +263,13 @@ def pagerank(
     # by the caller's graph numbering however many graphs were dropped.
     active = np.ones(num_graphs, dtype=bool)
     running = num_graphs  # active graphs at the last compaction
-    sweeps = _sweep_cap(tol, damping)
+    sweeps = _sweep_cap(tol)
     for _ in range(sweeps):
         y = 1.0 + np.bincount(dst, weights=(y * weight)[src], minlength=len(y))
         total_new = np.bincount(batch_index, weights=y, minlength=num_graphs)
         change = total_new - total  # the sum of |dy|, as no entry falls
         total = total_new
-        done = active & ~(change > tol * (1.0 - damping) / (2.0 * damping) * total)
+        done = active & ~(change > tol * (1.0 - _DAMPING) / (2.0 * _DAMPING) * total)
         if not done.any():
             continue
         active &= ~done
@@ -319,8 +330,7 @@ def k_hop_predecessors(
     in the sorted array of the keys already found, and the new ones merged in
     by a stable sort of the two sorted runs.
     """
-    if isinstance(k, bool) or not (k == INF_HOPS or (isinstance(k, (int, np.integer)) and k >= 0)):
-        raise ValueError(f"k_hop_predecessors: bad hop bound {k!r}")
+    _check_hop_bound(k, "k_hop_predecessors")
     n = g.num_nodes
     indptr, indices = _csr(g.edges[:, 1], g.edges[:, 0], n)
     centers = nodes = np.arange(n, dtype=np.int64)
@@ -345,17 +355,20 @@ def k_hop_predecessors(
     return np.stack([preds[order], all_centers[order]], axis=1), spd[order]
 
 
-def dir_ego2token(g: DiGraph, v: int, k: int) -> list[list[int]]:
+def dir_ego2token(g: DiGraph, v: int, k: int | float) -> list[list[int]]:
     """Layered causal sequence for center ``v``: [L_k, ..., L_1, L_0].
 
     Layer L_i holds the predecessors at shortest-path distance exactly i;
     L_0 = [v]. Empty layers stay as empty lists; members are sorted for a
     deterministic serialization (aggregation downstream is order-free).
+    With ``k = INF_HOPS`` there is one layer per distance, up to the
+    deepest predecessor.
     """
+    _check_hop_bound(k, "dir_ego2token")
     if not 0 <= v < g.num_nodes:
         raise ValueError(f"dir_ego2token: node {v} out of range")
     dist = _reverse_bfs(g.in_adjacency(), v, k)
-    layers: list[list[int]] = [[] for _ in range(k + 1)]
+    layers: list[list[int]] = [[] for _ in range((max(dist.values()) if k == INF_HOPS else k) + 1)]
     for u, s in dist.items():
         layers[s].append(u)
     for layer in layers:
@@ -383,26 +396,6 @@ class PreprocessArtifacts:
         return int(self.k_hop_spd.shape[0])
 
 
-def compute_artifacts(g: DiGraph, k: int | float, batch_index: np.ndarray | None = None) -> PreprocessArtifacts:
-    """Depth, PageRank, and bounded-hop predecessor pairs for one graph.
-
-    With ``batch_index``, ``g`` is a disjoint union and PageRank is per graph.
-    """
-    return _artifacts(g, k, pagerank(g, batch_index=batch_index))
-
-
-def _artifacts(g: DiGraph, k: int | float, ranks: np.ndarray) -> PreprocessArtifacts:
-    """:func:`compute_artifacts` with the PageRank scores given."""
-    pairs, spd = k_hop_predecessors(g, k)
-    return PreprocessArtifacts(
-        depth=depth_plus(g),
-        pagerank=ranks,
-        k_hop_edge_index=pairs,
-        k_hop_spd=spd,
-        k=k if k == INF_HOPS else int(k),
-    )
-
-
 def compute_batch_artifacts(
     batch: GraphBatch, k: int | float, bidirectional: bool
 ) -> tuple[list[PreprocessArtifacts], list[PreprocessArtifacts | None]]:
@@ -410,31 +403,36 @@ def compute_batch_artifacts(
     from one pass over its disjoint union; every reverse entry is None unless
     ``bidirectional``.
 
-    Depth and the hop pairs are computed once, forward, and the reverse
-    artifacts carry the depth. The reverse hop pairs are derived, not
-    searched: the forward pair (u, v) at distance s is the reverse pair
-    (v, u) at distance s. PageRank runs once for both directions, over a
-    union of twice the nodes: the batch union, then its edge reversal as
-    graphs ``num_graphs`` onwards. :func:`pagerank` gives each graph of a
-    union the bits it gives that graph alone, so both halves hold what each
-    direction would get from a call of its own.
+    The hop search runs first, so a bad hop bound is refused before any
+    other work. Depth and the hop pairs are computed once, forward, and the
+    reverse artifacts carry the depth. The reverse hop pairs are derived,
+    not searched: the forward pair (u, v) at distance s is the reverse pair
+    (v, u) at distance s. PageRank is one call: over the union alone, or,
+    when ``bidirectional``, over a union of twice the nodes, the batch union
+    then its edge reversal as graphs ``num_graphs`` onwards.
+    :func:`pagerank` gives each graph of a union the bits it gives that
+    graph alone, so each direction holds what a call of its own would give.
     """
     n = batch.num_nodes
     union = DiGraph(n, batch.edges, np.empty((n, 0)))
+    pairs, spd = k_hop_predecessors(union, k)
+    depth = depth_plus(union)
+    both, index = (
+        (DiGraph(2 * n, np.concatenate([batch.edges, batch.edges[:, ::-1] + n]), np.empty((2 * n, 0))),
+         np.concatenate([batch.batch_index, batch.batch_index + batch.num_graphs]))
+        if bidirectional else (union, batch.batch_index)
+    )
+    ranks = pagerank(both, batch_index=index)
+    fwd = PreprocessArtifacts(depth, ranks[:n], pairs, spd, k if k == INF_HOPS else int(k))
     if not bidirectional:
-        fwd = compute_artifacts(union, k, batch_index=batch.batch_index)
         return unbatch_artifacts(fwd, batch), [None] * batch.num_graphs
-    both = DiGraph(2 * n, np.concatenate([batch.edges, batch.edges[:, ::-1] + n]), np.empty((2 * n, 0)))
-    ranks = pagerank(both, batch_index=np.concatenate([batch.batch_index, batch.batch_index + batch.num_graphs]))
-    fwd = _artifacts(union, k, ranks[:n])
     # u reaches v in s hops iff v reaches u in s hops on the reversed graph.
     # The reverse pairs are ordered (u, s, v): one sort of the distinct keys
     # (u hops + s) n + v.
-    spd = fwd.k_hop_spd
     hops = int(spd.max(initial=0)) + 1
     if n * n * hops >= 2**63:
         raise ValueError(f"compute_batch_artifacts: pair keys overflow int64 at n = {n} nodes and hops = {hops}")
-    u, v = fwd.k_hop_edge_index[:, 0], fwd.k_hop_edge_index[:, 1]
+    u, v = pairs[:, 0], pairs[:, 1]
     key, v = np.divmod(np.sort((u * hops + spd) * n + v), n)
     u, spd = np.divmod(key, hops)
     rev = replace(fwd, pagerank=ranks[n:], k_hop_edge_index=np.stack([v, u], axis=1), k_hop_spd=spd)

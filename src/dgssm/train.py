@@ -249,19 +249,16 @@ def check_dataset(cfg: ModelConfig, graphs: list[DiGraph], name: str) -> None:
 
     A node task needs one label per node and a graph task one scalar; a
     classifier's labels must be integers in ``[0, num_classes)`` and a
-    regressor's must be finite. Errors start
-    with ``name``; a :class:`LabelError` also names the graph by index and id.
+    regressor's must be finite. Errors start with ``name``; an error about
+    one graph also names it by index and id.
     """
     if not graphs:
         raise ValueError(f"{name}: empty graph list")
-    if graphs[0].feature_dim != cfg.in_dim:
-        raise ValueError(
-            f"{name}: task mismatch: model expects feature dim {cfg.in_dim}, "
-            f"data has {graphs[0].feature_dim}"
-        )
     node_task = cfg.task.startswith("node")
     for i, g in enumerate(graphs):
         where = f"{name}: graph {i} ({g.graph_id})"
+        if g.feature_dim != cfg.in_dim:
+            raise ValueError(f"{where}: task mismatch: model expects feature dim {cfg.in_dim}, data has {g.feature_dim}")
         if g.y is None:
             raise LabelError(f"{where}: no label")
         y = np.asarray(g.y, dtype=np.float64)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from dgssm import autodiff as ad
+from dgssm.algos import INF_HOPS, PreprocessArtifacts, depth_plus, k_hop_predecessors, pagerank
 from dgssm.graphs import DiGraph
 from dgssm.optim import GradCheckReport, grad_check_params
 from dgssm.rng import RngStream
@@ -17,6 +18,14 @@ def make_random_digraph(seed: int, max_nodes: int = 25, feat_dim: int = 3) -> Di
     mask = stream.uniform(size=(n, n)) < p
     np.fill_diagonal(mask, False)
     return DiGraph(n, np.argwhere(mask), stream.normal(size=(n, feat_dim)))
+
+
+def compute_artifacts(g: DiGraph, k) -> PreprocessArtifacts:
+    """Depth, PageRank and bounded-hop predecessor pairs of one graph, each
+    computed on the graph alone: the per-graph reference for
+    ``compute_batch_artifacts``."""
+    pairs, spd = k_hop_predecessors(g, k)
+    return PreprocessArtifacts(depth_plus(g), pagerank(g), pairs, spd, k if k == INF_HOPS else int(k))
 
 
 def ssm_params(state: int, width: int, dt_min: float, dt_max: float,

@@ -11,7 +11,6 @@ from dgssm.algos import (
     PreprocessArtifacts,
     _reverse_bfs,
     batch_artifacts,
-    compute_artifacts,
     compute_batch_artifacts,
     condensation,
     depth_plus,
@@ -30,7 +29,7 @@ from dgssm.oracle import (
     random_dag,
 )
 
-from conftest import make_random_digraph
+from conftest import compute_artifacts, make_random_digraph
 
 
 def _permute_graph(g: DiGraph, perm: np.ndarray) -> DiGraph:
@@ -244,12 +243,6 @@ def test_pagerank_isolated_nodes_uniform():
     assert np.allclose(pagerank(g), 0.2, atol=1e-12)
 
 
-def test_pagerank_damping_validation():
-    g = DiGraph(2, np.array([[0, 1]]), np.zeros((2, 1)))
-    with pytest.raises(ValueError, match="damping"):
-        pagerank(g, damping=1.5)
-
-
 @pytest.mark.parametrize("tol", [0.0, -1e-10, math.inf, math.nan])
 def test_pagerank_tol_validation(tol):
     g = DiGraph(2, np.array([[0, 1]]), np.zeros((2, 1)))
@@ -292,7 +285,7 @@ def test_pagerank_settles_where_a_power_iteration_never_does():
 def test_pagerank_error_names_a_graph_by_its_union_ordinal(monkeypatch):
     # The one-node graph settles at once and is dropped from the sweeps, so
     # the graph still running sits first in what is left of the union.
-    monkeypatch.setattr(algos, "_sweep_cap", lambda tol, damping: 1)
+    monkeypatch.setattr(algos, "_sweep_cap", lambda tol: 1)
     batch = batch_graphs([DiGraph(1, np.zeros((0, 2), np.int64), np.zeros((1, 1))), _never_settles()])
     union = DiGraph(batch.num_nodes, batch.edges, batch.node_features)
     with pytest.raises(ConvergenceError, match=r"graph 1 still changes by .* after \d+ sweeps"):
@@ -321,7 +314,7 @@ def test_pagerank_finishes_a_dag_in_longest_path_plus_one_sweeps(monkeypatch, ca
         gs, g, batch = _dag_union(0)
         batch_index, offsets = batch.batch_index, batch.offsets
     sweeps = int(max(dag_longest_path_depth(h).max() for h in gs)) + 1
-    monkeypatch.setattr(algos, "_sweep_cap", lambda tol, damping: sweeps)
+    monkeypatch.setattr(algos, "_sweep_cap", lambda tol: sweeps)
     got = pagerank(g, tol=1e-300, batch_index=batch_index)
     for h, off in zip(gs, offsets):
         assert np.abs(got[off : off + h.num_nodes] - dense_pagerank(h)).max() <= 1e-13
@@ -374,6 +367,26 @@ def test_pagerank_refuses_an_edge_between_graphs_of_a_union():
     g = DiGraph(3, np.array([[0, 1], [1, 2]]), np.zeros((3, 1)))
     with pytest.raises(ValueError, match="an edge joins two graphs"):
         pagerank(g, batch_index=np.array([0, 0, 1]))
+
+
+@pytest.mark.parametrize(
+    "batch_index",
+    [
+        np.array([0, 0]),  # short
+        np.array([0, 0, 0, 1]),  # long
+        np.array([0, -1, 0]),  # a negative id
+        np.array([0.0, 0.0, 1.0]),  # float ids
+        np.array([[0, 0, 0]]),  # not 1-D
+        np.array([0, 0, 0], dtype=np.uint64),  # does not cast to int64
+        np.array([False, False, True]),
+        [0, 0, 0],  # not an array
+    ],
+    ids=["short", "long", "negative", "float", "2-D", "uint64", "bool", "list"],
+)
+def test_pagerank_refuses_a_malformed_batch_index(batch_index):
+    g = DiGraph(3, np.array([[0, 1], [1, 2]]), np.zeros((3, 1)))
+    with pytest.raises(ValueError, match="pagerank: batch_index must be a 1-D integer array of 3 graph ordinals"):
+        pagerank(g, batch_index=batch_index)
 
 
 def test_pagerank_union_of_graphs_that_stop_on_far_apart_sweeps():
@@ -441,12 +454,15 @@ def test_k_hop_long_chain_exhausts_reachability():
     assert np.all(np.diff(pairs[:, 1]) >= 0)
 
 
-@pytest.mark.parametrize("k", [True, False, -1, 1.0, "2"])
+@pytest.mark.parametrize("k", [True, False, -1, 1.0, "2", math.nan])
 def test_k_hop_rejects_a_bad_hop_bound(k):
-    # A bool is not a hop count, though Python reads True as 1.
+    # A bool is not a hop count, though Python reads True as 1. The ego
+    # sequences share the rule.
     g = DiGraph(2, np.array([[0, 1]]), np.zeros((2, 1)))
-    with pytest.raises(ValueError, match=f"bad hop bound {k!r}"):
+    with pytest.raises(ValueError, match=f"k_hop_predecessors: bad hop bound {k!r}"):
         k_hop_predecessors(g, k)
+    with pytest.raises(ValueError, match=f"dir_ego2token: bad hop bound {k!r}"):
+        dir_ego2token(g, 1, k)
 
 
 def test_k_hop_chain_center():
@@ -503,6 +519,12 @@ def test_ego_isolated_node_empty_layers():
 def test_ego_chain():
     g = DiGraph(3, np.array([[0, 1], [1, 2]]), np.zeros((3, 1)))
     assert dir_ego2token(g, 2, 2) == [[0], [1], [2]]
+
+
+def test_ego_unbounded_has_one_layer_per_distance():
+    g = DiGraph(4, np.array([[0, 1], [1, 2], [3, 3]]), np.zeros((4, 1)))
+    assert dir_ego2token(g, 2, math.inf) == [[0], [1], [2]]
+    assert dir_ego2token(g, 3, math.inf) == [[3]]
 
 
 @settings(max_examples=25, deadline=None)
@@ -586,6 +608,15 @@ def test_bidirectional_batch_artifacts_run_pagerank_once(monkeypatch):
     assert calls == [batch.num_nodes]
 
 
+def test_batch_artifacts_check_the_hop_bound_before_pagerank(monkeypatch):
+    def refused(*args, **kwargs):
+        raise AssertionError("pagerank ran before the hop bound was checked")
+
+    monkeypatch.setattr(algos, "pagerank", refused)
+    with pytest.raises(ValueError, match="bad hop bound -1"):
+        compute_batch_artifacts(batch_graphs(_graph_list(0)), -1, True)
+
+
 def _two_cycles() -> list[DiGraph]:
     """A lone 2-cycle, a 2-cycle with a tail in and out, and a 0-node graph."""
     return [
@@ -618,3 +649,21 @@ def test_pagerank_of_no_nodes_is_empty():
     for batch_index in (None, np.zeros(0, np.int64)):
         got = pagerank(DiGraph(0, np.zeros((0, 2), np.int64), np.zeros((0, 1))), batch_index=batch_index)
         assert got.shape == (0,)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 10_000), k=st.sampled_from([0, 1, 3, math.inf]))
+def test_batch_artifacts_forward_bits_do_not_depend_on_the_direction_count(seed, k):
+    # One path serves one direction and both: the forward half of a
+    # bidirectional pass is, field for field, the unidirectional pass.
+    gs = _graph_list(seed) + _two_cycles()
+    RngStream(seed).shuffle(gs)
+    batch = batch_graphs(gs)
+    one, none = compute_batch_artifacts(batch, k, bidirectional=False)
+    two, _ = compute_batch_artifacts(batch, k, bidirectional=True)
+    assert none == [None] * len(gs)
+    for a, b in zip(one, two):
+        assert a.k == b.k
+        for field in ("depth", "pagerank", "k_hop_edge_index", "k_hop_spd"):
+            x, y = getattr(a, field), getattr(b, field)
+            assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes())

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dgssm import autodiff as ad
-from dgssm.algos import PreprocessArtifacts, batch_artifacts, compute_artifacts, k_hop_predecessors
+from dgssm.algos import PreprocessArtifacts, batch_artifacts, k_hop_predecessors
 from dgssm.autodiff import ParameterSet, ShapeError, Tensor
 from dgssm.checkpoint import CheckpointError, save_arrays
 from dgssm.graphs import DiGraph, batch_graphs, reverse_graph

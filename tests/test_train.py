@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dgssm import algos
-from dgssm.algos import compute_artifacts, depth_plus
+from dgssm.algos import depth_plus
 from dgssm.checkpoint import load_arrays
 from dgssm.graphs import DiGraph, reverse_graph
 from dgssm.model import ModelConfig, from_dict, init_weights, load_model, save_model
@@ -24,7 +24,7 @@ from dgssm.train import (
     train,
 )
 
-from conftest import make_random_digraph
+from conftest import compute_artifacts, make_random_digraph
 
 
 def _tiny_run(task="depth-regress", num_graphs=24, epochs=3, lr=3e-3, seed=0, **model_kw):
@@ -218,6 +218,19 @@ def test_classifier_rejects_labels_outside_its_classes(bad):
     ]
     with pytest.raises(LabelError, match=rf"graph 1 \(g1\): label {bad:g} is not a class"):
         evaluate(cfg, params, graphs)
+
+
+def test_every_graph_of_a_list_is_checked_for_the_feature_width():
+    # A graph after the first with another width is refused by list, index
+    # and id before preprocessing, not later in batch_graphs.
+    cfg = ModelConfig(in_dim=3, task="node-regress", hidden=8, heads=2, num_layers=1, ssm_state=4, k_hops=2)
+    graphs = [DiGraph(3, [(0, 1), (1, 2)], np.zeros((3, width)), y=[0.0, 1.0, 2.0], graph_id=f"g{i}")
+              for i, width in enumerate([3, 4])]
+    match = r"graphs: graph 1 \(g1\): task mismatch: model expects feature dim 3, data has 4"
+    with pytest.raises(ValueError, match=match):
+        evaluate(cfg, init_weights(cfg, RngStream(0)), graphs)
+    with pytest.raises(ValueError, match=f"val_{match}"):
+        train(RunConfig(model=cfg, epochs=1), graphs[:1], graphs)
 
 
 @pytest.mark.parametrize("split", ["train", "val"])

@@ -8,7 +8,10 @@ and safe to parallelize across graphs.
 
 Preprocessing has one path, :func:`compute_batch_artifacts`, for one
 direction or both: once per graph list, over the disjoint union of its
-graphs, split back per graph. It runs the hop search and depth once, and
+graphs, whose artifacts stay whole; each graph owns one run of their rows
+(its nodes, and the pairs it centers), and :func:`batch_artifacts`, the
+one row mover, copies the runs of any graphs, from one union or several,
+into a batch's numbering. It runs the hop search and depth once, and
 PageRank once, over the union or, for both directions, over the union and
 its edge reversal side by side; the reversed graph's hop pairs are derived
 from the forward ones by one sort, not searched. Every algorithm gives
@@ -359,15 +362,18 @@ def dir_ego2token(g: DiGraph, v: int, k: int | float) -> list[list[int]]:
     """Layered causal sequence for center ``v``: [L_k, ..., L_1, L_0].
 
     Layer L_i holds the predecessors at shortest-path distance exactly i;
-    L_0 = [v]. Empty layers stay as empty lists; members are sorted for a
-    deterministic serialization (aggregation downstream is order-free).
+    L_0 = [v]; ``v`` is an int or numpy integer node id, not a bool. Empty
+    layers stay as empty lists; members are sorted for a deterministic
+    serialization (aggregation downstream is order-free).
     With ``k = INF_HOPS`` there is one layer per distance, up to the
     deepest predecessor.
     """
     _check_hop_bound(k, "dir_ego2token")
+    if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+        raise ValueError(f"dir_ego2token: center {v!r} is not an int node id")
     if not 0 <= v < g.num_nodes:
         raise ValueError(f"dir_ego2token: node {v} out of range")
-    dist = _reverse_bfs(g.in_adjacency(), v, k)
+    dist = _reverse_bfs(g.in_adjacency(), int(v), k)
     layers: list[list[int]] = [[] for _ in range((max(dist.values()) if k == INF_HOPS else k) + 1)]
     for u, s in dist.items():
         layers[s].append(u)
@@ -398,10 +404,11 @@ class PreprocessArtifacts:
 
 def compute_batch_artifacts(
     batch: GraphBatch, k: int | float, bidirectional: bool
-) -> tuple[list[PreprocessArtifacts], list[PreprocessArtifacts | None]]:
-    """Forward and reverse per-graph artifacts for every graph of ``batch``
-    from one pass over its disjoint union; every reverse entry is None unless
-    ``bidirectional``.
+) -> tuple[PreprocessArtifacts, PreprocessArtifacts | None]:
+    """Forward and reverse artifacts of the disjoint union of ``batch``'s
+    graphs, in its numbering, from one pass over it; the reverse ones are
+    None unless ``bidirectional``. Pairs are sorted by center, so each
+    graph's pairs are one run of rows (see :func:`batch_artifacts`).
 
     The hop search runs first, so a bad hop bound is refused before any
     other work. Depth and the hop pairs are computed once, forward, and the
@@ -425,7 +432,7 @@ def compute_batch_artifacts(
     ranks = pagerank(both, batch_index=index)
     fwd = PreprocessArtifacts(depth, ranks[:n], pairs, spd, k if k == INF_HOPS else int(k))
     if not bidirectional:
-        return unbatch_artifacts(fwd, batch), [None] * batch.num_graphs
+        return fwd, None
     # u reaches v in s hops iff v reaches u in s hops on the reversed graph.
     # The reverse pairs are ordered (u, s, v): one sort of the distinct keys
     # (u hops + s) n + v.
@@ -435,43 +442,44 @@ def compute_batch_artifacts(
     u, v = pairs[:, 0], pairs[:, 1]
     key, v = np.divmod(np.sort((u * hops + spd) * n + v), n)
     u, spd = np.divmod(key, hops)
-    rev = replace(fwd, pagerank=ranks[n:], k_hop_edge_index=np.stack([v, u], axis=1), k_hop_spd=spd)
-    return unbatch_artifacts(fwd, batch), unbatch_artifacts(rev, batch)
+    return fwd, replace(fwd, pagerank=ranks[n:], k_hop_edge_index=np.stack([v, u], axis=1), k_hop_spd=spd)
 
 
-def batch_artifacts(arts: list[PreprocessArtifacts], batch: GraphBatch) -> PreprocessArtifacts:
-    """Concatenate per-graph artifacts into the batch index space."""
-    if len(arts) != batch.num_graphs:
-        raise ValueError("batch_artifacts: artifact/graph count mismatch")
-    ks = {a.k for a in arts}
+# One graph's rows of its union's artifacts: (the artifacts, first node, end
+# node, first pair row, end pair row), the ends exclusive.
+Rows = tuple[PreprocessArtifacts, int, int, int, int]
+
+
+def batch_artifacts(rows: list[Rows]) -> PreprocessArtifacts:
+    """The artifacts of a batch of graphs, each given by its rows of its
+    union's artifacts, moved to the batch's numbering: the graphs' nodes in
+    the order given, from 0, so each graph's pairs move by its new first
+    node less its old one. The rows may come from different unions. A
+    graph's pair rows are the pairs it centers, one run, as a union's pairs
+    are sorted by center. A one-graph batch is that graph's own artifacts.
+    """
+    if not rows:
+        raise ValueError("batch_artifacts: no graphs")
+    ks = {r[0].k for r in rows}
     if len(ks) != 1:
         raise ValueError(f"batch_artifacts: mixed hop bounds {sorted(ks)}")
-    pairs = [a.k_hop_edge_index + off for a, off in zip(arts, batch.offsets)]
+    depth, ranks, pairs, spd, shifts, counts = [], [], [], [], [], []
+    offset = 0
+    for arts, start, stop, lo, hi in rows:
+        depth.append(arts.depth[start:stop])
+        ranks.append(arts.pagerank[start:stop])
+        pairs.append(arts.k_hop_edge_index[lo:hi])
+        spd.append(arts.k_hop_spd[lo:hi])
+        shifts.append(offset - start)
+        counts.append(2 * (hi - lo))  # both ends of each pair move
+        offset += stop - start
+    # One flat add: on a batch of many small graphs it is faster than an
+    # add per graph.
+    moved = np.concatenate(pairs).reshape(-1) + np.repeat(shifts, counts)
     return PreprocessArtifacts(
-        depth=np.concatenate([a.depth for a in arts]),
-        pagerank=np.concatenate([a.pagerank for a in arts]),
-        k_hop_edge_index=np.concatenate(pairs),
-        k_hop_spd=np.concatenate([a.k_hop_spd for a in arts]),
+        depth=np.concatenate(depth),
+        pagerank=np.concatenate(ranks),
+        k_hop_edge_index=moved.reshape(-1, 2),
+        k_hop_spd=np.concatenate(spd),
         k=ks.pop(),
     )
-
-
-def unbatch_artifacts(arts: PreprocessArtifacts, batch: GraphBatch) -> list[PreprocessArtifacts]:
-    """Invert :func:`batch_artifacts`: split by graph, back to local indices.
-
-    Pairs are ordered by center, so each graph's pairs form one run.
-    """
-    cuts = np.searchsorted(arts.k_hop_edge_index[:, 1], batch.offsets)
-    ends = np.append(cuts[1:], arts.num_pairs)
-    out = []
-    for off, size, lo, hi in zip(batch.offsets, batch.node_counts, cuts, ends):
-        out.append(
-            PreprocessArtifacts(
-                depth=arts.depth[off : off + size],
-                pagerank=arts.pagerank[off : off + size],
-                k_hop_edge_index=arts.k_hop_edge_index[lo:hi] - off,
-                k_hop_spd=arts.k_hop_spd[lo:hi],
-                k=arts.k,
-            )
-        )
-    return out

@@ -4,10 +4,12 @@ Runs are bit-reproducible under (seed, config, dataset): parameter init,
 batch order, and dropout all draw from one splittable stream. Preprocessing
 (depth, PageRank and hop pairs, plus the edge-reversed graph's PageRank and
 hop pairs when bidirectional) is computed once per graph list, over the
-disjoint union of its graphs, split back per graph, and concatenated per
-batch. The reversed graph's hop pairs are derived from the forward pairs,
-not searched. Every graph list is checked before it is preprocessed: it must
-be non-empty, of the model's feature width, and labelled as the task needs.
+disjoint union of its graphs, and kept whole: each prepared graph holds its
+node and pair-row ranges of the union's artifacts, and a batch copies its
+graphs' rows into its own numbering. The reversed graph's hop pairs are
+derived from the forward pairs, not searched. Every graph list is checked
+before it is preprocessed: it must be non-empty, of the model's feature
+width, and labelled as the task needs.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import metrics as M
-from .algos import PreprocessArtifacts, batch_artifacts, compute_batch_artifacts
+from .algos import PreprocessArtifacts, Rows, batch_artifacts, compute_batch_artifacts
 from .autodiff import ParameterSet, no_grad
 from .graphs import DiGraph, GraphBatch, batch_graphs
 from .model import (
@@ -65,30 +67,49 @@ class RunConfig:
 
 @dataclass
 class Prepared:
-    """A graph with its cached preprocessing."""
+    """A graph and its rows of its list's preprocessing, per direction: the
+    list's union artifacts and the graph's node and pair-row ranges in them
+    (``rev_rows`` is None with one direction)."""
 
     graph: DiGraph
-    fwd: PreprocessArtifacts
-    rev: PreprocessArtifacts | None
+    fwd_rows: Rows
+    rev_rows: Rows | None
+
+    @property
+    def fwd(self) -> PreprocessArtifacts:
+        """The graph's own forward artifacts, numbered from 0."""
+        return batch_artifacts([self.fwd_rows])
+
+    @property
+    def rev(self) -> PreprocessArtifacts | None:
+        """The graph's own reverse artifacts, numbered from 0, or None."""
+        return None if self.rev_rows is None else batch_artifacts([self.rev_rows])
+
+
+def _rows(arts: PreprocessArtifacts, bounds: list[int]) -> list[Rows]:
+    """Each graph's rows of union artifacts, graph i holding the nodes from
+    ``bounds[i]`` to ``bounds[i + 1]``. The pairs are sorted by center, so
+    one ``searchsorted`` of the bounds cuts them into each graph's run."""
+    cuts = np.searchsorted(arts.k_hop_edge_index[:, 1], bounds).tolist()
+    return list(zip([arts] * (len(bounds) - 1), bounds, bounds[1:], cuts, cuts[1:]))
 
 
 def prepare_graphs(graphs: list[DiGraph], cfg: ModelConfig) -> list[Prepared]:
-    """Preprocess a graph list in one pass over its disjoint union per direction."""
+    """Preprocess a graph list in one pass over its disjoint union per
+    direction; each graph keeps its rows of the union's artifacts."""
     if not graphs:
         return []
     batch = batch_graphs(graphs)
     fwd, rev = compute_batch_artifacts(batch, cfg.k_hops, cfg.bidirectional)
-    return [Prepared(*item) for item in zip(graphs, fwd, rev)]
+    bounds = [*batch.offsets.tolist(), batch.num_nodes]
+    rev_rows = [None] * len(graphs) if rev is None else _rows(rev, bounds)
+    return [Prepared(*item) for item in zip(graphs, _rows(fwd, bounds), rev_rows)]
 
 
 def collate(items: list[Prepared]) -> tuple[GraphBatch, PreprocessArtifacts, PreprocessArtifacts | None]:
     batch = batch_graphs([p.graph for p in items])
-    fwd = batch_artifacts([p.fwd for p in items], batch)
-    rev = (
-        batch_artifacts([p.rev for p in items], batch)
-        if items[0].rev is not None
-        else None
-    )
+    fwd = batch_artifacts([p.fwd_rows for p in items])
+    rev = batch_artifacts([p.rev_rows for p in items]) if items[0].rev_rows is not None else None
     return batch, fwd, rev
 
 

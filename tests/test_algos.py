@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -29,7 +30,7 @@ from dgssm.oracle import (
     random_dag,
 )
 
-from conftest import compute_artifacts, make_random_digraph
+from conftest import make_random_digraph
 
 
 def _permute_graph(g: DiGraph, perm: np.ndarray) -> DiGraph:
@@ -465,6 +466,21 @@ def test_k_hop_rejects_a_bad_hop_bound(k):
         dir_ego2token(g, 1, k)
 
 
+@pytest.mark.parametrize("center", [True, False, 1.0, "1", None, np.float64(1.0)],
+                         ids=["True", "False", "float", "str", "None", "float64"])
+def test_ego_rejects_a_center_that_is_not_an_int(center, chain3):
+    # A bool is not a node id, though Python reads True as 1; a float or a
+    # string would otherwise fail deep in the BFS or in the range check.
+    with pytest.raises(ValueError, match=re.escape(f"dir_ego2token: center {center!r} is not an int node id")):
+        dir_ego2token(chain3, center, 1)
+
+
+def test_ego_takes_a_numpy_integer_center(chain3):
+    layers = dir_ego2token(chain3, np.int64(1), 1)
+    assert layers == [[0], [1]]
+    assert all(type(u) is int for layer in layers for u in layer)
+
+
 def test_k_hop_chain_center():
     g = DiGraph(3, np.array([[0, 1], [1, 2]]), np.zeros((3, 1)))
     pairs, spd = k_hop_predecessors(g, 2)
@@ -564,11 +580,23 @@ def test_algos_are_permutation_equivariant(seed):
 # -- artifacts ------------------------------------------------------------------------
 
 
+def _graph_rows(arts: PreprocessArtifacts, batch: GraphBatch, i: int) -> PreprocessArtifacts:
+    """Graph i's rows of union artifacts, numbered from 0: its nodes, and
+    the pairs whose center is one of them, picked out by a mask."""
+    lo, hi = int(batch.offsets[i]), int(batch.offsets[i] + batch.node_counts[i])
+    centers = arts.k_hop_edge_index[:, 1]
+    mine = (centers >= lo) & (centers < hi)
+    return PreprocessArtifacts(arts.depth[lo:hi], arts.pagerank[lo:hi], arts.k_hop_edge_index[mine] - lo,
+                               arts.k_hop_spd[mine], arts.k)
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_batch_artifacts_at_unbounded_k_match_the_reference(seed):
     gs = _graph_list(seed)
-    fwd, rev = compute_batch_artifacts(batch_graphs(gs), math.inf, bidirectional=True)
-    for g, f, r in zip(gs, fwd, rev):
+    batch = batch_graphs(gs)
+    fwd, rev = compute_batch_artifacts(batch, math.inf, bidirectional=True)
+    for i, g in enumerate(gs):
+        f, r = _graph_rows(fwd, batch, i), _graph_rows(rev, batch, i)
         assert f.k == r.k == math.inf
         for arts, h in ((f, g), (r, reverse_graph(g))):
             want_pairs, want_spd = _reference_k_hop(h, math.inf)
@@ -579,8 +607,11 @@ def test_batch_artifacts_at_unbounded_k_match_the_reference(seed):
 def test_batch_artifacts_shifts_pairs():
     g1 = DiGraph(2, np.array([[0, 1]]), np.zeros((2, 1)))
     g2 = DiGraph(2, np.array([[1, 0]]), np.zeros((2, 1)))
-    batch = batch_graphs([g1, g2])
-    merged = batch_artifacts([compute_artifacts(g, 1) for g in (g1, g2)], batch)
+    # The union's rows, with the two graphs' places swapped: g2 moves to
+    # nodes 0-1 and g1 to nodes 2-3.
+    union, _ = compute_batch_artifacts(batch_graphs([g1, g2]), 1, bidirectional=False)
+    half = int(np.searchsorted(union.k_hop_edge_index[:, 1], 2))
+    merged = batch_artifacts([(union, 2, 4, half, union.num_pairs), (union, 0, 2, 0, half)])
     assert merged.k_hop_edge_index.min() >= 0
     assert merged.k_hop_edge_index[merged.k_hop_spd.shape[0] // 2 :].min() >= 2
     assert merged.pagerank.shape == (4,)
@@ -634,8 +665,10 @@ def test_batch_artifacts_give_each_graph_its_own_bits_both_ways(seed, k):
     # gets, bit for bit, what its reversal gets alone.
     gs = _graph_list(seed) + _two_cycles()
     RngStream(seed).shuffle(gs)
-    fwd, rev = compute_batch_artifacts(batch_graphs(gs), k, bidirectional=True)
-    for g, f, r in zip(gs, fwd, rev):
+    batch = batch_graphs(gs)
+    fwd, rev = compute_batch_artifacts(batch, k, bidirectional=True)
+    for i, g in enumerate(gs):
+        f, r = _graph_rows(fwd, batch, i), _graph_rows(rev, batch, i)
         h = reverse_graph(g)
         for arts, graph in ((f, g), (r, h)):
             want_pairs, want_spd = _reference_k_hop(graph, k)
@@ -661,8 +694,8 @@ def test_batch_artifacts_forward_bits_do_not_depend_on_the_direction_count(seed,
     batch = batch_graphs(gs)
     one, none = compute_batch_artifacts(batch, k, bidirectional=False)
     two, _ = compute_batch_artifacts(batch, k, bidirectional=True)
-    assert none == [None] * len(gs)
-    for a, b in zip(one, two):
+    assert none is None
+    for a, b in [(_graph_rows(one, batch, i), _graph_rows(two, batch, i)) for i in range(len(gs))] + [(one, two)]:
         assert a.k == b.k
         for field in ("depth", "pagerank", "k_hop_edge_index", "k_hop_spd"):
             x, y = getattr(a, field), getattr(b, field)

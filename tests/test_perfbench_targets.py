@@ -150,3 +150,60 @@ def test_workload_preprocessing_keeps_its_bits(name):
     prepared = prepare_graphs(wl.generate(0), wl.cfg)
     assert (prepared[0].rev is None) == (not wl.cfg.bidirectional)
     assert _artifact_digest(prepared) == PREPARED_DIGESTS[name]
+
+
+def test_prepare_graphs_builds_each_direction_once_per_list(monkeypatch):
+    # The seed-0 depth list of 512 graphs: one forward and one reverse
+    # artifacts object for the whole list, no copy per graph.
+    workloads, _ = _perfbench()
+    wl = workloads.WORKLOADS["train-depth-k4"]
+    graphs = wl.generate(0)
+    built = []
+    init = algos.PreprocessArtifacts.__init__
+    monkeypatch.setattr(algos.PreprocessArtifacts, "__init__",
+                        lambda self, *a, **kw: built.append(self) or init(self, *a, **kw))
+    prepared = prepare_graphs(graphs, wl.cfg)
+    assert len(prepared) == 512 and len(built) == 2
+
+
+def _batch_digest(batch, fwd, rev) -> str:
+    """SHA-256 over a collated batch: its edges, features, graph index and
+    labels, then depth, PageRank, hop pairs and distances, forward then
+    reverse."""
+    h = hashlib.sha256()
+    for a, dtype in ((batch.edges, "<i8"), (batch.node_features, "<f8"),
+                     (batch.batch_index, "<i8"), (batch.labels(), "<f8")):
+        h.update(np.ascontiguousarray(a, dtype=dtype).tobytes())
+    for arts in (fwd, rev):
+        if arts is None:
+            continue
+        for a, dtype in ((arts.depth, "<i8"), (arts.pagerank, "<f8"),
+                         (arts.k_hop_edge_index, "<i8"), (arts.k_hop_spd, "<i8")):
+            h.update(np.ascontiguousarray(a, dtype=dtype).tobytes())
+    return h.hexdigest()
+
+
+# Recorded when each prepared graph held its own per-graph copy of its
+# artifacts and collate concatenated those copies; any change to how
+# collate assembles a batch must keep them.
+COLLATE_DIGESTS = {
+    "train-depth-k4": "cd467f4fb07f0c2c9aa0982139be78019ad55d18c27daa352469563398c9149e",
+    "train-chains-k16": "b57ded236a820b8fabb3ecc8c56d27c6d7d9a6bc4d0cdc8d7eb6d749ba2b0168",
+    "eval-ancestors-k4": "75b621ae570862d88b2f46f8925c16f9c4f1c49f8477dee4cf3c0914b97a7a45",
+}
+
+
+@pytest.mark.parametrize("name", sorted(COLLATE_DIGESTS))
+def test_workload_first_batch_keeps_its_bits(name, tmp_path):
+    # What collate hands the model on each workload's seed-0 first batch
+    # (train) or first slice (eval), after the workload's own set-up.
+    workloads, _ = _perfbench()
+    wl = workloads.WORKLOADS[name]
+    state = wl.setup(wl.generate(0), 0, tmp_path)
+    if isinstance(state, workloads.EvalState):
+        items = prepare_graphs(state.slices.next(), wl.cfg)
+    else:
+        items = state.batches.next()
+    batch, fwd, rev = collate(items)
+    assert (rev is None) == (not wl.cfg.bidirectional)
+    assert _batch_digest(batch, fwd, rev) == COLLATE_DIGESTS[name]

@@ -1,7 +1,7 @@
 import json
 import math
 import types
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -18,6 +18,7 @@ from dgssm.synth import SyntheticTaskSpec, gen_synthetic
 from dgssm.train import (
     LabelError,
     RunConfig,
+    collate,
     evaluate,
     evaluate_checkpoint,
     prepare_graphs,
@@ -323,6 +324,40 @@ def test_prepare_graphs_matches_per_graph_artifacts(k, bidirectional):
             # Depth is the graph's own, forward, in both directions.
             assert np.array_equal(got.depth, depth_plus(g))
             assert np.abs(got.pagerank - want.pagerank).max() <= 1e-15
+
+
+@pytest.mark.parametrize("k", [4, math.inf])
+def test_collate_mixes_items_of_two_preparations(k):
+    # Each item reads its own list's union, so a batch may draw on two, in
+    # any order; it holds, bit for bit, the per-graph reference artifacts
+    # of its graphs (the reverse ones carry the forward depth) with each
+    # graph's pairs moved to its place in the batch.
+    cfg = types.SimpleNamespace(k_hops=k, bidirectional=True)
+    first = [make_random_digraph(seed) for seed in range(5)] + [
+        DiGraph(0, np.zeros((0, 2), np.int64), np.zeros((0, 3))),
+        DiGraph(3, np.array([[0, 0], [1, 1], [1, 2]]), np.zeros((3, 3))),
+    ]
+    second = [make_random_digraph(seed) for seed in range(5, 10)] + [
+        DiGraph(1, np.zeros((0, 2), np.int64), np.zeros((1, 3))),
+    ]
+    items = prepare_graphs(first, cfg) + prepare_graphs(second, cfg)
+    RngStream(3).shuffle(items)
+    unions = [id(p.fwd_rows[0]) for p in items]
+    assert len(set(unions)) == 2 and sum(a != b for a, b in zip(unions, unions[1:])) > 1
+    batch, fwd, rev = collate(items)
+    want_fwd = [compute_artifacts(p.graph, k) for p in items]
+    want_rev = [replace(compute_artifacts(reverse_graph(p.graph), k), depth=f.depth) for p, f in zip(items, want_fwd)]
+    for got, arts in ((fwd, want_fwd), (rev, want_rev)):
+        assert got.k == k
+        expected = {
+            "depth": np.concatenate([a.depth for a in arts]),
+            "pagerank": np.concatenate([a.pagerank for a in arts]),
+            "k_hop_edge_index": np.concatenate([a.k_hop_edge_index + off for a, off in zip(arts, batch.offsets)]),
+            "k_hop_spd": np.concatenate([a.k_hop_spd for a in arts]),
+        }
+        for field, x in expected.items():
+            y = getattr(got, field)
+            assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes()), field
 
 
 def test_bidirectional_preprocessing_searches_hop_pairs_once(monkeypatch):

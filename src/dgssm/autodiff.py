@@ -793,6 +793,3 @@ class ParameterSet:
     def zero_grad(self) -> None:
         for t in self._params.values():
             t.grad = None
-
-    def num_values(self) -> int:
-        return self.flat.size

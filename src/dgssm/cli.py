@@ -13,6 +13,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -138,9 +139,10 @@ def _infer_model_fields(data_dir: Path, train_graphs: list) -> dict:
         raise ValueError(f"{meta}: model_task must be a string, got {task!r:.40}")
     num_classes = 0
     if task.endswith("classify"):
-        # A missing label reads NaN here; check_dataset rejects it by name.
+        # A missing label reads NaN here. The count comes from the finite
+        # labels only; check_dataset rejects the rest by name.
         labels = np.concatenate([np.atleast_1d(np.asarray(g.y, dtype=np.float64)) for g in train_graphs])
-        num_classes = int(np.nanmax(labels, initial=0)) + 1
+        num_classes = int(labels[np.isfinite(labels)].max(initial=0)) + 1
     return dict(in_dim=train_graphs[0].feature_dim, task=task, num_classes=num_classes)
 
 
@@ -206,14 +208,7 @@ def _cmd_oracle_check(args) -> int:
     names = list(SUITES) if args.suite == "all" else [args.suite]
     results = [oracle_check(n) for n in names]
     if args.json:
-        print(
-            json.dumps(
-                [
-                    {"name": r.name, "passed": r.passed, "max_err": r.max_err, "detail": r.detail}
-                    for r in results
-                ]
-            )
-        )
+        print(json.dumps([asdict(r) for r in results]))
     else:
         for r in results:
             print(r)

@@ -126,19 +126,17 @@ class ModelConfig:
         if self.task not in TASKS:
             raise ValueError(f"unknown task {self.task!r}; expected one of {TASKS}")
         for name, low in (("in_dim", 1), ("hidden", 1), ("heads", 1), ("ssm_state", 1),
-                          ("num_layers", 0), ("se_layers", 0)):
+                          ("num_layers", 0), ("se_layers", 0), ("k_hops", 0)):
             if getattr(self, name) < low:
                 raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
         if self.hidden % self.heads != 0:
             raise ValueError(f"hidden {self.hidden} not divisible by heads {self.heads}")
         if not (0.0 < self.dt_min <= self.dt_max):
-            raise ValueError("need 0 < dt_min <= dt_max")
-        if self.k_hops < 0:
-            raise ValueError("k_hops must be >= 0")
+            raise ValueError(f"need 0 < dt_min <= dt_max, got {self.dt_min} and {self.dt_max}")
         if self.task.endswith("classify") and self.num_classes < 2:
-            raise ValueError("classification tasks need num_classes >= 2")
+            raise ValueError(f"classification tasks need num_classes >= 2, got {self.num_classes}")
         if not 0.0 <= self.dropout < 1.0:
-            raise ValueError("dropout must be in [0, 1)")
+            raise ValueError(f"dropout must be in [0, 1), got {self.dropout}")
 
 
 

@@ -99,9 +99,9 @@ def partition(component: np.ndarray) -> set[frozenset[int]]:
     return {frozenset(np.flatnonzero(component == c).tolist()) for c in set(component.tolist())}
 
 
-def dense_pagerank(g: DiGraph, damping: float = 0.85) -> np.ndarray:
-    """Solve (I - a*M) x = (1-a)/n * 1 with dangling-adjusted column-stochastic M."""
-    n = g.num_nodes
+def dense_pagerank(g: DiGraph) -> np.ndarray:
+    """Solve (I - a*M) x = (1-a)/n * 1 with dangling-adjusted column-stochastic M, a = 0.85."""
+    n, damping = g.num_nodes, 0.85
     m = np.zeros((n, n))
     outdeg = np.bincount(g.edges[:, 0], minlength=n)
     for u, v in g.edges:
@@ -199,8 +199,9 @@ def sequence_scan_oracle(
 # -- suites ---------------------------------------------------------------------
 
 
-def suite_scc(seed: int = 0, cases: int = 120, max_nodes: int = 25) -> SuiteResult:
+def suite_scc(seed: int = 0) -> SuiteResult:
     stream = RngStream(seed)
+    cases, max_nodes = 120, 25
     for _ in range(cases):
         g = random_digraph(stream, max_nodes)
         if partition(condensation(g)[0]) != brute_force_scc(g):
@@ -208,29 +209,30 @@ def suite_scc(seed: int = 0, cases: int = 120, max_nodes: int = 25) -> SuiteResu
     return SuiteResult("scc", True, 0.0, f"{cases} random graphs <= {max_nodes} nodes")
 
 
-def suite_pagerank(seed: int = 0, cases: int = 120, max_nodes: int = 25, tol: float = 1e-8) -> SuiteResult:
+def suite_pagerank(seed: int = 0) -> SuiteResult:
     stream = RngStream(seed)
-    worst = 0.0
+    worst, cases = 0.0, 120
     for _ in range(cases):
-        g = random_digraph(stream, max_nodes)
+        g = random_digraph(stream)
         got = pagerank(g, tol=1e-14)
         want = dense_pagerank(g)
         worst = max(worst, float(np.abs(got - want).max()), abs(float(got.sum()) - 1.0))
-    return SuiteResult("pagerank", worst <= tol, worst, f"{cases} dense-solve comparisons")
+    return SuiteResult("pagerank", worst <= 1e-8, worst, f"{cases} dense-solve comparisons")
 
 
-def suite_depthplus(seed: int = 0, cases: int = 120, max_nodes: int = 25) -> SuiteResult:
+def suite_depthplus(seed: int = 0) -> SuiteResult:
     stream = RngStream(seed)
+    cases = 120
     for _ in range(cases):
-        g = random_dag(stream, max_nodes)
+        g = random_dag(stream)
         if not np.array_equal(depth_plus(g), dag_longest_path_depth(g)):
             return SuiteResult("depthplus", False, 1.0, f"DAG mismatch n={g.num_nodes}")
     return SuiteResult("depthplus", True, 0.0, f"{cases} random DAGs vs direct recurrence")
 
 
-def suite_ssm_equivalence(seed: int = 0, cases: int = 100, tol: float = 1e-10) -> SuiteResult:
+def suite_ssm_equivalence(seed: int = 0) -> SuiteResult:
     stream = RngStream(seed)
-    worst = 0.0
+    worst, cases = 0.0, 100
     for _ in range(cases):
         d = int(stream.integers(1, 33))
         state = int(stream.integers(1, 17))
@@ -243,23 +245,18 @@ def suite_ssm_equivalence(seed: int = 0, cases: int = 100, tol: float = 1e-10) -
         want = ssm_scan_reference(p, "ssm", xs)
         worst = max(worst, float(np.abs(got - want).max()))
     return SuiteResult(
-        "ssm-equivalence", worst <= tol, worst, f"{cases} conv-vs-recurrence instances"
+        "ssm-equivalence", worst <= 1e-10, worst, f"{cases} conv-vs-recurrence instances"
     )
 
 
-def suite_scan_equivalence(
-    seed: int = 0,
-    graphs: int = 50,
-    max_nodes: int = 30,
-    hops: tuple[int, ...] = (1, 2, 4),
-    tol: float = 1e-8,
-) -> SuiteResult:
+def suite_scan_equivalence(seed: int = 0) -> SuiteResult:
     stream = RngStream(seed)
     worst = 0.0
+    graphs, max_nodes, hops = 50, 30, (1, 2, 4)
     d, num_heads, state = 8, 2, 4
     for i in range(graphs):
         g = random_digraph(stream, max_nodes)
-        k = int(hops[i % len(hops)])
+        k = hops[i % len(hops)]
         fx = stream.normal(size=(g.num_nodes, d))
         ws = [(f"scan.{name}", stream.normal(size=(d, d))) for name in ("wq", "wk", "wv")]
         child = stream.child()
@@ -278,7 +275,7 @@ def suite_scan_equivalence(
         want = sequence_scan_oracle(g, fx, params, "scan", k, num_heads)
         worst = max(worst, float(np.abs(heads.data - want).max()))
     return SuiteResult(
-        "scan-equivalence", worst <= tol, worst,
+        "scan-equivalence", worst <= 1e-8, worst,
         f"{graphs} graphs <= {max_nodes} nodes, hops {hops}",
     )
 
@@ -299,9 +296,9 @@ def _forward_nodes(g: DiGraph, cfg: ModelConfig, params) -> np.ndarray:
         return model_forward(batch, fwd, rev, cfg, params, train=False).data
 
 
-def suite_permutation(seed: int = 0, graphs: int = 20, tol: float = 1e-8) -> SuiteResult:
+def suite_permutation(seed: int = 0) -> SuiteResult:
     stream = RngStream(seed)
-    worst = 0.0
+    worst, graphs = 0.0, 20
     for i in range(graphs):
         g = random_digraph(stream, 20)
         node_cfg = _tiny_config(task="node-regress", bidirectional=bool(i % 2))
@@ -322,10 +319,10 @@ def suite_permutation(seed: int = 0, graphs: int = 20, tol: float = 1e-8) -> Sui
         gout = _forward_nodes(g, graph_cfg, gparams)
         gout_p = _forward_nodes(g_p, graph_cfg, gparams)
         worst = max(worst, float(np.abs(gout - gout_p).max()))
-    return SuiteResult("permutation", worst <= tol, worst, f"{graphs} random relabelings")
+    return SuiteResult("permutation", worst <= 1e-8, worst, f"{graphs} random relabelings")
 
 
-def suite_gradcheck(seed: int = 0, tol: float = 1e-3) -> SuiteResult:
+def suite_gradcheck(seed: int = 0) -> SuiteResult:
     stream = RngStream(seed)
     g = random_digraph(stream, 5)
     g = DiGraph(g.num_nodes, g.edges, g.node_features, y=stream.normal(size=g.num_nodes))
@@ -337,10 +334,10 @@ def suite_gradcheck(seed: int = 0, tol: float = 1e-3) -> SuiteResult:
     def loss_fn():
         return model_loss(model_forward(batch, fwd, rev, cfg, params), batch, cfg)
 
-    report = grad_check_params(loss_fn, params, eps=1e-4, tol=tol)
+    report = grad_check_params(loss_fn, params, eps=1e-4, tol=1e-3)
     return SuiteResult(
         "gradcheck", report.passed, report.max_rel_err,
-        f"full loss on a 5-node graph, {params.num_values()} parameter values",
+        f"full loss on a 5-node graph, {params.flat.size} parameter values",
     )
 
 

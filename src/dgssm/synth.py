@@ -58,10 +58,9 @@ class SyntheticTaskSpec:
             raise ValueError(f"unknown task {self.task!r}; expected one of {TASK_KINDS}")
         if not all(0.0 <= s <= 1.0 for s in self.splits) or abs(sum(self.splits) - 1.0) > 1e-9:
             raise ValueError(f"splits must each be in [0, 1] and sum to 1, got {self.splits}")
-        if not 0.0 <= self.edge_density <= 1.0:
-            raise ValueError("edge_density must be in [0, 1]")
-        if not 0.0 <= self.cycle_rate <= 1.0:
-            raise ValueError("cycle_rate must be in [0, 1]")
+        for name in ("edge_density", "cycle_rate"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise ValueError(f"{name} must be in [0, 1], got {getattr(self, name)}")
         for name, low in (("num_graphs", 1), ("k_true", 0), ("seed", 0)):
             if getattr(self, name) < low:
                 raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
@@ -91,14 +90,10 @@ def _inject_cycles(edges: set[tuple[int, int]], groups: list[np.ndarray], stream
     edges.add((int(b), int(a)))
 
 
-def _permute(edges: set[tuple[int, int]], levels: np.ndarray, stream: RngStream):
+def _permute(edges: set[tuple[int, int]], n: int, stream: RngStream):
     """Relabel nodes randomly so structure is not aligned with index order."""
-    n = len(levels)
     perm = stream.permutation(n)
-    edges_p = {(int(perm[u]), int(perm[v])) for u, v in edges}
-    new_levels = np.empty(n, dtype=np.int64)
-    new_levels[perm] = levels
-    return edges_p, new_levels, perm
+    return {(int(perm[u]), int(perm[v])) for u, v in edges}, perm
 
 
 def _features(n: int, stream: RngStream, sink: int | None = None) -> np.ndarray:
@@ -130,7 +125,7 @@ def _layered_graph(spec: SyntheticTaskSpec, stream: RngStream, gid: str) -> DiGr
                     edges.add((int(u), int(v)))
     if stream.uniform() < spec.cycle_rate:
         _inject_cycles(edges, by_level, stream)
-    edges, levels, _ = _permute(edges, levels, stream)
+    edges, _ = _permute(edges, n, stream)
     g = DiGraph(
         num_nodes=n,
         edges=np.array(sorted(edges), dtype=np.int64).reshape(-1, 2),
@@ -160,7 +155,7 @@ def _reachability_graph(spec: SyntheticTaskSpec, stream: RngStream, gid: str) ->
     if stream.uniform() < spec.cycle_rate:
         p = int(stream.integers(1, n))
         edges.add((p - 1, p))  # 2-cycle with the path edge p -> p-1
-    edges, _, perm = _permute(edges, np.arange(n), stream)
+    edges, perm = _permute(edges, n, stream)
     sink = int(perm[sink])
     g = DiGraph(
         num_nodes=n,

@@ -107,10 +107,13 @@ def prepare_graphs(graphs: list[DiGraph], cfg: ModelConfig) -> list[Prepared]:
 
 
 def collate(items: list[Prepared]) -> tuple[GraphBatch, PreprocessArtifacts, PreprocessArtifacts | None]:
+    rev_rows = [p.rev_rows for p in items]
+    one_way = rev_rows[0] is None
+    if any((rows is None) != one_way for rows in rev_rows):
+        raise ValueError("collate: items prepared with one direction and with both cannot share a batch")
     batch = batch_graphs([p.graph for p in items])
     fwd = batch_artifacts([p.fwd_rows for p in items])
-    rev = batch_artifacts([p.rev_rows for p in items]) if items[0].rev_rows is not None else None
-    return batch, fwd, rev
+    return batch, fwd, None if one_way else batch_artifacts(rev_rows)
 
 
 def _batches(n: int, batch_size: int, order: np.ndarray):
@@ -268,7 +271,8 @@ def check_dataset(cfg: ModelConfig, graphs: list[DiGraph], name: str) -> None:
     """Reject an empty list, a feature width the model does not take, and a
     label the task cannot score.
 
-    A node task needs one label per node and a graph task one scalar; a
+    A node task needs a graph of at least one node and one label per node;
+    a graph task needs one scalar, also on a graph with no nodes. A
     classifier's labels must be integers in ``[0, num_classes)`` and a
     regressor's must be finite. Errors start with ``name``; an error about
     one graph also names it by index and id.
@@ -280,6 +284,8 @@ def check_dataset(cfg: ModelConfig, graphs: list[DiGraph], name: str) -> None:
         where = f"{name}: graph {i} ({g.graph_id})"
         if g.feature_dim != cfg.in_dim:
             raise ValueError(f"{where}: task mismatch: model expects feature dim {cfg.in_dim}, data has {g.feature_dim}")
+        if node_task and g.num_nodes == 0:
+            raise ValueError(f"{where}: a {cfg.task} model needs at least one node, the graph has none")
         if g.y is None:
             raise LabelError(f"{where}: no label")
         y = np.asarray(g.y, dtype=np.float64)

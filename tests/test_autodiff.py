@@ -590,7 +590,7 @@ def test_dropout_zeroed_entries_get_zero_gradient():
 def test_parameter_set_unique_names_and_order():
     p = ParameterSet([("b", Tensor(np.zeros(2))), ("a", np.zeros(3))])
     assert p.names() == ["b", "a"]
-    assert p.num_values() == 5
+    assert p.flat.size == 5
     with pytest.raises(ValueError, match="duplicate"):
         ParameterSet([("a", np.zeros(3)), ("a", np.zeros(1))])
 

@@ -144,9 +144,15 @@ def test_gen_train_eval_matches_library(task, model_fields, tmp_path, capsys, mo
         ({"seed": -1}, "run.json: seed must be >= 0, got -1"),
         ({"model": {"num_layers": -1}}, "run.json: num_layers must be >= 0, got -1"),
         ({"model": [1, 2]}, r"run.json: model must be ModelConfig, got \[1, 2\]"),
+        ({"model": {"dt_min": 0.5, "dt_max": 0.1}}, "run.json: need 0 < dt_min <= dt_max, got 0.5 and 0.1"),
+        ({"model": {"k_hops": -1}}, "run.json: k_hops must be >= 0, got -1"),
+        ({"model": {"task": "node-classify", "num_classes": 1}},
+         "run.json: classification tasks need num_classes >= 2, got 1"),
+        ({"model": {"dropout": 1.0}}, r"run.json: dropout must be in \[0, 1\), got 1.0"),
     ],
     ids=["top-level", "model", "top-level-type", "model-type", "not-an-object",
-         "betas-type", "betas-length", "batch-size", "seed", "model-size", "model-not-an-object"],
+         "betas-type", "betas-length", "batch-size", "seed", "model-size", "model-not-an-object",
+         "dt-range", "k-hops", "num-classes", "dropout"],
 )
 def test_train_rejects_unknown_config_key(dataset, tmp_path, run_json, match):
     cfg = tmp_path / "run.json"
@@ -326,6 +332,21 @@ def test_train_names_the_file_of_a_bad_label(dataset, tmp_path):
     cfg.write_text(json.dumps(TINY_RUN))
     with pytest.raises(LabelError, match=r"val.jsonl: graph 0 \(.*\): a node-regress model needs one label per node"):
         main(["train", "--data", str(dataset), "--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert not (tmp_path / "out").exists()
+
+
+def test_train_names_a_non_finite_class_label(tmp_path):
+    # The class count is inferred from the train labels; Infinity among them
+    # used to die there as a bare OverflowError.
+    data = tmp_path / "data"
+    assert main(["gen", "--task", "reachability-classify", "--num-graphs", "8", "--seed", "3",
+                 "--out", str(data)]) == 0
+    lines = (data / "train.jsonl").read_text().splitlines()
+    record = json.loads(lines[1])
+    record["y"][-1] = np.inf  # json writes Infinity, and load_graphs reads it back
+    (data / "train.jsonl").write_text("\n".join([lines[0], json.dumps(record), *lines[2:]]) + "\n")
+    with pytest.raises(LabelError, match=r"train.jsonl: graph 1 \(.*\): label inf is not a class"):
+        main(["train", "--data", str(data), "--out", str(tmp_path / "out")])
     assert not (tmp_path / "out").exists()
 
 

@@ -754,7 +754,7 @@ def test_config_validation():
 @pytest.mark.parametrize(
     "field,value,low",
     [("heads", 0, 1), ("hidden", 0, 1), ("in_dim", 0, 1), ("ssm_state", 0, 1),
-     ("num_layers", -1, 0), ("se_layers", -1, 0)],
+     ("num_layers", -1, 0), ("se_layers", -1, 0), ("k_hops", -1, 0)],
 )
 def test_config_rejects_sizes_the_model_cannot_build(field, value, low):
     # heads=0 used to die as a bare ZeroDivisionError, and num_layers=-1
@@ -887,7 +887,7 @@ def test_load_model_keeps_optimizer_arrays(tmp_path):
 def _assert_flat_views(params):
     for name, t in params.items():
         assert np.shares_memory(t.data, params.flat), name
-    assert params.flat.flags.c_contiguous and params.num_values() == params.flat.size
+    assert params.flat.flags.c_contiguous and params.flat.size == sum(t.size for _, t in params.items())
 
 
 def test_init_and_load_give_views_of_one_buffer(tmp_path):
@@ -923,7 +923,7 @@ def test_corrupt_checkpoint_raises_only_checkpoint_error(_ckpt_bytes, data):
     # Cut the file anywhere, or flip a bit of or overwrite one byte of its
     # header (everything before the float64 payload).
     path, good = _ckpt_bytes
-    payload_values = init_weights(_CKPT_CFG, RngStream(0)).num_values() + 1  # and opt.step
+    payload_values = init_weights(_CKPT_CFG, RngStream(0)).flat.size + 1  # and opt.step
     header = len(good) - 8 * payload_values
     kind = data.draw(st.sampled_from(["truncate", "flip", "overwrite"]))
     if kind == "truncate":

@@ -40,7 +40,9 @@ def test_spec_rejects_values_of_the_wrong_type(field, value, error):
 @pytest.mark.parametrize(
     "field, value, error",
     [("num_graphs", 0, "num_graphs must be >= 1, got 0"), ("num_graphs", -1, "num_graphs must be >= 1, got -1"),
-     ("k_true", -5, "k_true must be >= 0, got -5"), ("seed", -1, "seed must be >= 0, got -1")],
+     ("k_true", -5, "k_true must be >= 0, got -5"), ("seed", -1, "seed must be >= 0, got -1"),
+     ("edge_density", 1.5, r"edge_density must be in \[0, 1\], got 1.5"),
+     ("cycle_rate", -0.1, r"cycle_rate must be in \[0, 1\], got -0.1")],
 )
 def test_spec_rejects_values_out_of_range(field, value, error):
     # num_graphs=-1 used to write three empty files, k_true=-5 to label every

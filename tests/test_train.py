@@ -269,6 +269,39 @@ def test_labels_of_the_wrong_kind_are_rejected(task, y, match):
         train(run, graphs[:1], graphs)
 
 
+@pytest.mark.parametrize("task", ["node-regress", "graph-regress"])
+def test_only_a_node_task_refuses_a_graph_with_no_nodes(task):
+    # A node task used to accept one: train() then died mid-epoch in
+    # model_loss, and evaluate() returned NaN metrics.
+    cfg = ModelConfig(in_dim=3, task=task, hidden=8, heads=2, num_layers=1, ssm_state=4, k_hops=2)
+    node_task = task.startswith("node")
+    graphs = [
+        DiGraph(3, [(0, 1), (1, 2)], np.zeros((3, 3)), y=[0.0, 1.0, 2.0] if node_task else 0.0, graph_id="g0"),
+        DiGraph(0, np.zeros((0, 2), np.int64), np.zeros((0, 3)), y=np.zeros(0) if node_task else 1.0, graph_id="g1"),
+    ]
+    params = init_weights(cfg, RngStream(0))
+    run = RunConfig(model=cfg, epochs=1, batch_size=1)
+    if node_task:
+        match = r"graph 1 \(g1\): a node-regress model needs at least one node, the graph has none"
+        with pytest.raises(ValueError, match=f"^graphs: {match}$"):
+            evaluate(cfg, params, graphs)
+        with pytest.raises(ValueError, match=f"^train_graphs: {match}$"):
+            train(run, graphs, graphs[:1])
+    else:
+        assert all(math.isfinite(v) for v in evaluate(cfg, params, graphs).values())
+        assert len(train(run, graphs, graphs).history) == 1
+
+
+@pytest.mark.parametrize("bidirectional_first", [True, False], ids=["both-first", "one-way-first"])
+def test_collate_refuses_items_prepared_with_different_direction_counts(bidirectional_first):
+    # Items of both directions first used to die as a bare TypeError in
+    # batch_artifacts; one-way items first silently dropped the reverse rows.
+    gs = [make_random_digraph(seed) for seed in range(2)]
+    both, one_way = (prepare_graphs(gs, types.SimpleNamespace(k_hops=2, bidirectional=b)) for b in (True, False))
+    with pytest.raises(ValueError, match="^collate: items prepared with one direction and with both"):
+        collate(both + one_way if bidirectional_first else one_way + both)
+
+
 @pytest.mark.parametrize("empty", ["train", "val"])
 def test_train_rejects_an_empty_list_before_preprocessing(empty, tmp_path):
     run, splits = _tiny_run(epochs=1)

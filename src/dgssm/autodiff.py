@@ -3,21 +3,32 @@
 Tensors wrap row-major float64 numpy arrays. Each operation records its
 parents and a closure that maps the incoming gradient to per-parent
 gradients; ``backward()`` on a scalar accumulates gradients onto leaf
-tensors with ``requires_grad``. Every tensor is numbered as it is created,
-and an op's output is always newer than its inputs, so the tape is a
-Wengert list: ``backward()`` replays the nodes that carry a gradient
-newest first, and each node runs once all of its consumers have.
+tensors with ``requires_grad``. Every grad record is numbered as it is
+made, and an op's record is always newer than its parents', so the tape is
+a Wengert list: ``backward()`` replays the records that carry a gradient
+newest first, and each runs once all of its consumers have.
 
 Recording is on by default. Inside ``with no_grad():`` every op returns a
-plain tensor with no parents and no closure, so a forward-only pass keeps
-no op's saved arrays alive past its consumers (the idiom of
-``torch.no_grad``); the arithmetic, and so every output, is the same. The
-flag is module-global, not per thread. A recorded graph keeps every closure,
-and the forward arrays it holds, until its last tensor is dropped, so
-``backward()`` may run over one graph more than once; leaf gradients
-accumulate until zeroed. Dropping each closure as soon as backward has run
-it lowered peak memory but made training steps slower
-(``BENCH_no-grad.json``), so it is not done.
+plain tensor with no grad record, so a forward-only pass keeps no op's
+saved arrays alive past its consumers (the idiom of ``torch.no_grad``); the
+arithmetic, and so every output, is the same. The flag is module-global,
+not per thread.
+
+The tape is made of grad records, not of tensors. A recorded op's output
+points to its record: a creation number, the records of the parents that
+take a gradient, and the backward closure. A leaf that requires a gradient
+gets one record, made when an op first reads it, that points back to it
+weakly, so ``backward()`` can set its ``.grad``. A closure keeps only the
+arrays and shapes it reads (the idiom of PyTorch's saved tensors), never a
+tensor, so an op output lives only while code or a closure refers to it:
+the output of a matmul that only feeds an add is freed as soon as the
+caller drops it. A recorded graph keeps every record and closure until its
+last tensor is dropped, so ``backward()`` may run over one graph more than
+once; leaf gradients accumulate until zeroed. Dropping each closure as soon
+as backward has run it lowered peak memory but made training steps slower
+(``BENCH_no-grad.json``), so it is not done. ``Tensor._backward`` reads and
+sets the closure in an output's record; perfbench's tracer wraps it there
+to time each node's backward.
 
 Graph sparsity is handled by index-based segment operations (sum / mean /
 max / softmax keyed by an index vector) rather than sparse matrices. A keyed
@@ -54,6 +65,7 @@ import functools
 import heapq
 import itertools
 import math
+import weakref
 
 import numpy as np
 
@@ -79,18 +91,31 @@ def no_grad():
         _recording = saved
 
 
+class _GradRecord:
+    """One node of the tape: its creation number, the records of its
+    parents (None for a parent that takes no gradient), and its backward
+    closure. A leaf's record has no closure and a weak reference to its
+    tensor."""
+
+    __slots__ = ("seq", "parents", "backward", "leaf")
+
+    def __init__(self, parents, backward, leaf=None):
+        self.seq = next(_created)  # creation order: parents precede children
+        self.parents = parents
+        self.backward = backward
+        self.leaf = leaf
+
+
 class Tensor:
     """A dense array node in a reverse-mode gradient graph."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "_seq")
+    __slots__ = ("data", "grad", "requires_grad", "_record", "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad: np.ndarray | None = None
         self.requires_grad = bool(requires_grad)
-        self._parents: tuple[Tensor, ...] = ()
-        self._backward = None
-        self._seq = next(_created)  # creation order: parents precede children
+        self._record: _GradRecord | None = None
 
     # -- basic introspection -------------------------------------------------
     @property
@@ -113,28 +138,46 @@ class Tensor:
         return f"Tensor(shape={self.shape}{flag})"
 
     # -- autodiff ------------------------------------------------------------
+    def _grad_record(self) -> _GradRecord:
+        """This tensor's record; a leaf gets its own on first use."""
+        if self._record is None:
+            self._record = _GradRecord((), None, weakref.ref(self))
+        return self._record
+
+    @property
+    def _backward(self):
+        """The backward closure of the op that made this tensor, or None."""
+        return None if self._record is None else self._record.backward
+
+    @_backward.setter
+    def _backward(self, fn) -> None:
+        self._record.backward = fn
+
     def backward(self) -> None:
         """Backpropagate from a scalar; leaf grads accumulate until zeroed."""
         if self.size != 1:
             raise ShapeError(f"backward: loss must be scalar, got shape {self.shape}")
         if not self.requires_grad:
             return
-        grads = {self: np.ones_like(self.data)}
-        pending = [(-self._seq, self)]
+        root = self._grad_record()
+        grads = {root: np.ones_like(self.data)}
+        pending = [(-root.seq, root)]
         while pending:
             node = heapq.heappop(pending)[1]
             g = grads.pop(node)
-            if node._backward is None:
-                node.grad = g if node.grad is None else node.grad + g
+            if node.backward is None:
+                leaf = node.leaf()
+                if leaf is not None:
+                    leaf.grad = g if leaf.grad is None else leaf.grad + g
                 continue
-            for p, pg in zip(node._parents, node._backward(g)):
-                if pg is None or not p.requires_grad:
+            for p, pg in zip(node.parents, node.backward(g)):
+                if p is None or pg is None:
                     continue
                 if p in grads:
                     grads[p] = grads[p] + pg
                 else:
                     grads[p] = pg
-                    heapq.heappush(pending, (-p._seq, p))
+                    heapq.heappush(pending, (-p.seq, p))
 
 
 def as_tensor(x) -> Tensor:
@@ -150,8 +193,9 @@ def _node(data, parents: tuple[Tensor, ...], backward) -> Tensor:
     out = Tensor(data)
     if _recording and any(p.requires_grad for p in parents):
         out.requires_grad = True
-        out._parents = parents
-        out._backward = backward
+        out._record = _GradRecord(
+            tuple(p._grad_record() if p.requires_grad else None for p in parents), backward
+        )
     return out
 
 
@@ -173,23 +217,14 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 def add(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    return _node(
-        a.data + b.data,
-        (a, b),
-        lambda g: (_unbroadcast(g, a.shape), _unbroadcast(g, b.shape)),
-    )
+    sa, sb = a.shape, b.shape
+    return _node(a.data + b.data, (a, b), lambda g: (_unbroadcast(g, sa), _unbroadcast(g, sb)))
 
 
 def mul(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    return _node(
-        a.data * b.data,
-        (a, b),
-        lambda g: (
-            _unbroadcast(g * b.data, a.shape),
-            _unbroadcast(g * a.data, b.shape),
-        ),
-    )
+    x, y = a.data, b.data
+    return _node(x * y, (a, b), lambda g: (_unbroadcast(g * y, x.shape), _unbroadcast(g * x, y.shape)))
 
 
 def sigmoid(a) -> Tensor:
@@ -211,11 +246,8 @@ def matmul(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul: incompatible shapes {a.shape} @ {b.shape}")
-    return _node(
-        a.data @ b.data,
-        (a, b),
-        lambda g: (g @ b.data.T, a.data.T @ g),
-    )
+    x, y = a.data, b.data
+    return _node(x @ y, (a, b), lambda g: (g @ y.T, x.T @ g))
 
 
 def concat(tensors: list[Tensor], axis: int = 0) -> Tensor:
@@ -232,10 +264,9 @@ def concat(tensors: list[Tensor], axis: int = 0) -> Tensor:
 def gather_rows(a, idx) -> Tensor:
     """Select rows (leading-axis entries) by an integer index array."""
     a = as_tensor(a)
-    idx = _check_ids("gather_rows", idx, a.shape[0])
-    return _node(
-        a.data[idx], (a,), lambda g: (_seg_reduce(g, idx, a.shape[0]),)
-    )
+    rows = a.shape[0]
+    idx = _check_ids("gather_rows", idx, rows)
+    return _node(a.data[idx], (a,), lambda g: (_seg_reduce(g, idx, rows),))
 
 
 # -- segment operations (variable-length groups keyed by an index vector) -------
@@ -358,11 +389,11 @@ def segment_max(a, seg, num_segments: int) -> Tensor:
     """
     a = as_tensor(a)
     seg = _check_segments("segment_max", a, seg, num_segments)
-    groups, at = _group(seg), lambda t: t[seg]
-    out = _reduce_groups(a.data, groups, num_segments, np.maximum)
+    x, groups, at = a.data, _group(seg), lambda t: t[seg]
+    out = _reduce_groups(x, groups, num_segments, np.maximum)
 
     def bwd(g):
-        first = _first_at_max(a.data, out, groups, num_segments, at)
+        first = _first_at_max(x, out, groups, num_segments, at)
         return (np.where(first, g[seg], 0.0),)
 
     return _node(out, (a,), bwd)
@@ -410,7 +441,8 @@ def hop_attention_scan(fx, wq, wk, wv, a_log, log_dt, b, c, pairs, spd, heads: i
     row's sum reads only that row, so the sums are those of the whole
     product.
     """
-    fx, wq, wk, wv, a_log, log_dt, b, c = map(as_tensor, (fx, wq, wk, wv, a_log, log_dt, b, c))
+    tensors = tuple(map(as_tensor, (fx, wq, wk, wv, a_log, log_dt, b, c)))
+    fx, wq, wk, wv, a_log, log_dt, b, c = (t.data for t in tensors)
     pairs = _int_ids("hop_attention_scan", pairs, "pairs")
     spd = _int_ids("hop_attention_scan", spd, "spd")
     d, state = c.shape if c.ndim == 2 else (-1, -1)
@@ -433,18 +465,18 @@ def hop_attention_scan(fx, wq, wk, wv, a_log, log_dt, b, c, pairs, spd, heads: i
     if by_center[0] is not None:
         raise ShapeError("hop_attention_scan: pairs are not sorted by center (column 1)")
 
-    a = -np.exp(a_log.data)
-    dt = np.exp(log_dt.data)
+    a = -np.exp(a_log)
+    dt = np.exp(log_dt)
     with np.errstate(over="ignore"):  # dt a past float range is -inf: a_bar is its limit, 0
         a_bar = np.exp(dt * a)
     coef = (a_bar - 1.0) / a
-    b_bar = coef.reshape(-1, 1) * b.data
+    b_bar = coef.reshape(-1, 1) * b
     # Where a_bar underflows to 0, its log is -inf and hop 0's -inf * 0 is
     # NaN; a_bar^0 is 1, and exp(-inf) gives the 0 of every later hop.
     with np.errstate(divide="ignore", invalid="ignore"):
         powers = np.exp(np.log(a_bar)[:, None] * np.arange(spd.max(initial=0) + 1.0))  # (D, K+1)
     powers[:, 0] = 1.0
-    xv = wv.data.T @ fx.data.T  # (d, n)
+    xv = wv.T @ fx.T  # (d, n)
     bv = b_bar @ xv  # (D, n)
 
     # Gathers along the pair axis: each center's pairs are one run. Every
@@ -452,8 +484,8 @@ def hop_attention_scan(fx, wq, wk, wv, a_log, log_dt, b, c, pairs, spd, heads: i
     # keeps the pair axis contiguous, where t[:, idx] would not.
     at_center = functools.partial(np.repeat, repeats=counts, axis=-1)
 
-    qh = at_center(wq.data.T @ fx.data.T).reshape(heads, dh, e)  # (heads, dh, E)
-    kh = (wk.data.T @ fx.data.T).take(u, axis=-1).reshape(heads, dh, e)
+    qh = at_center(wq.T @ fx.T).reshape(heads, dh, e)  # (heads, dh, E)
+    kh = (wk.T @ fx.T).take(u, axis=-1).reshape(heads, dh, e)
     scores = np.einsum("hje,hje->he", qh, kh) * scale  # (heads, E)
     alpha, alpha_grad = _softmax_in_groups(scores, by_center, n, at_center, axis=1)
     bvg, pg = bv.take(u, axis=-1), powers.take(spd, axis=-1)  # (D, E)
@@ -465,7 +497,7 @@ def hop_attention_scan(fx, wq, wk, wv, a_log, log_dt, b, c, pairs, spd, heads: i
     z = np.empty((heads, state, n))
     for h in range(heads):
         z[h] = by_center_sum(np.multiply(alpha[h], m, out=block))
-    c_heads = c.data.reshape(heads, dh, state)
+    c_heads = c.reshape(heads, dh, state)
     y = np.matmul(c_heads, z)  # (heads, dh, n)
 
     def bwd(g):
@@ -496,14 +528,14 @@ def hop_attention_scan(fx, wq, wk, wv, a_log, log_dt, b, c, pairs, spd, heads: i
         gk, gbv = gk.T, by_pred_sum(np.multiply(gm, pg, out=block[:state])).T
         gxv = gbv @ b_bar
         gb_bar = gbv.T @ xv.T  # (D, d)
-        gcoef = (gb_bar * b.data).sum(axis=1)
+        gcoef = (gb_bar * b).sum(axis=1)
         gda = gcoef * a_bar / a + np.einsum("se,se,e->s", gm, m, spd)
-        gfx = gq.T @ wq.data.T + gk @ wk.data.T + gxv @ wv.data.T
+        gfx = gq.T @ wq.T + gk @ wk.T + gxv @ wv.T
         g_log_dt = gda * dt * a
-        return (gfx, fx.data.T @ gq.T, fx.data.T @ gk, fx.data.T @ gxv,
+        return (gfx, fx.T @ gq.T, fx.T @ gk, fx.T @ gxv,
                 g_log_dt - gcoef * coef, g_log_dt, coef.reshape(-1, 1) * gb_bar, gc)
 
-    return _node(y.reshape(d, n).T, (fx, wq, wk, wv, a_log, log_dt, b, c), bwd)
+    return _node(y.reshape(d, n).T, tensors, bwd)
 
 
 def _zpool_grad(x: np.ndarray, mx: np.ndarray, g_max, g_mean, axis: int) -> np.ndarray:
@@ -678,18 +710,18 @@ def layer_norm(a, gain, bias) -> Tensor:
         raise ShapeError(
             f"layer_norm: gain/bias {gain.shape}/{bias.shape} vs features {a.shape}"
         )
-    scale = 1.0 / a.shape[-1]
+    w, scale = gain.data, 1.0 / a.shape[-1]
     centered = a.data - a.data.sum(axis=-1, keepdims=True) * scale
     inv = ((centered * centered).sum(axis=-1, keepdims=True) * scale + 1e-5) ** -0.5
     xhat = centered * inv
 
     def bwd(g):
-        gx = g * gain.data
+        gx = g * w
         dot = (gx * xhat).sum(axis=-1, keepdims=True) * scale
         ga = inv * (gx - gx.sum(axis=-1, keepdims=True) * scale - xhat * dot)
-        return ga, _unbroadcast(g * xhat, gain.shape), _unbroadcast(g, bias.shape)
+        return ga, _unbroadcast(g * xhat, w.shape), _unbroadcast(g, w.shape)
 
-    return _node(xhat * gain.data + bias.data, (a, gain, bias), bwd)
+    return _node(xhat * w + bias.data, (a, gain, bias), bwd)
 
 
 def dropout(a, p: float, train: bool, stream: RngStream | None = None) -> Tensor:
@@ -727,13 +759,14 @@ def mse_loss(pred, target) -> Tensor:
 
 
 def cross_entropy(logits, labels) -> Tensor:
-    """Mean negative log-likelihood of integer ``labels`` under ``logits``."""
+    """Mean negative log-likelihood of integer ``labels`` under ``logits``;
+    a label that is not an integer in [0, classes) is a ShapeError."""
     logits = as_tensor(logits)
-    labels = np.asarray(labels, dtype=np.int64)
-    if logits.ndim != 2 or labels.shape != (logits.shape[0],):
-        raise ShapeError(
-            f"cross_entropy: logits {logits.shape} vs labels {labels.shape}"
-        )
+    if logits.ndim != 2:
+        raise ShapeError(f"cross_entropy: logits must be 2-D, got shape {logits.shape}")
+    labels = _check_ids("cross_entropy", labels, logits.shape[1])
+    if labels.shape != logits.shape[:1]:
+        raise ShapeError(f"cross_entropy: logits {logits.shape} vs labels {labels.shape}")
     n = logits.shape[0]
     z = logits.data - logits.data.max(axis=1, keepdims=True)
     logsumexp = np.log(np.exp(z).sum(axis=1, keepdims=True))

@@ -141,19 +141,22 @@ class ModelConfig:
 
 
 def depth_positional_encoding(depth: np.ndarray, d: int) -> np.ndarray:
-    """Sinusoidal encoding of integer depths, width exactly ``d``.
+    """Sinusoidal encoding of non-negative integer depths, width exactly ``d``.
 
     Column 2i holds sin(depth / 10000^(2i/d)); column 2i+1 the matching cos.
-    Odd widths end on a sin column.
+    Odd widths end on a sin column. The rows are computed once for each
+    depth in 0..max(depth) and gathered per node.
     """
-    depth = np.asarray(depth, dtype=np.float64).reshape(-1, 1)
+    depth = np.asarray(depth, dtype=np.int64).reshape(-1)
+    if depth.size and depth.min() < 0:
+        raise ValueError(f"depth_positional_encoding: depths must be >= 0, got {depth.min()}")
     n_pairs = (d + 1) // 2
     freq = 1.0 / (10000.0 ** (2.0 * np.arange(n_pairs) / d))
-    angles = depth * freq
-    pe = np.zeros((depth.shape[0], d))
-    pe[:, 0::2] = np.sin(angles)
-    pe[:, 1::2] = np.cos(angles)[:, : d // 2]
-    return pe
+    angles = np.arange(depth.max(initial=-1) + 1.0)[:, None] * freq
+    table = np.zeros((angles.shape[0], d))
+    table[:, 0::2] = np.sin(angles)
+    table[:, 1::2] = np.cos(angles)[:, : d // 2]
+    return table[depth]
 
 
 # -- weight construction ---------------------------------------------------------

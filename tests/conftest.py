@@ -61,12 +61,13 @@ def exp(a) -> ad.Tensor:
 
 def sum_(a, axis=None, keepdims: bool = False) -> ad.Tensor:
     a = ad.as_tensor(a)
+    shape = a.shape
 
     def bwd(g):
         if axis is None:
-            return (np.broadcast_to(g, a.shape).copy(),)
+            return (np.broadcast_to(g, shape).copy(),)
         gg = g if keepdims else np.expand_dims(g, axis)
-        return (np.broadcast_to(gg, a.shape).copy(),)
+        return (np.broadcast_to(gg, shape).copy(),)
 
     return ad._node(a.data.sum(axis=axis, keepdims=keepdims), (a,), bwd)
 
@@ -86,7 +87,8 @@ def softmax(a, axis: int = -1) -> ad.Tensor:
 
 def reshape(a, shape) -> ad.Tensor:
     a = ad.as_tensor(a)
-    return ad._node(a.data.reshape(shape), (a,), lambda g: (g.reshape(a.shape),))
+    old = a.shape
+    return ad._node(a.data.reshape(shape), (a,), lambda g: (g.reshape(old),))
 
 
 def transpose(a, axes: tuple[int, ...]) -> ad.Tensor:
@@ -104,12 +106,14 @@ def grad_check(f, x: ad.Tensor, eps: float = 1e-4, tol: float = 1e-4) -> GradChe
 def _first_max(t: ad.Tensor, axis: int) -> ad.Tensor:
     """Max over ``axis`` as a tape node that routes the gradient to the first
     maximum."""
+    x = t.data
+
     def bwd(g):
-        onehot = np.zeros_like(t.data)
-        np.put_along_axis(onehot, np.expand_dims(t.data.argmax(axis=axis), axis), 1.0, axis=axis)
+        onehot = np.zeros_like(x)
+        np.put_along_axis(onehot, np.expand_dims(x.argmax(axis=axis), axis), 1.0, axis=axis)
         return (onehot * np.expand_dims(g, axis),)
 
-    return ad._node(t.data.max(axis=axis), (t,), bwd)
+    return ad._node(x.max(axis=axis), (t,), bwd)
 
 
 def _conv_ops(x: ad.Tensor, w: ad.Tensor, b: ad.Tensor) -> ad.Tensor:

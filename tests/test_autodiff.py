@@ -1,5 +1,6 @@
 import hashlib
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -194,7 +195,7 @@ def test_mse_loss_equals_its_composition(shape, seed):
     leaves = rng.normal(size=(2, *shape))
     pred, target = Tensor(leaves[0], requires_grad=True), Tensor(leaves[1], requires_grad=True)
     loss = ad.mse_loss(pred, target)
-    assert loss._parents == (pred, target)
+    assert loss._record.parents == (pred._record, target._record)
     ad.mul(loss, 0.7).backward()
     cpred, ctarget = Tensor(leaves[0], requires_grad=True), Tensor(leaves[1], requires_grad=True)
     diff = ad.add(cpred, ad.mul(ctarget, -1.0))
@@ -393,6 +394,7 @@ ID_OPS = {
     "segment_max": lambda ids: ad.segment_max(Tensor(np.ones((3, 2))), ids, 2),
     "segment_softmax": lambda ids: ad.segment_softmax(Tensor(np.ones((3, 2))), ids, 2),
     "gather_rows": lambda ids: ad.gather_rows(Tensor(np.ones((2, 2))), ids),
+    "cross_entropy": lambda ids: ad.cross_entropy(Tensor(np.zeros((3, 2))), ids),
     "cross_axis_fusion": lambda ids: ad.cross_axis_fusion(
         Tensor(np.zeros((5, 6))), FUSION_ARGS[0], np.concatenate([ids, [1, 1]]), 2,
         *FUSION_ARGS[3:],
@@ -463,8 +465,45 @@ def test_no_grad_records_no_tape():
     recorded = ad.layer_norm(ad.matmul(x, x), Tensor(np.ones(2), requires_grad=True), np.zeros(2))
     with ad.no_grad():
         out = ad.layer_norm(ad.matmul(x, x), Tensor(np.ones(2), requires_grad=True), np.zeros(2))
-    assert not out.requires_grad and out._parents == () and out._backward is None
+    assert not out.requires_grad and out._record is None and out._backward is None
     assert recorded.requires_grad and np.array_equal(out.data, recorded.data)
+
+
+def test_an_op_output_no_backward_reads_dies_with_its_tensor():
+    # The matmul's output feeds only an add, whose backward reads shapes: once
+    # the caller drops it, nothing holds its array. The matmul's left operand
+    # is read by the weight's gradient, so its closure keeps it.
+    stream = RngStream(41)
+    x = Tensor(stream.normal(size=(5, 3)), requires_grad=True)
+    w, b = (Tensor(stream.normal(size=s), requires_grad=True) for s in [(3, 4), (4,)])
+    h = ad.add(x, 1.0)
+    prod = ad.matmul(h, w)
+    out = ad.add(prod, b)
+    operand, product, h_data = weakref.ref(h.data), weakref.ref(prod.data), h.data.copy()
+    del h, prod
+    assert product() is None and operand() is not None
+    sum_(out).backward()
+    ones = np.ones((5, 4))
+    assert np.array_equal(w.grad, h_data.T @ ones) and np.array_equal(x.grad, ones @ w.data.T)
+    assert np.array_equal(b.grad, np.full(4, 5.0))
+
+
+def test_backward_runs_twice_over_a_graph_whose_intermediates_were_dropped():
+    # Only the loss is kept; a second backward replays the same closures and
+    # adds the same gradients again.
+    stream = RngStream(42)
+    x = Tensor(stream.normal(size=(6, 3)), requires_grad=True)
+    w = Tensor(stream.normal(size=(3, 4)), requires_grad=True)
+    gain = Tensor(np.ones(4), requires_grad=True)
+    seg = np.array([0, 2, 0, 1, 2, 2])
+    h = ad.layer_norm(ad.sigmoid(ad.matmul(x, w)), gain, np.zeros(4))
+    loss = ad.mse_loss(ad.segment_max(ad.gather_rows(h, np.arange(6)[::-1]), seg, 3), np.ones((3, 4)))
+    del h
+    loss.backward()
+    once = [t.grad.copy() for t in (x, w, gain)]
+    loss.backward()
+    for t, g in zip((x, w, gain), once):
+        assert np.array_equal(t.grad, g + g)
 
 
 def test_no_grad_restores_recording_after_nesting_and_errors():

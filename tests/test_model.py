@@ -1,5 +1,10 @@
 import hashlib
+import os
+import subprocess
+import sys
+import tracemalloc
 from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dgssm import autodiff as ad
-from dgssm.algos import PreprocessArtifacts, batch_artifacts, k_hop_predecessors
+from dgssm.algos import PreprocessArtifacts, batch_artifacts, depth_plus, k_hop_predecessors
 from dgssm.autodiff import ParameterSet, ShapeError, Tensor
 from dgssm.checkpoint import CheckpointError, save_arrays
 from dgssm.graphs import DiGraph, batch_graphs, reverse_graph
@@ -59,6 +64,41 @@ def test_pe_odd_width_ends_on_sin():
     pe = depth_positional_encoding(np.array([0]), 5)
     assert pe.shape == (1, 5)
     assert pe[0, 4] == 0.0  # sin(0), no trailing cos column
+
+
+def _per_node_encoding(depth, d):
+    """The encoding computed node by node, as depth_positional_encoding did
+    before it tabulated each distinct depth once."""
+    depth = np.asarray(depth, dtype=np.float64).reshape(-1, 1)
+    angles = depth * (1.0 / (10000.0 ** (2.0 * np.arange((d + 1) // 2) / d)))
+    pe = np.zeros((depth.shape[0], d))
+    pe[:, 0::2] = np.sin(angles)
+    pe[:, 1::2] = np.cos(angles)[:, : d // 2]
+    return pe
+
+
+def test_pe_table_gives_the_per_node_bits():
+    # The depths of the seed-0 first batches of the benchmark's depth, chains
+    # and eval workloads, then no nodes at all.
+    spec = lambda task: SyntheticTaskSpec(task=task, num_graphs=512, seed=0, splits=(1.0, 0.0, 0.0))
+    depth_graphs = gen_synthetic(spec("depth-regress"))["train"]
+    eval_graphs = gen_synthetic(spec("ancestor-count-regress"))["train"]
+    batches = [
+        [depth_graphs[int(i)] for i in RngStream(0).split(3)[1].permutation(512)[:32]],
+        _chains(RngStream(0)),
+        [eval_graphs[int(i)] for i in RngStream(0).split(2)[1].permutation(512)[:64]],
+    ]
+    depths = [np.concatenate([depth_plus(g) for g in graphs]) for graphs in batches]
+    assert depths[1].max() == 119  # a chain of 120 nodes
+    for depth in [*depths, np.zeros(0, np.int64)]:
+        got = depth_positional_encoding(depth, 32)
+        assert got.shape == (depth.size, 32)
+        assert got.tobytes() == _per_node_encoding(depth, 32).tobytes()
+
+
+def test_pe_rejects_a_negative_depth():
+    with pytest.raises(ValueError, match="depths must be >= 0, got -1"):
+        depth_positional_encoding(np.array([0, -1]), 4)
 
 
 # -- gated directional GCN ----------------------------------------------------------
@@ -254,8 +294,8 @@ def test_scan_records_one_tape_node(monkeypatch):
     monkeypatch.setattr(ad, "_node", counting_node)
     heads = digraph_ssm_scan(fx, arts, _scan_params(ssm, ws), "scan", 2)
     assert nodes == [heads]
-    assert all(p._backward is None for p in heads._parents)
-    assert {id(p) for p in heads._parents} == {id(t) for t in leaves}
+    assert all(p.backward is None for p in heads._record.parents)
+    assert {id(p.leaf()) for p in heads._record.parents} == {id(t) for t in leaves}
 
 
 def test_scan_head_slicing_layout():
@@ -443,8 +483,9 @@ FIRST_STEP_DIGESTS = {
 }
 
 
-@pytest.mark.parametrize("run", sorted(FIRST_STEP_DIGESTS))
-def test_first_training_step_gives_its_pinned_bits(run):
+def _first_step_inputs(run: str):
+    """(cfg, params, batch, fwd, rev, dropout stream) of ``run``'s seed-0
+    first step."""
     base = dict(in_dim=3, hidden=32, heads=4, se_layers=1, ssm_state=8, task="node-regress")
     if run == "depth-k4":
         cfg = ModelConfig(**base, num_layers=2, k_hops=4, dropout=0.1, bidirectional=True)
@@ -457,16 +498,53 @@ def test_first_training_step_gives_its_pinned_bits(run):
     prepared = prepare_graphs(graphs, cfg)
     params = init_weights(cfg, init_stream)
     first = order_stream.permutation(len(prepared))[:batch_size]
-    batch, fwd, rev = collate([prepared[int(i)] for i in first])
+    return cfg, params, *collate([prepared[int(i)] for i in first]), drop_stream
+
+
+def first_step_digests(run: str) -> tuple[str, str, str]:
+    """The digests of ``run``'s seed-0 first step, in FIRST_STEP_DIGESTS' form."""
+    cfg, params, batch, fwd, rev, drop_stream = _first_step_inputs(run)
     preds = model_forward(batch, fwd, rev, cfg, params, train=True, stream=drop_stream.child())
     loss = model_loss(preds, batch, cfg)
     loss.backward()
     grads = hashlib.sha256()
     for _, t in params.items():
         grads.update(np.ascontiguousarray(t.grad).tobytes())
-    got = tuple(h.hexdigest()[:16] for h in
-                (hashlib.sha256(preds.data.tobytes()), hashlib.sha256(loss.data.tobytes()), grads))
-    assert got == FIRST_STEP_DIGESTS[run]
+    return tuple(h.hexdigest()[:16] for h in
+                 (hashlib.sha256(preds.data.tobytes()), hashlib.sha256(loss.data.tobytes()), grads))
+
+
+@pytest.mark.parametrize("run", sorted(FIRST_STEP_DIGESTS))
+def test_first_training_step_gives_its_pinned_bits(run):
+    # OpenBLAS splits a backward matmul by its thread count, and the last
+    # bits of a gradient follow the split: on 1 thread, depth-k4's
+    # predictions and loss match, but 1,405 of its 39,821 gradient entries
+    # differ, each by at most 4.4e-16. The digests were recorded on a 2-vCPU
+    # host, where OpenBLAS runs 2 threads by default, so the step runs in a
+    # child process with 2 threads pinned, whatever the caller pins.
+    tests = Path(__file__).resolve().parent
+    path = os.pathsep.join([str(tests.parent / "src"), str(tests), os.environ.get("PYTHONPATH", "")])
+    env = {**os.environ, "OMP_NUM_THREADS": "2", "OPENBLAS_NUM_THREADS": "2", "PYTHONPATH": path}
+    code = f"from test_model import first_step_digests; print(*first_step_digests({run!r}))"
+    child = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert child.returncode == 0, child.stderr
+    assert tuple(child.stdout.split()) == FIRST_STEP_DIGESTS[run]
+
+
+def test_chains_first_step_tape_holds_only_what_backward_reads():
+    # What the chains step's forward and loss leave allocated: every op's
+    # closure with the arrays it reads, and the predictions and loss. When
+    # each tape node also held its parent tensors, and so every op output,
+    # this was 28 MB.
+    cfg, params, batch, fwd, rev, drop_stream = _first_step_inputs("chains-k16")
+    tracemalloc.start()
+    try:
+        preds = model_forward(batch, fwd, rev, cfg, params, train=True, stream=drop_stream.child())
+        loss = model_loss(preds, batch, cfg)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert loss.requires_grad and held < 22e6
 
 
 # -- fusion attention ---------------------------------------------------------------

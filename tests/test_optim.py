@@ -73,11 +73,8 @@ def test_grad_check_fails_on_a_nan_gradient():
 def test_grad_check_catches_wrong_gradient():
     # A "loss" whose backward is deliberately broken via a custom node.
     def bad(x):
-        out = ad.Tensor(np.sum(x.data) * 2.0)
-        out.requires_grad = True
-        out._parents = (x,)
-        out._backward = lambda g: (np.ones_like(x.data) * 0.5,)
-        return out
+        half = np.ones_like(x.data) * 0.5
+        return ad._node(np.sum(x.data) * 2.0, (x,), lambda g: (half,))
 
     x = Tensor(np.arange(3.0), requires_grad=True)
     report = grad_check(bad, x)
